@@ -335,10 +335,7 @@ func (s *Session) Stream(ctx context.Context, events []event.Event, base uint64)
 // found to be already acknowledged); the caller re-derives the next chunk
 // from the ack, which makes every fault path converge.
 func (s *Session) sendChunk(ctx context.Context, offset uint64, events []event.Event) error {
-	var body bytes.Buffer
-	if err := traceio.EncodeEvents(&body, events); err != nil {
-		return err
-	}
+	body := traceio.AppendEvents(nil, events)
 	// The checksum covers "<offset>:<body>", binding the sequence number to
 	// the bytes: neither a corrupted body nor a corrupted offset header can
 	// slip past the server's 422 and misalign the analysis.
@@ -346,7 +343,7 @@ func (s *Session) sendChunk(ctx context.Context, offset uint64, events []event.E
 	sum := crc32.NewIEEE()
 	io.WriteString(sum, off)
 	io.WriteString(sum, ":")
-	sum.Write(body.Bytes())
+	sum.Write(body)
 	hdr := map[string]string{
 		"X-Raced-Offset": off,
 		"X-Raced-Crc32":  strconv.FormatUint(uint64(sum.Sum32()), 10),
@@ -360,7 +357,7 @@ func (s *Session) sendChunk(ctx context.Context, offset uint64, events []event.E
 		if s.cfg.FollowPlacement && s.workerURL != "" {
 			base, direct = s.workerURL, true
 		}
-		status, err := s.roundTrip(ctx, "POST", base+"/sessions/"+s.id+"/chunks", body.Bytes(), hdr, &ack)
+		status, err := s.roundTrip(ctx, "POST", base+"/sessions/"+s.id+"/chunks", body, hdr, &ack)
 		switch {
 		case err == nil:
 			s.acked = ack.Events

@@ -179,3 +179,34 @@ func TestSymbolsTableAccessors(t *testing.T) {
 		t.Errorf("LocationNames = %v", got)
 	}
 }
+
+// TestPositionalSymbols: a positional table keeps repeated names at their
+// own indices, builds its by-name index only when interning starts, maps a
+// repeated name to its first index, and appends new names without writing
+// into a neighbouring table that shares the callers' backing array.
+func TestPositionalSymbols(t *testing.T) {
+	backing := []string{"t0", "t0", "m", "x", "a", "b", "a"}
+	s := NewPositionalSymbols(backing[0:2], backing[2:3], backing[3:4], backing[4:7])
+	if s.NumThreads() != 2 || s.ThreadName(1) != "t0" || s.LocationName(2) != "a" {
+		t.Fatalf("positional tables lost a repeat: threads %q, locations %q", s.ThreadNames(), s.LocationNames())
+	}
+	if s.threads.byName != nil {
+		t.Error("by-name index built before any interning call")
+	}
+	if got := s.Thread("t0"); got != 0 {
+		t.Errorf("Thread(t0) = %d, want the first index 0", got)
+	}
+	if got := s.Location("a"); got != 0 {
+		t.Errorf("Location(a) = %d, want the first index 0", got)
+	}
+	if got := s.Thread("t1"); got != 2 {
+		t.Errorf("Thread(t1) = %d, want the next index 2", got)
+	}
+	if backing[2] != "m" {
+		t.Errorf("interning a thread overwrote the lock table: %q", backing)
+	}
+	s.Preallocate(0, 0, 10, 0)
+	if got := s.Var("x"); got != 0 {
+		t.Errorf("Var(x) after Preallocate = %d, want 0", got)
+	}
+}

@@ -1,10 +1,18 @@
 package event
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Symbols interns thread, lock, variable and location names to dense
 // indices. The zero value is ready to use. Symbols is not safe for
 // concurrent mutation; detectors only read it.
+//
+// A table built by NewPositionalSymbols is positional: the i-th name of a
+// kind is symbol i, repeats included. Its by-name index is built on the
+// first interning call, so a decoder that only hands names to readers never
+// pays for hashing them.
 type Symbols struct {
 	threads intern
 	locks   intern
@@ -13,8 +21,35 @@ type Symbols struct {
 }
 
 type intern struct {
-	byName map[string]int32
+	byName map[string]int32 // nil until the first interning call or grow
 	names  []string
+}
+
+// NewPositionalSymbols returns a table whose i-th thread, lock, variable and
+// location are the i-th names of the matching slices, even when a name
+// repeats: the form of a decoded binary header, whose event operands are
+// positions in these tables. The table keeps the slices, clipped so that
+// later interning appends never write into a neighbouring table's backing
+// array; callers must not modify them.
+func NewPositionalSymbols(threads, locks, vars, locs []string) *Symbols {
+	return &Symbols{
+		threads: intern{names: slices.Clip(threads)},
+		locks:   intern{names: slices.Clip(locks)},
+		vars:    intern{names: slices.Clip(vars)},
+		locs:    intern{names: slices.Clip(locs)},
+	}
+}
+
+// index builds the by-name index with room for n names. A repeated name
+// maps to its first index, the one interning it would have returned.
+func (in *intern) index(n int) {
+	m := make(map[string]int32, max(n, len(in.names)))
+	for i, name := range in.names {
+		if _, dup := m[name]; !dup {
+			m[name] = int32(i)
+		}
+	}
+	in.byName = m
 }
 
 // grow pre-sizes the table for n total symbols so subsequent interning
@@ -23,11 +58,7 @@ func (in *intern) grow(n int) {
 	if n <= len(in.names) {
 		return
 	}
-	m := make(map[string]int32, n)
-	for name, id := range in.byName {
-		m[name] = id
-	}
-	in.byName = m
+	in.index(n)
 	if cap(in.names) < n {
 		names := make([]string, len(in.names), n)
 		copy(names, in.names)
@@ -36,11 +67,11 @@ func (in *intern) grow(n int) {
 }
 
 func (in *intern) id(name string) int32 {
+	if in.byName == nil {
+		in.index(0)
+	}
 	if id, ok := in.byName[name]; ok {
 		return id
-	}
-	if in.byName == nil {
-		in.byName = make(map[string]int32)
 	}
 	id := int32(len(in.names))
 	in.byName[name] = id
@@ -56,9 +87,9 @@ func (in *intern) name(id int32, prefix string) string {
 }
 
 // Preallocate pre-sizes the four intern tables for the given total symbol
-// counts, so a decoder that knows its symbol universe up front (a traceio
-// stream header) interns every name without a single mid-decode rehash or
-// slice regrowth. Counts at or below the current table sizes are no-ops;
+// counts, so a decoder that knows its symbol universe up front (a text
+// trace's "# symbols" header) interns every name without a single
+// mid-decode rehash or slice regrowth. Counts at or below the current table sizes are no-ops;
 // zero and negative counts are ignored.
 func (s *Symbols) Preallocate(threads, locks, vars, locs int) {
 	s.threads.grow(threads)

@@ -86,6 +86,35 @@ type Store struct {
 	m     map[Fingerprint]*Entry
 	order []Fingerprint // first-seen order
 	obs   int64         // total observations folded in
+	// names holds the names of every class the store created (see
+	// detach), nameChunk bytes at a time. Classes are never removed, so
+	// a chunk holds no dead names.
+	names strings.Builder
+}
+
+const nameChunk = 4 << 10
+
+// detach returns f with its names copied into the store's own name chunks.
+// The names may point into a session's symbol table, whose names share one
+// backing string: a stored class holding one would keep that whole table
+// alive for the life of the store.
+func (s *Store) detach(f Fingerprint) Fingerprint {
+	n := len(f.LocA) + len(f.LocB) + len(f.Var) + len(f.Locks)
+	if s.names.Cap()-s.names.Len() < n {
+		// A fresh chunk: the strings already handed out keep the old one.
+		s.names = strings.Builder{}
+		s.names.Grow(max(n, nameChunk))
+	}
+	start := s.names.Len()
+	s.names.WriteString(f.LocA)
+	s.names.WriteString(f.LocB)
+	s.names.WriteString(f.Var)
+	s.names.WriteString(f.Locks)
+	all := s.names.String()[start:]
+	f.LocA, all = all[:len(f.LocA)], all[len(f.LocA):]
+	f.LocB, all = all[:len(f.LocB)], all[len(f.LocB):]
+	f.Var, f.Locks = all[:len(f.Var)], all[len(f.Var):]
+	return f
 }
 
 // NewStore returns an empty store.
@@ -101,6 +130,7 @@ func (s *Store) Add(f Fingerprint, count int64, maxDistance int, source string, 
 	s.obs += count
 	e, ok := s.m[f]
 	if !ok {
+		f = s.detach(f)
 		s.m[f] = &Entry{
 			Fingerprint: f,
 			Count:       count,

@@ -1,15 +1,18 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/race"
 	"repro/internal/trace"
+	"repro/internal/traceio"
 )
 
 // twoThreadRacyTrace builds a trace with an unprotected write-write race on
@@ -147,4 +150,59 @@ func TestStoreConcurrent(t *testing.T) {
 	if s.Observations() != 8*200 {
 		t.Errorf("Observations = %d, want %d", s.Observations(), 8*200)
 	}
+}
+
+// TestStoreEntriesDoNotAliasSymbols: a decoded header keeps all its names
+// in one backing string, so a stored class that pointed into it would pin
+// the whole symbol table of its session for the life of the store.
+func TestStoreEntriesDoNotAliasSymbols(t *testing.T) {
+	// t2 observes the race on x holding m, so the class has a lock context.
+	b := trace.NewBuilder()
+	b.At("L1").Write("t1", "x")
+	b.At("L2").Acquire("t2", "m")
+	b.At("L3").Write("t2", "x")
+	b.At("L4").Release("t2", "m")
+	var enc bytes.Buffer
+	if err := traceio.WriteBinary(&enc, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traceio.ReadBinary(&enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.Detect(tr)
+	s := NewStore()
+	s.AddReport("wcp", "test", res.Report, tr.Symbols, time.Unix(0, 0))
+	entries := s.List(Filter{})
+	if len(entries) == 0 {
+		t.Fatal("expected a race")
+	}
+	var names []string
+	for _, table := range [][]string{tr.Symbols.ThreadNames(), tr.Symbols.LockNames(),
+		tr.Symbols.VarNames(), tr.Symbols.LocationNames()} {
+		names = append(names, table...)
+	}
+	sawLocks := false
+	for _, e := range entries {
+		sawLocks = sawLocks || e.Locks != ""
+		for _, got := range []string{e.LocA, e.LocB, e.Var, e.Locks} {
+			for _, name := range names {
+				if overlaps(got, name) {
+					t.Errorf("entry %+v: %q shares memory with symbol name %q", e.Fingerprint, got, name)
+				}
+			}
+		}
+	}
+	if !sawLocks {
+		t.Error("no entry carries a lock context; the test needs one")
+	}
+}
+
+// overlaps reports whether the bytes of a and b share memory.
+func overlaps(a, b string) bool {
+	if a == "" || b == "" {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.StringData(a))), uintptr(unsafe.Pointer(unsafe.StringData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }

@@ -264,6 +264,39 @@ func TestIngestAllocs(t *testing.T) {
 	}
 }
 
+// TestSampledStageTimingSamplesDataBlocks: a chunk that fits one block is
+// one data call plus one end-of-body call. Stage timing samples every Nth
+// data block, so 64 such chunks at the default period of 32 time two data
+// blocks per engine, and never an end-of-body peek.
+func TestSampledStageTimingSamplesDataBlocks(t *testing.T) {
+	s, tc := newTestServer(t, Config{Workers: 1})
+	const chunks, chunkEvents = 64, 100
+	tr := gen.Random(gen.RandomConfig{Seed: 5, Events: chunks * chunkEvents, Threads: 4, Locks: 3, Vars: 5})
+	id := tc.createSession(tr, "wcp,hb")
+	sess := s.getSession(id)
+	if sess == nil {
+		t.Fatalf("session %s not found", id)
+	}
+	if sess.obs == nil || sess.obs.sampleNs != 32 {
+		t.Fatalf("session not instrumented at the default sampling rate: %+v", sess.obs)
+	}
+	for off := 0; off < len(tr.Events); off += chunkEvents {
+		body := traceio.AppendEvents(nil, tr.Events[off:off+chunkEvents])
+		if _, _, err := sess.ingest(bytes.NewReader(body), uint64(off), true, "", time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = chunks / 32
+	if got := s.obs.decode.Count(); got != want {
+		t.Errorf("raced_decode_seconds has %d samples, want %d", got, want)
+	}
+	for _, engine := range []string{"wcp", "hb"} {
+		if got := s.obs.engineHist(engine).Count(); got != want {
+			t.Errorf("raced_engine_process_seconds{engine=%q} has %d samples, want %d", engine, got, want)
+		}
+	}
+}
+
 // benchIngestSession opens one session against s without a network listener.
 func benchIngestSession(b *testing.B, s *Server, tr *trace.Trace) *session {
 	b.Helper()

@@ -333,6 +333,36 @@ func TestAnalyzeOneShot(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDuplicateSymbolNames: a binary trace whose header names
+// thread "t0" twice and whose event runs on thread 1 is analyzed, not a
+// scheduler-worker panic that takes the daemon down. Binary symbol tables
+// are positional, so the detector is sized for both threads.
+func TestAnalyzeDuplicateSymbolNames(t *testing.T) {
+	_, tc := newTestServer(t, Config{})
+	raw := "WCPT\x01" + // magic, version
+		"\x02\x00\x01\x00" + // 2 threads, 0 locks, 1 var, 0 locations
+		"\x02t0\x02t0\x01x" + // thread names t0, t0; variable x
+		"\x02" + // 2 events
+		"\x03\x00\x00\x00" + // t0 (index 0): w(x)
+		"\x03\x01\x00\x00" // t0 (index 1): w(x)
+	resp, body := tc.do("POST", "/analyze?engines=wcp,hb", strings.NewReader(raw))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: %d %s", resp.StatusCode, body)
+	}
+	var out sessionFinished
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Events != 2 {
+		t.Errorf("analyzed %d events, want 2", out.Events)
+	}
+	for _, r := range out.Results {
+		if r.RacyEvents != 1 {
+			t.Errorf("%s: %d racy events, want 1 (the two threads write x unordered)", r.Engine, r.RacyEvents)
+		}
+	}
+}
+
 // TestIdleSessionEviction: sessions with no activity are evicted by the
 // janitor; their partial results still reach the report store.
 func TestIdleSessionEviction(t *testing.T) {

@@ -45,7 +45,7 @@ type session struct {
 	skipBuf    []event.Event // scratch for replay-skip decoding, grown on demand
 	events     uint64
 	chunks     int
-	blocks     uint64 // decoded blocks, drives stage-timing sampling
+	blocks     uint64 // decoded data blocks, drives stage-timing sampling
 	traceID    string // adopted from the first request that carries one
 	lastActive time.Time
 	closed     bool
@@ -119,7 +119,7 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 	if traceID != "" && s.traceID == "" {
 		s.traceID = traceID
 	}
-	// Stage timing is sampled (every Nth decoded block) so the hot loop
+	// Stage timing is sampled (every Nth data block) so the hot loop
 	// stays free of clock reads between samples; spans are recorded once
 	// per chunk, amortized over thousands of events.
 	o := s.obs
@@ -189,14 +189,17 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 		defer pprof.SetGoroutineLabels(unlabeledCtx)
 	}
 	for {
-		s.blocks++
-		chunkBlocks++
-		sampled := o != nil && o.sampleNs != 0 && s.blocks%o.sampleNs == 0
+		// Only data blocks count toward the sampling period: a chunk is
+		// typically one data call plus an end-of-body call, and counting
+		// both would, at an even period, sample nothing but end-of-body
+		// peeks. A sampled call that finds the body's end is dropped.
+		sampled := o != nil && o.sampleNs != 0 && (s.blocks+1)%o.sampleNs == 0
 		var t0 time.Time
 		if sampled {
 			t0 = time.Now()
 		}
 		n, derr := st.NextBlockSoA(s.block)
+		sampled = sampled && n > 0
 		if sampled {
 			d := time.Since(t0)
 			o.decode.Observe(d.Seconds())
@@ -204,6 +207,8 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 			sampledBlocks++
 		}
 		if n > 0 {
+			s.blocks++
+			chunkBlocks++
 			for i, es := range s.engines {
 				if s.engObs != nil {
 					pprof.SetGoroutineLabels(s.engObs[i].ctx)

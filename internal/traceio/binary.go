@@ -3,8 +3,11 @@ package traceio
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"strings"
 
 	"repro/internal/event"
 	"repro/internal/trace"
@@ -24,16 +27,53 @@ import (
 //
 // The header carries the full symbol universe and the event count before the
 // first event, so a streaming consumer can size detector state and buffers
-// up front and decode the body block by block (see stream.go).
+// up front and decode the body block by block (see stream.go). The symbol
+// tables are positional: the i-th name of a table is symbol i, and event
+// operands index the tables, so a name may repeat.
 const (
 	binaryMagic   = "WCPT"
 	binaryVersion = 1
+	// maxEventLen bounds one encoded event: the kind byte and three varints.
+	// Decoding refills its window whenever fewer bytes than this remain, so
+	// an event always decodes from one contiguous slice.
+	maxEventLen = 1 + 3*binary.MaxVarintLen64
+	// maxName caps one symbol name's length.
+	maxName = 1 << 20
+	// maxPrealloc caps the entries a header's declared counts may
+	// preallocate, so a corrupt count cannot allocate wildly; tables and
+	// traces larger than this still decode, growing as they go.
+	maxPrealloc = 1 << 16
 )
 
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
+// appendEvent appends e's body encoding to dst.
+func appendEvent(dst []byte, e event.Event) []byte {
+	dst = append(dst, byte(e.Kind))
+	dst = binary.AppendUvarint(dst, uint64(e.Thread))
+	dst = binary.AppendUvarint(dst, uint64(e.Obj))
+	return binary.AppendUvarint(dst, uint64(e.Loc+1))
+}
+
+// eventLen returns the length of e's body encoding.
+func eventLen(e event.Event) int {
+	return 1 + uvarintLen(uint64(e.Thread)) + uvarintLen(uint64(e.Obj)) + uvarintLen(uint64(e.Loc+1))
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// reserve makes room for n bytes in bw's free buffer, flushing if needed.
+// n must not exceed bw's buffer size.
+func reserve(bw *bufio.Writer, n int) error {
+	if bw.Available() < n {
+		return bw.Flush()
+	}
+	return nil
+}
+
+func writeUvarint(bw *bufio.Writer, v uint64) error {
+	if err := reserve(bw, binary.MaxVarintLen64); err != nil {
+		return err
+	}
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 
@@ -45,6 +85,29 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
+// writeEvents encodes events straight into bw's free buffer, flushing
+// whenever a worst-case event no longer fits. It returns how many events
+// reached bw, exact even when a flush fails.
+func writeEvents(bw *bufio.Writer, events []event.Event) (int, error) {
+	done := 0
+	for done < len(events) {
+		if err := reserve(bw, maxEventLen); err != nil {
+			return done, err
+		}
+		buf := bw.AvailableBuffer()
+		n := done
+		for n < len(events) && cap(buf)-len(buf) >= maxEventLen {
+			buf = appendEvent(buf, events[n])
+			n++
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return done, err
+		}
+		done = n
+	}
+	return done, nil
+}
+
 // writeBinaryHeader writes the magic, version, symbol tables and event count.
 func writeBinaryHeader(bw *bufio.Writer, syms *event.Symbols, nevents int) error {
 	if _, err := bw.WriteString(binaryMagic); err != nil {
@@ -53,7 +116,7 @@ func writeBinaryHeader(bw *bufio.Writer, syms *event.Symbols, nevents int) error
 	if err := bw.WriteByte(binaryVersion); err != nil {
 		return err
 	}
-	tables := [][]string{
+	tables := [4][]string{
 		syms.ThreadNames(),
 		syms.LockNames(),
 		syms.VarNames(),
@@ -72,19 +135,6 @@ func writeBinaryHeader(bw *bufio.Writer, syms *event.Symbols, nevents int) error
 		}
 	}
 	return writeUvarint(bw, uint64(nevents))
-}
-
-func writeEvent(bw *bufio.Writer, e event.Event) error {
-	if err := bw.WriteByte(byte(e.Kind)); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(e.Thread)); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(e.Obj)); err != nil {
-		return err
-	}
-	return writeUvarint(bw, uint64(e.Loc+1))
 }
 
 // BinaryWriter emits a binary-format trace incrementally: the header (symbol
@@ -113,13 +163,10 @@ func (w *BinaryWriter) WriteEvents(events []event.Event) error {
 	if uint64(len(events)) > w.remaining {
 		return fmt.Errorf("traceio: writing %d events exceeds the %d remaining of the declared count", len(events), w.remaining)
 	}
-	for _, e := range events {
-		if err := writeEvent(w.bw, e); err != nil {
-			return fmt.Errorf("traceio: %w", err)
-		}
-		// Debited per event so remaining tracks what was actually encoded
-		// even on a partial-write error.
-		w.remaining--
+	n, err := writeEvents(w.bw, events)
+	w.remaining -= uint64(n)
+	if err != nil {
+		return fmt.Errorf("traceio: %w", err)
 	}
 	return nil
 }
@@ -174,141 +221,206 @@ func (e *DecodeError) Error() string {
 
 func (e *DecodeError) Unwrap() error { return e.Err }
 
-// headerError wraps a header-decode failure with the current byte offset.
-func headerError(br *binaryReader, err error) *DecodeError {
-	return &DecodeError{Offset: br.off, Event: -1, Err: err}
-}
+// errVarintOverflow reports a varint longer than any uint64 encoding.
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
+// binaryReader decodes straight out of a bufio.Reader's buffered window:
+// win is data the reader has buffered, peeked but not yet discarded, and
+// pos how much of it is decoded. Decoding is slicing and varint arithmetic
+// on win; the bufio.Reader is touched only to refill the window.
 type binaryReader struct {
 	br  *bufio.Reader
-	off int64 // bytes consumed so far
+	win []byte
+	pos int
+	off int64 // input offset of win[0]
+	// err is why the input ended before a refill could be met: io.EOF at
+	// its end, or the underlying read error. It is sticky.
+	err error
 }
 
-// ReadByte implements io.ByteReader, counting consumed bytes so decode
-// errors can carry the offset where the input went bad.
-func (r *binaryReader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err == nil {
-		r.off++
+// offset returns the input offset of the next undecoded byte.
+func (r *binaryReader) offset() int64 { return r.off + int64(r.pos) }
+
+// fill makes at least need bytes (at most the bufio.Reader's size)
+// available at win[pos:], unless the input ends first, which err records.
+func (r *binaryReader) fill(need int) {
+	if len(r.win)-r.pos >= need || r.err != nil {
+		return
 	}
-	return b, err
+	r.br.Discard(r.pos) // the decoded bytes are buffered: cannot fail
+	r.off += int64(r.pos)
+	r.pos = 0
+	_, err := r.br.Peek(need)
+	r.win, _ = r.br.Peek(r.br.Buffered())
+	if len(r.win) < need {
+		r.err = err
+	}
 }
 
+// short explains why the input ended mid-structure: an underlying read
+// error, or truncation — a bare io.EOF would read as a clean end of stream.
+func (r *binaryReader) short() error {
+	if r.err == nil || r.err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return r.err
+}
+
+// varintErr explains a failed binary.Uvarint(b) that returned n <= 0.
+func (r *binaryReader) varintErr(n int, b []byte) error {
+	if n < 0 || len(b) >= binary.MaxVarintLen64 {
+		return errVarintOverflow
+	}
+	return r.short()
+}
+
+// uvarint decodes one header varint. On failure it consumes what a
+// byte-at-a-time reader would have: the rest of a truncated input, or the
+// ten bytes of an overflowing varint.
 func (r *binaryReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(r)
+	r.fill(binary.MaxVarintLen64)
+	b := r.win[r.pos:]
+	v, n := binary.Uvarint(b)
+	if n > 0 {
+		r.pos += n
+		return v, nil
+	}
+	r.pos += min(len(b), binary.MaxVarintLen64)
+	return 0, r.varintErr(n, b)
 }
 
-func (r *binaryReader) full(buf []byte) error {
-	n, err := io.ReadFull(r.br, buf)
-	r.off += int64(n)
-	return err
-}
-
-func (r *binaryReader) str() (string, error) {
+// name appends one length-prefixed symbol name to arena, a window at a
+// time, and returns its length.
+func (r *binaryReader) name(arena *strings.Builder) (uint32, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	const maxName = 1 << 20
 	if n > maxName {
-		return "", fmt.Errorf("symbol name length %d exceeds limit", n)
+		return 0, fmt.Errorf("symbol name length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if err := r.full(buf); err != nil {
-		return "", err
+	for left := int(n); left > 0; {
+		r.fill(1)
+		k := min(left, len(r.win)-r.pos)
+		if k == 0 {
+			return 0, r.short()
+		}
+		arena.Grow(k)
+		arena.Write(r.win[r.pos : r.pos+k])
+		r.pos += k
+		left -= k
 	}
-	return string(buf), nil
+	return uint32(n), nil
+}
+
+// headerError wraps a header-decode failure with the current byte offset.
+func headerError(r *binaryReader, err error) *DecodeError {
+	return &DecodeError{Offset: r.offset(), Event: -1, Err: err}
 }
 
 // readBinaryHeader consumes the magic, version, symbol tables and event
-// count, returning the interned symbols, the raw table sizes (for operand
-// range checks) and the declared event count.
-func readBinaryHeader(br *binaryReader) (*event.Symbols, [4]uint64, uint64, error) {
+// count, returning the positional symbol tables and the declared count.
+// Every name goes into one backing string, so the tables cost a constant
+// number of allocations however many names they hold.
+func readBinaryHeader(r *binaryReader) (*event.Symbols, uint64, error) {
+	r.fill(len(binaryMagic) + 1)
+	b := r.win[r.pos:]
+	if len(b) < len(binaryMagic) {
+		r.pos = len(r.win)
+		return nil, 0, headerError(r, fmt.Errorf("reading magic: %w", r.short()))
+	}
+	r.pos += len(binaryMagic)
+	if string(b[:len(binaryMagic)]) != binaryMagic {
+		return nil, 0, headerError(r, fmt.Errorf("bad magic %q, want %q", b[:len(binaryMagic)], binaryMagic))
+	}
+	if len(b) == len(binaryMagic) {
+		return nil, 0, headerError(r, fmt.Errorf("reading version: %w", r.short()))
+	}
+	r.pos++
+	if ver := b[len(binaryMagic)]; ver != binaryVersion {
+		return nil, 0, headerError(r, fmt.Errorf("unsupported version %d", ver))
+	}
 	var counts [4]uint64
-	magic := make([]byte, len(binaryMagic))
-	if err := br.full(magic); err != nil {
-		return nil, counts, 0, headerError(br, fmt.Errorf("reading magic: %w", noEOF(err)))
-	}
-	if string(magic) != binaryMagic {
-		return nil, counts, 0, headerError(br, fmt.Errorf("bad magic %q, want %q", magic, binaryMagic))
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, counts, 0, headerError(br, fmt.Errorf("reading version: %w", noEOF(err)))
-	}
-	if ver != binaryVersion {
-		return nil, counts, 0, headerError(br, fmt.Errorf("unsupported version %d", ver))
-	}
+	hint := uint64(0)
 	for i := range counts {
-		if counts[i], err = br.uvarint(); err != nil {
-			return nil, counts, 0, headerError(br, fmt.Errorf("reading symbol counts: %w", noEOF(err)))
+		c, err := r.uvarint()
+		if err != nil {
+			return nil, 0, headerError(r, fmt.Errorf("reading symbol counts: %w", err))
 		}
+		counts[i] = c
+		hint = min(hint+min(c, maxPrealloc), maxPrealloc)
 	}
-	syms := &event.Symbols{}
-	const maxPrealloc = 1 << 24 // don't let a corrupt header allocate wildly
-	if counts[0] < maxPrealloc && counts[1] < maxPrealloc && counts[2] < maxPrealloc && counts[3] < maxPrealloc {
-		syms.Preallocate(int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
-	}
-	interners := [4]func(string){
-		func(s string) { syms.Thread(s) },
-		func(s string) { syms.Lock(s) },
-		func(s string) { syms.Var(s) },
-		func(s string) { syms.Location(s) },
-	}
-	for i, add := range interners {
-		for j := uint64(0); j < counts[i]; j++ {
-			name, err := br.str()
+	lens := make([]uint32, 0, hint)
+	var arena strings.Builder
+	for _, c := range counts {
+		for j := uint64(0); j < c; j++ {
+			n, err := r.name(&arena)
 			if err != nil {
-				return nil, counts, 0, headerError(br, fmt.Errorf("reading symbols: %w", noEOF(err)))
+				return nil, 0, headerError(r, fmt.Errorf("reading symbols: %w", err))
 			}
-			add(name)
+			lens = append(lens, n)
 		}
 	}
-	nev, err := br.uvarint()
+	nev, err := r.uvarint()
 	if err != nil {
-		return nil, counts, 0, headerError(br, fmt.Errorf("reading event count: %w", noEOF(err)))
+		return nil, 0, headerError(r, fmt.Errorf("reading event count: %w", err))
 	}
-	return syms, counts, nev, nil
+	all := arena.String()
+	names := make([]string, len(lens))
+	for i, n := range lens {
+		names[i], all = all[:n], all[n:]
+	}
+	var tables [4][]string
+	for i, c := range counts {
+		tables[i], names = names[:c], names[c:]
+	}
+	return event.NewPositionalSymbols(tables[0], tables[1], tables[2], tables[3]), nev, nil
 }
 
-// noEOF converts a bare io.EOF — input that simply ran out partway through a
-// structure — into io.ErrUnexpectedEOF, so truncation reads as corruption
-// rather than clean end of stream.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// decodeEvent decodes event i of the body at the window position,
+// validating operand ranges against the header's table sizes. A failure is
+// a *DecodeError carrying i and the byte offset of the event. This one
+// function decodes every binary body: ReadBinary, NextBlock, NextBlockSoA.
+func (r *binaryReader) decodeEvent(counts *[4]uint64, i uint64) (event.Event, error) {
+	if len(r.win)-r.pos < maxEventLen {
+		r.fill(maxEventLen)
 	}
-	return err
-}
-
-// decodeEvent decodes one event of the body, validating operand ranges
-// against the header's table sizes. i is the event index; decode failures
-// come back as a *DecodeError carrying i and the byte offset of the event.
-func decodeEvent(br *binaryReader, counts [4]uint64, i uint64) (event.Event, error) {
-	start := br.off
+	b := r.win[r.pos:]
 	fail := func(err error) (event.Event, error) {
-		return event.Event{}, &DecodeError{Offset: start, Event: int64(i), Err: err}
+		return event.Event{}, &DecodeError{Offset: r.offset(), Event: int64(i), Err: err}
 	}
-	kindB, err := br.ReadByte()
-	if err != nil {
-		return fail(noEOF(err))
+	if len(b) == 0 {
+		return fail(r.short())
 	}
-	kind := event.Kind(kindB)
+	kind := event.Kind(b[0])
 	if !kind.Valid() {
-		return fail(fmt.Errorf("invalid kind %d", kindB))
+		return fail(fmt.Errorf("invalid kind %d", b[0]))
 	}
-	thread, err := br.uvarint()
-	if err != nil {
-		return fail(noEOF(err))
+	p := 1
+	var fields [3]uint64
+	for f := range fields {
+		// Varints of one to three bytes, most operands, are unrolled;
+		// longer ones take the general loop.
+		switch {
+		case p < len(b) && b[p] < 0x80:
+			fields[f] = uint64(b[p])
+			p++
+		case p+1 < len(b) && b[p+1] < 0x80:
+			fields[f] = uint64(b[p]&0x7f) | uint64(b[p+1])<<7
+			p += 2
+		case p+2 < len(b) && b[p+2] < 0x80:
+			fields[f] = uint64(b[p]&0x7f) | uint64(b[p+1]&0x7f)<<7 | uint64(b[p+2])<<14
+			p += 3
+		default:
+			v, n := binary.Uvarint(b[p:])
+			if n <= 0 {
+				return fail(r.varintErr(n, b[p:]))
+			}
+			fields[f] = v
+			p += n
+		}
 	}
-	obj, err := br.uvarint()
-	if err != nil {
-		return fail(noEOF(err))
-	}
-	locP1, err := br.uvarint()
-	if err != nil {
-		return fail(noEOF(err))
-	}
+	thread, obj, locP1 := fields[0], fields[1], fields[2]
 	if thread >= counts[0] {
 		return fail(fmt.Errorf("thread index %d out of range", thread))
 	}
@@ -327,6 +439,7 @@ func decodeEvent(br *binaryReader, counts [4]uint64, i uint64) (event.Event, err
 	if obj >= objLimit {
 		return fail(fmt.Errorf("operand index %d out of range", obj))
 	}
+	r.pos += p
 	return event.Event{
 		Kind:   kind,
 		Thread: event.TID(thread),
@@ -391,8 +504,7 @@ func WriteHeader(w io.Writer, syms *event.Symbols, nevents int) error {
 // past the header's last byte (buffering), so r should contain only a
 // header; to decode header and body from one stream use OpenStream.
 func ReadHeader(r io.Reader) (Header, error) {
-	br := &binaryReader{br: bufio.NewReader(r)}
-	syms, _, nev, err := readBinaryHeader(br)
+	syms, nev, err := readBinaryHeader(&binaryReader{br: bufio.NewReader(r)})
 	if err != nil {
 		return Header{}, err
 	}
@@ -404,10 +516,8 @@ func ReadHeader(r io.Reader) (Header, error) {
 // concatenated EncodeEvents outputs always split on event boundaries.
 func EncodeEvents(w io.Writer, events []event.Event) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if err := writeEvent(bw, e); err != nil {
-			return fmt.Errorf("traceio: %w", err)
-		}
+	if _, err := writeEvents(bw, events); err != nil {
+		return fmt.Errorf("traceio: %w", err)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("traceio: %w", err)
@@ -415,16 +525,36 @@ func EncodeEvents(w io.Writer, events []event.Event) error {
 	return nil
 }
 
+// AppendEvents appends the EncodeEvents encoding of events to dst, growing
+// it once to the exact encoded size: the form for a caller that ships the
+// body as one slice.
+func AppendEvents(dst []byte, events []event.Event) []byte {
+	n := 0
+	for _, e := range events {
+		n += eventLen(e)
+	}
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	for _, e := range events {
+		dst = appendEvent(dst, e)
+	}
+	return dst
+}
+
 // ReadBinary parses a binary-format trace from r.
 func ReadBinary(r io.Reader) (*trace.Trace, error) {
 	br := &binaryReader{br: bufio.NewReader(r)}
-	syms, counts, nev, err := readBinaryHeader(br)
+	syms, nev, err := readBinaryHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	tr := &trace.Trace{Symbols: syms, Events: make([]event.Event, 0, nev)}
+	counts := Header{Syms: syms}.counts()
+	tr := &trace.Trace{Symbols: syms, Events: make([]event.Event, 0, min(nev, maxPrealloc))}
 	for i := uint64(0); i < nev; i++ {
-		e, err := decodeEvent(br, counts, i)
+		e, err := br.decodeEvent(&counts, i)
 		if err != nil {
 			return nil, err
 		}
