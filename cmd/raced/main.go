@@ -104,10 +104,9 @@ var (
 	pullEvery        = flag.Duration("pull-every", 10*time.Second, "coordinator: session checkpoint pull interval (<0 disables; failover then replays whole streams)")
 	proxyTimeout     = flag.Duration("proxy-timeout", 2*time.Minute, "coordinator: per proxied request timeout")
 	noRebalance      = flag.Bool("no-rebalance", false, "coordinator: don't migrate sessions onto newly joined workers")
-	journalDir       = flag.String("journal-dir", "", "coordinator: directory for the durable placement journal; a restarted coordinator replays it and resumes in-flight sessions")
 	standbyOf        = flag.String("standby-of", "", "coordinator: run as a warm standby of this primary coordinator URL, taking over when its lease lapses")
-	leaseTimeout     = flag.Duration("lease-timeout", 0, "standby: declare the primary dead after this long without a successful journal poll (default 3x heartbeat-timeout)")
-	recoveryGrace    = flag.Duration("recovery-grace", 0, "coordinator: after a restart or takeover, adopt worker-reported sessions for this long before rebalancing (default 2x heartbeat-timeout)")
+	leaseTimeout     = flag.Duration("lease-timeout", 0, "standby: declare the primary dead after this long without an answer to a /healthz poll (default 3x heartbeat-timeout)")
+	recoveryGrace    = flag.Duration("recovery-grace", 0, "coordinator: after a start or takeover, adopt worker-reported sessions for this long before rebalancing (default 2x heartbeat-timeout)")
 	join             = flag.String("join", "", "worker: coordinator base URL(s) to register with, comma-separated primary,standby (e.g. http://localhost:7470)")
 	advertise        = flag.String("advertise", "", "worker: base URL the coordinator should dial for this worker (default derived from -addr)")
 	workerName       = flag.String("worker-name", "", "worker: stable fleet identity (default: the advertise URL)")
@@ -164,7 +163,6 @@ func runCoordinator(logger *slog.Logger) error {
 		ProxyTimeout:     *proxyTimeout,
 		MaxBodyBytes:     *maxBody,
 		NoRebalance:      *noRebalance,
-		JournalDir:       *journalDir,
 		StandbyOf:        *standbyOf,
 		LeaseTimeout:     *leaseTimeout,
 		RecoveryGrace:    *recoveryGrace,

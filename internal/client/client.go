@@ -233,7 +233,7 @@ func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error
 	if err := traceio.WriteHeader(&hdr, syms, 0); err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), trace: obs.NewTraceID()}
+	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), trace: obs.NewID()}
 	// The checksum lets the server reject a header corrupted in transit
 	// before it sizes detectors from garbage symbol tables.
 	crcHdr := map[string]string{
@@ -259,7 +259,7 @@ func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error
 // restarted) and synchronizes on the server's acknowledged event count.
 func Resume(ctx context.Context, cfg Config, id string) (*Session, error) {
 	cfg.fill()
-	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), id: id, trace: obs.NewTraceID()}
+	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), id: id, trace: obs.NewID()}
 	st, err := s.Status(ctx)
 	if err != nil {
 		return nil, err

@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,31 +69,21 @@ type CoordinatorConfig struct {
 	// internal/obs.TraceLog). Defaults to obs.DefaultSpanCap.
 	TraceSpanCap int
 
-	// JournalDir enables the durable placement journal: every placement
-	// create/move/finish, worker membership change, and finished-reply
-	// cache entry is appended to <dir>/journal.log (CRC-framed), with
-	// pulled checkpoint blobs spilled under <dir>/blobs/. A restarted
-	// coordinator replays the journal and resumes proxying in-flight
-	// sessions. Empty disables journaling (state dies with the process;
-	// worker re-registration still reconstructs placements).
-	JournalDir string
-	// CompactEvery is how many journal appends accumulate before the log
-	// is rewritten as a snapshot + tail. Defaults to 1024.
-	CompactEvery int64
-	// StandbyOf makes this coordinator a warm standby: it tails the
-	// primary coordinator at this base URL (its journal plus worker
-	// dual-heartbeats), answers the session API 503, and takes over —
-	// bumping the fencing epoch — when the primary misses its lease.
+	// StandbyOf makes this coordinator a warm standby of the primary
+	// coordinator at this base URL: it accepts worker registrations and
+	// heartbeats, answers the session API 503, and leases the primary by
+	// polling its /healthz. When the lease lapses it takes over with a
+	// higher fencing epoch and rebuilds placements from worker reports.
 	StandbyOf string
-	// LeaseTimeout is how long the standby tolerates failed journal polls
-	// before declaring the primary dead and taking over. Defaults to
+	// LeaseTimeout is how long the standby tolerates unanswered /healthz
+	// polls before declaring the primary dead and taking over. Defaults to
 	// 3x HeartbeatTimeout.
 	LeaseTimeout time.Duration
-	// RecoveryGrace is the registration grace window entered after a
-	// journal-less or corrupt-journal start (and after a standby
-	// takeover): placements rebuild from workers' re-register session
-	// reports, rebalancing is held off, and /healthz reports
-	// "recovering". Defaults to 2x HeartbeatTimeout.
+	// RecoveryGrace is the registration grace window every start (and a
+	// standby takeover) opens: placements rebuild from workers' re-register
+	// session reports, the epoch rises above any fence they report,
+	// rebalancing is held off, and /healthz reports "recovering". Defaults
+	// to 2x HeartbeatTimeout.
 	RecoveryGrace time.Duration
 	// FinishedTTL bounds how long a cached finish reply is retained for
 	// replayed finishes. Defaults to 10 minutes.
@@ -127,9 +115,6 @@ func (c *CoordinatorConfig) fill() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 1024
-	}
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 3 * c.HeartbeatTimeout
 	}
@@ -157,7 +142,6 @@ type placement struct {
 	engines string // raw ?engines= value from the create request
 	header  []byte // retained create body (binary trace header)
 	blob    []byte // latest pulled session checkpoint
-	blobAt  time.Time
 }
 
 // Coordinator owns session placement across a fleet of raced workers and
@@ -199,22 +183,24 @@ type Coordinator struct {
 	pullKick    chan struct{}
 	moveQ       chan moveSpec
 
-	// Durability & fencing. journal is nil when journaling is disabled.
-	// epoch is the monotonic fencing token persisted in the journal and
-	// stamped on every worker-bound request; workers reject lower epochs,
-	// so a superseded coordinator cannot mutate placements. fenced is set
-	// when a worker rejects our epoch: a newer coordinator exists, stop
-	// serving and let clients fail over to it. standbyMode is true while
-	// tailing a primary (session API answers 503); a takeover flips it.
-	journal     *journal
+	// Fencing. The coordinator keeps no durable state: epoch is the
+	// monotonic fencing token, stamped on every worker-bound request and
+	// raised above every fence workers report while recovering; workers
+	// reject lower epochs, so a superseded coordinator cannot mutate
+	// placements. fenced is set when a worker rejects our epoch: a newer
+	// coordinator exists, stop serving and let clients fail over to it.
+	// standbyMode is true while leasing a primary (session API answers
+	// 503); a takeover flips it. takeoverAt (unix nanoseconds) is when a
+	// standby whose lease polls have started failing expects to take over,
+	// 0 while the primary answers.
 	epoch       atomic.Uint64
 	fenced      atomic.Bool
 	standbyMode atomic.Bool
-	standby     *standbyState
+	takeoverAt  atomic.Int64
 
-	// recoveringUntil, guarded by mu: nonzero during the registration
-	// grace window after a journal-less start or a takeover, while
-	// placements rebuild from worker re-register reports.
+	// recoveringUntil, guarded by mu: the end of the registration grace
+	// window that every start and every takeover opens, while placements
+	// rebuild from worker re-register reports.
 	recoveringUntil time.Time
 
 	// Observability: the coordinator's own registry (fleet_* families,
@@ -239,15 +225,10 @@ type Coordinator struct {
 	pullsOK          *obs.Counter
 	pullsFailed      *obs.Counter
 	reportMerges     *obs.Counter
-
-	journalAppends  *obs.Counter
-	journalCompacts *obs.Counter
-	journalErrors   *obs.Counter
-	journalReplayed *obs.Counter
-	finEvictions    *obs.Counter
-	forwardRetries  *obs.Counter
-	epochRejects    *obs.Counter // our writes rejected by a higher worker fence
-	takeovers       *obs.Counter
+	finEvictions     *obs.Counter
+	forwardRetries   *obs.Counter
+	epochRejects     *obs.Counter // our writes rejected by a higher worker fence
+	takeovers        *obs.Counter
 }
 
 // finishedEntry is one cached finish reply with its insertion time.
@@ -257,10 +238,11 @@ type finishedEntry struct {
 }
 
 // NewCoordinator builds a Coordinator and starts its heartbeat monitor,
-// checkpoint-pull loop, and session mover. With JournalDir set it replays
-// the durable journal first (resuming in-flight placements), falling back
-// to worker-report reconstruction when the journal is missing or corrupt;
-// with StandbyOf set it starts as a warm standby tailing that primary.
+// checkpoint-pull loop, and session mover. It starts with no placements and
+// inside the recovery grace window: whether this is a fresh fleet or a
+// restart, placements, membership and the fencing epoch come from the
+// workers' re-register reports. With StandbyOf set it starts as a warm
+// standby leasing that primary instead, and opens the window at takeover.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg.fill()
 	c := &Coordinator{
@@ -281,16 +263,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	c.newMetrics()
 	c.epoch.Store(1)
-	if cfg.JournalDir != "" {
-		c.openAndReplayJournal()
-	}
 	if cfg.StandbyOf != "" {
 		c.standbyMode.Store(true)
-		c.standby = newStandbyState(cfg.StandbyOf)
 		go c.standbyLoop()
 	} else {
 		close(c.standbyDone)
-		c.recordEpoch(c.epoch.Load()) // persist this incarnation's epoch
+		c.recoveringUntil = c.start.Add(cfg.RecoveryGrace)
 	}
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /sessions", c.handleCreateSession)
@@ -306,7 +284,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.mux.HandleFunc("POST /fleet/register", c.handleRegister)
 	c.mux.HandleFunc("POST /fleet/heartbeat", c.handleHeartbeat)
 	c.mux.HandleFunc("POST /fleet/leave", c.handleLeave)
-	c.mux.HandleFunc("GET /fleet/journal", c.handleJournalTail)
 	c.mux.HandleFunc("GET /debug/trace/{id}", c.handleDebugTrace)
 	c.mux.HandleFunc("GET /debug/sessions/{id}", c.handleDebugSession)
 	go c.monitorLoop()
@@ -336,9 +313,6 @@ func (c *Coordinator) Close(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	if c.journal != nil {
-		c.journal.close()
-	}
 	return nil
 }
 
@@ -353,250 +327,21 @@ func (c *Coordinator) Placements() map[string]string {
 	return out
 }
 
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand never fails on supported platforms
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// --- durable journal ---
-
-// openAndReplayJournal restores coordinator state from JournalDir. A
-// missing journal is a cold start; a corrupt one is quarantined and the
-// coordinator enters the registration grace window to rebuild from worker
-// re-register reports instead. Called from NewCoordinator before any
-// request can arrive, so no locks are needed.
-func (c *Coordinator) openAndReplayJournal() {
-	t0 := time.Now()
-	st, records, ok, err := replayJournal(c.cfg.JournalDir)
-	if !ok {
-		c.cfg.Logger.Error("journal corrupt, quarantining and rebuilding from worker reports",
-			"dir", c.cfg.JournalDir, "err", err, "records_salvaged", records)
-		c.journalErrors.Add(1)
-		if qerr := quarantineJournal(c.cfg.JournalDir); qerr != nil {
-			c.cfg.Logger.Error("journal quarantine failed", "err", qerr)
-		}
-		st = newJournalState()
-		records = 0
-	}
-	j, jerr := openJournal(c.cfg.JournalDir)
-	if jerr != nil {
-		// Degrade to journal-less operation: reconstruction still works.
-		c.cfg.Logger.Error("journal unavailable, running without durability", "err", jerr)
-		c.journalErrors.Add(1)
-		return
-	}
-	c.journal = j
-	now := time.Now()
-	for name, url := range st.workers {
-		c.workers[name] = &worker{name: name, url: url, state: workerActive, lastBeat: now}
-		c.ring.Add(name)
-	}
-	for id, jp := range st.placements {
-		pl := &placement{id: id, worker: jp.worker, header: jp.header}
-		if blob := j.readBlob(id); blob != nil {
-			pl.blob = blob
-			pl.blobAt = now
-		}
-		c.placements[id] = pl
-	}
-	for _, id := range j.listBlobs() {
-		if _, live := st.placements[id]; !live {
-			j.dropBlob(id) // orphaned by a drop journaled before the crash
-		}
-	}
-	for id, body := range st.finished {
-		c.finished[id] = finishedEntry{body: body, at: now}
-		c.finOrder = append(c.finOrder, id)
-	}
-	c.epoch.Store(st.epoch + 1) // every incarnation fences its predecessor
-	c.journalReplayed.Add(uint64(records))
-	if records == 0 {
-		// Nothing replayed: either a genuinely fresh install or a lost
-		// journal. Both are served by the grace window — with no prior
-		// state it only defers rebalancing briefly.
-		c.recoveringUntil = now.Add(c.cfg.RecoveryGrace)
-	}
-	c.span(obs.Span{Name: "journal_replay", Start: t0, Duration: time.Since(t0).Seconds(),
-		Events: uint64(records)})
-	c.cfg.Logger.Info("journal replayed",
-		"records", records, "placements", len(c.placements), "workers", len(c.workers),
-		"epoch", c.epoch.Load(), "recovering", !c.recoveringUntil.IsZero())
-}
-
-// recovering reports whether the post-restart registration grace window is
-// still open.
-func (c *Coordinator) recovering() bool {
+// recoveryLeft is how much of the registration grace window remains, 0
+// once it has closed.
+func (c *Coordinator) recoveryLeft() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return time.Now().Before(c.recoveringUntil)
+	return max(time.Until(c.recoveringUntil), 0)
 }
 
-// journalErr accounts a failed journal append. The coordinator keeps
-// serving — losing the journal degrades restart to worker-report
-// reconstruction, which is strictly better than refusing traffic.
-func (c *Coordinator) journalErr(what string, err error) {
-	c.journalErrors.Add(1)
-	c.cfg.Logger.Error("journal append failed", "record", what, "err", err)
-}
+// recovering reports whether the registration grace window is still open.
+func (c *Coordinator) recovering() bool { return c.recoveryLeft() > 0 }
 
-func (c *Coordinator) recordPlace(id, workerName string, header []byte) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recPlace)
-		w.String(id)
-		w.String(workerName)
-		w.Bytes(header)
-	}); err != nil {
-		c.journalErr("place", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordMove(id, workerName string) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recMove)
-		w.String(id)
-		w.String(workerName)
-	}); err != nil {
-		c.journalErr("move", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordDrop(id string) {
-	if c.journal == nil {
-		return
-	}
-	c.journal.dropBlob(id)
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recDrop)
-		w.String(id)
-	}); err != nil {
-		c.journalErr("drop", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordFinish(id string, body []byte) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recFinish)
-		w.String(id)
-		w.Bytes(body)
-	}); err != nil {
-		c.journalErr("finish", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordWorker(name, url string, up bool) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		if up {
-			w.Byte(recWorkerUp)
-			w.String(name)
-			w.String(url)
-		} else {
-			w.Byte(recWorkerDown)
-			w.String(name)
-		}
-	}); err != nil {
-		c.journalErr("worker", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordEpoch(epoch uint64) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recEpoch)
-		w.Uvarint(epoch)
-	}); err != nil {
-		c.journalErr("epoch", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-// snapshotState captures current coordinator state in journal form, for
-// compaction and takeover snapshots.
-func (c *Coordinator) snapshotState() *journalState {
-	st := newJournalState()
-	st.epoch = c.epoch.Load()
-	c.mu.Lock()
-	for name, wk := range c.workers {
-		if wk.state != workerDead {
-			st.workers[name] = wk.url
-		}
-	}
-	for id, pl := range c.placements {
-		st.placements[id] = &journalPlacement{worker: pl.worker, header: pl.header}
-	}
-	c.mu.Unlock()
-	c.finMu.Lock()
-	for id, e := range c.finished {
-		st.finished[id] = e.body
-	}
-	c.finMu.Unlock()
-	return st
-}
-
-// maybeCompact rewrites the journal as snapshot + tail once enough appends
-// have accumulated. Called from the monitor loop.
-func (c *Coordinator) maybeCompact() {
-	if c.journal == nil || c.journal.appendsSinceCompact() < c.cfg.CompactEvery {
-		return
-	}
-	t0 := time.Now()
-	if err := c.journal.compact(c.snapshotState()); err != nil {
-		c.journalErrors.Add(1)
-		c.cfg.Logger.Error("journal compaction failed", "err", err)
-		return
-	}
-	c.journalCompacts.Add(1)
-	c.span(obs.Span{Name: "journal_compact", Start: t0, Duration: time.Since(t0).Seconds()})
-	c.cfg.Logger.Info("journal compacted", "took", time.Since(t0))
-}
-
-// handleJournalTail (GET /fleet/journal?gen=G&from=N) serves committed
-// journal bytes to a tailing standby. The generation changes on every
-// compaction; a stale generation gets the whole log from offset zero so
-// the standby rebuilds from the snapshot frame.
-func (c *Coordinator) handleJournalTail(w http.ResponseWriter, r *http.Request) {
-	if c.journal == nil {
-		writeError(w, http.StatusNotFound, "journaling disabled")
-		return
-	}
-	gen, _ := strconv.ParseUint(r.URL.Query().Get("gen"), 10, 64)
-	from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
-	data, curGen, next, err := c.journal.readFrom(gen, from)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "journal read: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(headerJournalGen, strconv.FormatUint(curGen, 10))
-	w.Header().Set(headerJournalNext, strconv.FormatInt(next, 10))
-	w.Write(data)
+// retryAfter renders a wait as a Retry-After value: whole seconds, rounded
+// up, at least 1.
+func retryAfter(d time.Duration) string {
+	return strconv.Itoa(max(1, int((d+time.Second-1)/time.Second)))
 }
 
 // --- helpers ---
@@ -712,6 +457,23 @@ func (c *Coordinator) writeProxied(w http.ResponseWriter, pr *proxyResult, worke
 	w.Write(pr.body)
 }
 
+// workerAddr names a worker and the base URL the coordinator dials.
+type workerAddr struct{ name, url string }
+
+// liveWorkers snapshots the alive workers, sorted by name.
+func (c *Coordinator) liveWorkers() []workerAddr {
+	c.mu.Lock()
+	out := make([]workerAddr, 0, len(c.workers))
+	for _, wk := range c.workers {
+		if wk.alive() {
+			out = append(out, workerAddr{wk.name, wk.url})
+		}
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 func (c *Coordinator) workerURL(name string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -721,21 +483,10 @@ func (c *Coordinator) workerURL(name string) string {
 	return ""
 }
 
-// traceIDFrom extracts a well-formed trace id from the request, or "".
-// Invalid ids are dropped rather than rejected: tracing is best-effort and
-// must never fail a request.
-func traceIDFrom(r *http.Request) string {
-	id := r.Header.Get(obs.HeaderTrace)
-	if id == "" || !obs.ValidID(id) {
-		return ""
-	}
-	return id
-}
-
 // traceFor resolves the effective trace id for a request against a session:
 // the id the request carried wins, else the one retained at create time.
 func (c *Coordinator) traceFor(r *http.Request, id string) string {
-	if tr := traceIDFrom(r); tr != "" {
+	if tr := obs.TraceIDFrom(r); tr != "" {
 		return tr
 	}
 	c.mu.Lock()
@@ -778,7 +529,7 @@ func (c *Coordinator) lookupPlacement(id string) (workerName, workerURL string, 
 func (c *Coordinator) refuseSessionAPI(w http.ResponseWriter) bool {
 	switch {
 	case c.standbyMode.Load():
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", c.standbyRetryAfter())
 		writeError(w, http.StatusServiceUnavailable, "standby coordinator: primary owns the session API")
 		return true
 	case c.fenced.Load():
@@ -842,8 +593,8 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 		return
 	}
 	engines := r.URL.Query().Get("engines")
-	traceID := traceIDFrom(r)
-	id := newID()
+	traceID := obs.TraceIDFrom(r)
+	id := obs.NewID()
 	tried := make(map[string]bool)
 	for {
 		name, url := c.pickWorker(id, tried)
@@ -876,7 +627,6 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 			c.mu.Lock()
 			c.placements[id] = &placement{id: id, worker: name, trace: traceID, engines: engines, header: body}
 			c.mu.Unlock()
-			c.recordPlace(id, name, body)
 			c.sessionsCreated.Add(1)
 			c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_create",
 				Worker: name, Start: t0, Duration: time.Since(t0).Seconds()})
@@ -956,12 +706,7 @@ func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	name, url, moving, ok := c.lookupPlacement(id)
 	if !ok {
-		if body, cached := c.recallFinished(id); cached {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-			return
-		}
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		c.finishUnplaced(w, r, id)
 		return
 	}
 	if moving || url == "" {
@@ -981,16 +726,51 @@ func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
 	}
 	if pr.status >= 200 && pr.status < 300 {
 		c.rememberFinished(id, pr.body)
-		c.mu.Lock()
-		delete(c.placements, id)
-		c.mu.Unlock()
-		c.recordFinish(id, pr.body)
-		c.recordDrop(id)
+		c.dropPlacement(id)
 		c.sessionsFinished.Add(1)
 		c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_finish", Worker: name,
 			Start: t0, Duration: time.Since(t0).Seconds()})
 	}
 	c.writeProxied(w, pr, name)
+}
+
+// finishUnplaced answers a finish for a session without a placement: a
+// finish replayed after the session was sealed, perhaps across a restart or
+// a takeover since. The coordinator's own reply cache answers first — it is
+// the only copy once the sealing worker has died. Otherwise the sealing
+// worker still holds the reply in its cache, so the finish goes to each
+// live worker and the first 2xx is relayed; every other worker answers 404.
+// While the grace window is open an unknown id is not yet known to be
+// sealed — its worker may not have re-registered — so the finish is
+// deferred until the window closes.
+func (c *Coordinator) finishUnplaced(w http.ResponseWriter, r *http.Request, id string) {
+	if body, cached := c.recallFinished(id); cached {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+		return
+	}
+	if left := c.recoveryLeft(); left > 0 {
+		w.Header().Set("Retry-After", retryAfter(left))
+		writeError(w, http.StatusServiceUnavailable, "session %q unknown while workers re-register, retry", id)
+		return
+	}
+	hdr := map[string]string{
+		obs.HeaderTrace:  obs.TraceIDFrom(r),
+		"X-Raced-Offset": r.Header.Get("X-Raced-Offset"),
+	}
+	for _, wk := range c.liveWorkers() {
+		pr, err := c.forward(r.Context(), "POST", wk.url+"/sessions/"+id+"/finish", nil, hdr)
+		if err != nil {
+			c.noteProxyFailure(wk.name, err)
+			continue
+		}
+		if pr.status >= 200 && pr.status < 300 {
+			c.rememberFinished(id, pr.body)
+			c.writeProxied(w, pr, wk.name)
+			return
+		}
+	}
+	writeError(w, http.StatusNotFound, "unknown session %q", id)
 }
 
 func (c *Coordinator) handleAbort(w http.ResponseWriter, r *http.Request) {
@@ -1014,10 +794,7 @@ func (c *Coordinator) handleAbort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if (pr.status >= 200 && pr.status < 300) || pr.status == http.StatusNotFound {
-		c.mu.Lock()
-		delete(c.placements, id)
-		c.mu.Unlock()
-		c.recordDrop(id)
+		c.dropPlacement(id)
 	}
 	c.writeProxied(w, pr, name)
 }
@@ -1115,10 +892,10 @@ func (c *Coordinator) expireFinished() {
 
 // handleRegister admits a worker into the ring (or welcomes one back). The
 // worker's open-session list is reconciled in both directions: sessions the
-// coordinator doesn't know are adopted (the coordinator may have restarted),
-// and sessions the coordinator has since failed over elsewhere are returned
-// as stale for the worker to abort — the split-brain a healed partition
-// leaves behind.
+// coordinator doesn't know are adopted — after every start and takeover this
+// is how placements are rebuilt — and sessions the coordinator has since
+// failed over elsewhere are returned as stale for the worker to abort, the
+// split-brain a healed partition leaves behind.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -1129,41 +906,24 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "register: name and url are required")
 		return
 	}
-	// A standby shadows membership (so a takeover starts with fresh
-	// heartbeat deadlines) but makes no placement decisions: no adoption,
-	// no stale verdicts, no rebalancing — those are the primary's.
-	if c.standbyMode.Load() {
-		c.mu.Lock()
-		wk := c.workers[req.Name]
-		if wk == nil {
-			wk = &worker{name: req.Name}
-			c.workers[req.Name] = wk
-		}
-		wk.url = req.URL
-		wk.state = workerActive
-		wk.lastBeat = time.Now()
-		wk.load = req.Load
-		c.ring.Add(req.Name)
-		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, registerResponse{
-			HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
-			Epoch:       c.epoch.Load(),
-		})
-		return
-	}
-	// During the post-restart grace window the fleet's fencing epoch may
-	// be ahead of the journal-less default: adopt above any fence a
-	// re-registering worker reports, or our own writes would be rejected
-	// by the fence our predecessor raised.
-	if req.Epoch >= c.epoch.Load() && c.recovering() {
+	var stale, adopted []string
+	c.mu.Lock()
+	// A standby keeps a membership view but makes no placement decisions:
+	// no adoption, no stale verdicts, no rebalancing. Read under mu, which
+	// takeover holds while it resets membership and flips the mode, so a
+	// registration lands wholly before or wholly after the takeover.
+	standby := c.standbyMode.Load()
+	c.trackFence(req.Epoch)
+	recovering := time.Now().Before(c.recoveringUntil)
+	// While recovering, the fleet's fencing epoch may be ahead of ours:
+	// adopt above any fence a re-registering worker reports, or our own
+	// writes would be rejected by the fence our predecessor raised. Outside
+	// the window a higher fence means this coordinator is the zombie.
+	if !standby && recovering && req.Epoch >= c.epoch.Load() {
 		c.epoch.Store(req.Epoch + 1)
-		c.recordEpoch(req.Epoch + 1)
 		c.cfg.Logger.Info("adopted fencing epoch from worker report",
 			"worker", req.Name, "epoch", req.Epoch+1)
 	}
-	var stale []string
-	var adopted []string
-	c.mu.Lock()
 	wk := c.workers[req.Name]
 	if wk == nil {
 		wk = &worker{name: req.Name}
@@ -1173,11 +933,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	wk.state = workerActive
 	wk.lastBeat = time.Now()
 	wk.load = req.Load
-	wk.epoch++
 	c.ring.Add(req.Name)
 	for _, id := range req.Sessions {
 		pl := c.placements[id]
 		switch {
+		case standby:
+			// Placements are the primary's until a takeover.
 		case pl == nil:
 			c.placements[id] = &placement{id: id, worker: req.Name}
 			adopted = append(adopted, id)
@@ -1187,17 +948,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mu.Unlock()
-	c.recordWorker(req.Name, req.URL, true)
-	for _, id := range adopted {
-		c.recordPlace(id, req.Name, nil)
-	}
 	if len(adopted) > 0 {
 		c.sessionsAdopted.Add(uint64(len(adopted)))
 		c.kickPull() // fetch restore blobs for adopted sessions promptly
 	}
-	c.cfg.Logger.Info("worker registered", "worker", req.Name, "url", req.URL,
+	c.cfg.Logger.Info("worker registered", "worker", req.Name, "url", req.URL, "standby", standby,
 		"sessions", len(req.Sessions), "adopted", len(adopted), "stale", len(stale))
-	if !c.cfg.NoRebalance && !c.recovering() {
+	if !standby && !recovering && !c.cfg.NoRebalance {
 		staleSet := make(map[string]bool, len(stale))
 		for _, id := range stale {
 			staleSet[id] = true
@@ -1222,6 +979,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
+	c.trackFence(req.Epoch)
 	wk := c.workers[req.Name]
 	var state workerState
 	if wk != nil {
@@ -1241,6 +999,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// The ack carries the fencing epoch so every heartbeat cycle
 		// propagates a takeover's new epoch to the whole fleet.
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": c.epoch.Load()})
+	}
+}
+
+// trackFence raises a standby's epoch to the highest fence its workers
+// report on registers and heartbeats, so that a takeover's epoch+1
+// outranks the primary it replaces even if no worker re-registers inside
+// the grace window. A standby stamps no writes, so holding the fleet's own
+// epoch costs nothing. Called with mu held; takeover bumps the epoch under
+// mu too.
+func (c *Coordinator) trackFence(reported uint64) {
+	if c.standbyMode.Load() && reported > c.epoch.Load() {
+		c.epoch.Store(reported)
 	}
 }
 
@@ -1324,14 +1094,10 @@ func (c *Coordinator) newMetrics() {
 	c.sessionsFailed = reg.Counter("fleet_sessions_failed_over_total", "Sessions restored on a survivor after their worker died.")
 	c.sessionsMigrated = reg.Counter("fleet_sessions_migrated_total", "Sessions moved gracefully (drain, rebalance).")
 	c.sessionsLost = reg.Counter("fleet_sessions_lost_total", "Sessions unrecoverable after failure (no checkpoint or create header held).")
-	c.sessionsAdopted = reg.Counter("fleet_sessions_adopted_total", "Sessions adopted from re-registering workers after a coordinator restart.")
+	c.sessionsAdopted = reg.Counter("fleet_sessions_adopted_total", "Sessions adopted from re-registering workers after a coordinator start or takeover.")
 	c.pullsOK = reg.Counter("fleet_checkpoint_pulls_total", "Session checkpoints pulled from workers.")
 	c.pullsFailed = reg.Counter("fleet_checkpoint_pull_failures_total", "Checkpoint pulls that failed.")
 	c.reportMerges = reg.Counter("fleet_report_merges_total", "Merged /reports responses served.")
-	c.journalAppends = reg.Counter("fleet_journal_appends_total", "Records appended to the placement journal.")
-	c.journalCompacts = reg.Counter("fleet_journal_compactions_total", "Journal snapshot+tail rewrites.")
-	c.journalErrors = reg.Counter("fleet_journal_errors_total", "Journal writes or replays that failed (durability degraded, service continues).")
-	c.journalReplayed = reg.Counter("fleet_journal_replay_records_total", "Journal records replayed at startup.")
 	c.finEvictions = reg.Counter("fleet_finished_cache_evictions_total", "Cached finish replies evicted by TTL or capacity.")
 	c.forwardRetries = reg.Counter("fleet_forward_retries_total", "Worker requests retried once after a transient dial failure.")
 	c.epochRejects = reg.Counter("fleet_epoch_rejects_total", "Worker rejections of this coordinator's fencing epoch (a successor exists).")
@@ -1392,20 +1158,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	c.reg.WritePrometheus(w)
 
-	type scrape struct {
-		name string
-		url  string
-	}
-	c.mu.Lock()
-	targets := make([]scrape, 0, len(c.workers))
-	for _, wk := range c.workers {
-		if wk.alive() {
-			targets = append(targets, scrape{name: wk.name, url: wk.url})
-		}
-	}
-	c.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
-
+	targets := c.liveWorkers()
 	groups := make([][]*obs.ParsedFamily, 0, len(targets))
 	for _, t := range targets {
 		pr, err := c.forward(r.Context(), "GET", t.url+"/metrics", nil, nil)
@@ -1437,16 +1190,8 @@ func (c *Coordinator) span(sp obs.Span) { c.trace.Add(sp) }
 // and every live worker. kind is "trace" or "sessions" (the debug URL path).
 func (c *Coordinator) mergedSpans(ctx context.Context, kind, id string, own []obs.Span) []obs.Span {
 	spans := own
-	c.mu.Lock()
-	urls := make([]string, 0, len(c.workers))
-	for _, wk := range c.workers {
-		if wk.alive() {
-			urls = append(urls, wk.url)
-		}
-	}
-	c.mu.Unlock()
-	for _, url := range urls {
-		pr, err := c.forward(ctx, "GET", url+"/debug/"+kind+"/"+id, nil, nil)
+	for _, wk := range c.liveWorkers() {
+		pr, err := c.forward(ctx, "GET", wk.url+"/debug/"+kind+"/"+id, nil, nil)
 		if err != nil || pr.status != http.StatusOK {
 			continue
 		}

@@ -98,7 +98,6 @@ func (c *Coordinator) runMove(m moveSpec) {
 			c.mu.Lock()
 			if cur := c.placements[m.id]; cur != nil {
 				cur.blob = blob
-				cur.blobAt = time.Now()
 			}
 			c.mu.Unlock()
 		case err == nil && pr.status == http.StatusNotFound:
@@ -187,8 +186,8 @@ func (c *Coordinator) runMove(m moveSpec) {
 	}
 	if !restored {
 		if blob == nil && header == nil {
-			// Adopted after a coordinator restart and lost before any pull:
-			// nothing to restore from.
+			// Adopted after a coordinator start or takeover and lost before
+			// any pull: nothing to restore from.
 			c.sessionsLost.Add(1)
 			c.dropPlacement(m.id)
 			c.cfg.Logger.Error("session lost — no checkpoint or create header held", "session", m.id)
@@ -211,7 +210,6 @@ func (c *Coordinator) runMove(m moveSpec) {
 		cur.moving = false
 	}
 	c.mu.Unlock()
-	c.recordMove(m.id, target)
 	if m.fresh {
 		c.sessionsMigrated.Add(1)
 		// Best-effort: drop the source copy so the drained worker exits
@@ -249,7 +247,6 @@ func (c *Coordinator) dropPlacement(id string) {
 	c.mu.Lock()
 	delete(c.placements, id)
 	c.mu.Unlock()
-	c.recordDrop(id)
 }
 
 // pickMoveTarget walks the ring clockwise from the session's hash for the
@@ -290,7 +287,6 @@ func (c *Coordinator) monitorLoop() {
 		case <-t.C:
 			c.sweep()
 			c.expireFinished()
-			c.maybeCompact()
 		}
 	}
 }
@@ -454,7 +450,6 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	delete(c.workers, req.Name)
 	c.ring.Remove(req.Name)
 	c.mu.Unlock()
-	c.recordWorker(req.Name, "", false)
 	c.cfg.Logger.Info("worker left", "worker", req.Name, "moved", moved, "sessions", len(ids))
 	writeJSON(w, http.StatusOK, map[string]any{"moved": moved})
 }
@@ -570,20 +565,10 @@ func (c *Coordinator) pullAll() {
 			switch pr.status {
 			case http.StatusOK:
 				c.mu.Lock()
-				keep := false
 				if pl := c.placements[j.id]; pl != nil && pl.worker == j.worker && !pl.moving {
 					pl.blob = pr.body
-					pl.blobAt = time.Now()
-					keep = true
 				}
 				c.mu.Unlock()
-				if keep && c.journal != nil {
-					// Spill the checkpoint beside the journal so a restarted
-					// coordinator can restore this session without its worker.
-					if werr := c.journal.writeBlob(j.id, pr.body); werr != nil {
-						c.journalErr("blob", werr)
-					}
-				}
 				c.pullsOK.Add(1)
 			case http.StatusNotFound:
 				// Gone at the source (evicted or aborted out of band).

@@ -136,13 +136,14 @@ func assertNoArenaLeaks(t *testing.T, workers []*testWorker) {
 	}
 }
 
-// trickleStream streams the whole trace in chunk-sized steps with pauses,
-// holding the session in flight long enough for a failure to land
-// mid-stream. FinishReplay closes the post-last-chunk rollback window.
+// trickleStream streams the rest of the trace, from the session's ack on,
+// in chunk-sized steps with pauses, holding the session in flight long
+// enough for a failure to land mid-stream. FinishReplay closes the
+// post-last-chunk rollback window.
 func trickleStream(t *testing.T, label string, s *client.Session, cfg client.Config, tr *trace.Trace, pause time.Duration) *client.FinishResult {
 	t.Helper()
 	ctx := context.Background()
-	for upto := 0; upto < len(tr.Events); {
+	for upto := int(s.Acked()); upto < len(tr.Events); {
 		upto = min(upto+cfg.ChunkEvents, len(tr.Events))
 		if err := s.Stream(ctx, tr.Events[:upto], 0); err != nil {
 			t.Errorf("%s: stream: %v", label, err)

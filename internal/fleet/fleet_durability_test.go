@@ -1,22 +1,24 @@
 package fleet
 
-// Coordinator durability and fencing chaos differentials: the three
-// recovery paths (journal replay, journal-less reconstruction from worker
-// re-registration, and warm-standby takeover) each hold the suite's
-// standing bar — zero client-visible errors and final reports byte-identical
-// to an uninterrupted single-node run — plus the fencing invariant: once a
-// successor's epoch reaches the workers, not one write from the superseded
-// coordinator is accepted.
+// Coordinator recovery and fencing chaos differentials. A coordinator keeps
+// no durable state: after a restart and after a warm standby's takeover
+// alike it rebuilds placements from worker re-registration, and both hold
+// the suite's standing bar — zero client-visible errors and final reports
+// byte-identical to an uninterrupted single-node run — plus the fencing
+// invariant: once a successor's epoch reaches the workers, not one write
+// from the superseded coordinator is accepted.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"os"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,150 +26,126 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// TestChaosFleetCoordinatorRestartJournal: the coordinator is killed
-// mid-stream and restarted on the same address with its journal intact. The
-// restarted coordinator must resume every in-flight placement from the
-// replayed journal — workers never re-register, clients only see retries.
-func TestChaosFleetCoordinatorRestartJournal(t *testing.T) {
-	before := runtime.NumGoroutine()
-	engines := []string{"wcp", "hb"}
-	const nclients = 3
-	traces := make([]*trace.Trace, nclients)
-	for c := range traces {
-		traces[c] = fleetTrace(c + 60)
+// chunkAckClock wraps a client transport and stamps the first chunk the
+// coordinator at host acknowledges once armed: the recovery-time probe of
+// the restart differential. Chunks a placement-following client sends
+// straight to a worker do not count.
+type chunkAckClock struct {
+	next  http.RoundTripper
+	host  string
+	armed atomic.Bool
+	first atomic.Int64 // unix nanoseconds; 0 until the first ack
+}
+
+func (a *chunkAckClock) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := a.next.RoundTrip(r)
+	if err == nil && resp.StatusCode == http.StatusOK && a.armed.Load() &&
+		r.URL.Host == a.host && strings.HasSuffix(r.URL.Path, "/chunks") {
+		a.first.CompareAndSwap(0, time.Now().UnixNano())
 	}
-	func() {
-		f := startTestFleetOpts(t, fleetOpts{
-			workers: 3, journalDir: t.TempDir(), compactEvery: 1 << 30, // no compaction: pure replay
+	return resp, err
+}
+
+// TestChaosFleetCoordinatorRestart: the coordinator is killed mid-stream
+// and a fresh one started on the same address. A coordinator keeps no
+// durable state, so the successor must rebuild every placement from the
+// workers' re-register session reports inside the recovery grace window
+// and raise its epoch above the fence they report — with zero
+// client-visible errors. Two kill points: after checkpoint pulls landed,
+// with the address left dead for a while, and straight into a restart.
+func TestChaosFleetCoordinatorRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		seed      int
+		pre       func(n int) int // events streamed before the kill
+		settle    time.Duration   // pause before the kill: lets checkpoint pulls land
+		down      time.Duration   // how long the address stays dead
+		followOdd bool            // odd clients follow placement (else even ones)
+	}{
+		{"after-pulls", 60, func(n int) int { return n * 4 / 10 }, 3 * testPullEvery, 50 * time.Millisecond, true},
+		{"mid-stream", 70, func(n int) int { return n / 2 }, 0, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			engines := []string{"wcp", "hb"}
+			const nclients = 3
+			traces := make([]*trace.Trace, nclients)
+			for c := range traces {
+				traces[c] = fleetTrace(c + tc.seed)
+			}
+			func() {
+				f := startTestFleetOpts(t, fleetOpts{workers: 3})
+				defer f.stop()
+				ctx := context.Background()
+				clock := &chunkAckClock{next: &http.Transport{DisableKeepAlives: true}, host: f.coAddr}
+
+				cfgs := make([]client.Config, nclients)
+				sessions := make([]*client.Session, nclients)
+				for c := 0; c < nclients; c++ {
+					cfgs[c] = fleetClientConfig(f.url, (c%2 == 1) == tc.followOdd)
+					cfgs[c].HTTPClient = &http.Client{Transport: clock}
+					s, err := client.Open(ctx, cfgs[c], traces[c].Symbols)
+					if err != nil {
+						t.Fatalf("client %d: open: %v", c, err)
+					}
+					sessions[c] = s
+					if err := s.Stream(ctx, traces[c].Events[:tc.pre(len(traces[c].Events))], 0); err != nil {
+						t.Fatalf("client %d: stream (pre-kill): %v", c, err)
+					}
+				}
+				time.Sleep(tc.settle)
+
+				var wg sync.WaitGroup
+				fins := make([]*client.FinishResult, nclients)
+				for c := 0; c < nclients; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						fins[c] = trickleStream(t, labelf("client %d", c), sessions[c], cfgs[c], traces[c], 15*time.Millisecond)
+					}(c)
+				}
+				time.Sleep(30 * time.Millisecond) // chunks in flight
+				killed := time.Now()
+				f.killCoordinator()
+				time.Sleep(tc.down) // let retries hit the dead address
+				clock.armed.Store(true)
+				f.restartCoordinator()
+				wg.Wait()
+				for c, fin := range fins {
+					if fin == nil {
+						t.Fatalf("client %d: no finish result", c)
+					}
+					verifyFinish(t, labelf("client %d", c), cfgs[c].Engines, traces[c], fin)
+				}
+				if at := clock.first.Load(); at != 0 {
+					t.Logf("recovery: %v from coordinator kill to the first chunk acknowledged through its successor",
+						time.Unix(0, at).Sub(killed).Round(100*time.Microsecond))
+				}
+				if f.co.sessionsAdopted.Value() == 0 {
+					t.Error("no sessions adopted from worker reports; reconstruction was not exercised")
+				}
+				if got := f.co.epoch.Load(); got < 2 {
+					t.Errorf("restarted coordinator epoch = %d, want >= 2 (every incarnation fences its predecessor)", got)
+				}
+				assertFleetMatchesSingleNode(t, f.url, traces, engines)
+				assertNoArenaLeaks(t, f.workers)
+			}()
+			waitNoGoroutineLeak(t, before)
 		})
-		defer f.stop()
-		ctx := context.Background()
-
-		cfgs := make([]client.Config, nclients)
-		sessions := make([]*client.Session, nclients)
-		for c := 0; c < nclients; c++ {
-			cfgs[c] = fleetClientConfig(f.url, c%2 == 1)
-			s, err := client.Open(ctx, cfgs[c], traces[c].Symbols)
-			if err != nil {
-				t.Fatalf("client %d: open: %v", c, err)
-			}
-			sessions[c] = s
-			if err := s.Stream(ctx, traces[c].Events[:len(traces[c].Events)*4/10], 0); err != nil {
-				t.Fatalf("client %d: stream (pre-kill): %v", c, err)
-			}
-		}
-		time.Sleep(3 * testPullEvery)
-
-		var wg sync.WaitGroup
-		fins := make([]*client.FinishResult, nclients)
-		for c := 0; c < nclients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				fins[c] = trickleStream(t, labelf("client %d", c), sessions[c], cfgs[c], traces[c], 15*time.Millisecond)
-			}(c)
-		}
-		time.Sleep(30 * time.Millisecond) // chunks in flight
-		f.killCoordinator()
-		time.Sleep(50 * time.Millisecond) // let retries hit the dead address
-		f.restartCoordinator()
-		wg.Wait()
-		for c, fin := range fins {
-			if fin == nil {
-				t.Fatalf("client %d: no finish result", c)
-			}
-			verifyFinish(t, labelf("client %d", c), cfgs[c].Engines, traces[c], fin)
-		}
-		if f.co.journalReplayed.Value() == 0 {
-			t.Error("restarted coordinator replayed no journal records; the recovery path was not exercised")
-		}
-		if got := f.co.epoch.Load(); got < 2 {
-			t.Errorf("restarted coordinator epoch = %d, want >= 2 (every incarnation fences its predecessor)", got)
-		}
-		if f.co.sessionsAdopted.Value() != 0 {
-			t.Error("journal replay fell back to worker-report adoption; placements were not durable")
-		}
-		assertFleetMatchesSingleNode(t, f.url, traces, engines)
-		assertNoArenaLeaks(t, f.workers)
-	}()
-	waitNoGoroutineLeak(t, before)
-}
-
-// TestChaosFleetCoordinatorJournalLoss: the coordinator is killed
-// mid-stream and its journal deleted before the restart — the disk is gone.
-// The restarted coordinator must rebuild every placement purely from worker
-// re-register session reports inside the recovery grace window, again with
-// zero client-visible errors.
-func TestChaosFleetCoordinatorJournalLoss(t *testing.T) {
-	before := runtime.NumGoroutine()
-	engines := []string{"wcp", "hb"}
-	const nclients = 3
-	traces := make([]*trace.Trace, nclients)
-	for c := range traces {
-		traces[c] = fleetTrace(c + 70)
 	}
-	func() {
-		f := startTestFleetOpts(t, fleetOpts{workers: 3, journalDir: t.TempDir()})
-		defer f.stop()
-		ctx := context.Background()
-
-		cfgs := make([]client.Config, nclients)
-		sessions := make([]*client.Session, nclients)
-		for c := 0; c < nclients; c++ {
-			cfgs[c] = fleetClientConfig(f.url, c%2 == 0)
-			s, err := client.Open(ctx, cfgs[c], traces[c].Symbols)
-			if err != nil {
-				t.Fatalf("client %d: open: %v", c, err)
-			}
-			sessions[c] = s
-			if err := s.Stream(ctx, traces[c].Events[:len(traces[c].Events)/2], 0); err != nil {
-				t.Fatalf("client %d: stream (pre-kill): %v", c, err)
-			}
-		}
-
-		var wg sync.WaitGroup
-		fins := make([]*client.FinishResult, nclients)
-		for c := 0; c < nclients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				fins[c] = trickleStream(t, labelf("client %d", c), sessions[c], cfgs[c], traces[c], 15*time.Millisecond)
-			}(c)
-		}
-		time.Sleep(30 * time.Millisecond)
-		f.killCoordinator()
-		if err := os.RemoveAll(f.journalDir); err != nil {
-			t.Fatalf("deleting journal: %v", err)
-		}
-		f.restartCoordinator()
-		wg.Wait()
-		for c, fin := range fins {
-			if fin == nil {
-				t.Fatalf("client %d: no finish result", c)
-			}
-			verifyFinish(t, labelf("client %d", c), cfgs[c].Engines, traces[c], fin)
-		}
-		if f.co.journalReplayed.Value() != 0 {
-			t.Error("coordinator claims journal records despite the deleted journal")
-		}
-		if f.co.sessionsAdopted.Value() == 0 {
-			t.Error("no sessions adopted from worker reports; reconstruction was not exercised")
-		}
-		assertFleetMatchesSingleNode(t, f.url, traces, engines)
-		assertNoArenaLeaks(t, f.workers)
-	}()
-	waitNoGoroutineLeak(t, before)
 }
 
-// TestChaosFleetStandbyTakeover: a warm standby tails the primary's journal
-// and the workers dual-heartbeat both coordinators. The primary is killed
-// mid-stream; the standby must take over within the lease, and clients
-// configured with the coordinator list must converge on it with zero
-// visible errors and byte-identical reports.
+// TestChaosFleetStandbyTakeover: a warm standby leases the primary and the
+// workers heartbeat both coordinators. The primary is killed mid-stream;
+// the standby must take over within the lease and adopt the sessions the
+// re-registering workers report, and clients configured with the
+// coordinator list must converge on it with zero visible errors and
+// byte-identical reports.
 func TestChaosFleetStandbyTakeover(t *testing.T) {
 	before := runtime.NumGoroutine()
 	engines := []string{"wcp", "hb"}
@@ -178,8 +156,7 @@ func TestChaosFleetStandbyTakeover(t *testing.T) {
 	}
 	func() {
 		f := startTestFleetOpts(t, fleetOpts{
-			workers: 3, journalDir: t.TempDir(), standby: true,
-			leaseTimeout: 300 * time.Millisecond,
+			workers: 3, standby: true, leaseTimeout: 300 * time.Millisecond,
 		})
 		defer f.stop()
 		ctx := context.Background()
@@ -198,10 +175,6 @@ func TestChaosFleetStandbyTakeover(t *testing.T) {
 			}
 		}
 		time.Sleep(3 * testPullEvery)
-		// The standby must have tailed every placement before the kill, or
-		// the test would exercise the membership-reset path instead.
-		f.wait(func() bool { return len(f.standby.Placements()) == nclients },
-			"standby to tail all placements")
 
 		oldEpoch := f.co.epoch.Load()
 		var wg sync.WaitGroup
@@ -229,6 +202,9 @@ func TestChaosFleetStandbyTakeover(t *testing.T) {
 		if got := f.standby.epoch.Load(); got <= oldEpoch {
 			t.Errorf("takeover epoch = %d, want > primary's %d", got, oldEpoch)
 		}
+		if f.standby.sessionsAdopted.Value() == 0 {
+			t.Error("promoted standby adopted no sessions from worker re-registrations")
+		}
 		assertFleetMatchesSingleNode(t, f.standbyURL, traces, engines)
 		assertNoArenaLeaks(t, f.workers)
 	}()
@@ -251,7 +227,7 @@ func TestChaosFleetFencing(t *testing.T) {
 	}
 	func() {
 		f := startTestFleetOpts(t, fleetOpts{
-			workers: 2, journalDir: t.TempDir(), standby: true, standbyGated: true,
+			workers: 2, standby: true, standbyGated: true,
 			pullEvery:    -1, // no pulls: the zombie's first post-fence write is our probe
 			leaseTimeout: 300 * time.Millisecond,
 		})
@@ -271,9 +247,6 @@ func TestChaosFleetFencing(t *testing.T) {
 				t.Fatalf("client %d: stream: %v", c, err)
 			}
 		}
-		f.wait(func() bool { return len(f.standby.Placements()) == nclients },
-			"standby to tail all placements")
-
 		oldEpoch := f.co.epoch.Load()
 		sessionsBefore := 0
 		for _, w := range f.workers {
@@ -281,7 +254,7 @@ func TestChaosFleetFencing(t *testing.T) {
 		}
 
 		// Partition the coordinators from each other only: the standby's
-		// journal polls fail, the primary keeps running — the classic
+		// lease polls fail, the primary keeps running — the classic
 		// split-brain that fencing exists to make harmless.
 		f.standbyGate.Block()
 		f.wait(func() bool { return !f.standby.standbyMode.Load() }, "partitioned standby takeover")
@@ -290,8 +263,9 @@ func TestChaosFleetFencing(t *testing.T) {
 		if newEpoch <= oldEpoch {
 			t.Fatalf("takeover epoch %d did not pass the primary's %d", newEpoch, oldEpoch)
 		}
-		// Workers learn the new epoch from the promoted standby's heartbeat
-		// acks; the probe is only meaningful once every fence is raised.
+		// Workers learn the new epoch when they re-register with the
+		// promoted standby; the probe is only meaningful once every fence is
+		// raised.
 		f.wait(func() bool {
 			for _, w := range f.workers {
 				if w.srv.CoordinatorEpoch() < newEpoch {
@@ -356,10 +330,165 @@ func TestChaosFleetFencing(t *testing.T) {
 			}
 			verifyFinish(t, labelf("client %d", c), cfgs[c].Engines, traces[c], fin)
 		}
+		if f.standby.sessionsAdopted.Value() == 0 {
+			t.Error("promoted standby adopted no sessions from worker re-registrations")
+		}
 		assertFleetMatchesSingleNode(t, f.standbyURL, traces, engines)
 		assertNoArenaLeaks(t, f.workers)
 	}()
 	waitNoGoroutineLeak(t, before)
+}
+
+// TestStandbyTakeoverOutranksReportedFences: a standby tracks the fences
+// its workers report on registers and heartbeats, so its takeover epoch
+// outranks a primary that has been restarted (and so raised the fleet's
+// epoch) even before any worker re-registers with the promoted standby.
+func TestStandbyTakeoverOutranksReportedFences(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // the primary: every lease poll fails
+	co := NewCoordinator(CoordinatorConfig{
+		HeartbeatTimeout: time.Hour,
+		PullEvery:        -1,
+		StandbyOf:        dead.URL,
+		LeaseTimeout:     300 * time.Millisecond,
+		Logger:           testLogger(t),
+	})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		co.Close(ctx)
+	}()
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	for _, step := range []struct {
+		path  string
+		epoch uint64
+	}{{"/fleet/register", 3}, {"/fleet/heartbeat", 5}} {
+		body, _ := json.Marshal(registerRequest{Name: "w0", URL: "http://127.0.0.1:1", Epoch: step.epoch})
+		resp, err := http.Post(srv.URL+step.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", step.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", step.path, resp.StatusCode)
+		}
+	}
+	if !co.standbyMode.Load() {
+		t.Fatal("standby took over before the worker reports landed")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for co.standbyMode.Load() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := co.epoch.Load(); got != 6 {
+		t.Errorf("takeover epoch = %d, want 6: one past the highest fence reported while standby", got)
+	}
+}
+
+// TestFleetFinishReplayAfterRecovery: a finish replayed after the
+// coordinator that proxied it is gone — restarted in place, or replaced by
+// its promoted standby — must still get the first reply byte for byte. The
+// successor holds neither the placement nor the cached reply: it defers the
+// replay with 503 + Retry-After while workers re-register, then finds the
+// reply in the cache of the worker that sealed the session.
+func TestFleetFinishReplayAfterRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		takeover bool
+	}{{"restart", false}, {"takeover", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := startTestFleetOpts(t, fleetOpts{workers: 2, standby: tc.takeover, leaseTimeout: 300 * time.Millisecond})
+			defer f.stop()
+			ctx := context.Background()
+			tr := fleetTrace(95)
+			s, err := client.Open(ctx, fleetClientConfig(f.url, false), tr.Symbols)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if err := s.Stream(ctx, tr.Events, 0); err != nil {
+				t.Fatalf("stream: %v", err)
+			}
+			hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+			finish := func(base string) (status int, retryAfter string, body []byte) {
+				req, err := http.NewRequest("POST", base+"/sessions/"+s.ID()+"/finish", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("X-Raced-Offset", strconv.FormatUint(s.Acked(), 10))
+				resp, err := hc.Do(req)
+				if err != nil {
+					t.Fatalf("finish via %s: %v", base, err)
+				}
+				defer resp.Body.Close()
+				body, err = io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatalf("finish via %s: %v", base, err)
+				}
+				return resp.StatusCode, resp.Header.Get("Retry-After"), body
+			}
+			status, _, first := finish(f.url)
+			if status != http.StatusOK {
+				t.Fatalf("finish: status %d: %s", status, first)
+			}
+
+			f.killCoordinator()
+			successor := f.url
+			if tc.takeover {
+				f.wait(func() bool { return !f.standby.standbyMode.Load() }, "standby takeover")
+				successor = f.standbyURL
+			} else {
+				f.restartCoordinator()
+			}
+			if status, retry, body := finish(successor); status != http.StatusServiceUnavailable || retry == "" {
+				t.Errorf("finish replayed inside the grace window: status %d Retry-After %q (%s), want 503 with a Retry-After",
+					status, retry, body)
+			}
+			var replay []byte
+			f.wait(func() bool {
+				status, _, replay = finish(successor)
+				return status != http.StatusServiceUnavailable
+			}, "the grace window to close")
+			if status != http.StatusOK || !bytes.Equal(replay, first) {
+				t.Errorf("replayed finish: status %d body\n%s\nwant 200 with the first reply\n%s", status, replay, first)
+			}
+		})
+	}
+}
+
+// TestFleetStandbyTakeoverAtDefaults: a client at its default retry budget
+// and backoff rides through a standby takeover at the coordinator defaults,
+// where the lease (3x the 3 s heartbeat timeout) outlasts the budget if
+// every attempt alternates between the dead primary's refusal and a
+// standby 503 carrying "Retry-After: 1". The standby's lease-derived
+// Retry-After lets one attempt wait out the takeover. Takes ~15 s.
+func TestFleetStandbyTakeoverAtDefaults(t *testing.T) {
+	f := startTestFleetOpts(t, fleetOpts{workers: 2, standby: true, defaults: true})
+	defer f.stop()
+	ctx := context.Background()
+	tr := gen.Random(gen.RandomConfig{Seed: 97, Events: 40000, Threads: 4, Locks: 2, Vars: 4})
+	cfg := client.Config{BaseURL: f.clientBase(), Engines: []string{"wcp", "hb"}}
+	s, err := client.Open(ctx, cfg, tr.Symbols)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := s.Stream(ctx, tr.Events[:len(tr.Events)/2], 0); err != nil {
+		t.Fatalf("stream (pre-kill): %v", err)
+	}
+	f.killCoordinator()
+	killed := time.Now()
+	if err := s.Stream(ctx, tr.Events, 0); err != nil {
+		t.Fatalf("stream through the takeover: %v", err)
+	}
+	t.Logf("stream completed %v after the primary's death", time.Since(killed).Round(time.Millisecond))
+	fin, err := s.FinishReplay(ctx, tr.Events, 0)
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	verifyFinish(t, "default client", cfg.Engines, tr, fin)
+	if got := f.standby.takeovers.Value(); got != 1 {
+		t.Errorf("standby recorded %d takeovers, want 1", got)
+	}
 }
 
 // TestCoordinatorFinishedCacheBounds pins the finished-reply cache's two
@@ -474,10 +603,6 @@ var fleetGoldenFamilies = []string{
 	"fleet_checkpoint_pulls_total",
 	"fleet_checkpoint_pull_failures_total",
 	"fleet_report_merges_total",
-	"fleet_journal_appends_total",
-	"fleet_journal_compactions_total",
-	"fleet_journal_errors_total",
-	"fleet_journal_replay_records_total",
 	"fleet_finished_cache_evictions_total",
 	"fleet_forward_retries_total",
 	"fleet_epoch_rejects_total",
@@ -495,11 +620,10 @@ var fleetGoldenFamilies = []string{
 }
 
 // TestFleetMetricsGoldenFamilies re-parses the coordinator's own exposition
-// and requires every golden fleet_* family present, with the durability
-// gauges carrying live values (epoch >= 1 on a journaled coordinator).
+// and requires every golden fleet_* family present, with the fencing gauges
+// carrying live values (epoch 1 on a fresh coordinator).
 func TestFleetMetricsGoldenFamilies(t *testing.T) {
 	co := NewCoordinator(CoordinatorConfig{
-		JournalDir:       t.TempDir(),
 		HeartbeatTimeout: time.Hour,
 		PullEvery:        -1,
 		Logger:           testLogger(t),
@@ -525,9 +649,6 @@ func TestFleetMetricsGoldenFamilies(t *testing.T) {
 		}
 	}
 	if !strings.Contains(buf.String(), "fleet_coordinator_epoch 1") {
-		t.Errorf("fleet_coordinator_epoch should be 1 on a fresh journaled coordinator:\n%s", buf.String())
-	}
-	if co.journalAppends.Value() == 0 {
-		t.Error("journaled coordinator recorded no appends (the epoch record should be one)")
+		t.Errorf("fleet_coordinator_epoch should be 1 on a fresh coordinator:\n%s", buf.String())
 	}
 }

@@ -74,8 +74,10 @@ type testFleet struct {
 	hs      *http.Server
 	gated   bool
 	workers []*testWorker
+	// defaults runs coordinators and worker agents at their production
+	// timings instead of the harness's aggressive ones.
+	defaults bool
 
-	journalDir  string
 	standby     *Coordinator
 	standbyURL  string
 	standbyHS   *http.Server
@@ -87,17 +89,16 @@ func workerServerConfig() server.Config {
 }
 
 // fleetOpts parameterizes the test fleet beyond the common harness knobs:
-// the durable journal, a warm standby coordinator, and a partition gate on
-// the standby's journal polls (the fencing tests' "paused primary" lever).
+// a warm standby coordinator and a partition gate on the standby's lease
+// polls (the fencing tests' "paused primary" lever).
 type fleetOpts struct {
 	workers      int
 	gated        bool
 	pullEvery    time.Duration // 0 test default, <0 disables
-	journalDir   string        // "" disables journaling
 	standby      bool          // also run a warm standby coordinator
 	standbyGated bool          // route the standby's outbound HTTP through a gate
 	leaseTimeout time.Duration // 0 uses the coordinator default
-	compactEvery int64         // 0 uses the coordinator default
+	defaults     bool          // production timings everywhere (overrides the above)
 }
 
 // startTestFleet brings up a coordinator plus n workers and waits until all
@@ -119,10 +120,11 @@ func startTestFleetOpts(t *testing.T, opts fleetOpts) *testFleet {
 		HeartbeatEvery:   testHeartbeatEvery,
 		PullEvery:        opts.pullEvery,
 		ProxyTimeout:     5 * time.Second,
-		JournalDir:       opts.journalDir,
 		LeaseTimeout:     opts.leaseTimeout,
-		CompactEvery:     opts.compactEvery,
 		Logger:           testLogger(t),
+	}
+	if opts.defaults {
+		cfg = CoordinatorConfig{Logger: testLogger(t)}
 	}
 	co := NewCoordinator(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -134,14 +136,11 @@ func startTestFleetOpts(t *testing.T, opts fleetOpts) *testFleet {
 	f := &testFleet{
 		t: t, co: co, url: "http://" + ln.Addr().String(),
 		coAddr: ln.Addr().String(), coCfg: cfg, hs: hs,
-		gated: opts.gated, journalDir: opts.journalDir,
+		gated: opts.gated, defaults: opts.defaults,
 	}
 	if opts.standby {
 		sbCfg := cfg
 		sbCfg.StandbyOf = f.url
-		if opts.journalDir != "" {
-			sbCfg.JournalDir = opts.journalDir + "-standby"
-		}
 		if opts.standbyGated {
 			f.standbyGate = &faultinject.PartitionGate{}
 			sbCfg.HTTPClient = &http.Client{Transport: f.standbyGate.Transport(nil)}
@@ -176,9 +175,8 @@ func (f *testFleet) coordinators() string {
 func (f *testFleet) clientBase() string { return f.coordinators() }
 
 // killCoordinator simulates a coordinator crash: the listener drops with
-// every open connection and the background loops stop. The journal is
-// whatever the synchronous appends made durable — exactly the crash
-// contract — because appends fsync before the mutating request is answered.
+// every open connection and the background loops stop. Nothing survives:
+// the coordinator keeps no durable state.
 func (f *testFleet) killCoordinator() {
 	f.t.Helper()
 	f.hs.Close()
@@ -191,7 +189,8 @@ func (f *testFleet) killCoordinator() {
 
 // restartCoordinator brings a fresh coordinator up on the SAME address with
 // the same config, so clients and worker agents reconnect without being
-// told anything.
+// told anything. It rebuilds its placements from the workers' re-register
+// reports.
 func (f *testFleet) restartCoordinator() {
 	f.t.Helper()
 	co := NewCoordinator(f.coCfg)
@@ -236,15 +235,18 @@ func (f *testFleet) addWorker() *testWorker {
 		url:  "http://" + ln.Addr().String(),
 		srv:  srv, hs: hs, gate: gate,
 	}
-	hc := &http.Client{Timeout: 2 * time.Second}
+	hc, every := &http.Client{Timeout: 2 * time.Second}, testHeartbeatEvery
 	if gate != nil {
 		hc.Transport = gate.Transport(nil)
+	}
+	if f.defaults {
+		hc, every = nil, 0
 	}
 	tw.agent = StartAgent(AgentConfig{
 		Coordinator: f.coordinators(),
 		Advertise:   tw.url,
 		Name:        tw.name,
-		Every:       testHeartbeatEvery,
+		Every:       every,
 		HTTPClient:  hc,
 		Load: func() WorkerLoad {
 			st := srv.Stats()

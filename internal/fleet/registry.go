@@ -50,7 +50,6 @@ type worker struct {
 	state    workerState
 	lastBeat time.Time
 	load     WorkerLoad
-	epoch    uint64 // bumped per registration; stale heartbeats are ignored
 }
 
 func (w *worker) alive() bool { return w.state == workerActive }
@@ -70,13 +69,12 @@ type registerRequest struct {
 	URL  string     `json:"url"`
 	Load WorkerLoad `json:"load"`
 	// Sessions is the worker's open-session list, sent on register so the
-	// coordinator can adopt placements after its own restart and name the
-	// stale copies a rejoining worker must drop.
+	// coordinator can adopt placements after its own start or takeover and
+	// name the stale copies a rejoining worker must drop.
 	Sessions []string `json:"sessions,omitempty"`
 	// Epoch is the highest coordinator fencing epoch the worker has seen.
-	// A coordinator recovering without its journal adopts an epoch above
-	// every reported fence, or the fence its predecessor raised would
-	// reject all of its writes.
+	// A recovering coordinator adopts an epoch above every reported fence,
+	// or the fence its predecessor raised would reject all of its writes.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 

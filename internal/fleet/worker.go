@@ -20,9 +20,10 @@ import (
 type AgentConfig struct {
 	// Coordinator is the coordinator base URL, or a comma-separated list
 	// (primary plus warm standbys). The agent registers and heartbeats
-	// with every address — the dual-heartbeat is how a standby keeps a
-	// live membership view, and how the fleet's fencing epoch reaches
-	// this worker no matter which coordinator currently leads.
+	// with every address — after a takeover the promoted standby answers
+	// the next heartbeat 404 and the agent re-registers with its session
+	// report, and the fleet's fencing epoch reaches this worker no matter
+	// which coordinator currently leads.
 	Coordinator string
 	// Advertise is the base URL the coordinator should dial for this worker.
 	Advertise string
@@ -40,8 +41,8 @@ type AgentConfig struct {
 	// elsewhere while this worker was partitioned.
 	Abort func(id string) bool
 	// Epoch reports the highest coordinator fencing epoch the local
-	// server has seen, carried on registers and heartbeats so a
-	// journal-less coordinator can recover the fleet's epoch.
+	// server has seen, carried on registers and heartbeats so a starting
+	// coordinator can recover the fleet's epoch.
 	Epoch func() uint64
 	// NoteEpoch hands the local server a coordinator-reported epoch; the
 	// server raises its fence to the maximum seen and rejects writes

@@ -3,6 +3,7 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -103,16 +104,26 @@ func (l *TraceLog) filter(keep func(*Span) bool) []Span {
 	return out
 }
 
-// NewTraceID mints a 16-hex-char random trace id.
-func NewTraceID() string {
+// NewID mints a 16-hex-char random id: the trace ids clients stamp on
+// requests and the session ids servers and coordinators assign.
+func NewID() string {
 	var b [8]byte
 	rand.Read(b[:])
 	return hex.EncodeToString(b[:])
 }
 
-// ValidID reports whether s is a well-formed trace id for header
-// propagation: 1-64 chars of [a-zA-Z0-9_-]. Same alphabet as session ids,
-// so ids are safe in URLs, logs, and file names.
+// TraceIDFrom extracts a well-formed trace id from the request, or "".
+// Invalid ids are dropped rather than rejected: tracing is best-effort and
+// must never fail a request.
+func TraceIDFrom(r *http.Request) string {
+	if id := r.Header.Get(HeaderTrace); ValidID(id) {
+		return id
+	}
+	return ""
+}
+
+// ValidID reports whether s is a well-formed trace or session id: 1-64
+// chars of [a-zA-Z0-9_-], so ids are safe in URLs, logs, and file names.
 func ValidID(s string) bool {
 	if len(s) == 0 || len(s) > 64 {
 		return false

@@ -44,8 +44,10 @@ func TestTraceLogFilters(t *testing.T) {
 	}
 }
 
+// TestNewTraceID pins NewID as the trace-id generator clients use (servers
+// and coordinators mint session ids with it too).
 func TestNewTraceID(t *testing.T) {
-	a, b := NewTraceID(), NewTraceID()
+	a, b := NewID(), NewID()
 	if len(a) != 16 || !ValidID(a) {
 		t.Errorf("bad trace id %q", a)
 	}

@@ -432,7 +432,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	// A failover restore re-attaches the session's original request trace:
 	// the coordinator forwards the id it recorded at create time, so one
 	// trace id spans the session's life across worker deaths.
-	sess.traceID = traceIDFrom(r)
+	sess.traceID = obs.TraceIDFrom(r)
 	s.instrument(sess)
 	s.applyCompactPolicy(sess)
 	s.mu.Lock()

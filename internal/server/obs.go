@@ -92,17 +92,6 @@ func (s *Server) instrument(sess *session) {
 	}
 }
 
-// traceIDFrom extracts a well-formed trace id from the request, or "".
-// Invalid ids are dropped rather than rejected: tracing is best-effort and
-// must never fail a request.
-func traceIDFrom(r *http.Request) string {
-	id := r.Header.Get(obs.HeaderTrace)
-	if id == "" || !obs.ValidID(id) {
-		return ""
-	}
-	return id
-}
-
 // registerMetrics wires every server-level series into the registry. The
 // raced_* names predate the registry and are scraped by smoke scripts and
 // dashboards — they are load-bearing, do not rename them.
@@ -187,7 +176,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // traces that touched it.
 func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validSessionID(id) {
+	if !obs.ValidID(id) {
 		writeError(w, http.StatusBadRequest, "bad session id %q", id)
 		return
 	}

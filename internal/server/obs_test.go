@@ -151,7 +151,7 @@ func (tc *testClient) doTraced(method, path, traceID string, body *bytes.Buffer)
 func TestDebugTraceEndpoints(t *testing.T) {
 	_, tc := newTestServer(t, Config{Workers: 2, Name: "w-test"})
 	tr := gen.Random(gen.RandomConfig{Seed: 9, Events: 3000, Threads: 3, Locks: 2, Vars: 4})
-	traceID := obs.NewTraceID()
+	traceID := obs.NewID()
 
 	var hdr bytes.Buffer
 	if err := traceio.WriteHeader(&hdr, tr.Symbols, 0); err != nil {
@@ -216,7 +216,7 @@ func TestDebugTraceEndpoints(t *testing.T) {
 	if resp, _ := tc.do("GET", "/debug/trace/nope!", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad trace id: %d, want 400", resp.StatusCode)
 	}
-	resp, raw = tc.do("GET", "/debug/trace/"+obs.NewTraceID(), nil)
+	resp, raw = tc.do("GET", "/debug/trace/"+obs.NewID(), nil)
 	var unknown struct {
 		Spans []obs.Span `json:"spans"`
 	}

@@ -17,8 +17,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,23 +70,6 @@ const (
 	// single-node clients) are never fenced.
 	HeaderEpoch = "X-Raced-Epoch"
 )
-
-// validSessionID accepts the ids the server itself mints plus anything a
-// coordinator might reasonably assign: short, URL- and filename-safe.
-func validSessionID(id string) bool {
-	if len(id) == 0 || len(id) > 64 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
-}
 
 // checkCRC verifies the declared checksum, when present, against the
 // request's effective offset and body. A non-nil error is the 422 message.
@@ -642,14 +623,6 @@ func (s *Server) refuseFenced(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand never fails on supported platforms
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // engineNames parses the ?engines=a,b,c parameter, defaulting to the
 // configured list.
 func (s *Server) engineNames(r *http.Request) []string {
@@ -725,7 +698,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tStart := time.Now()
-	traceID := traceIDFrom(r)
+	traceID := obs.TraceIDFrom(r)
 	names := s.engineNames(r)
 	makers := make([]engine.SessionEngine, len(names))
 	for i, name := range names {
@@ -792,13 +765,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// mutex; the limit is re-checked at insertion, so it stays strict.
 	id := r.Header.Get(HeaderSessionID)
 	if id != "" {
-		if !validSessionID(id) {
+		if !obs.ValidID(id) {
 			writeError(w, http.StatusBadRequest,
 				"bad %s %q: 1-64 characters of [a-zA-Z0-9_-]", HeaderSessionID, id)
 			return
 		}
 	} else {
-		id = newID()
+		id = obs.NewID()
 	}
 	engines := make([]engine.Session, len(makers))
 	for i, se := range makers {
@@ -886,7 +859,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	traceID := traceIDFrom(r)
+	traceID := obs.TraceIDFrom(r)
 	var added, replayed uint64
 	var ingestErr error
 	ingest := func(target *session) error {
@@ -990,7 +963,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		}
 		wantOffset = int64(n)
 	}
-	traceID := traceIDFrom(r)
+	traceID := obs.TraceIDFrom(r)
 	sess := s.liveSession(id)
 	if sess == nil {
 		if resp, ok := s.recallFinished(id); ok {
@@ -1144,7 +1117,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err)
 		return
 	}
-	id := "analyze-" + newID()
+	id := "analyze-" + obs.NewID()
 	var results []*engine.Result
 	if err := s.sched.Do(r.Context(), id, func() {
 		results = make([]*engine.Result, len(engines))

@@ -111,7 +111,8 @@ func parseEventsHeader(line string) (int, bool) {
 // parseSymbolsHeader recognizes the "# symbols T L V P" header comment
 // carrying the trace's symbol-universe sizes (threads, locks, variables,
 // locations), which lets readers pre-size the intern tables so decoding
-// never rehashes them mid-stream.
+// never rehashes them mid-stream. The counts are untrusted sizing hints, so
+// each is clamped to maxPrealloc; larger tables grow as names arrive.
 func parseSymbolsHeader(line string) (counts [4]int, ok bool) {
 	rest, found := strings.CutPrefix(line, "#")
 	if !found {
@@ -130,14 +131,15 @@ func parseSymbolsHeader(line string) (counts [4]int, ok bool) {
 		if err != nil || n < 0 {
 			return counts, false
 		}
-		counts[i] = n
+		counts[i] = min(n, maxPrealloc)
 	}
 	return counts, true
 }
 
 // ReadText parses a whole text-format trace from r. A "# events N" header
 // comment, when present before the first event, pre-sizes the event slice;
-// a "# symbols T L V P" comment pre-sizes the intern tables.
+// a "# symbols T L V P" comment pre-sizes the intern tables. Both hints are
+// capped at maxPrealloc entries, as the binary header's counts are.
 func ReadText(r io.Reader) (*trace.Trace, error) {
 	syms := &event.Symbols{}
 	tr := &trace.Trace{Symbols: syms}
@@ -150,7 +152,7 @@ func ReadText(r io.Reader) (*trace.Trace, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			if tr.Events == nil {
 				if n, ok := parseEventsHeader(line); ok {
-					tr.Events = make([]event.Event, 0, n)
+					tr.Events = make([]event.Event, 0, min(n, maxPrealloc))
 				}
 				if c, ok := parseSymbolsHeader(line); ok {
 					syms.Preallocate(c[0], c[1], c[2], c[3])

@@ -21,6 +21,8 @@ func FuzzTextDecode(f *testing.F) {
 	f.Add([]byte("t1|acq()\n"))
 	f.Add([]byte("|||\n"))
 	f.Add([]byte("# events -1\nt1|acq(l)\n"))
+	f.Add([]byte("# events 999999999999999\nt1|acq(l)\n"))
+	f.Add([]byte("# symbols 999999999999999 1 1 1\nt1|acq(l)\n"))
 	f.Add([]byte("garbage"))
 	f.Add(bytes.Repeat([]byte("x"), 2<<20)) // one line past the scanner's max token
 

@@ -93,6 +93,33 @@ func TestReadTextErrors(t *testing.T) {
 	}
 }
 
+// TestTextHeaderHintsCapped: the "# events N" and "# symbols T L V P"
+// comments are sizing hints from untrusted input. A huge count must not
+// size an allocation — unchecked, it panics with "makeslice: cap out of
+// range" inside ReadAuto, the one-shot /analyze decoder — and the trace
+// still parses through both the batch reader and the text Stream.
+func TestTextHeaderHintsCapped(t *testing.T) {
+	const body = "t1|acq(l)|a.go:1\nt1|rel(l)\n"
+	for _, hdr := range []string{
+		"# events 999999999999999\n",
+		"# symbols 999999999999999 1 1 1\n",
+		"# symbols 1 1 1 999999999999999\n",
+	} {
+		tr, err := ReadAuto(strings.NewReader(hdr + body))
+		if err != nil || len(tr.Events) != 2 {
+			t.Errorf("ReadAuto with %q: %v", hdr, err)
+		}
+		st, err := OpenStream(strings.NewReader(hdr + body))
+		if err != nil {
+			t.Fatalf("OpenStream with %q: %v", hdr, err)
+		}
+		buf := make([]event.Event, 8)
+		if n, err := st.NextBlock(buf); n != 2 || err != nil {
+			t.Errorf("text Stream with %q: decoded %d events, err %v", hdr, n, err)
+		}
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	orig, err := ReadText(strings.NewReader(sampleText))
 	if err != nil {
