@@ -34,6 +34,7 @@ func TestWCPSteadyStateAllocs(t *testing.T) {
 		opts core.Options
 	}{
 		{"vector", core.Options{}},
+		{"pairs", core.Options{TrackPairs: true}},
 		{"epoch", core.Options{EpochCheck: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,6 +64,7 @@ func TestWCPSteadyStateAllocsHighThreads(t *testing.T) {
 		opts core.Options
 	}{
 		{"vector", core.Options{}},
+		{"pairs", core.Options{TrackPairs: true}},
 		{"epoch", core.Options{EpochCheck: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -124,14 +124,7 @@ func (d *Detector) Compact() {
 	}
 
 	for x := range d.vars {
-		vs := &d.vars[x]
-		if !d.varDominated(vs, f.eff) {
-			continue
-		}
-		if vs.readAll.Ready() || vs.writeAll.Ready() || vs.wLast != vc.NoEpoch ||
-			vs.rLast != vc.NoEpoch || vs.reads != nil || vs.writes != nil ||
-			vs.wEpoch != vc.NoEpoch || vs.rEpoch != vc.NoEpoch || vs.rShared != nil ||
-			vs.wOrdered || vs.rOrdered {
+		if vs := &d.vars[x]; d.varDominated(vs, f.eff) {
 			*vs = varState{}
 		}
 	}
@@ -163,8 +156,10 @@ func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 	if vs.rShared != nil && !vs.rShared.Leq(floor) {
 		return false
 	}
-	// Pair-mode access cells are joins' inputs to readAll/writeAll, so the
-	// aggregate domination above already covers them.
+	// Every pair-tracking cell clock is ⊑ its kind's aggregate: an epoch or
+	// vector component of a pure access is a component of that access's
+	// effective time, and an impure access's effective time was joined
+	// whole. The aggregate domination above therefore covers the cells.
 	return true
 }
 
@@ -305,7 +300,7 @@ func (d *Detector) StateBytes() int {
 			n += width * clockB
 		}
 		n += len(vs.rShared) * clockB
-		n += (len(vs.reads) + len(vs.writes)) * (width*clockB + 24)
+		n += vs.reads.Bytes(width) + vs.writes.Bytes(width)
 	}
 	for _, ls := range d.locks {
 		if ls == nil {

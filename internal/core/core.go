@@ -20,8 +20,9 @@
 //     lockstep — drained at t's releases of ℓ while the front acquire is
 //     ⊑ Ct (rule (b));
 //   - per variable: read/write timestamp joins Rx and Wx for race checking
-//     (§3.2 end), refined per program location so distinct race *pairs* of
-//     locations are reported exactly (Table 1 metric).
+//     (§3.2 end) and, with pair tracking, one cell per program location and
+//     access kind, so distinct race *pairs* of locations are reported
+//     exactly (Table 1 metric).
 //
 // The hot path applies several work-avoidance layers on top of Algorithm 1,
 // none of which changes what the algorithm computes (the property tests pin
@@ -42,12 +43,15 @@
 //   - the rule-(a) Lr/Lw state collapses to the two latest contributions
 //     by distinct threads — releases on one lock are H-monotone, so they
 //     dominate all earlier ones (see relTimes);
-//   - the default race check never materializes the effective time
+//   - the race check never materializes the effective time
 //     (Pt ⊔ Ot)[t := Nt]: it compares componentwise, drops the ⊔ Ot leg
 //     once Pt dominates the static ancestry clock, and collapses to one
 //     epoch compare while a variable's accesses stay totally ordered
-//     (Lemma C.8); the cached per-thread materialization remains for the
-//     pair-tracking and timestamp-collection paths;
+//     (Lemma C.8). Pair tracking takes its verdict from the same check and
+//     reads its per-location cells only for racy events; the cells keep
+//     the same epoch form while a location's accesses stay ordered (see
+//     varState). The cached per-thread materialization remains only for
+//     timestamp collection, compaction floors and FindRacePairs;
 //   - every clock is windowed (vc.WC): joins, comparisons, copies and
 //     queue records touch only each clock's dirty window, so per-event
 //     clock work scales with how many threads actually communicated, not
@@ -70,7 +74,9 @@ import (
 // Options configures the WCP detector.
 type Options struct {
 	// TrackPairs enables exact distinct race-pair reporting per
-	// program-location pair.
+	// program-location pair. The racy verdict is the same check as without
+	// it; pair tracking adds one cell update per access and a scan of the
+	// variable's cells for each racy event.
 	TrackPairs bool
 	// CollectTimestamps stores the WCP time Ce and HB time He of every
 	// event in the Result, enabling the Theorem 2 cross-check against the
@@ -460,30 +466,34 @@ type lockState struct {
 	own []ownQ
 }
 
-// accessCell tracks accesses at one (variable, location, kind).
-type accessCell struct {
-	time vc.VC
-	last int
-}
-
 // varState is the per-variable race-checking state. Vector-clock mode uses
-// the first four fields; epoch mode (Options.EpochCheck) uses the last
-// three.
+// the aggregate clocks and their fast-path flags; pair tracking adds the
+// per-location cells; epoch mode (Options.EpochCheck) uses the last three
+// fields.
 //
 // wLast/rLast and the ordered flags power the exact O(1) fast path of the
-// default vector-mode check: while the accesses of one kind are totally
-// ordered in the effective order, the aggregate Rx/Wx clock is dominated by
-// the latest access, and by the paper's single-component characterization
-// (Lemma C.8: for cross-thread a <tr b, a ≤WCP b iff N(a) ≤ Cb(t(a))) the
-// whole vector comparison collapses to one clock compare. The collapse is
-// only valid when the recorded access's effective time was a pure clock
-// time — its thread's ancestry clock Ot added nothing beyond Pt (oZero),
-// so every component the aggregate absorbed is clock-propagated and the
+// vector-mode check: while the accesses of one kind are totally ordered in
+// the effective order, the aggregate Rx/Wx clock is dominated by the latest
+// access, and by the paper's single-component characterization (Lemma C.8:
+// for cross-thread a <tr b, a ≤WCP b iff N(a) ≤ Cb(t(a))) the whole vector
+// comparison collapses to one clock compare. The collapse is only valid
+// when the recorded access's effective time was a pure clock time — its
+// thread's ancestry clock Ot added nothing beyond Pt (oZero), so every
+// component the aggregate absorbed is clock-propagated and the
 // single-component compare characterizes it; wPure/rPure record that. The
 // aggregate clocks are still maintained; an unordered or o-contaminated
 // access falls back to the vector compare, so the flagged events are
-// exactly those of the pure vector implementation (pinned by
-// TestWCPDefaultModeMatchesVectorCheck).
+// exactly those of the pure vector implementation (pinned against the
+// closure by TestWCPDefaultModeMatchesVectorCheck).
+//
+// reads/writes are the pair-tracking cells, one per program location (see
+// race.Cell), read only when the verdict is racy. A cell's time compares
+// like the join of its accesses' effective times by the same lemma: in
+// epoch form the accesses are totally ordered and the latest is pure, so
+// one compare against the current effective time decides; in vector form
+// the clock holds the epoch component of every pure access (which, by
+// Lemma C.8, compares exactly like that access's whole effective time) and
+// the full effective time of every impure one.
 type varState struct {
 	readAll  vc.WC
 	writeAll vc.WC
@@ -494,8 +504,8 @@ type varState struct {
 	wPure    bool
 	rPure    bool
 
-	reads  map[event.Loc]*accessCell
-	writes map[event.Loc]*accessCell
+	reads  race.Cells
+	writes race.Cells
 
 	wEpoch  vc.Epoch
 	rEpoch  vc.Epoch
@@ -629,7 +639,8 @@ func (d *Detector) ct(t int) *vc.WC {
 }
 
 // effectiveTime materializes (Pt ⊔ Ot)[t := Nt]: the WCP time extended with
-// fork/join ancestry, used for race checking and reported timestamps. The
+// fork/join ancestry, for reported timestamps, compaction floors and
+// FindRacePairs (the race check compares against it componentwise). The
 // result is cached per thread and recomputed only after Pt, Ot or Nt
 // changed. Callers must treat the returned clock as read-only; it stays
 // valid until the thread's next clock mutation.
@@ -1303,122 +1314,129 @@ func joinEff(dst, p, o *vc.WC, t int, n vc.Clock, oZero bool) {
 }
 
 // check performs the race check of §3.2: for a read, Wx ⊑ Ce must hold; for
-// a write, Rx ⊔ Wx ⊑ Ce must hold. With pair tracking, the per-location
-// cells identify the partner location(s) exactly.
+// a write, Rx ⊔ Wx ⊑ Ce must hold. It compares and records against
+// (Pt ⊔ Ot)[t := Nt] componentwise, never materializing the effective time,
+// and collapses each comparison to one clock compare while the accesses
+// stay totally ordered (see varState). With pair tracking, a racy verdict
+// scans the cells of the racing kinds for the partner locations, and every
+// access updates its own cell.
 func (d *Detector) check(i, t int, x event.VID, loc event.Loc, isWrite bool) {
 	vs := &d.vars[x]
-	if d.res.Report == nil {
-		// Fused fast path: compare and record against (Pt ⊔ Ot)[t := Nt]
-		// componentwise, never materializing the effective time, and
-		// collapse the comparison to one clock compare while the accesses
-		// stay totally ordered (see varState).
-		ts := &d.threads[t]
-		p, o, n, oZero := &ts.p, &ts.o, ts.n, ts.oZero
-		racyW := false
-		if vs.writeAll.Ready() {
-			if vs.wOrdered && vs.wPure {
-				racyW = vs.wLast.Clock() > effComp(p, o, t, n, oZero, int(vs.wLast.TID()))
-			} else {
-				racyW = !leqEff(&vs.writeAll, p, o, t, n, oZero)
-			}
-		}
-		racy := racyW
-		if isWrite && vs.readAll.Ready() {
-			if vs.rOrdered && vs.rPure {
-				racy = racy || vs.rLast.Clock() > effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
-			} else {
-				racy = racy || !leqEff(&vs.readAll, p, o, t, n, oZero)
-			}
-		}
-		if racy {
-			d.res.RacyEvents++
-			if d.res.FirstRace < 0 {
-				d.res.FirstRace = i
-			}
-		}
-		if isWrite {
-			if !vs.writeAll.Ready() {
-				vs.writeAll.Init(len(d.threads))
-				vs.wOrdered = true
-			} else if racyW {
-				// This write is unordered with an earlier one: the latest
-				// write no longer dominates Wx.
-				vs.wOrdered = false
-			}
-			vs.wLast = vc.MakeEpoch(t, n)
-			vs.wPure = oZero
-			joinEff(&vs.writeAll, p, o, t, n, oZero)
+	ts := &d.threads[t]
+	p, o, n, oZero := &ts.p, &ts.o, ts.n, ts.oZero
+	racyW := false
+	if vs.writeAll.Ready() {
+		if vs.wOrdered && vs.wPure {
+			racyW = vs.wLast.Clock() > effComp(p, o, t, n, oZero, int(vs.wLast.TID()))
 		} else {
-			if !vs.readAll.Ready() {
-				vs.readAll.Init(len(d.threads))
-				vs.rOrdered = true
-			} else if vs.rOrdered {
-				// rOrdered may only survive if Rx stays dominated by this
-				// read: decided by the epoch compare when the latest read
-				// was pure, by the exact vector compare otherwise.
-				// (Read-read is no race; this only maintains the flag.)
-				ordered := vs.rPure &&
-					vs.rLast.Clock() <= effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
-				if !ordered {
-					ordered = leqEff(&vs.readAll, p, o, t, n, oZero)
-				}
-				vs.rOrdered = ordered
-			}
-			vs.rLast = vc.MakeEpoch(t, n)
-			vs.rPure = oZero
-			joinEff(&vs.readAll, p, o, t, n, oZero)
-		}
-		return
-	}
-	// Pair-tracking path: the per-location cells identify partner locations.
-	now := d.effectiveTime(t)
-	nowV := now.VC()
-	racy := false
-	var ctx race.Ctx
-	scan := func(cells map[event.Loc]*accessCell) {
-		for ploc, c := range cells {
-			if !c.time.Leq(nowV) {
-				if !racy {
-					ctx = d.raceCtx(t, x)
-				}
-				racy = true
-				d.res.Report.RecordCtx(ploc, loc, i, i-c.last, ctx)
-			}
+			racyW = !leqEff(&vs.writeAll, p, o, t, n, oZero)
 		}
 	}
-	if vs.writeAll.Ready() && !vs.writeAll.LeqVC(nowV) {
-		scan(vs.writes)
+	racyR := false
+	if isWrite && vs.readAll.Ready() {
+		if vs.rOrdered && vs.rPure {
+			racyR = vs.rLast.Clock() > effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
+		} else {
+			racyR = !leqEff(&vs.readAll, p, o, t, n, oZero)
+		}
 	}
-	if isWrite && vs.readAll.Ready() && !vs.readAll.LeqVC(nowV) {
-		scan(vs.reads)
-	}
-	if racy {
+	if racyW || racyR {
 		d.res.RacyEvents++
 		if d.res.FirstRace < 0 {
 			d.res.FirstRace = i
 		}
+		if d.res.Report != nil {
+			ctx := d.raceCtx(t, x)
+			if racyW {
+				d.recordRaces(&vs.writes, i, t, loc, ctx)
+			}
+			if racyR {
+				d.recordRaces(&vs.reads, i, t, loc, ctx)
+			}
+		}
 	}
-	// Record this access.
-	n := len(d.threads)
-	var all *vc.WC
-	var cells *map[event.Loc]*accessCell
 	if isWrite {
-		all, cells = &vs.writeAll, &vs.writes
-	} else {
-		all, cells = &vs.readAll, &vs.reads
+		if !vs.writeAll.Ready() {
+			vs.writeAll.Init(len(d.threads))
+			vs.wOrdered = true
+		} else if racyW {
+			// This write is unordered with an earlier one: the latest
+			// write no longer dominates Wx.
+			vs.wOrdered = false
+		}
+		vs.wLast = vc.MakeEpoch(t, n)
+		vs.wPure = oZero
+		joinEff(&vs.writeAll, p, o, t, n, oZero)
+		if d.res.Report != nil {
+			// A non-racy write is ordered after every earlier write, so
+			// its own cell is dominated without a compare.
+			d.recordCell(vs.writes.At(loc), i, t, !racyW)
+		}
+		return
 	}
-	if !all.Ready() {
-		all.Init(n)
-		*cells = make(map[event.Loc]*accessCell)
+	if !vs.readAll.Ready() {
+		vs.readAll.Init(len(d.threads))
+		vs.rOrdered = true
+	} else if vs.rOrdered {
+		// rOrdered may only survive if Rx stays dominated by this read:
+		// decided by the epoch compare when the latest read was pure, by
+		// the exact vector compare otherwise. (Read-read is no race; this
+		// only maintains the flag.)
+		ordered := vs.rPure &&
+			vs.rLast.Clock() <= effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
+		if !ordered {
+			ordered = leqEff(&vs.readAll, p, o, t, n, oZero)
+		}
+		vs.rOrdered = ordered
 	}
-	all.Join(now)
-	c, ok := (*cells)[loc]
-	if !ok {
-		c = &accessCell{time: vc.New(n)}
-		(*cells)[loc] = c
+	vs.rLast = vc.MakeEpoch(t, n)
+	vs.rPure = oZero
+	joinEff(&vs.readAll, p, o, t, n, oZero)
+	if d.res.Report != nil {
+		d.recordCell(vs.reads.At(loc), i, t, false)
 	}
-	c.time.Join(nowV)
-	c.last = i
+}
+
+// cellLeq reports whether every access recorded in c is ordered before
+// thread t's current effective time.
+func (d *Detector) cellLeq(c *race.Cell, t int) bool {
+	ts := &d.threads[t]
+	if c.Ep != vc.NoEpoch {
+		return c.Ep.Clock() <= effComp(&ts.p, &ts.o, t, ts.n, ts.oZero, c.Ep.TID())
+	}
+	return c.Vec == nil || leqEff(c.Vec, &ts.p, &ts.o, t, ts.n, ts.oZero)
+}
+
+// recordRaces reports the race of event i (thread t, location loc) with
+// every cell of cells not ordered before it, in location order.
+func (d *Detector) recordRaces(cells *race.Cells, i, t int, loc event.Loc, ctx race.Ctx) {
+	list := cells.List()
+	for k := range list {
+		if c := &list[k]; !d.cellLeq(c, t) {
+			d.res.Report.RecordCtx(c.Loc, loc, i, i-c.Last, ctx)
+		}
+	}
+}
+
+// recordCell adds event i, an access by thread t, to its location's cell.
+// dominated says the caller already knows every earlier access in the cell
+// is ordered before this one. A dominated cell collapses to this access:
+// to its epoch when the access is pure, else to its full effective time.
+// Otherwise the cell takes (or stays in) vector form and absorbs the
+// access's epoch component, or its effective time when impure.
+func (d *Detector) recordCell(c *race.Cell, i, t int, dominated bool) {
+	ts := &d.threads[t]
+	c.Last = i
+	if ts.oZero && (dominated || d.cellLeq(c, t)) {
+		c.Ep = vc.MakeEpoch(t, ts.n)
+		return
+	}
+	v := c.Vector(len(d.threads))
+	if !ts.oZero {
+		joinEff(v, &ts.p, &ts.o, t, ts.n, false)
+	} else if ts.n > v.Get(t) {
+		v.Set(t, ts.n)
+	}
 }
 
 // raceCtx captures the fingerprint context of a race observed at thread t

@@ -221,10 +221,9 @@ func TestFigure5DeadlockWitness(t *testing.T) {
 }
 
 // TestWCPDefaultModeMatchesVectorCheck is the differential pin for the
-// epoch-gated fast path of the default (no-pairs) race check: over random
-// traces with and without fork/join ancestry, Options{} must flag exactly
-// the events that the pair-tracking configuration — which always runs the
-// full vector comparison — flags. The fork/join shapes are the regression
+// epoch-gated fast path of the race check: over random traces with and
+// without fork/join ancestry, Options{} must flag exactly the events the
+// closure's ≤WCP says are racy. The fork/join shapes are the regression
 // case: ancestry (Ot) components folded into the aggregate clocks are not
 // characterized by the Lemma C.8 single-component compare, so the gate must
 // fall back to the vector compare for accesses recorded with ancestry
@@ -243,11 +242,44 @@ func TestWCPDefaultModeMatchesVectorCheck(t *testing.T) {
 		cfg.Events = 200
 		cfg.Seed = int64(i)
 		tr := gen.Random(cfg)
-		fast := core.DetectOpts(tr, core.Options{})
-		full := core.DetectOpts(tr, core.Options{TrackPairs: true})
-		if fast.RacyEvents != full.RacyEvents || fast.FirstRace != full.FirstRace {
-			t.Fatalf("seed %d (%+v): default mode flags %d racy events (first %d), vector pair mode flags %d (first %d)",
-				i, cfg, fast.RacyEvents, fast.FirstRace, full.RacyEvents, full.FirstRace)
+		res := core.DetectOpts(tr, core.Options{})
+		if err := closure.WCPReference(tr).Check(res.RacyEvents, res.FirstRace, nil); err != nil {
+			t.Fatalf("seed %d (%+v): default mode: %v", i, cfg, err)
+		}
+	}
+}
+
+// pairTraces yields random traces for the pair-report pins: the shapes of
+// randomTraces, whose locations are private to one (thread, variable,
+// kind), plus shared-location shapes, where one location collects
+// unordered accesses by several threads and its cell takes vector form.
+func pairTraces(n, events int) []*trace.Trace {
+	out := randomTraces(n, events)
+	shared := []gen.RandomConfig{
+		{Threads: 3, Locks: 2, Vars: 2, Locations: 3},
+		{Threads: 2, Locks: 1, Vars: 2, Locations: 2, ForkJoin: true},
+		{Threads: 4, Locks: 1, Vars: 3, Locations: 4, ForkJoin: true},
+		{Threads: 3, Locks: 1, Vars: 1, Locations: 2, ForkJoin: true},
+		{Threads: 6, Locks: 3, Vars: 2, Locations: 2, ForkJoin: true},
+		{Threads: 5, Locks: 2, Vars: 4, Locations: 6},
+	}
+	for i := 0; i < n; i++ {
+		cfg := shared[i%len(shared)]
+		cfg.Events = events
+		cfg.Seed = int64(i)*104729 + 7
+		out = append(out, gen.Random(cfg))
+	}
+	return out
+}
+
+// TestWCPPairReportsMatchClosure pins the whole pair-tracking report —
+// pairs in order, Count, FirstEvent, distances and context — to the one
+// the closure reference derives from ≤WCP with the detector's cell rules.
+func TestWCPPairReportsMatchClosure(t *testing.T) {
+	for ti, tr := range pairTraces(150, 120) {
+		res := core.DetectOpts(tr, core.Options{TrackPairs: true})
+		if err := closure.WCPReference(tr).Check(res.RacyEvents, res.FirstRace, res.Report); err != nil {
+			t.Fatalf("trace %d: %v", ti, err)
 		}
 	}
 }

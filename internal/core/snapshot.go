@@ -126,7 +126,7 @@ func varFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
 		vs.wLast == vc.NoEpoch && vs.rLast == vc.NoEpoch &&
 		!vs.wOrdered && !vs.rOrdered && !vs.wPure && !vs.rPure &&
-		vs.reads == nil && vs.writes == nil &&
+		vs.reads.Len() == 0 && vs.writes.Len() == 0 &&
 		vs.wEpoch == vc.NoEpoch && vs.rEpoch == vc.NoEpoch && vs.rShared == nil
 }
 
@@ -440,8 +440,8 @@ func encodeVar(w *snap.Writer, vs *varState) {
 	if vs.rShared != nil {
 		w.Sparse(vs.rShared)
 	}
-	encodeCells(w, vs.reads)
-	encodeCells(w, vs.writes)
+	vs.reads.EncodeSnapshot(w)
+	vs.writes.EncodeSnapshot(w)
 }
 
 func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
@@ -486,10 +486,10 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 			return err
 		}
 	}
-	if vs.reads, err = decodeCells(rd, width, tmp); err != nil {
+	if err := vs.reads.DecodeSnapshot(rd, width); err != nil {
 		return err
 	}
-	if vs.writes, err = decodeCells(rd, width, tmp); err != nil {
+	if err := vs.writes.DecodeSnapshot(rd, width); err != nil {
 		return err
 	}
 	if varFresh(vs) {
@@ -498,84 +498,6 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 		return &snap.DecodeError{Reason: "fresh variable encoded"}
 	}
 	return nil
-}
-
-func encodeCells(w *snap.Writer, cells map[event.Loc]*accessCell) {
-	if cells == nil {
-		w.Uvarint(0)
-		w.Bool(false)
-		return
-	}
-	locs := make([]event.Loc, 0, len(cells))
-	for loc := range cells {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	w.Uvarint(uint64(len(locs)))
-	w.Bool(true)
-	prev := event.Loc(0)
-	first := true
-	for _, loc := range locs {
-		if first {
-			w.Int(int(loc))
-			first = false
-		} else {
-			w.Uvarint(uint64(loc - prev))
-		}
-		prev = loc
-		c := cells[loc]
-		w.Int(c.last)
-		w.Sparse(c.time)
-	}
-}
-
-func decodeCells(rd *snap.Reader, width int, tmp vc.VC) (map[event.Loc]*accessCell, error) {
-	n, err := rd.Count(maxSnapCells)
-	if err != nil {
-		return nil, err
-	}
-	present, err := rd.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if !present {
-		if n != 0 {
-			return nil, &snap.DecodeError{Reason: "cells marked absent with entries"}
-		}
-		return nil, nil
-	}
-	cells := make(map[event.Loc]*accessCell, n)
-	loc := event.Loc(0)
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			v, err := rd.I32()
-			if err != nil {
-				return nil, err
-			}
-			loc = event.Loc(v)
-		} else {
-			d, err := rd.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if d == 0 {
-				return nil, &snap.DecodeError{Reason: "non-increasing cell location"}
-			}
-			loc += event.Loc(d)
-		}
-		c := &accessCell{time: vc.New(width)}
-		if c.last, err = rd.Int(); err != nil {
-			return nil, err
-		}
-		if err := rd.Sparse(c.time); err != nil {
-			return nil, err
-		}
-		if _, dup := cells[loc]; dup {
-			return nil, &snap.DecodeError{Reason: "duplicate cell location"}
-		}
-		cells[loc] = c
-	}
-	return cells, nil
 }
 
 // DecodeSnapshot reconstructs a detector from a payload written by

@@ -30,6 +30,11 @@ type RandomConfig struct {
 	// PAcquire, PRelease, PWrite are relative weights for action selection;
 	// zero values get defaults (3, 4, 5 with reads at 5).
 	PAcquire, PRelease, PWrite int
+	// Locations, when positive, draws each access's program location from
+	// a pool of that many shared by every thread, variable and access kind,
+	// so one location sees unordered accesses by several threads. Zero
+	// gives every (thread, variable, kind) a location of its own.
+	Locations int
 }
 
 // Random generates a well-formed random trace: lock semantics and
@@ -150,10 +155,10 @@ func Random(cfg RandomConfig) *trace.Trace {
 			b.Release(threads[t], lockName(l))
 		case v < wAcq+wRel+pR:
 			x := rng.Intn(cfg.Vars)
-			b.At(accLoc(t, x, "r")).Read(threads[t], varName(x))
+			b.At(accLoc(rng, cfg.Locations, t, x, "r")).Read(threads[t], varName(x))
 		default:
 			x := rng.Intn(cfg.Vars)
-			b.At(accLoc(t, x, "w")).Write(threads[t], varName(x))
+			b.At(accLoc(rng, cfg.Locations, t, x, "w")).Write(threads[t], varName(x))
 		}
 	}
 	// Close all open critical sections and join the stragglers.
@@ -174,7 +179,11 @@ func lockName(l int) string { return fmt.Sprintf("l%d", l) }
 func varName(x int) string  { return fmt.Sprintf("x%d", x) }
 
 // accLoc gives every (thread, variable, kind) a stable program location, so
-// random traces exercise the distinct-pair accounting deterministically.
-func accLoc(t, x int, kind string) string {
+// random traces exercise the distinct-pair accounting deterministically —
+// or, with a pool of shared locations, draws one from it.
+func accLoc(rng *rand.Rand, shared, t, x int, kind string) string {
+	if shared > 0 {
+		return fmt.Sprintf("pc.shared%d", rng.Intn(shared))
+	}
 	return fmt.Sprintf("pc.t%d.%s.x%d", t, kind, x)
 }

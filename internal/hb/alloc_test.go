@@ -21,6 +21,7 @@ func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 		opts hb.Options
 	}{
 		{"vector", hb.Options{}},
+		{"pairs", hb.Options{TrackPairs: true}},
 		{"epoch", hb.Options{Epoch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +52,7 @@ func TestHBSteadyStateAllocs(t *testing.T) {
 		opts hb.Options
 	}{
 		{"vector", hb.Options{}},
+		{"pairs", hb.Options{TrackPairs: true}},
 		{"epoch", hb.Options{Epoch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,6 +58,8 @@ func (d *Detector) Compact() {
 	}
 	for x := range d.vars {
 		vs := &d.vars[x]
+		// A pair-tracking cell holds components of its accesses' times, so
+		// the aggregates' domination covers the cells too.
 		if wcDominatedHB(&vs.readAll, f) && wcDominatedHB(&vs.writeAll, f) &&
 			(vs.readAll.Ready() || vs.writeAll.Ready()) {
 			*vs = varState{}
@@ -118,7 +120,7 @@ func (d *Detector) StateBytes() int {
 		if vs.writeAll.Ready() {
 			n += d.width * clockB
 		}
-		n += (len(vs.reads) + len(vs.writes)) * (d.width*clockB + 24)
+		n += vs.reads.Bytes(d.width) + vs.writes.Bytes(d.width)
 	}
 	n += len(d.evars) * 24
 	return n

@@ -29,8 +29,9 @@
 //     generation, peer-state stamps) replays the outcome of the previous
 //     identical race check in O(1) — the overwhelmingly common case of a
 //     thread accessing the same variable repeatedly between
-//     synchronization events (vector mode without pair tracking; pair
-//     tracking needs the per-location cells and bypasses it).
+//     synchronization events (vector mode; with pair tracking a replayed
+//     access still updates its location's cell in O(1), and only a racy
+//     replay scans the variable's cells).
 package hb
 
 import (
@@ -43,9 +44,10 @@ import (
 // Options configures the detector.
 type Options struct {
 	// TrackPairs enables distinct race-pair accounting per program-location
-	// pair (Table 1 metric). When false the detector only counts racy
-	// events, which is cheaper. Ignored in Epoch mode, which reports no
-	// pairs.
+	// pair (Table 1 metric). The racy verdict is the same vector check as
+	// without it; pair tracking adds one cell update per access and a scan
+	// of the variable's cells for each racy event. Ignored in Epoch mode,
+	// which reports no pairs.
 	TrackPairs bool
 	// Epoch selects the FastTrack-style epoch representation for the
 	// per-variable state (see fasttrack.go): one clock@thread word per
@@ -66,13 +68,6 @@ type Result struct {
 	FirstRace int
 	// Events is the number of events processed.
 	Events int
-}
-
-// cell tracks the accesses at one (variable, location, kind): the join of
-// their HB times plus the most recent event index for distance accounting.
-type cell struct {
-	time vc.VC
-	last int
 }
 
 // accessKey is the per-variable access cache: the identity of the last
@@ -96,15 +91,22 @@ func (k *accessKey) hit(t int, tgen, rStamp, wStamp uint32) bool {
 }
 
 // varState is the per-variable detector state of the full-vector-clock mode.
+//
+// reads/writes are the pair-tracking cells, one per program location (see
+// race.Cell), read only when the verdict is racy. HB times compare by one
+// component — for a <tr b, a ≤HB b iff H(a)[t(a)] ≤ H(b)[t(a)] — so an
+// epoch-form cell is its latest access (t, H[t]) and a vector-form cell
+// holds each access's own component, which compares exactly like the join
+// of the accesses' HB times.
 type varState struct {
 	readAll  vc.WC // join of all read times (Rx in §3.2)
 	writeAll vc.WC // join of all write times (Wx)
 	// rStamp/wStamp bump whenever readAll/writeAll grow; lastR/lastW are
-	// the access caches (vector mode without pair tracking only).
+	// the access caches.
 	rStamp, wStamp uint32
 	lastR, lastW   accessKey
-	reads          map[event.Loc]*cell
-	writes         map[event.Loc]*cell
+	reads          race.Cells
+	writes         race.Cells
 }
 
 // hbLock is the per-lock state: the windowed clock of the last release
@@ -127,10 +129,10 @@ type Detector struct {
 	evars []ftVar   // epoch-mode per-variable state (fasttrack.go)
 	arena *vc.Arena // recycled storage for inflated read vectors
 	res   Result
-	// cache enables the per-variable access caches: vector mode without
-	// pair tracking, and only at widths where replaying a verdict beats
-	// redoing the compare (tiny-T compares are already a handful of
-	// instructions, and the cache bookkeeping would be pure overhead).
+	// cache enables the per-variable access caches: vector mode, and only
+	// at widths where replaying a verdict beats redoing the compare (tiny-T
+	// compares are already a handful of instructions, and the cache
+	// bookkeeping would be pure overhead).
 	cache bool
 	// held tracks each thread's currently-held locks, maintained only in
 	// pair-tracking mode to supply the fingerprint context of race
@@ -167,7 +169,7 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 	for t := range d.ct {
 		d.ct[t].Set(t, 1)
 	}
-	d.cache = !opts.Epoch && d.res.Report == nil && threads > 8
+	d.cache = !opts.Epoch && threads > 8
 	return d
 }
 
@@ -179,32 +181,6 @@ func (d *Detector) flag(i int) {
 	if d.res.FirstRace < 0 {
 		d.res.FirstRace = i
 	}
-}
-
-// checkAgainst flags races between event i (location loc, time now, thread
-// t, variable x) and every prior access recorded in cells whose time is not
-// ⊑ now.
-func (d *Detector) checkAgainst(cells map[event.Loc]*cell, now vc.VC, i int, loc event.Loc, t int, x event.VID) bool {
-	racy := false
-	for ploc, c := range cells {
-		if !c.time.Leq(now) {
-			racy = true
-			if d.res.Report != nil {
-				d.res.Report.RecordCtx(ploc, loc, i, i-c.last, race.Ctx{Var: x, Locks: d.held[t]})
-			}
-		}
-	}
-	return racy
-}
-
-func (d *Detector) record(cells map[event.Loc]*cell, loc event.Loc, now vc.VC, i int) {
-	c, ok := cells[loc]
-	if !ok {
-		c = &cell{time: vc.New(d.width)}
-		cells[loc] = c
-	}
-	c.time.Join(now)
-	c.last = i
 }
 
 // Process feeds the next event of the trace to the detector.
@@ -291,86 +267,117 @@ func (d *Detector) popHeld(t int, l event.LID) {
 func (d *Detector) read(i, t int, x event.VID, loc event.Loc) {
 	vs := &d.vars[x]
 	now := &d.ct[t]
-	if d.cache {
-		// Access cache: identical thread clock and unchanged write
-		// aggregate ⇒ identical verdict, and the read aggregate has
-		// already absorbed this clock. (The read check ignores readAll, so
-		// its stamp is not part of the key.)
-		if vs.lastR.hit(t, now.Gen(), 0, vs.wStamp) {
-			if vs.lastR.racy {
-				d.flag(i)
-			}
-			return
-		}
+	// Access cache: identical thread clock and unchanged write aggregate ⇒
+	// identical verdict, and the read aggregate has already absorbed this
+	// clock. (The read check ignores readAll, so its stamp is not part of
+	// the key.)
+	hit := d.cache && vs.lastR.hit(t, now.Gen(), 0, vs.wStamp)
+	var racy bool
+	if hit {
+		racy = vs.lastR.racy
+	} else {
+		racy = vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
 	}
-	racy := vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
 	if racy {
+		d.flag(i)
 		if d.res.Report != nil {
-			if d.checkAgainst(vs.writes, now.VC(), i, loc, t, x) {
-				d.flag(i)
-			}
-		} else {
-			d.flag(i)
+			d.recordRaces(&vs.writes, i, t, loc, x)
 		}
 	}
-	if !vs.readAll.Ready() {
-		vs.readAll.Init(d.width)
-		if d.res.Report != nil {
-			vs.reads = make(map[event.Loc]*cell)
+	if !hit {
+		if !vs.readAll.Ready() {
+			vs.readAll.Init(d.width)
 		}
-	}
-	if vs.readAll.Join(now) {
-		vs.rStamp++
+		if vs.readAll.Join(now) {
+			vs.rStamp++
+		}
+		if d.cache {
+			vs.lastR = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), wStamp: vs.wStamp}
+		}
 	}
 	if d.res.Report != nil {
-		d.record(vs.reads, loc, now.VC(), i)
-	} else if d.cache {
-		vs.lastR = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), wStamp: vs.wStamp}
+		d.recordCell(vs.reads.At(loc), i, t, false)
 	}
 }
 
 func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 	vs := &d.vars[x]
 	now := &d.ct[t]
-	if d.cache {
-		if vs.lastW.hit(t, now.Gen(), vs.rStamp, vs.wStamp) {
-			if vs.lastW.racy {
-				d.flag(i)
-			}
-			return
-		}
+	hit := d.cache && vs.lastW.hit(t, now.Gen(), vs.rStamp, vs.wStamp)
+	var racyW, racyR bool
+	if hit {
+		// The cache keeps one verdict for both kinds; a racy replay scans
+		// both cell sets, where only cells unordered with now report.
+		racyW, racyR = vs.lastW.racy, vs.lastW.racy
+	} else {
+		racyW = vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
+		racyR = vs.readAll.Ready() && !vs.readAll.LeqVC(now.VC())
 	}
-	racy := false
-	if vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC()) {
-		if d.res.Report != nil {
-			racy = d.checkAgainst(vs.writes, now.VC(), i, loc, t, x) || racy
-		} else {
-			racy = true
-		}
-	}
-	if vs.readAll.Ready() && !vs.readAll.LeqVC(now.VC()) {
-		if d.res.Report != nil {
-			racy = d.checkAgainst(vs.reads, now.VC(), i, loc, t, x) || racy
-		} else {
-			racy = true
-		}
-	}
-	if racy {
+	if racyW || racyR {
 		d.flag(i)
-	}
-	if !vs.writeAll.Ready() {
-		vs.writeAll.Init(d.width)
 		if d.res.Report != nil {
-			vs.writes = make(map[event.Loc]*cell)
+			if racyW {
+				d.recordRaces(&vs.writes, i, t, loc, x)
+			}
+			if racyR {
+				d.recordRaces(&vs.reads, i, t, loc, x)
+			}
 		}
 	}
-	if vs.writeAll.Join(now) {
-		vs.wStamp++
+	if !hit {
+		if !vs.writeAll.Ready() {
+			vs.writeAll.Init(d.width)
+		}
+		if vs.writeAll.Join(now) {
+			vs.wStamp++
+		}
+		if d.cache {
+			vs.lastW = accessKey{valid: true, racy: racyW || racyR, t: int32(t), tgen: now.Gen(), rStamp: vs.rStamp, wStamp: vs.wStamp}
+		}
 	}
 	if d.res.Report != nil {
-		d.record(vs.writes, loc, now.VC(), i)
-	} else if d.cache {
-		vs.lastW = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), rStamp: vs.rStamp, wStamp: vs.wStamp}
+		// A non-racy write is ordered after every earlier write, so its own
+		// cell is dominated without a compare.
+		d.recordCell(vs.writes.At(loc), i, t, !racyW)
+	}
+}
+
+// cellLeq reports whether every access recorded in c happened before
+// thread t's current time.
+func (d *Detector) cellLeq(c *race.Cell, t int) bool {
+	if c.Ep != vc.NoEpoch {
+		return c.Ep.LeqVC(d.ct[t].VC())
+	}
+	return c.Vec == nil || c.Vec.LeqVC(d.ct[t].VC())
+}
+
+// recordRaces reports the race of event i (thread t, location loc,
+// variable x) with every cell of cells not ordered before it, in
+// location order.
+func (d *Detector) recordRaces(cells *race.Cells, i, t int, loc event.Loc, x event.VID) {
+	ctx := race.Ctx{Var: x, Locks: d.held[t]}
+	list := cells.List()
+	for k := range list {
+		if c := &list[k]; !d.cellLeq(c, t) {
+			d.res.Report.RecordCtx(c.Loc, loc, i, i-c.Last, ctx)
+		}
+	}
+}
+
+// recordCell adds event i, an access by thread t, to its location's cell.
+// dominated says the caller already knows every earlier access in the cell
+// happened before this one. A dominated cell collapses to this access's
+// epoch; otherwise the cell takes (or stays in) vector form and absorbs
+// the access's own component.
+func (d *Detector) recordCell(c *race.Cell, i, t int, dominated bool) {
+	c.Last = i
+	n := d.ct[t].Get(t)
+	if dominated || d.cellLeq(c, t) {
+		c.Ep = vc.MakeEpoch(t, n)
+		return
+	}
+	if v := c.Vector(d.width); n > v.Get(t) {
+		v.Set(t, n)
 	}
 }
 

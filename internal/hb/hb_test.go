@@ -154,3 +154,32 @@ func TestEpochReadShare(t *testing.T) {
 		t.Errorf("first race: full=%d epoch=%d", full.FirstRace, res.FirstRace)
 	}
 }
+
+// TestHBPairReportsMatchClosure pins the whole pair-tracking report —
+// pairs in order, Count, FirstEvent, distances and context — to the one
+// the closure reference derives from ≤HB with the detector's cell rules,
+// on random shapes with and without fork/join, with private and with
+// shared program locations. The T=9 and T=12 shapes run the per-variable
+// access cache.
+func TestHBPairReportsMatchClosure(t *testing.T) {
+	shapes := []gen.RandomConfig{
+		{Threads: 2, Locks: 1, Vars: 2},
+		{Threads: 3, Locks: 2, Vars: 3},
+		{Threads: 4, Locks: 3, Vars: 4, ForkJoin: true},
+		{Threads: 5, Locks: 4, Vars: 3, ForkJoin: true},
+		{Threads: 3, Locks: 2, Vars: 2, Locations: 3},
+		{Threads: 4, Locks: 1, Vars: 3, Locations: 4, ForkJoin: true},
+		{Threads: 9, Locks: 3, Vars: 3, Locations: 5},
+		{Threads: 12, Locks: 4, Vars: 4, ForkJoin: true},
+	}
+	for i := 0; i < 320; i++ {
+		cfg := shapes[i%len(shapes)]
+		cfg.Events = 150
+		cfg.Seed = int64(i)*7919 + 13
+		tr := gen.Random(cfg)
+		res := hb.DetectOpts(tr, hb.Options{TrackPairs: true})
+		if err := closure.HBReference(tr).Check(res.RacyEvents, res.FirstRace, res.Report); err != nil {
+			t.Fatalf("seed %d (%+v): %v", cfg.Seed, cfg, err)
+		}
+	}
+}

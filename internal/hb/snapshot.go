@@ -1,8 +1,6 @@
 package hb
 
 import (
-	"sort"
-
 	"repro/internal/event"
 	"repro/internal/race"
 	"repro/internal/snap"
@@ -117,15 +115,15 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		prev = x
 		encodeHBWC(w, &vs.readAll)
 		encodeHBWC(w, &vs.writeAll)
-		encodeHBCells(w, vs.reads)
-		encodeHBCells(w, vs.writes)
+		vs.reads.EncodeSnapshot(w)
+		vs.writes.EncodeSnapshot(w)
 	}
 	return nil
 }
 
 func hbVarFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
-		vs.reads == nil && vs.writes == nil
+		vs.reads.Len() == 0 && vs.writes.Len() == 0
 }
 
 func evarFresh(vs *ftVar) bool {
@@ -141,35 +139,6 @@ func encodeHBWC(w *snap.Writer, c *vc.WC) {
 	w.Sparse(c.VC())
 }
 
-func encodeHBCells(w *snap.Writer, cells map[event.Loc]*cell) {
-	if cells == nil {
-		w.Uvarint(0)
-		w.Bool(false)
-		return
-	}
-	locs := make([]event.Loc, 0, len(cells))
-	for loc := range cells {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	w.Uvarint(uint64(len(locs)))
-	w.Bool(true)
-	prev := event.Loc(0)
-	first := true
-	for _, loc := range locs {
-		if first {
-			w.Int(int(loc))
-			first = false
-		} else {
-			w.Uvarint(uint64(loc - prev))
-		}
-		prev = loc
-		c := cells[loc]
-		w.Int(c.last)
-		w.Sparse(c.time)
-	}
-}
-
 func decodeHBReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
 	tmp.Zero()
 	if err := rd.Sparse(tmp); err != nil {
@@ -182,55 +151,6 @@ func decodeHBReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
 		}
 	}
 	return nil
-}
-
-func decodeHBCells(rd *snap.Reader, width int) (map[event.Loc]*cell, error) {
-	n, err := rd.Count(maxSnapCells)
-	if err != nil {
-		return nil, err
-	}
-	present, err := rd.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if !present {
-		if n != 0 {
-			return nil, &snap.DecodeError{Reason: "cells marked absent with entries"}
-		}
-		return nil, nil
-	}
-	cells := make(map[event.Loc]*cell, n)
-	loc := event.Loc(0)
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			v, err := rd.I32()
-			if err != nil {
-				return nil, err
-			}
-			loc = event.Loc(v)
-		} else {
-			d, err := rd.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if d == 0 {
-				return nil, &snap.DecodeError{Reason: "non-increasing cell location"}
-			}
-			loc += event.Loc(d)
-		}
-		c := &cell{time: vc.New(width)}
-		if c.last, err = rd.Int(); err != nil {
-			return nil, err
-		}
-		if err := rd.Sparse(c.time); err != nil {
-			return nil, err
-		}
-		if _, dup := cells[loc]; dup {
-			return nil, &snap.DecodeError{Reason: "duplicate cell location"}
-		}
-		cells[loc] = c
-	}
-	return cells, nil
 }
 
 // DecodeSnapshot reconstructs a detector from a payload written by
@@ -397,10 +317,10 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 				return nil, err
 			}
 		}
-		if vs.reads, err = decodeHBCells(rd, threads); err != nil {
+		if err := vs.reads.DecodeSnapshot(rd, threads); err != nil {
 			return nil, err
 		}
-		if vs.writes, err = decodeHBCells(rd, threads); err != nil {
+		if err := vs.writes.DecodeSnapshot(rd, threads); err != nil {
 			return nil, err
 		}
 		if hbVarFresh(vs) {

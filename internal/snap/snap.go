@@ -29,7 +29,10 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 
 // Version is the current snapshot format version. Bump on any payload
 // layout change; Reader rejects mismatched versions with a DecodeError.
-const Version = 1
+// Version 2 encodes the detectors' pair-tracking cells as a first-seen list
+// of epochs and sparse clocks (version 1 held location-sorted dense
+// clocks).
+const Version = 2
 
 // maxPayload bounds a single frame's payload so a corrupted length field
 // cannot drive a multi-gigabyte allocation. Detector snapshots for even
