@@ -318,32 +318,64 @@ func batchCorpus(b *testing.B, files int) ([]engine.Source, int) {
 	return corpus, events
 }
 
+// streamedCorpus re-encodes corpus as binary traces in memory, streamable
+// through Source.Open as file sources are.
+func streamedCorpus(b *testing.B, corpus []engine.Source) []engine.Source {
+	b.Helper()
+	out := make([]engine.Source, len(corpus))
+	for i, src := range corpus {
+		tr, err := src.Load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var data bytes.Buffer
+		if err := traceio.WriteBinary(&data, tr); err != nil {
+			b.Fatal(err)
+		}
+		enc := data.Bytes()
+		out[i] = engine.Source{
+			Name: src.Name,
+			Load: func() (*trace.Trace, error) { return traceio.ReadBinary(bytes.NewReader(enc)) },
+			Open: func() (*traceio.Stream, error) { return traceio.OpenStream(bytes.NewReader(enc)) },
+		}
+	}
+	return out
+}
+
 // BenchmarkBatchAnalysis compares the serial corpus loop against the
 // worker-pool runner on the same corpus and engines: the parallel variant
 // should win by roughly the core count on multi-core hardware (events/s is
-// the comparable metric).
+// the comparable metric). The streamed_ variants run the corpus binary-
+// encoded through Source.Open: each trace is decoded once and wcp and hb
+// run concurrently on its blocks, so streamed_serial shows that fan-out,
+// and streamed_parallel_jN, with GOMAXPROCS traces in flight, shows it
+// oversubscribing the cores.
 func BenchmarkBatchAnalysis(b *testing.B) {
 	corpus, events := batchCorpus(b, 2*runtime.GOMAXPROCS(0))
+	streamed := streamedCorpus(b, corpus)
 	engines := []engine.Engine{engine.MustNew("wcp", engine.Config{}), engine.MustNew("hb", engine.Config{})}
-	drain := func(b *testing.B, jobs int) {
-		for res := range engine.AnalyzeCorpus(context.Background(), corpus, engines, jobs) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
+	jN := fmt.Sprintf("_j%d", runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name   string
+		corpus []engine.Source
+		jobs   int
+	}{
+		{"serial", corpus, 1},
+		{"parallel" + jN, corpus, 0},
+		{"streamed_serial", streamed, 1},
+		{"streamed_parallel" + jN, streamed, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for res := range engine.AnalyzeCorpus(context.Background(), c.corpus, engines, c.jobs) {
+					if res.Err != nil {
+						b.Fatal(res.Err)
+					}
+				}
 			}
-		}
+			reportEventsPerSec(b, events*len(engines))
+		})
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			drain(b, 1)
-		}
-		reportEventsPerSec(b, events*len(engines))
-	})
-	b.Run(fmt.Sprintf("parallel_j%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			drain(b, 0)
-		}
-		reportEventsPerSec(b, events*len(engines))
-	})
 }
 
 // BenchmarkEngineFanout compares running all engines over one trace

@@ -53,7 +53,7 @@ var (
 	vindicate  = flag.Int("vindicate", 0, "wcp only: certify up to N reported race pairs with witness schedules")
 	parallel   = flag.Bool("parallel", false, "run the selected engines concurrently over each trace")
 	jobs       = flag.Int("jobs", 0, "worker-pool width for multi-file batches; 0 = GOMAXPROCS")
-	stream     = flag.Bool("stream", false, "analyze block by block without materializing traces (binary traces with streaming engines: wcp, wcp-epoch, hb, hb-epoch; others fall back to loading); skips -validate; engines run serially per trace, so -parallel has no effect")
+	stream     = flag.Bool("stream", false, "analyze block by block without materializing traces (binary traces with streaming engines: wcp, wcp-epoch, hb, hb-epoch; others fall back to loading); skips -validate; -parallel has no effect: a streamed trace is decoded once while its engines run on goroutines of their own, and a trace that falls back to loading runs its engines serially")
 	genFlag    = flag.String("gen", "", "analyze a built-in generated workload instead of a file: pools, forkjoin, hotlock, random, or bench:NAME")
 	genThreads = flag.Int("threads", 64, "generator thread count (with -gen)")
 	genEvents  = flag.Int("events", 100_000, "generator approximate event count (with -gen)")

@@ -2,7 +2,8 @@
 // detectors: a uniform Engine interface wrapping the WCP, HB, CP, lockset
 // and windowed-predictive analyses, plus worker-pool runners that fan one
 // trace out to many engines concurrently (RunAll) and a corpus of traces
-// out across many workers (AnalyzeCorpus, AnalyzeFiles).
+// out across many workers (AnalyzeCorpus, AnalyzeFiles, where a streamed
+// trace is decoded once and its engines share the blocks concurrently).
 //
 // Engines are stateless values: Analyze builds all detector state per call,
 // so a single Engine is safe for concurrent use and a trace can be shared
@@ -81,9 +82,9 @@ type Engine interface {
 
 // StreamAnalyzer is implemented by engines whose detectors consume a trace
 // block by block, never materializing the full event sequence: memory is
-// detector state plus two block buffers, independent of trace length, and
-// block decode runs on a dedicated goroutine overlapping detector compute
-// (see drivePipelined). The wcp, wcp-epoch, hb and hb-epoch engines stream;
+// detector state plus a small fixed ring of decoded blocks, independent of
+// trace length, and decode runs on its own goroutine overlapping detector
+// compute (see drive). The wcp, wcp-epoch, hb and hb-epoch engines stream;
 // the windowed baselines (cp, predict) and lockset need the materialized
 // trace.
 //
@@ -91,11 +92,11 @@ type Engine interface {
 // AnalyzeStream requires a stream whose header declares them (the binary
 // format; text traces take a counting pass first — see traceio.Stream).
 type StreamAnalyzer interface {
-	Engine
-	// AnalyzeStream runs the detector over the stream's remaining events.
-	// The stream is consumed; each engine needs its own fresh stream. A
-	// canceled context stops the analysis promptly — within one block —
-	// returning ctx.Err() with no goroutine left behind.
+	SessionEngine
+	// AnalyzeStream runs the detector over the stream's remaining events,
+	// consuming the stream. A canceled context stops the analysis
+	// promptly — within one block — returning ctx.Err() with no goroutine
+	// left behind.
 	AnalyzeStream(ctx context.Context, st *traceio.Stream) (*Result, error)
 }
 
@@ -134,15 +135,6 @@ func CanStream(engines []Engine) bool {
 		}
 	}
 	return true
-}
-
-// streamDims extracts the up-front dimensions a streaming detector needs.
-func streamDims(st *traceio.Stream) (traceio.Dims, error) {
-	dims, known := st.Dims()
-	if !known {
-		return dims, fmt.Errorf("engine: stream does not declare its dimensions up front; streaming analysis needs a binary trace (or a prior counting pass)")
-	}
-	return dims, nil
 }
 
 // Config carries the knobs shared by the windowed engines. The zero value
@@ -330,14 +322,14 @@ func (e hbEngine) AnalyzeStream(ctx context.Context, st *traceio.Stream) (*Resul
 }
 
 // analyzeSessionStream is the shared one-shot streaming path: a fresh
-// session fed by the pipelined block driver, sealed at end of stream.
+// session fed by the block driver, sealed at end of stream.
 func analyzeSessionStream(ctx context.Context, e SessionEngine, st *traceio.Stream) (*Result, error) {
-	dims, err := streamDims(st)
-	if err != nil {
-		return nil, err
+	dims, known := st.Dims()
+	if !known {
+		return nil, fmt.Errorf("engine: stream does not declare its dimensions up front; streaming analysis needs a binary trace (or a prior counting pass)")
 	}
 	s := e.NewSession(dims.Threads, dims.Locks, dims.Vars)
-	if err := drivePipelined(ctx, st, s); err != nil {
+	if err := drive(ctx, st, []Session{s}); err != nil {
 		return nil, err
 	}
 	return s.Finish(), nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"io"
+	"sync"
 
 	"repro/internal/trace"
 	"repro/internal/traceio"
@@ -14,59 +15,74 @@ type BlockProcessor interface {
 	ProcessBlock(b *trace.Block)
 }
 
-// drivePipelined pumps the stream through proc with decode and analysis
-// overlapped: a dedicated goroutine decodes the next block into one of two
-// reusable SoA buffers while the caller's goroutine runs the detector over
-// the other (double buffering). Memory stays O(block); the decoder goroutine
-// always terminates — it exits when the free-buffer channel closes, and its
-// sends never block because the output channel has room for every buffer in
-// flight.
-//
-// A canceled context stops the drive at the next block boundary: at most
-// one more block is decoded (the one already in flight), no further blocks
-// reach proc, the decoder goroutine is reaped, and ctx.Err() is returned.
-func drivePipelined(ctx context.Context, st *traceio.Stream, proc BlockProcessor) error {
-	type decoded struct {
-		b   *trace.Block
-		n   int
-		err error
-	}
-	free := make(chan *trace.Block, 2)
-	out := make(chan decoded, 2)
-	free <- trace.NewBlock(traceio.DefaultBlockSize)
-	free <- trace.NewBlock(traceio.DefaultBlockSize)
+// ringSize is the number of decoded blocks in flight (~0.4 MB at
+// traceio.DefaultBlockSize): room for the decoder and the fastest processor
+// to run ahead of the slowest.
+const ringSize = 4
 
-	go func() {
-		defer close(out)
-		for b := range free {
-			n, err := st.NextBlockSoA(b)
-			out <- decoded{b: b, n: n, err: err}
-			if err != nil {
-				return
+// drive decodes st once, on the calling goroutine, into a ring of ringSize
+// reusable blocks, and feeds every block in trace order to each of procs,
+// each on a goroutine of its own. A block returns to the ring when the last
+// processor is done with it, so memory is O(ring). drive returns nil at end
+// of stream, or the decode error once every processor has seen the blocks
+// before it. A canceled context stops the drive within one block: the
+// decoder checks ctx.Err() before each decode, processors skip queued
+// blocks, and drive returns ctx.Err(). Every goroutine drive starts has
+// exited when it returns.
+func drive[P BlockProcessor](ctx context.Context, st *traceio.Stream, procs []P) error {
+	type slot struct {
+		b       *trace.Block
+		pending sync.WaitGroup // processors yet to finish with b
+	}
+	var ring [ringSize]slot // block n lives in ring[n%ringSize]
+	feeds := make([]chan *slot, len(procs))
+	var wg sync.WaitGroup
+	for i, p := range procs {
+		feeds[i] = make(chan *slot, ringSize) // room for the ring: sends never block
+		wg.Add(1)
+		go func(feed <-chan *slot) {
+			defer wg.Done()
+			for s := range feed {
+				if ctx.Err() == nil {
+					p.ProcessBlock(s.b)
+				}
+				s.pending.Done()
 			}
-		}
-	}()
+		}(feeds[i])
+	}
 
 	var err error
-	for d := range out {
+	for n := 0; ; n++ {
+		s := &ring[n%ringSize]
+		s.pending.Wait() // every processor is done with block n-ringSize
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		if d.n > 0 {
-			proc.ProcessBlock(d.b)
+		if s.b == nil {
+			s.b = trace.NewBlock(traceio.DefaultBlockSize)
 		}
-		if d.err != nil {
-			if d.err != io.EOF {
-				err = d.err
+		k, derr := st.NextBlockSoA(s.b)
+		if k > 0 {
+			s.pending.Add(len(procs))
+			for _, feed := range feeds {
+				feed <- s
+			}
+		}
+		if derr != nil {
+			if derr != io.EOF {
+				err = derr
 			}
 			break
 		}
-		free <- d.b
 	}
-	// Stop the decoder (it may be blocked receiving a free buffer) and let
-	// it finish; out is buffered, so its final sends cannot block.
-	close(free)
-	for range out {
+	for _, feed := range feeds {
+		close(feed)
+	}
+	wg.Wait()
+	if err == nil {
+		// A cancel after the last decode may have made processors skip
+		// queued blocks.
+		err = ctx.Err()
 	}
 	return err
 }

@@ -36,7 +36,7 @@ func RunAll(ctx context.Context, tr *trace.Trace, engines []Engine) []*Result {
 		go func(i int, e Engine) {
 			defer wg.Done()
 			if err := ctx.Err(); err != nil {
-				results[i] = &Result{Engine: e.Name(), RacyEvents: -1, FirstRace: -1, Err: err}
+				results[i] = errResult(e, err)
 				return
 			}
 			results[i] = e.Analyze(tr)
@@ -99,9 +99,9 @@ type Source struct {
 	// fresh stream positioned at the first event. When every engine of a
 	// corpus run implements StreamAnalyzer and the stream declares its
 	// dimensions up front, the corpus runner analyzes block by block and
-	// the trace is never materialized — each engine decodes its own pass,
-	// trading repeated (cheap, sequential) decoding for O(1) memory in
-	// trace length.
+	// the trace is never materialized: the source is opened and decoded
+	// once, and every engine consumes the shared blocks concurrently, in
+	// memory independent of trace length.
 	Open func() (*traceio.Stream, error)
 }
 
@@ -145,9 +145,9 @@ type CorpusResult struct {
 
 // AnalyzeCorpus fans a corpus of traces out across Jobs(jobs) pool workers
 // and streams one CorpusResult per entry over the returned channel as
-// entries complete (completion order, not input order). Within one entry
-// the engines run serially — parallelism comes from analyzing many traces
-// at once; use RunAll to parallelize the engines over a single trace.
+// entries complete (completion order, not input order). A streamed entry
+// is decoded once for all its engines, which run concurrently; a loaded
+// entry runs them serially (RunAll parallelizes engines over one trace).
 //
 // The channel is closed once no more entries will be delivered. While the
 // context is live, every entry is delivered exactly once. After
@@ -197,7 +197,7 @@ func analyzeSource(ctx context.Context, i int, src Source, engines []Engine) Cor
 	res.Results = make([]*Result, len(engines))
 	for j, e := range engines {
 		if err := ctx.Err(); err != nil {
-			res.Results[j] = &Result{Engine: e.Name(), RacyEvents: -1, FirstRace: -1, Err: err}
+			res.Results[j] = errResult(e, err)
 			continue
 		}
 		res.Results[j] = e.Analyze(tr)
@@ -206,55 +206,46 @@ func analyzeSource(ctx context.Context, i int, src Source, engines []Engine) Cor
 	return res
 }
 
-// analyzeSourceStreaming analyzes src block by block, one fresh stream per
-// engine, so the trace is never materialized. It reports false — leaving res
-// untouched — when the source's stream does not declare its dimensions up
-// front (the caller then falls back to materializing). Every engine must
-// implement StreamAnalyzer (checked by the caller via CanStream).
+// analyzeSourceStreaming analyzes src block by block, so the trace is never
+// materialized: one stream, decoded once, feeds a session per engine. It
+// reports false — leaving res untouched — when the source's stream does not
+// declare its dimensions up front (the caller then falls back to
+// materializing). Every engine must implement StreamAnalyzer (checked by
+// the caller via CanStream).
 func analyzeSourceStreaming(ctx context.Context, src Source, engines []Engine, res *CorpusResult) bool {
-	// The dimension probe doubles as the first engine's stream: a binary
-	// header (symbol tables included) is decoded once per engine, never an
-	// extra time.
 	st, err := src.Open()
 	if err != nil {
 		res.Err = err
 		return true
 	}
-	if _, known := st.Dims(); !known {
-		st.Close()
+	defer st.Close()
+	dims, known := st.Dims()
+	if !known {
 		return false
 	}
-	res.Results = make([]*Result, len(engines))
+	sessions := make([]Session, len(engines))
 	for j, e := range engines {
-		if st == nil {
-			if st, err = src.Open(); err != nil {
-				res.Results[j] = &Result{Engine: e.Name(), RacyEvents: -1, FirstRace: -1, Err: err}
-				continue
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			// The stream is unconsumed; keep it for the next engine.
-			res.Results[j] = &Result{Engine: e.Name(), RacyEvents: -1, FirstRace: -1, Err: err}
-			continue
-		}
-		r, err := e.(StreamAnalyzer).AnalyzeStream(ctx, st)
-		if err != nil {
-			res.Results[j] = &Result{Engine: e.Name(), RacyEvents: -1, FirstRace: -1, Err: err}
-		} else {
-			res.Results[j] = r
-			if res.Symbols == nil {
-				// The stream is fully drained: its tally is the whole trace.
-				res.Stats = st.Stats()
-				res.Symbols = st.Symbols()
-			}
-		}
-		st.Close()
-		st = nil
+		sessions[j] = e.(StreamAnalyzer).NewSession(dims.Threads, dims.Locks, dims.Vars)
 	}
-	if st != nil {
-		st.Close()
+	err = drive(ctx, st, sessions)
+	res.Results = make([]*Result, len(engines))
+	for j, s := range sessions {
+		if err != nil {
+			res.Results[j] = errResult(engines[j], err)
+		} else {
+			res.Results[j] = s.Finish()
+		}
+	}
+	if err == nil {
+		// The stream is fully drained: its tally is the whole trace.
+		res.Stats, res.Symbols = st.Stats(), st.Symbols()
 	}
 	return true
+}
+
+// errResult is e's Result for a run abandoned with err.
+func errResult(e Engine, err error) *Result {
+	return &Result{Engine: e.Name(), RacyEvents: -1, FirstRace: -1, Err: err}
 }
 
 // AnalyzeFiles is AnalyzeCorpus over trace files (text or binary format,

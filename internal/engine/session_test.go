@@ -81,7 +81,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestAnalyzeStreamCancellation: a canceled context stops a streaming
-// analysis promptly, returns the context error, and reaps the decoder
+// analysis promptly, returns the context error, and reaps the session
 // goroutine.
 func TestAnalyzeStreamCancellation(t *testing.T) {
 	const nevents = 1_000_000
@@ -112,7 +112,7 @@ func TestAnalyzeStreamCancellation(t *testing.T) {
 
 // TestAnalyzeCorpusCancellationNoLeak: canceling a streaming corpus run
 // mid-flight stops decoding promptly and leaves no goroutine behind — the
-// pool workers, the per-engine decoder goroutines and the delivery
+// pool workers, the per-engine session goroutines and the delivery
 // goroutine all wind down.
 func TestAnalyzeCorpusCancellationNoLeak(t *testing.T) {
 	const nevents = 2_000_000
