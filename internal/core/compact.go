@@ -150,10 +150,7 @@ func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 	}
 	// Epoch-mode state: the same domination argument on the FastTrack
 	// representation.
-	if !vs.wEpoch.LeqVC(floor) || !vs.rEpoch.LeqVC(floor) {
-		return false
-	}
-	if vs.rShared != nil && !vs.rShared.Leq(floor) {
+	if !vs.ep.DominatedBy(floor) {
 		return false
 	}
 	// Every pair-tracking cell clock is ⊑ its kind's aggregate: an epoch or
@@ -299,7 +296,7 @@ func (d *Detector) StateBytes() int {
 		if vs.writeAll.Ready() {
 			n += width * clockB
 		}
-		n += len(vs.rShared) * clockB
+		n += len(vs.ep.Shared) * clockB
 		n += vs.reads.Bytes(width) + vs.writes.Bytes(width)
 	}
 	for _, ls := range d.locks {

@@ -468,8 +468,7 @@ type lockState struct {
 
 // varState is the per-variable race-checking state. Vector-clock mode uses
 // the aggregate clocks and their fast-path flags; pair tracking adds the
-// per-location cells; epoch mode (Options.EpochCheck) uses the last three
-// fields.
+// per-location cells; epoch mode (Options.EpochCheck) uses only ep.
 //
 // wLast/rLast and the ordered flags power the exact O(1) fast path of the
 // vector-mode check: while the accesses of one kind are totally ordered in
@@ -507,9 +506,7 @@ type varState struct {
 	reads  race.Cells
 	writes race.Cells
 
-	wEpoch  vc.Epoch
-	rEpoch  vc.Epoch
-	rShared vc.VC
+	ep race.Epochs
 }
 
 // Detector is the streaming WCP race detector. Create it with NewDetector,

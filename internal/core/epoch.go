@@ -3,17 +3,15 @@ package core
 import (
 	"repro/internal/event"
 	"repro/internal/trace"
-	"repro/internal/vc"
 )
 
 // This file implements the epoch-optimized WCP race check, the first item
 // of the paper's future work (§6: "use of epoch based optimizations for
 // improving memory requirements of the implementation"). The clock
 // machinery of Algorithm 1 is untouched; only the per-variable race-check
-// state shrinks from vector clocks (plus per-location cells) to
-// FastTrack-style epochs: the last write as one clock@thread word, reads as
-// one epoch while they stay totally ordered, inflating to a read vector
-// only under concurrent readers.
+// state shrinks from vector clocks (plus per-location cells) to the
+// FastTrack state of race.Epochs, the same state machine the HB
+// detector's epoch mode runs.
 //
 // Epochs are as precise for WCP as they are for HB: by Lemma C.8 (and its
 // corollary), for cross-thread events a <tr b, a ≤WCP b holds iff
@@ -24,55 +22,19 @@ import (
 
 // checkEpoch is the epoch-mode replacement for check.
 func (d *Detector) checkEpoch(i, t int, x event.VID, isWrite bool) {
-	vs := &d.vars[x]
-	ts := &d.threads[t]
+	vs := &d.vars[x].ep
 	now := d.effectiveTime(t).VC()
-	self := vc.MakeEpoch(t, ts.n)
-
-	flag := func() {
+	var racy bool
+	if isWrite {
+		racy = vs.Write(t, now)
+	} else {
+		racy = vs.Read(t, now)
+	}
+	if racy {
 		d.res.RacyEvents++
 		if d.res.FirstRace < 0 {
 			d.res.FirstRace = i
 		}
-	}
-
-	if isWrite {
-		if vs.rShared == nil && vs.wEpoch == self {
-			return // same-epoch write fast path
-		}
-		racy := !vs.wEpoch.LeqVC(now)
-		if vs.rShared != nil {
-			if !vs.rShared.Leq(now) {
-				racy = true
-			}
-			vs.rShared = nil // a write resets read sharing
-		} else if !vs.rEpoch.LeqVC(now) {
-			racy = true
-		}
-		if racy {
-			flag()
-		}
-		vs.wEpoch = self
-		vs.rEpoch = vc.NoEpoch
-		return
-	}
-
-	if vs.rShared == nil && vs.rEpoch == self {
-		return // same-epoch read fast path
-	}
-	if !vs.wEpoch.LeqVC(now) {
-		flag()
-	}
-	switch {
-	case vs.rShared != nil:
-		vs.rShared.Set(t, now.Get(t))
-	case vs.rEpoch.LeqVC(now):
-		vs.rEpoch = self // reads still totally ordered
-	default:
-		// Concurrent readers: inflate to a read vector.
-		vs.rShared = vc.New(len(d.threads))
-		vs.rShared.Set(vs.rEpoch.TID(), vs.rEpoch.Clock())
-		vs.rShared.Set(t, now.Get(t))
 	}
 }
 

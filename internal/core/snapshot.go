@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/event"
@@ -126,8 +127,7 @@ func varFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
 		vs.wLast == vc.NoEpoch && vs.rLast == vc.NoEpoch &&
 		!vs.wOrdered && !vs.rOrdered && !vs.wPure && !vs.rPure &&
-		vs.reads.Len() == 0 && vs.writes.Len() == 0 &&
-		vs.wEpoch == vc.NoEpoch && vs.rEpoch == vc.NoEpoch && vs.rShared == nil
+		vs.reads.Len() == 0 && vs.writes.Len() == 0 && vs.ep.Fresh()
 }
 
 func encodeVarSet(w *snap.Writer, s *varSet) {
@@ -341,6 +341,10 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	if len(ls.log.buf) == 0 {
 		ls.log.buf = nil
 	}
+	starts, err := d.logRecords(ls.log.buf)
+	if err != nil {
+		return err
+	}
 	end := ls.log.base + len(ls.log.buf)
 	for t := range ls.cons {
 		cur, err := rd.Uvarint()
@@ -349,6 +353,9 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 		}
 		if int(cur) < ls.log.base || int(cur) > end {
 			return &snap.DecodeError{Reason: "queue cursor outside log"}
+		}
+		if _, ok := slices.BinarySearch(starts, int(cur)-ls.log.base); !ok {
+			return &snap.DecodeError{Reason: "queue cursor off a record boundary"}
 		}
 		ls.cons[t].cur = int(cur)
 		bt, err := rd.I32()
@@ -366,6 +373,9 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	for t := range ls.own {
 		buf, err := rd.I32s(maxSnapWords)
 		if err != nil {
+			return err
+		}
+		if err := d.checkOwnQ(buf); err != nil {
 			return err
 		}
 		if len(buf) > 0 {
@@ -413,6 +423,76 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	return nil
 }
 
+// The queue logs arrive as raw clock words, and the release drain trusts
+// their record headers: a word count past the buffer, a span outside the
+// clock width or a cursor inside a record would panic at the lock's next
+// release. Decode therefore walks every record as the drain will (see
+// queue.go for the two layouts) and rejects any log the encoder could not
+// have written.
+
+// logRecords checks a lock's csLog buffer and returns the offset of every
+// record, followed by len(buf): the positions a consumer cursor may hold.
+func (d *Detector) logRecords(buf []vc.Clock) ([]int, error) {
+	width := len(d.threads)
+	bad := &snap.DecodeError{Reason: "malformed queue record"}
+	var starts []int
+	for off := 0; off < len(buf); {
+		starts = append(starts, off)
+		if p := buf[off]; p < 0 || int(p) >= width {
+			return nil, bad
+		}
+		var stride int
+		if d.denseQ {
+			stride = 1 + 2*width
+		} else {
+			if len(buf)-off < csHdr ||
+				!d.packedLen(buf[off+1], buf[off+3], buf[off+4], buf[off+5]) ||
+				!d.packedLen(buf[off+2], buf[off+6], buf[off+7], buf[off+8]) {
+				return nil, bad
+			}
+			stride = csHdr + int(buf[off+1]) + int(buf[off+2])
+		}
+		if stride > len(buf)-off {
+			return nil, bad
+		}
+		off += stride
+	}
+	return append(starts, len(buf)), nil
+}
+
+// checkOwnQ checks the records of one thread's decoded ownQ buffer.
+func (d *Detector) checkOwnQ(buf []vc.Clock) error {
+	bad := &snap.DecodeError{Reason: "malformed own-queue record"}
+	for off := 0; off < len(buf); {
+		stride := 1 + len(d.threads)
+		if !d.denseQ {
+			if len(buf)-off < ownHdr || !d.packedLen(buf[off+1], buf[off+2], buf[off+3], buf[off+4]) {
+				return bad
+			}
+			stride = ownHdr + int(buf[off+1])
+		}
+		if stride > len(buf)-off {
+			return bad
+		}
+		off += stride
+	}
+	return nil
+}
+
+// packedLen reports whether a record header's word count n is exactly the
+// packed width of its span and mask, with the span inside the clock width.
+func (d *Detector) packedLen(n, span, maskLo, maskHi vc.Clock) bool {
+	width := len(d.threads)
+	if span < -1 {
+		return false
+	}
+	lo, hi := unpackSpan(span, width)
+	if lo > hi || hi > width {
+		return false
+	}
+	return int(n) == vc.PackedWords(maskFrom(maskLo, maskHi), d.scratch.ChunkShift(), lo, hi)
+}
+
 func encodeVar(w *snap.Writer, vs *varState) {
 	var fb byte
 	if vs.wOrdered {
@@ -427,7 +507,7 @@ func encodeVar(w *snap.Writer, vs *varState) {
 	if vs.rPure {
 		fb |= 8
 	}
-	if vs.rShared != nil {
+	if vs.ep.Shared != nil {
 		fb |= 16
 	}
 	w.Byte(fb)
@@ -435,10 +515,10 @@ func encodeVar(w *snap.Writer, vs *varState) {
 	encodeWC(w, &vs.writeAll)
 	w.Uvarint(uint64(vs.wLast))
 	w.Uvarint(uint64(vs.rLast))
-	w.Uvarint(uint64(vs.wEpoch))
-	w.Uvarint(uint64(vs.rEpoch))
-	if vs.rShared != nil {
-		w.Sparse(vs.rShared)
+	w.Uvarint(uint64(vs.ep.W))
+	w.Uvarint(uint64(vs.ep.R))
+	if vs.ep.Shared != nil {
+		w.Sparse(vs.ep.Shared)
 	}
 	vs.reads.EncodeSnapshot(w)
 	vs.writes.EncodeSnapshot(w)
@@ -463,26 +543,14 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 	if err := decodeWC(rd, &vs.writeAll, width, tmp); err != nil {
 		return err
 	}
-	var e uint64
-	if e, err = rd.Uvarint(); err != nil {
-		return err
+	for _, e := range []*vc.Epoch{&vs.wLast, &vs.rLast, &vs.ep.W, &vs.ep.R} {
+		if *e, err = race.DecodeEpoch(rd, width); err != nil {
+			return err
+		}
 	}
-	vs.wLast = vc.Epoch(e)
-	if e, err = rd.Uvarint(); err != nil {
-		return err
-	}
-	vs.rLast = vc.Epoch(e)
-	if e, err = rd.Uvarint(); err != nil {
-		return err
-	}
-	vs.wEpoch = vc.Epoch(e)
-	if e, err = rd.Uvarint(); err != nil {
-		return err
-	}
-	vs.rEpoch = vc.Epoch(e)
 	if fb&16 != 0 {
-		vs.rShared = vc.New(width)
-		if err := rd.Sparse(vs.rShared); err != nil {
+		vs.ep.Shared = vc.New(width)
+		if err := rd.Sparse(vs.ep.Shared); err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,192 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/event"
+	"repro/internal/gen"
+	"repro/internal/snap"
+	"repro/internal/vc"
+)
+
+// roundTrip encodes d into a framed snapshot and decodes it into a new
+// detector.
+func roundTrip(t *testing.T, d *Detector) (*Detector, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	if err := d.EncodeSnapshot(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snap.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return DecodeSnapshot(rd)
+}
+
+// liveDetector runs a lock-heavy random trace through a WCP detector of
+// the given width, leaving records in its queue logs.
+func liveDetector(t *testing.T, threads int) *Detector {
+	t.Helper()
+	tr := gen.Random(gen.RandomConfig{Threads: threads, Locks: 3, Vars: 6, Events: 3000, Seed: int64(threads)})
+	d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{})
+	d.ProcessBlock(tr.SoA())
+	if d.denseQ != (threads <= 8) {
+		t.Fatalf("T=%d: denseQ=%v; the test expects the default record layout", threads, d.denseQ)
+	}
+	return d
+}
+
+// loggedLock returns a lock of d whose log holds at least one record, with
+// every consumer cursor rewound to the log's first record.
+func loggedLock(t *testing.T, d *Detector) *lockState {
+	t.Helper()
+	for _, ls := range d.locks {
+		if ls != nil && len(ls.log.buf) > 0 {
+			for i := range ls.cons {
+				ls.cons[i] = consumer{cur: ls.log.base, blockT: -1}
+			}
+			return ls
+		}
+	}
+	t.Fatal("no lock has a queue record")
+	return nil
+}
+
+// requireDecodeError requires a tampered detector's snapshot to be
+// rejected with a *snap.DecodeError, after checking that the untampered
+// detector round-trips.
+func requireDecodeError(t *testing.T, d *Detector, tamper func(*lockState)) {
+	t.Helper()
+	ls := loggedLock(t, d)
+	if _, err := roundTrip(t, d); err != nil {
+		t.Fatalf("untampered snapshot rejected: %v", err)
+	}
+	tamper(ls)
+	_, err := roundTrip(t, d)
+	var de *snap.DecodeError
+	if !errors.As(err, &de) {
+		t.Fatalf("tampered queue log decoded with err=%v, want *snap.DecodeError", err)
+	}
+}
+
+// TestDecodeRejectsOversizedRecordWords: a windowed record (T=16) whose
+// acquire word count runs past the buffer. The lock's next release would
+// slice the record past its end.
+func TestDecodeRejectsOversizedRecordWords(t *testing.T) {
+	requireDecodeError(t, liveDetector(t, 16), func(ls *lockState) {
+		ls.log.buf[1] = 1 << 20
+	})
+}
+
+// TestDecodeRejectsShortFixedStrideLog: a fixed-stride log (T=3) one word
+// short of a record, whose acquire words are zero so a drain would accept
+// the record and slice its release words past the end.
+func TestDecodeRejectsShortFixedStrideLog(t *testing.T) {
+	requireDecodeError(t, liveDetector(t, 3), func(ls *lockState) {
+		const width = 3
+		rec := ls.log.buf[:2*width]
+		for i := 1; i <= width; i++ {
+			rec[i] = 0
+		}
+		ls.log.buf = rec
+	})
+}
+
+// TestDecodeRejectsEpochThreadOutOfRange: an epoch naming a thread past
+// the width would index past the first clock it is compared with.
+func TestDecodeRejectsEpochThreadOutOfRange(t *testing.T) {
+	tr := gen.Random(gen.RandomConfig{Threads: 4, Locks: 2, Vars: 4, Events: 500, Seed: 4})
+	for _, opts := range []Options{{}, {EpochCheck: true}} {
+		d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
+		d.ProcessBlock(tr.SoA())
+		if _, err := roundTrip(t, d); err != nil {
+			t.Fatalf("%+v: untampered snapshot rejected: %v", opts, err)
+		}
+		bad := vc.MakeEpoch(tr.NumThreads(), 1)
+		if opts.EpochCheck {
+			d.vars[0].ep.W = bad
+		} else {
+			d.vars[0].wLast = bad
+		}
+		var de *snap.DecodeError
+		if _, err := roundTrip(t, d); !errors.As(err, &de) {
+			t.Fatalf("%+v: epoch of thread %d decoded with err=%v, want *snap.DecodeError", opts, bad.TID(), err)
+		}
+	}
+}
+
+// TestDecodeQueueMutations mutates the csLog and ownQ words of live T=3
+// (fixed-stride) and T=16 (windowed) detectors: overwritten words, dropped
+// and appended tails. Decode must reject a mutation with a
+// *snap.DecodeError or accept it, and an accepted detector must survive an
+// acquire/release round by every thread on every lock.
+func TestDecodeQueueMutations(t *testing.T) {
+	for _, threads := range []int{3, 16} {
+		live := liveDetector(t, threads)
+		rng := rand.New(rand.NewSource(int64(threads)))
+		special := []vc.Clock{0, 1, -1, -2, vc.Clock(threads - 1), vc.Clock(threads), vc.Clock(threads + 1),
+			1 << 15, 1 << 20, math.MaxInt32, math.MinInt32}
+		accepted, rejected := 0, 0
+		for iter := 0; iter < 600; iter++ {
+			d, err := roundTrip(t, live)
+			if err != nil {
+				t.Fatalf("T=%d: live snapshot rejected: %v", threads, err)
+			}
+			ls := d.locks[rng.Intn(len(d.locks))]
+			if ls == nil {
+				continue
+			}
+			buf := &ls.log.buf
+			if k := rng.Intn(threads + 1); k < threads {
+				q := &ls.own[k]
+				q.buf = q.buf[q.head:]
+				q.head = 0
+				buf = &q.buf
+			}
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				switch op := rng.Intn(4); {
+				case op < 2 && len(*buf) > 0:
+					v := special[rng.Intn(len(special))]
+					if op == 1 {
+						v = vc.Clock(rng.Int31n(4*int32(threads)+8) - 4)
+					}
+					(*buf)[rng.Intn(len(*buf))] = v
+				case op == 2 && len(*buf) > 0:
+					*buf = (*buf)[:len(*buf)-1-rng.Intn(min(len(*buf), 2*threads))]
+				default:
+					for k := rng.Intn(2 * threads); k >= 0; k-- {
+						*buf = append(*buf, vc.Clock(rng.Int31n(int32(threads)+2)))
+					}
+				}
+			}
+			got, err := roundTrip(t, d)
+			if err != nil {
+				var de *snap.DecodeError
+				if !errors.As(err, &de) {
+					t.Fatalf("T=%d iter %d: untyped decode failure: %v", threads, iter, err)
+				}
+				rejected++
+				continue
+			}
+			accepted++
+			for l := range got.locks {
+				for th := 0; th < threads; th++ {
+					got.Process(event.Event{Kind: event.Acquire, Thread: event.TID(th), Obj: int32(l)})
+					got.Process(event.Event{Kind: event.Release, Thread: event.TID(th), Obj: int32(l)})
+				}
+			}
+		}
+		if accepted == 0 || rejected == 0 {
+			t.Fatalf("T=%d: %d accepted, %d rejected; the mutations exercise only one side", threads, accepted, rejected)
+		}
+	}
+}

@@ -301,12 +301,7 @@ func (s *hbSession) ProcessBlock(b *trace.Block) {
 func (s *hbSession) Events() int { return s.d.Result().Events }
 
 func (s *hbSession) Finish() *Result {
-	r := hbResult(s.name, s.d.Result(), s.epoch, s.busy)
-	// A sealed session keeps its Result but no longer needs the inflated
-	// read vectors; return them to the arena freelist (the stale-session
-	// leak fix — eviction and finish share this path).
-	s.d.Release()
-	return r
+	return hbResult(s.name, s.d.Result(), s.epoch, s.busy)
 }
 
 func (e hbEngine) NewSession(threads, locks, vars int) Session {
@@ -447,18 +442,4 @@ func Names() []string {
 	names := append([]string(nil), allOrder...)
 	sort.Strings(names)
 	return names
-}
-
-// ArenaStats exposes a session's clock-arena accounting when its detector
-// pools vector clocks (the hb engines). Chaos and leak tests use it to
-// assert that sealing a session returned every pooled clock to the
-// freelist: free == allocs after Finish. ok is false for detectors without
-// an arena.
-func ArenaStats(s Session) (allocs, free int, ok bool) {
-	hs, ok := s.(*hbSession)
-	if !ok {
-		return 0, 0, false
-	}
-	a := hs.d.Arena()
-	return a.Allocs(), a.Free(), true
 }

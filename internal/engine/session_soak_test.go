@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/event"
-	"repro/internal/gen"
 	"repro/internal/trace"
 )
 
@@ -206,33 +205,5 @@ func TestSoakBoundedMemory(t *testing.T) {
 			}
 			runSoak(t, name, soakEvents(t, def))
 		})
-	}
-}
-
-// TestSessionTeardownReleasesArena pins the stale-session leak fix: when an
-// hb-epoch session is finished (the same path eviction takes), every
-// read-vector clock it inflated must be back in the arena freelist, not
-// pinned by the detector's variable table.
-func TestSessionTeardownReleasesArena(t *testing.T) {
-	tr := gen.Random(gen.RandomConfig{Threads: 12, Locks: 4, Vars: 40, Events: 20000, ForkJoin: true, Seed: 77})
-	e := MustNew("hb-epoch", Config{}).(SessionEngine)
-	s := e.NewSession(tr.NumThreads(), tr.NumLocks(), tr.NumVars())
-	s.ProcessBlock(tr.SoA())
-	hs, ok := s.(*hbSession)
-	if !ok {
-		t.Fatalf("hb-epoch session has type %T", s)
-	}
-	arena := hs.d.Arena()
-	if arena.Allocs() == 0 {
-		t.Fatalf("workload inflated no read vectors; the test exercises nothing")
-	}
-	s.Finish()
-	if got, want := arena.Free(), arena.Allocs(); got != want {
-		t.Fatalf("finished session pins arena clocks: %d of %d in freelist", got, want)
-	}
-	// Finish must be idempotent with respect to the arena accounting.
-	s.Finish()
-	if got, want := arena.Free(), arena.Allocs(); got != want {
-		t.Fatalf("double finish corrupts arena accounting: %d of %d in freelist", got, want)
 	}
 }

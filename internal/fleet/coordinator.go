@@ -344,20 +344,6 @@ func retryAfter(d time.Duration) string {
 	return strconv.Itoa(max(1, int((d+time.Second-1)/time.Second)))
 }
 
-// --- helpers ---
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // proxyResult is one forwarded request's outcome.
 type proxyResult struct {
 	status int
@@ -501,7 +487,7 @@ func (c *Coordinator) traceFor(r *http.Request, id string) string {
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return nil, false
 	}
 	return body, true
@@ -530,11 +516,11 @@ func (c *Coordinator) refuseSessionAPI(w http.ResponseWriter) bool {
 	switch {
 	case c.standbyMode.Load():
 		w.Header().Set("Retry-After", c.standbyRetryAfter())
-		writeError(w, http.StatusServiceUnavailable, "standby coordinator: primary owns the session API")
+		obs.WriteError(w, http.StatusServiceUnavailable, "standby coordinator: primary owns the session API")
 		return true
 	case c.fenced.Load():
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "coordinator superseded (fenced at epoch %d)", c.epoch.Load())
+		obs.WriteError(w, http.StatusServiceUnavailable, "coordinator superseded (fenced at epoch %d)", c.epoch.Load())
 		return true
 	}
 	return false
@@ -575,7 +561,7 @@ func (c *Coordinator) admission() (shed bool, retryAfter int) {
 // the routing, not the request: the next worker clockwise is tried.
 func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if c.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		obs.WriteError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	if c.refuseSessionAPI(w) {
@@ -584,7 +570,7 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 	if shed, retry := c.admission(); shed {
 		c.admissionShed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusServiceUnavailable,
+		obs.WriteError(w, http.StatusServiceUnavailable,
 			"fleet degraded (%d failovers pending): new sessions shed, retry later", c.pendingFailovers.Load())
 		return
 	}
@@ -601,7 +587,7 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 		if name == "" {
 			c.admissionShed.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(min(60, 2+int(c.pendingFailovers.Load())/4)))
-			writeError(w, http.StatusServiceUnavailable, "no worker accepted the session")
+			obs.WriteError(w, http.StatusServiceUnavailable, "no worker accepted the session")
 			return
 		}
 		tried[name] = true
@@ -664,11 +650,11 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	name, url, moving, ok := c.lookupPlacement(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
+		obs.WriteError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	body, bok := c.readBody(w, r)
@@ -687,7 +673,7 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 		c.noteProxyFailure(name, err)
 		c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_chunk", Worker: name,
 			Start: t0, Duration: time.Since(t0).Seconds(), Err: err.Error()})
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
+		obs.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
 		return
 	}
 	c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_chunk", Worker: name,
@@ -710,7 +696,7 @@ func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
+		obs.WriteError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	traceID := c.traceFor(r, id)
@@ -721,7 +707,7 @@ func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
+		obs.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
 		return
 	}
 	if pr.status >= 200 && pr.status < 300 {
@@ -751,7 +737,7 @@ func (c *Coordinator) finishUnplaced(w http.ResponseWriter, r *http.Request, id 
 	}
 	if left := c.recoveryLeft(); left > 0 {
 		w.Header().Set("Retry-After", retryAfter(left))
-		writeError(w, http.StatusServiceUnavailable, "session %q unknown while workers re-register, retry", id)
+		obs.WriteError(w, http.StatusServiceUnavailable, "session %q unknown while workers re-register, retry", id)
 		return
 	}
 	hdr := map[string]string{
@@ -770,7 +756,7 @@ func (c *Coordinator) finishUnplaced(w http.ResponseWriter, r *http.Request, id 
 			return
 		}
 	}
-	writeError(w, http.StatusNotFound, "unknown session %q", id)
+	obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 }
 
 func (c *Coordinator) handleAbort(w http.ResponseWriter, r *http.Request) {
@@ -780,17 +766,17 @@ func (c *Coordinator) handleAbort(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	name, url, moving, ok := c.lookupPlacement(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
+		obs.WriteError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	pr, err := c.forward(r.Context(), "DELETE", url+"/sessions/"+id, nil, nil)
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
+		obs.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
 		return
 	}
 	if (pr.status >= 200 && pr.status < 300) || pr.status == http.StatusNotFound {
@@ -806,17 +792,17 @@ func (c *Coordinator) handleSessionStatus(w http.ResponseWriter, r *http.Request
 	id := r.PathValue("id")
 	name, url, moving, ok := c.lookupPlacement(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
+		obs.WriteError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	pr, err := c.forward(r.Context(), "GET", url+"/sessions/"+id, nil, nil)
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
+		obs.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
 		return
 	}
 	c.writeProxied(w, pr, name)
@@ -829,17 +815,17 @@ func (c *Coordinator) handleSessionSnapshot(w http.ResponseWriter, r *http.Reque
 	id := r.PathValue("id")
 	name, url, moving, ok := c.lookupPlacement(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
+		obs.WriteError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	pr, err := c.forward(r.Context(), "GET", url+"/sessions/"+id+"/snapshot", nil, nil)
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
+		obs.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
 		return
 	}
 	c.writeProxied(w, pr, name)
@@ -899,11 +885,11 @@ func (c *Coordinator) expireFinished() {
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "register: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "register: %v", err)
 		return
 	}
 	if req.Name == "" || req.URL == "" {
-		writeError(w, http.StatusBadRequest, "register: name and url are required")
+		obs.WriteError(w, http.StatusBadRequest, "register: name and url are required")
 		return
 	}
 	var stale, adopted []string
@@ -962,7 +948,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.rebalanceOnto(req.Name, staleSet)
 	}
 	c.retryStalledFailovers()
-	writeJSON(w, http.StatusOK, registerResponse{
+	obs.WriteJSON(w, http.StatusOK, registerResponse{
 		HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
 		Stale:       stale,
 		Epoch:       c.epoch.Load(),
@@ -975,7 +961,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "heartbeat: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "heartbeat: %v", err)
 		return
 	}
 	c.mu.Lock()
@@ -992,13 +978,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	switch {
 	case wk == nil:
-		writeError(w, http.StatusNotFound, "worker %q is not registered", req.Name)
+		obs.WriteError(w, http.StatusNotFound, "worker %q is not registered", req.Name)
 	case state == workerSuspect, state == workerDead:
-		writeError(w, http.StatusGone, "worker %q was declared failed; re-register", req.Name)
+		obs.WriteError(w, http.StatusGone, "worker %q was declared failed; re-register", req.Name)
 	default:
 		// The ack carries the fencing epoch so every heartbeat cycle
 		// propagates a takeover's new epoch to the whole fleet.
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": c.epoch.Load()})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": c.epoch.Load()})
 	}
 }
 
@@ -1040,7 +1026,7 @@ func (c *Coordinator) fleetSnapshot() ([]workerInfo, int) {
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	infos, healthy := c.fleetSnapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers":            infos,
 		"healthy":            healthy,
 		"placements":         c.Placements(),
@@ -1069,7 +1055,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	sessions := len(c.placements)
 	c.mu.Unlock()
-	writeJSON(w, code, map[string]any{
+	obs.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"workers":        len(infos),
 		"healthy":        healthy,
@@ -1217,11 +1203,11 @@ func (c *Coordinator) mergedSpans(ctx context.Context, kind, id string, own []ob
 func (c *Coordinator) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		obs.WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	spans := c.mergedSpans(r.Context(), "trace", id, c.trace.ByTrace(id))
-	writeJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
 }
 
 // handleDebugSession (GET /debug/sessions/{id}) is the session-keyed
@@ -1229,9 +1215,9 @@ func (c *Coordinator) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad session id %q", id)
+		obs.WriteError(w, http.StatusBadRequest, "bad session id %q", id)
 		return
 	}
 	spans := c.mergedSpans(r.Context(), "sessions", id, c.trace.BySession(id))
-	writeJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
 }

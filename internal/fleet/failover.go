@@ -389,7 +389,7 @@ func (c *Coordinator) retryStalledFailovers() {
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "leave: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "leave: %v", err)
 		return
 	}
 	// A standby only forgets the worker; the primary runs the handoff.
@@ -398,14 +398,14 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		delete(c.workers, req.Name)
 		c.ring.Remove(req.Name)
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"moved": 0})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"moved": 0})
 		return
 	}
 	c.mu.Lock()
 	wk := c.workers[req.Name]
 	if wk == nil {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"moved": 0})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"moved": 0})
 		return
 	}
 	wk.state = workerDraining
@@ -443,7 +443,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-done:
 	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "leave interrupted: %v", r.Context().Err())
+		obs.WriteError(w, http.StatusServiceUnavailable, "leave interrupted: %v", r.Context().Err())
 		return
 	}
 	c.mu.Lock()
@@ -451,7 +451,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	c.ring.Remove(req.Name)
 	c.mu.Unlock()
 	c.cfg.Logger.Info("worker left", "worker", req.Name, "moved", moved, "sessions", len(ids))
-	writeJSON(w, http.StatusOK, map[string]any{"moved": moved})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"moved": moved})
 }
 
 // --- rebalance on join ---

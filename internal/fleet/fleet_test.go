@@ -585,11 +585,11 @@ func TestFleetRetryAfterPropagation(t *testing.T) {
 	// with its own Retry-After.
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusCreated, map[string]string{"id": r.Header.Get(HeaderSessionID)})
+		obs.WriteJSON(w, http.StatusCreated, map[string]string{"id": r.Header.Get(HeaderSessionID)})
 	})
 	mux.HandleFunc("POST /sessions/{id}/chunks", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "17")
-		writeError(w, http.StatusTooManyRequests, "worker saturated")
+		obs.WriteError(w, http.StatusTooManyRequests, "worker saturated")
 	})
 	wln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -32,7 +33,7 @@ func (c *Coordinator) handleReports(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("min_count"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad min_count %q", v)
+			obs.WriteError(w, http.StatusBadRequest, "bad min_count %q", v)
 			return
 		}
 		minCount = n
@@ -40,7 +41,7 @@ func (c *Coordinator) handleReports(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+			obs.WriteError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		limit = n
@@ -126,7 +127,7 @@ func (c *Coordinator) handleReports(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(entries) > limit {
 		entries = entries[:limit]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"total":       total,
 		"matched":     len(entries),
 		"reports":     entries,

@@ -3,6 +3,7 @@ package hb
 import (
 	"math"
 
+	"repro/internal/race"
 	"repro/internal/vc"
 )
 
@@ -66,20 +67,9 @@ func (d *Detector) Compact() {
 		}
 	}
 	for x := range d.evars {
-		vs := &d.evars[x]
-		if vs.w == vc.NoEpoch && vs.r == vc.NoEpoch && vs.shared == nil {
-			continue
+		if vs := &d.evars[x]; vs.DominatedBy(f) {
+			*vs = race.Epochs{}
 		}
-		if !vs.w.LeqVC(f) || !vs.r.LeqVC(f) {
-			continue
-		}
-		if vs.shared != nil {
-			if !vs.shared.VC().Leq(f) {
-				continue
-			}
-			d.arena.Release(vs.shared)
-		}
-		*vs = ftVar{}
 	}
 }
 
@@ -87,26 +77,11 @@ func wcDominatedHB(w *vc.WC, floor vc.VC) bool {
 	return !w.Ready() || w.LeqVC(floor)
 }
 
-// Release returns every arena clock still referenced by per-variable state
-// to the freelist. Call it when the detector is finished (session finalize
-// or abort): inflated read vectors otherwise hold their slabs hostage even
-// after the detector itself is unreachable from the session — the stale-
-// session leak class the eviction regression test pins.
-func (d *Detector) Release() {
-	for x := range d.evars {
-		if s := d.evars[x].shared; s != nil {
-			d.arena.Release(s)
-			d.evars[x].shared = nil
-		}
-	}
-}
-
 // StateBytes estimates the detector's retained state in bytes, for
 // compaction budgets and soak-test flatness assertions.
 func (d *Detector) StateBytes() int {
 	const clockB = 4
 	n := d.width * d.width * clockB // ct bank
-	n += d.arena.Allocs() * d.width * clockB
 	for _, lk := range d.locks {
 		if lk != nil {
 			n += d.width*clockB + len(lk.joinGen)*4
@@ -122,6 +97,8 @@ func (d *Detector) StateBytes() int {
 		}
 		n += vs.reads.Bytes(d.width) + vs.writes.Bytes(d.width)
 	}
-	n += len(d.evars) * 24
+	for x := range d.evars {
+		n += 40 + len(d.evars[x].Shared)*clockB
+	}
 	return n
 }

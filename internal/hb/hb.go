@@ -11,10 +11,11 @@
 // The detector is streaming, mirroring the WCP detector in internal/core:
 // create it with NewDetector (dimensions known up front, e.g. from a binary
 // trace header), feed events in trace order with Process, then read the
-// Result. It shares the WCP detector's allocation discipline: per-thread
-// clocks live in one contiguous bank, and the epoch path recycles inflated
-// read vectors through a vc.Arena, so steady-state processing performs
-// near-zero heap allocations per event.
+// Result. Per-thread clocks live in one contiguous bank, so steady-state
+// processing performs near-zero heap allocations per event. The epoch mode
+// keeps each variable's state in race.Epochs, the FastTrack state machine
+// the WCP detector's epoch mode runs too; it allocates a read vector only
+// when concurrent readers inflate one, and the next write drops it.
 //
 // It also shares the WCP detector's windowed-clock discipline (vc.WC):
 // thread, lock and per-variable clocks carry dirty windows, so joins and
@@ -50,7 +51,7 @@ type Options struct {
 	// which reports no pairs.
 	TrackPairs bool
 	// Epoch selects the FastTrack-style epoch representation for the
-	// per-variable state (see fasttrack.go): one clock@thread word per
+	// per-variable state (race.Epochs): one clock@thread word per
 	// variable in the common case, inflating reads to a vector clock only
 	// under read sharing. Epoch mode flags a subset of racy events (the
 	// same-epoch fast path suppresses re-checks within an epoch) but agrees
@@ -126,8 +127,7 @@ type Detector struct {
 	ct    []vc.WC   // C_t: current HB time of thread t, one contiguous bank
 	locks []*hbLock // L_ℓ: last-release state of ℓ, allocated on first use
 	vars  []varState
-	evars []ftVar   // epoch-mode per-variable state (fasttrack.go)
-	arena *vc.Arena // recycled storage for inflated read vectors
+	evars []race.Epochs // epoch-mode per-variable state
 	res   Result
 	// cache enables the per-variable access caches: vector mode, and only
 	// at widths where replaying a verdict beats redoing the compare (tiny-T
@@ -153,12 +153,11 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 		width:  threads,
 		ct:     vc.NewWCMatrix(threads, threads),
 		locks:  make([]*hbLock, locks),
-		arena:  vc.NewArena(threads),
 		joined: make([]bool, threads),
 	}
 	d.res.FirstRace = -1
 	if opts.Epoch {
-		d.evars = make([]ftVar, vars)
+		d.evars = make([]race.Epochs, vars)
 	} else {
 		d.vars = make([]varState, vars)
 		if opts.TrackPairs {
@@ -172,9 +171,6 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 	d.cache = !opts.Epoch && threads > 8
 	return d
 }
-
-// Arena exposes the detector's clock arena for allocation accounting.
-func (d *Detector) Arena() *vc.Arena { return d.arena }
 
 func (d *Detector) flag(i int) {
 	d.res.RacyEvents++
@@ -239,13 +235,17 @@ func (d *Detector) stepAt(i int, kind event.Kind, t int, obj int32, loc event.Lo
 		d.joined[int(obj)] = true
 	case event.Read:
 		if d.opts.Epoch {
-			d.readEpoch(i, t, event.VID(obj))
+			if d.evars[obj].Read(t, d.ct[t].VC()) {
+				d.flag(i)
+			}
 			return
 		}
 		d.read(i, t, event.VID(obj), loc)
 	case event.Write:
 		if d.opts.Epoch {
-			d.writeEpoch(i, t, event.VID(obj))
+			if d.evars[obj].Write(t, d.ct[t].VC()) {
+				d.flag(i)
+			}
 			return
 		}
 		d.write(i, t, event.VID(obj), loc)
@@ -389,6 +389,12 @@ func (d *Detector) Result() *Result { return &d.res }
 // tracking enabled.
 func Detect(tr *trace.Trace) *Result {
 	return DetectOpts(tr, Options{TrackPairs: true})
+}
+
+// DetectEpoch runs the FastTrack-style epoch-optimized HB detector over a
+// whole trace.
+func DetectEpoch(tr *trace.Trace) *Result {
+	return DetectOpts(tr, Options{Epoch: true})
 }
 
 // DetectOpts runs the HB race detector over a whole trace, walking its

@@ -75,7 +75,7 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 	if d.opts.Epoch {
 		live := 0
 		for x := range d.evars {
-			if !evarFresh(&d.evars[x]) {
+			if !d.evars[x].Fresh() {
 				live++
 			}
 		}
@@ -83,16 +83,16 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		prev := 0
 		for x := range d.evars {
 			vs := &d.evars[x]
-			if evarFresh(vs) {
+			if vs.Fresh() {
 				continue
 			}
 			w.Uvarint(uint64(x - prev))
 			prev = x
-			w.Uvarint(uint64(vs.w))
-			w.Uvarint(uint64(vs.r))
-			w.Bool(vs.shared != nil)
-			if vs.shared != nil {
-				w.Sparse(vs.shared.VC())
+			w.Uvarint(uint64(vs.W))
+			w.Uvarint(uint64(vs.R))
+			w.Bool(vs.Shared != nil)
+			if vs.Shared != nil {
+				w.Sparse(vs.Shared)
 			}
 		}
 		return nil
@@ -124,10 +124,6 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 func hbVarFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
 		vs.reads.Len() == 0 && vs.writes.Len() == 0
-}
-
-func evarFresh(vs *ftVar) bool {
-	return vs.w == vc.NoEpoch && vs.r == vc.NoEpoch && vs.shared == nil
 }
 
 func encodeHBWC(w *snap.Writer, c *vc.WC) {
@@ -273,26 +269,23 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 		}
 		if opts.Epoch {
 			vs := &d.evars[x]
-			var e uint64
-			if e, err = rd.Uvarint(); err != nil {
+			if vs.W, err = race.DecodeEpoch(rd, threads); err != nil {
 				return nil, err
 			}
-			vs.w = vc.Epoch(e)
-			if e, err = rd.Uvarint(); err != nil {
+			if vs.R, err = race.DecodeEpoch(rd, threads); err != nil {
 				return nil, err
 			}
-			vs.r = vc.Epoch(e)
 			hasShared, err := rd.Bool()
 			if err != nil {
 				return nil, err
 			}
 			if hasShared {
-				vs.shared = d.arena.Get()
-				if err := rd.Sparse(vs.shared.VC()); err != nil {
+				vs.Shared = vc.New(threads)
+				if err := rd.Sparse(vs.Shared); err != nil {
 					return nil, err
 				}
 			}
-			if evarFresh(vs) {
+			if vs.Fresh() {
 				return nil, &snap.DecodeError{Reason: "fresh variable encoded"}
 			}
 			continue

@@ -3,6 +3,8 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -137,4 +139,19 @@ func ValidID(s string) bool {
 		}
 	}
 	return true
+}
+
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status: the reply format of every raced and coordinator endpoint.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
+// WriteError answers a failed request with the body {"error": message}.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -69,5 +71,22 @@ func TestValidID(t *testing.T) {
 		if got := ValidID(id); got != want {
 			t.Errorf("ValidID(%q) = %v, want %v", id, got, want)
 		}
+	}
+}
+
+// TestWriteError pins the error body every raced and coordinator endpoint
+// answers with: one indented "error" member and a JSON content type.
+func TestWriteError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteError(rec, http.StatusNotFound, "unknown session %q", "a<b")
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	want := "{\n  \"error\": \"unknown session \\\"a\\u003cb\\\"\"\n}\n"
+	if got := rec.Body.String(); got != want {
+		t.Fatalf("body = %q, want %q", got, want)
 	}
 }

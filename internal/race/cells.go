@@ -164,15 +164,10 @@ func (s *Cells) DecodeSnapshot(rd *snap.Reader, width int) error {
 		if c.Last, err = rd.Int(); err != nil {
 			return err
 		}
-		e, err := rd.Uvarint()
-		if err != nil {
+		if c.Ep, err = DecodeEpoch(rd, width); err != nil {
 			return err
 		}
-		c.Ep = vc.Epoch(e)
 		if c.Ep != vc.NoEpoch {
-			if c.Ep.TID() >= width {
-				return &snap.DecodeError{Reason: "cell epoch thread out of range"}
-			}
 			continue
 		}
 		c.Vec = new(vc.WC)

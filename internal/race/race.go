@@ -2,7 +2,9 @@
 // locations (the paper's Table 1 metric, §4: "A WCP (HB) race pair is an
 // unordered tuple of program locations corresponding to some pair of events
 // in the trace that are unordered by the partial order"), together with
-// occurrence counts and the race-distance statistic of §4.3.
+// occurrence counts and the race-distance statistic of §4.3. It also holds
+// the per-variable race-check state the WCP and HB detectors share: the
+// pair-tracking cells (Cell) and the FastTrack epoch state (Epochs).
 package race
 
 import (

@@ -374,11 +374,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusConflict, "server has no checkpoint directory configured")
+		obs.WriteError(w, http.StatusConflict, "server has no checkpoint directory configured")
 		return
 	}
 	n := s.checkpointAll(true)
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": n})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"sessions": n})
 }
 
 // handleSessionSnapshot (GET /sessions/{id}/snapshot) streams the session's
@@ -388,7 +388,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := s.liveSession(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	var buf bytes.Buffer
@@ -400,7 +400,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if snapErr != nil {
-		writeError(w, http.StatusConflict, "%v", snapErr)
+		obs.WriteError(w, http.StatusConflict, "%v", snapErr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -421,12 +421,12 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	sess, err := restoreSession(body, time.Now())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "restore: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	d := sess.header.Dims()
 	if d.Threads > s.cfg.MaxThreads || max(d.Locks, d.Vars, d.Locs) > s.cfg.MaxSymbols {
-		writeError(w, http.StatusBadRequest, "snapshot exceeds configured limits")
+		obs.WriteError(w, http.StatusBadRequest, "snapshot exceeds configured limits")
 		return
 	}
 	// A failover restore re-attaches the session's original request trace:
@@ -443,7 +443,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if exists {
-		writeError(w, http.StatusConflict, "session %s already open", sess.id)
+		obs.WriteError(w, http.StatusConflict, "session %s already open", sess.id)
 		return
 	}
 	if full {
@@ -459,5 +459,5 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Logger.Info("session restored via API",
 		"session", sess.id, "trace", sess.traceID, "events", sess.events)
 	st := sess.status()
-	writeJSON(w, http.StatusOK, map[string]any{"id": sess.id, "events": st.Events, "chunks": st.Chunks})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"id": sess.id, "events": st.Events, "chunks": st.Chunks})
 }

@@ -280,9 +280,8 @@ func TestCorruptCheckpointsAreSkipped(t *testing.T) {
 }
 
 // TestEvictionSealsEngines is the stale-session leak regression at the
-// server layer: an idle-evicted session must have its engines finished —
-// the path that returns pooled detector state (arena clock refs) to the
-// freelists — not just dropped from the table.
+// server layer: an idle-evicted session must be sealed, so it returns its
+// detector state to the memory budget, not just dropped from the table.
 func TestEvictionSealsEngines(t *testing.T) {
 	cfg := Config{
 		Workers:       2,

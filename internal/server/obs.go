@@ -137,9 +137,6 @@ func (s *Server) registerMetrics() {
 	reg.GaugeFunc("raced_state_bytes", "Summed detector-state estimate across open sessions.", func() float64 {
 		return float64(s.stateTotal.Load())
 	})
-	reg.GaugeFunc("raced_arena_leaked_refs", "Pooled clock allocations sealed sessions failed to return (0 unless a detector leaks).", func() float64 {
-		return float64(s.arenaLeakedRefs.Load())
-	})
 	reg.GaugeFunc("raced_uptime_seconds", "Seconds since this process started serving.", func() float64 {
 		return time.Since(s.start).Seconds()
 	})
@@ -161,14 +158,14 @@ func (s *Server) registerMetrics() {
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		obs.WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	spans := s.obs.trace.ByTrace(id)
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
 }
 
 // handleDebugSession (GET /debug/sessions/{id}) returns one session's
@@ -177,12 +174,12 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad session id %q", id)
+		obs.WriteError(w, http.StatusBadRequest, "bad session id %q", id)
 		return
 	}
 	spans := s.obs.trace.BySession(id)
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
 }

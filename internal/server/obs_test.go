@@ -50,7 +50,6 @@ var goldenFamilies = []string{
 	"raced_tasks_running",
 	"raced_sched_workers",
 	"raced_state_bytes",
-	"raced_arena_leaked_refs",
 	"raced_uptime_seconds",
 	"raced_report_classes",
 	"raced_report_observations_total",

@@ -153,7 +153,7 @@ func (s *Server) parkSession(sess *session) bool {
 			s.parkedMu.Unlock()
 		}
 		s.removeSession(sess.id)
-		sess.abort() // release detector state (arena refs) now, not at GC time
+		sess.abort()
 		if d := sess.remeasureState(); d != 0 {
 			s.stateTotal.Add(d)
 		}

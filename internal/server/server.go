@@ -17,7 +17,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -263,11 +262,6 @@ type Server struct {
 	sessionsParked   *obs.Counter
 	sessionsUnparked *obs.Counter
 	epochRejects     *obs.Counter
-	// arenaLeakedRefs accumulates pooled clock allocations a sealed session
-	// failed to return to its engine arena — always zero unless a detector
-	// leaks; exported so fleet/chaos tests can assert it from outside the
-	// package. See noteArenaAfterSeal.
-	arenaLeakedRefs atomic.Int64
 }
 
 // New builds a Server and starts its scheduler and idle-session janitor.
@@ -475,27 +469,15 @@ type apiError struct {
 	Event  int64  `json:"event,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
 // writeDecodeError maps a chunk/trace decode failure to 400 with the
 // offset/event context the traceio layer captured.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var de *traceio.DecodeError
 	if errors.As(err, &de) {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: de.Error(), Offset: de.Offset, Event: de.Event})
+		obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: de.Error(), Offset: de.Offset, Event: de.Event})
 		return
 	}
-	writeError(w, http.StatusBadRequest, "%v", err)
+	obs.WriteError(w, http.StatusBadRequest, "%v", err)
 }
 
 // retryAfterSecs derives the Retry-After hint from live scheduler pressure
@@ -515,7 +497,7 @@ func (s *Server) retryAfterSecs(floor int) int {
 func (s *Server) shed429(w http.ResponseWriter, floor int, format string, args ...any) {
 	s.shed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(floor)))
-	writeError(w, http.StatusTooManyRequests, format, args...)
+	obs.WriteError(w, http.StatusTooManyRequests, format, args...)
 }
 
 // shedOrFail maps scheduler admission errors: saturation is 429 with a
@@ -526,9 +508,9 @@ func (s *Server) shedOrFail(w http.ResponseWriter, err error) {
 		s.shed429(w, 1, "analysis queue saturated, retry later")
 	case errors.Is(err, sched.ErrDraining), s.draining.Load():
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(1)))
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		obs.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		obs.WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -574,7 +556,7 @@ func (s *Server) recallFinished(id string) (sessionFinished, bool) {
 
 func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		obs.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return true
 	}
 	return false
@@ -615,7 +597,7 @@ func (s *Server) refuseFenced(w http.ResponseWriter, r *http.Request) bool {
 	if cur := s.coordEpoch.Load(); e < cur {
 		s.epochRejects.Add(1)
 		w.Header().Set(HeaderEpoch, strconv.FormatUint(cur, 10))
-		writeError(w, http.StatusPreconditionFailed,
+		obs.WriteError(w, http.StatusPreconditionFailed,
 			"coordinator epoch %d is fenced (worker has seen %d)", e, cur)
 		return true
 	}
@@ -704,12 +686,12 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	for i, name := range names {
 		e, err := engine.New(name, s.cfg.Engine)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			obs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		se, ok := e.(engine.SessionEngine)
 		if !ok {
-			writeError(w, http.StatusBadRequest,
+			obs.WriteError(w, http.StatusBadRequest,
 				"engine %q cannot run as a streaming session (streaming engines: wcp, wcp-epoch, hb, hb-epoch)", name)
 			return
 		}
@@ -722,12 +704,12 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.setIngestDeadline(w)
 	hdrBody, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading session header: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "reading session header: %v", err)
 		return
 	}
 	if cerr := checkCRC(r, hdrBody, 0, false); cerr != nil {
 		s.integrityRejects.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "session header %v", cerr)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "session header %v", cerr)
 		return
 	}
 	h, err := traceio.ReadHeader(bytes.NewReader(hdrBody))
@@ -737,16 +719,16 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	d := h.Dims()
 	if d.Threads == 0 {
-		writeError(w, http.StatusBadRequest, "header declares no threads")
+		obs.WriteError(w, http.StatusBadRequest, "header declares no threads")
 		return
 	}
 	if d.Threads > s.cfg.MaxThreads {
-		writeError(w, http.StatusBadRequest,
+		obs.WriteError(w, http.StatusBadRequest,
 			"header declares %d threads, limit is %d (detector state is O(threads²))", d.Threads, s.cfg.MaxThreads)
 		return
 	}
 	if max(d.Locks, d.Vars, d.Locs) > s.cfg.MaxSymbols {
-		writeError(w, http.StatusBadRequest,
+		obs.WriteError(w, http.StatusBadRequest,
 			"header declares %d locks / %d vars / %d locations, per-table limit is %d",
 			d.Locks, d.Vars, d.Locs, s.cfg.MaxSymbols)
 		return
@@ -766,7 +748,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	id := r.Header.Get(HeaderSessionID)
 	if id != "" {
 		if !obs.ValidID(id) {
-			writeError(w, http.StatusBadRequest,
+			obs.WriteError(w, http.StatusBadRequest,
 				"bad %s %q: 1-64 characters of [a-zA-Z0-9_-]", HeaderSessionID, id)
 			return
 		}
@@ -788,7 +770,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	_, exists := s.sessions[id]
 	if exists || isParked {
 		s.mu.Unlock()
-		writeError(w, http.StatusConflict, "session %s already open", id)
+		obs.WriteError(w, http.StatusConflict, "session %s already open", id)
 		return
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
@@ -809,7 +791,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 
 	resp := sessionCreated{ID: id, Engines: names}
 	resp.Dims.Threads, resp.Dims.Locks, resp.Dims.Vars, resp.Dims.Locs = d.Threads, d.Locks, d.Vars, d.Locs
-	writeJSON(w, http.StatusCreated, resp)
+	obs.WriteJSON(w, http.StatusCreated, resp)
 }
 
 // handleChunk ingests one chunk of the session's event body. The request
@@ -832,7 +814,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := s.liveSession(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 
@@ -841,7 +823,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if v := r.Header.Get(HeaderChunkOffset); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad %s header %q", HeaderChunkOffset, v)
+			obs.WriteError(w, http.StatusBadRequest, "bad %s header %q", HeaderChunkOffset, v)
 			return
 		}
 		offset, hasOffset = n, true
@@ -850,12 +832,12 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.setIngestDeadline(w)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading chunk body: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "reading chunk body: %v", err)
 		return
 	}
 	if cerr := checkCRC(r, body, offset, hasOffset); cerr != nil {
 		s.integrityRejects.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "chunk %v", cerr)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "chunk %v", cerr)
 		return
 	}
 
@@ -902,13 +884,13 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		var gap *gapError
 		switch {
 		case errors.Is(ingestErr, errSessionClosed):
-			writeError(w, http.StatusConflict, "session %s is closed", id)
+			obs.WriteError(w, http.StatusConflict, "session %s is closed", id)
 		case errors.As(ingestErr, &gap):
 			// The client is ahead of the ack (a lost chunk, or a resume
 			// against older server state): hand back the acknowledged offset
 			// so it can rewind precisely instead of guessing.
 			s.gapRejects.Add(1)
-			writeJSON(w, http.StatusConflict, map[string]any{
+			obs.WriteJSON(w, http.StatusConflict, map[string]any{
 				"error":  gap.Error(),
 				"events": gap.acked,
 				"gap":    true,
@@ -920,7 +902,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	s.chunksIngested.Add(1)
 	st := sess.status()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"id": id, "events": st.Events, "chunks": st.Chunks, "replayed": replayed,
 	})
 }
@@ -958,7 +940,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	if v := r.Header.Get("X-Raced-Offset"); v != "" {
 		n, perr := strconv.ParseUint(v, 10, 63)
 		if perr != nil {
-			writeError(w, http.StatusBadRequest, "bad X-Raced-Offset %q", v)
+			obs.WriteError(w, http.StatusBadRequest, "bad X-Raced-Offset %q", v)
 			return
 		}
 		wantOffset = int64(n)
@@ -967,10 +949,10 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	sess := s.liveSession(id)
 	if sess == nil {
 		if resp, ok := s.recallFinished(id); ok {
-			writeJSON(w, http.StatusOK, resp)
+			obs.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	// Two attempts: the session can be pressure-parked between resolution
@@ -995,7 +977,6 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 			if results == nil {
 				return // sealed elsewhere (parked or aborted) — retry resolves it
 			}
-			s.noteArenaAfterSeal(sess)
 			// Store checkpoint before the session checkpoint disappears: a
 			// crash between the two re-counts this session's races, never
 			// loses them.
@@ -1022,7 +1003,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		}
 		if gapped {
 			s.gapRejects.Add(1)
-			writeJSON(w, http.StatusConflict, map[string]any{
+			obs.WriteJSON(w, http.StatusConflict, map[string]any{
 				"error":  fmt.Sprintf("session %s has %d acknowledged events, finish expected %d", id, gapEvents, wantOffset),
 				"events": gapEvents,
 				"gap":    true,
@@ -1030,7 +1011,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if done {
-			writeJSON(w, http.StatusOK, resp)
+			obs.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		fresh := s.liveSession(id)
@@ -1039,7 +1020,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		}
 		sess = fresh
 	}
-	writeError(w, http.StatusConflict, "session %s is already closed", id)
+	obs.WriteError(w, http.StatusConflict, "session %s is already closed", id)
 }
 
 // handleAbort discards a session without reporting. A parked session is
@@ -1052,17 +1033,16 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	sess := s.removeSession(id)
 	if sess == nil {
 		if !s.dropParked(id) {
-			writeError(w, http.StatusNotFound, "unknown session %q", id)
+			obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
 		return
 	}
 	sess.abort()
 	s.noteSessionState(sess)
-	s.noteArenaAfterSeal(sess)
 	s.dropSessionCheckpoint(id)
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
 }
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
@@ -1071,10 +1051,10 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	// a fault must see a parked session's acknowledged event count.
 	sess := s.liveSession(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.status())
+	obs.WriteJSON(w, http.StatusOK, sess.status())
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
@@ -1089,7 +1069,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 		out[i] = sess.status()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Created.Before(out[j].Created) })
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"sessions": out})
 }
 
 // --- one-shot analysis ---
@@ -1107,7 +1087,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i, name := range names {
 		e, err := engine.New(name, s.cfg.Engine)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			obs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		engines[i] = e
@@ -1137,7 +1117,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		resp.Results[i] = renderResult(res, len(tr.Events), h)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- reports, health, metrics ---
@@ -1152,7 +1132,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("min_count"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad min_count %q", v)
+			obs.WriteError(w, http.StatusBadRequest, "bad min_count %q", v)
 			return
 		}
 		f.MinCount = n
@@ -1160,7 +1140,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+			obs.WriteError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		f.Limit = n
@@ -1169,7 +1149,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if entries == nil {
 		entries = []report.Entry{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"total":   s.store.Len(),
 		"matched": len(entries),
 		"reports": entries,
@@ -1193,7 +1173,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.parkedMu.Lock()
 	parked := len(s.parked)
 	s.parkedMu.Unlock()
-	writeJSON(w, code, map[string]any{
+	obs.WriteJSON(w, code, map[string]any{
 		"status":          status,
 		"sessions":        open + parked, // what Stats reports to the fleet
 		"sessions_open":   open,

@@ -255,19 +255,11 @@ func (s *session) finalize(store *report.Store, now time.Time) []*engine.Result 
 	return results
 }
 
-// abort seals the session without reporting anything. The engines are still
-// finished so they release pooled detector state (arena clock refs) instead
-// of pinning it until the session struct is collected.
+// abort seals the session without reporting anything.
 func (s *session) abort() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
 	s.closed = true
-	for _, es := range s.engines {
-		es.Finish()
-	}
 }
 
 // status is the JSON shape of GET /sessions/{id}.

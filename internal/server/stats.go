@@ -4,10 +4,6 @@ package server
 // worker's load, enumerate its open sessions for coordinator adoption, and
 // drop sessions the coordinator failed over elsewhere.
 
-import (
-	"repro/internal/engine"
-)
-
 // Stats is a point-in-time load snapshot of the server.
 type Stats struct {
 	// Sessions is the number of open (in-memory) sessions; parked sessions
@@ -19,9 +15,6 @@ type Stats struct {
 	QueueDepth int
 	// Draining reports whether Close has begun.
 	Draining bool
-	// ArenaLeakedRefs is the cumulative count of pooled clock allocations
-	// sealed sessions failed to return; nonzero means a detector leak.
-	ArenaLeakedRefs int64
 }
 
 // Stats returns the server's current load snapshot.
@@ -33,11 +26,10 @@ func (s *Server) Stats() Stats {
 	open += len(s.parked)
 	s.parkedMu.Unlock()
 	return Stats{
-		Sessions:        open,
-		StateBytes:      s.stateTotal.Load(),
-		QueueDepth:      s.sched.QueueDepth(),
-		Draining:        s.draining.Load(),
-		ArenaLeakedRefs: s.arenaLeakedRefs.Load(),
+		Sessions:   open,
+		StateBytes: s.stateTotal.Load(),
+		QueueDepth: s.sched.QueueDepth(),
+		Draining:   s.draining.Load(),
 	}
 }
 
@@ -71,22 +63,6 @@ func (s *Server) AbortSession(id string) bool {
 	}
 	sess.abort()
 	s.noteSessionState(sess)
-	s.noteArenaAfterSeal(sess)
 	s.dropSessionCheckpoint(id)
 	return true
-}
-
-// noteArenaAfterSeal audits a just-sealed session's engine arenas and
-// accumulates any allocation that was not returned to the freelist. In a
-// single process the chaos tests reach into the session struct for this;
-// across the fleet's process boundary the counter (surfaced in Stats and
-// /metrics) is the observable.
-func (s *Server) noteArenaAfterSeal(sess *session) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	for _, es := range sess.engines {
-		if allocs, free, ok := engine.ArenaStats(es); ok && allocs != free {
-			s.arenaLeakedRefs.Add(int64(allocs - free))
-		}
-	}
 }

@@ -354,17 +354,16 @@ func (r *Reader) Sparse(dst []int32) error {
 		if err != nil {
 			return err
 		}
-		if idx < 0 {
-			idx = int(d)
-		} else {
-			if d == 0 {
-				return errf("non-increasing sparse index at offset %d", r.pos)
-			}
-			idx += int(d)
+		if idx >= 0 && d == 0 {
+			return errf("non-increasing sparse index at offset %d", r.pos)
 		}
-		if idx >= len(dst) {
-			return errf("sparse index %d out of range %d", idx, len(dst))
+		// Bound the increment before converting it, so no huge varint
+		// can wrap the index negative.
+		base := max(idx, 0)
+		if d >= uint64(len(dst)-base) {
+			return errf("sparse index %d+%d out of range %d", base, d, len(dst))
 		}
+		idx = base + int(d)
 		v, err := r.I32()
 		if err != nil {
 			return err

@@ -177,3 +177,25 @@ func TestBoundsEnforced(t *testing.T) {
 		t.Fatalf("expected bound DecodeError, got %v", err)
 	}
 }
+
+// TestSparseIndexOverflow: a sparse index or increment too large for an
+// int must fail as a DecodeError, not wrap negative and index dst.
+func TestSparseIndexOverflow(t *testing.T) {
+	for _, idx := range [][]uint64{{1 << 63}, {^uint64(0)}, {1, 1<<64 - 1}} {
+		b := frame(t, func(w *Writer) {
+			w.Uvarint(uint64(len(idx)))
+			for _, d := range idx {
+				w.Uvarint(d)
+				w.Int(7)
+			}
+		})
+		r, err := NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("reader: %v", err)
+		}
+		var de *DecodeError
+		if err := r.Sparse(make([]int32, 4)); !errors.As(err, &de) {
+			t.Fatalf("indices %v: expected DecodeError, got %v", idx, err)
+		}
+	}
+}

@@ -3,11 +3,11 @@ package vc
 import "fmt"
 
 // Epoch is a FastTrack-style scalar timestamp c@t packed into one word: the
-// clock of a single thread. The epoch-optimized HB detector (internal/hb)
-// uses epochs for the common case of totally-ordered accesses, falling back
-// to full vector clocks only on contention. The paper lists epoch
-// optimizations as future work for WCP (§6); we apply them to the HB
-// baseline where FastTrack proved them out.
+// clock of a single thread. The epoch modes of both detectors (race.Epochs)
+// use epochs for the common case of totally-ordered accesses, falling back
+// to full vector clocks only on contention; the paper lists epoch
+// optimizations as future work for WCP (§6). The detectors' pair-tracking
+// cells (race.Cell) and the WCP check's ordered fast path use them too.
 type Epoch uint64
 
 // NoEpoch is the epoch representing "no access yet": clock 0 of thread 0,

@@ -135,7 +135,9 @@ func NewWC(width int) WC {
 }
 
 // NewWCMatrix returns rows windowed clocks of the given width whose storage
-// is carved out of one contiguous allocation (see NewMatrix).
+// is carved out of one contiguous allocation, for per-thread clock banks:
+// one backing array keeps the bank cache-dense and costs one allocation
+// instead of rows.
 func NewWCMatrix(rows, width int) []WC {
 	flat := make(VC, rows*width)
 	m := make([]WC, rows)

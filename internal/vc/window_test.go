@@ -122,6 +122,33 @@ func TestWCMatchesDense(t *testing.T) {
 
 // TestWCGeneration pins the join-cache contract: the generation changes on
 // every mutation and stays put when an operation was a no-op.
+// TestNewWCMatrix pins the contiguous clock bank: each row has exactly its
+// width of capacity (an append cannot run into the next row) and rows do
+// not alias.
+func TestNewWCMatrix(t *testing.T) {
+	m := NewWCMatrix(3, 4)
+	if len(m) != 3 {
+		t.Fatalf("rows = %d, want 3", len(m))
+	}
+	for i := range m {
+		if v := m[i].VC(); len(v) != 4 || cap(v) != 4 {
+			t.Fatalf("row %d: len=%d cap=%d, want 4/4", i, len(v), cap(v))
+		}
+		m[i].Set(i, Clock(i+1))
+	}
+	for i := range m {
+		for j, c := range m[i].VC() {
+			want := Clock(0)
+			if j == i {
+				want = Clock(i + 1)
+			}
+			if c != want {
+				t.Fatalf("m[%d][%d] = %d, want %d", i, j, c, want)
+			}
+		}
+	}
+}
+
 func TestWCGeneration(t *testing.T) {
 	a, b := NewWC(100), NewWC(100)
 	b.Set(7, 5)
