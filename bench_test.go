@@ -31,8 +31,8 @@ import (
 //     (compare events/s across sizes).
 //   - BenchmarkLowerBoundSpace: Theorems 4–5 — queue growth on the Figure-8
 //     family (queue entries reported as a metric).
-//   - BenchmarkAblation*: design-choice ablations called out in DESIGN.md
-//     (windowed vs whole-trace WCP; epoch vs vector-clock HB).
+//   - BenchmarkAblationWindowedWCP: the design-choice ablation called out
+//     in DESIGN.md (windowed vs whole-trace WCP).
 //
 // Absolute numbers differ from the paper's (scaled synthetic workloads on
 // different hardware); EXPERIMENTS.md records the shape comparison.
@@ -263,44 +263,6 @@ func BenchmarkAblationWindowedWCP(b *testing.B) {
 			races = total.Distinct()
 		}
 		b.ReportMetric(float64(races), "races")
-	})
-}
-
-// BenchmarkAblationEpochHB compares the epoch-optimized HB detector with
-// the full-vector-clock one (the §6 future-work optimization, applied to
-// the baseline).
-func BenchmarkAblationEpochHB(b *testing.B) {
-	tr := benchTrace(b, "lusearch", table1Scale)
-	b.Run("vector", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hb.DetectOpts(tr, hb.Options{})
-		}
-		reportEventsPerSec(b, tr.Len())
-	})
-	b.Run("epoch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hb.DetectEpoch(tr)
-		}
-		reportEventsPerSec(b, tr.Len())
-	})
-}
-
-// BenchmarkAblationEpochWCP compares the epoch-optimized WCP race check
-// (§6 future work) with the vector-clock one on the same clock machinery;
-// -benchmem shows the per-variable memory reduction.
-func BenchmarkAblationEpochWCP(b *testing.B) {
-	tr := benchTrace(b, "lusearch", table1Scale)
-	b.Run("vector", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.DetectOpts(tr, core.Options{})
-		}
-		reportEventsPerSec(b, tr.Len())
-	})
-	b.Run("epoch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.DetectEpoch(tr)
-		}
-		reportEventsPerSec(b, tr.Len())
 	})
 }
 

@@ -13,8 +13,10 @@
 //	rapid -gen pools -threads 256               # built-in generator, no file
 //	rapid -gen bench:montecarlo -engine=all     # Table-1 synthetic workload
 //
-// Engines: wcp (default; the paper's Algorithm 1), hb, hb-epoch, cp,
-// predict, lockset, all.
+// Engines: wcp (default; the paper's Algorithm 1), hb, cp, predict,
+// lockset, all. The wcp and hb engines keep each variable's access times
+// as epochs while its accesses stay ordered (the paper's §6 epoch
+// optimisation), with exact verdicts and pair reports.
 //
 // With -gen, no trace file is read: the built-in generator produces the
 // workload in memory and the selected engines analyze it. Generators:
@@ -45,7 +47,7 @@ import (
 )
 
 var (
-	engineFlag = flag.String("engine", "wcp", "detector: wcp, wcp-epoch, hb, hb-epoch, cp, predict, lockset, all")
+	engineFlag = flag.String("engine", "wcp", "detector: wcp, hb, cp, predict, lockset, all")
 	window     = flag.Int("window", 1000, "window size for windowed engines (cp, predict); 0 = whole trace")
 	budget     = flag.Int("budget", 30000, "per-window exploration budget for predict")
 	quiet      = flag.Bool("quiet", false, "print summary only, not individual race pairs")
@@ -53,7 +55,7 @@ var (
 	vindicate  = flag.Int("vindicate", 0, "wcp only: certify up to N reported race pairs with witness schedules")
 	parallel   = flag.Bool("parallel", false, "run the selected engines concurrently over each trace")
 	jobs       = flag.Int("jobs", 0, "worker-pool width for multi-file batches; 0 = GOMAXPROCS")
-	stream     = flag.Bool("stream", false, "analyze block by block without materializing traces (binary traces with streaming engines: wcp, wcp-epoch, hb, hb-epoch; others fall back to loading); skips -validate; -parallel has no effect: a streamed trace is decoded once while its engines run on goroutines of their own, and a trace that falls back to loading runs its engines serially")
+	stream     = flag.Bool("stream", false, "analyze block by block without materializing traces (binary traces with streaming engines: wcp, hb; others fall back to loading); skips -validate; -parallel has no effect: a streamed trace is decoded once while its engines run on goroutines of their own, and a trace that falls back to loading runs its engines serially")
 	genFlag    = flag.String("gen", "", "analyze a built-in generated workload instead of a file: pools, forkjoin, hotlock, random, or bench:NAME")
 	genThreads = flag.Int("threads", 64, "generator thread count (with -gen)")
 	genEvents  = flag.Int("events", 100_000, "generator approximate event count (with -gen)")

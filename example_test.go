@@ -54,16 +54,14 @@ func ExampleRunEngines() {
 	tr := racyTrace()
 	engines := repro.AllEngines(repro.EngineConfig{})
 	for _, res := range repro.RunEngines(context.Background(), tr, engines) {
-		fmt.Printf("%-9s %d distinct race pair(s)\n", res.Engine, res.Distinct())
+		fmt.Printf("%-7s %d distinct race pair(s)\n", res.Engine, res.Distinct())
 	}
 	// Output:
-	// wcp       1 distinct race pair(s)
-	// wcp-epoch 0 distinct race pair(s)
-	// hb        1 distinct race pair(s)
-	// hb-epoch  0 distinct race pair(s)
-	// cp        1 distinct race pair(s)
-	// predict   1 distinct race pair(s)
-	// lockset   1 distinct race pair(s)
+	// wcp     1 distinct race pair(s)
+	// hb      1 distinct race pair(s)
+	// cp      1 distinct race pair(s)
+	// predict 1 distinct race pair(s)
+	// lockset 1 distinct race pair(s)
 }
 
 // ExampleAnalyzeTraceCorpus analyzes a corpus of traces on a worker pool,

@@ -35,7 +35,6 @@ func TestWCPSteadyStateAllocs(t *testing.T) {
 	}{
 		{"vector", core.Options{}},
 		{"pairs", core.Options{TrackPairs: true}},
-		{"epoch", core.Options{EpochCheck: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), tc.opts)
@@ -65,7 +64,6 @@ func TestWCPSteadyStateAllocsHighThreads(t *testing.T) {
 	}{
 		{"vector", core.Options{}},
 		{"pairs", core.Options{TrackPairs: true}},
-		{"epoch", core.Options{EpochCheck: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), tc.opts)

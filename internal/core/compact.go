@@ -16,10 +16,10 @@ import (
 //     dead — its clocks are frozen, it will never drain a queue again, so
 //     its queue cursors stop pinning lock logs and its stack/cache storage
 //     is freed (its P/H/O clocks stay: later joins may still read them);
-//   - a variable whose aggregate access clocks are ⊑ the effective-time
-//     floor (the pointwise minimum over live threads) can never race again
-//     — every future check against it would report "ordered" — so its
-//     state resets to the fresh zero value;
+//   - a variable whose Rx and Wx times are ⊑ the effective-time floor (the
+//     pointwise minimum over live threads) can never race again — every
+//     future check against it would report "ordered" — so its state resets
+//     to the fresh zero value;
 //   - a lock's rule-(a) release records, and eventually the whole lock,
 //     quiesce the same way once their release times are ⊑ the floor and
 //     the queues are drained; an acquire of a retired lock recreates it
@@ -141,23 +141,12 @@ func (d *Detector) Compact() {
 
 // varDominated reports whether every recorded access time of vs is ⊑ the
 // effective-time floor, so no future access can be unordered against it.
+// Rx and Wx cover every access of their kind, so their domination covers
+// the pair-tracking cells too: a pure latest access ⊑ the floor orders its
+// whole effective time before every live thread's (Lemma C.8), and with it
+// every access it dominates.
 func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
-	if !wcDominated(&vs.readAll, floor) || !wcDominated(&vs.writeAll, floor) {
-		return false
-	}
-	if !vs.wLast.LeqVC(floor) || !vs.rLast.LeqVC(floor) {
-		return false
-	}
-	// Epoch-mode state: the same domination argument on the FastTrack
-	// representation.
-	if !vs.ep.DominatedBy(floor) {
-		return false
-	}
-	// Every pair-tracking cell clock is ⊑ its kind's aggregate: an epoch or
-	// vector component of a pure access is a component of that access's
-	// effective time, and an impure access's effective time was joined
-	// whole. The aggregate domination above therefore covers the cells.
-	return true
+	return vs.r.LeqVC(floor) && vs.w.LeqVC(floor)
 }
 
 // compactLock quiesces one lock's state and reports whether the lock can
@@ -290,13 +279,7 @@ func (d *Detector) StateBytes() int {
 	}
 	for x := range d.vars {
 		vs := &d.vars[x]
-		if vs.readAll.Ready() {
-			n += width * clockB
-		}
-		if vs.writeAll.Ready() {
-			n += width * clockB
-		}
-		n += len(vs.ep.Shared) * clockB
+		n += vs.r.Bytes(width) + vs.w.Bytes(width)
 		n += vs.reads.Bytes(width) + vs.writes.Bytes(width)
 	}
 	for _, ls := range d.locks {

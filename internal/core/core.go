@@ -19,8 +19,8 @@
 //     sections on one lock never interleave, so the two queues advance in
 //     lockstep — drained at t's releases of ℓ while the front acquire is
 //     ⊑ Ct (rule (b));
-//   - per variable: read/write timestamp joins Rx and Wx for race checking
-//     (§3.2 end) and, with pair tracking, one cell per program location and
+//   - per variable: the read/write times Rx and Wx for race checking (§3.2
+//     end) and, with pair tracking, one cell per program location and
 //     access kind, so distinct race *pairs* of locations are reported
 //     exactly (Table 1 metric).
 //
@@ -45,13 +45,15 @@
 //     dominate all earlier ones (see relTimes);
 //   - the race check never materializes the effective time
 //     (Pt ⊔ Ot)[t := Nt]: it compares componentwise, drops the ⊔ Ot leg
-//     once Pt dominates the static ancestry clock, and collapses to one
-//     epoch compare while a variable's accesses stay totally ordered
-//     (Lemma C.8). Pair tracking takes its verdict from the same check and
-//     reads its per-location cells only for racy events; the cells keep
-//     the same epoch form while a location's accesses stay ordered (see
-//     varState). The cached per-thread materialization remains only for
-//     timestamp collection, compaction floors and FindRacePairs;
+//     once Pt dominates the static ancestry clock, and keeps Rx and Wx as
+//     adaptive times that collapse to one epoch compare while a variable's
+//     accesses stay totally ordered (Lemma C.8) and return to that form
+//     as soon as an access follows every earlier one — the paper's §6
+//     epoch optimisation, exact. Pair tracking takes its verdict from the
+//     same check and reads its per-location cells, which are the same
+//     adaptive times, only for racy events (see varState). The cached
+//     per-thread materialization remains only for timestamp collection,
+//     compaction floors and FindRacePairs;
 //   - every clock is windowed (vc.WC): joins, comparisons, copies and
 //     queue records touch only each clock's dirty window, so per-event
 //     clock work scales with how many threads actually communicated, not
@@ -82,10 +84,6 @@ type Options struct {
 	// event in the Result, enabling the Theorem 2 cross-check against the
 	// closure-based reference. Memory is O(N·T); only for small traces.
 	CollectTimestamps bool
-	// EpochCheck replaces the vector-clock race check with the
-	// FastTrack-style epoch state machine (§6 future work; see epoch.go).
-	// Incompatible with TrackPairs.
-	EpochCheck bool
 }
 
 // Result is the outcome of a WCP analysis.
@@ -466,47 +464,26 @@ type lockState struct {
 	own []ownQ
 }
 
-// varState is the per-variable race-checking state. Vector-clock mode uses
-// the aggregate clocks and their fast-path flags; pair tracking adds the
-// per-location cells; epoch mode (Options.EpochCheck) uses only ep.
+// varState is the per-variable race-checking state: r and w are Rx and Wx
+// (race.Cell, whose Loc and Last go unused), and with pair tracking reads
+// and writes hold one cell per program location, read only when the
+// verdict is racy.
 //
-// wLast/rLast and the ordered flags power the exact O(1) fast path of the
-// vector-mode check: while the accesses of one kind are totally ordered in
-// the effective order, the aggregate Rx/Wx clock is dominated by the latest
-// access, and by the paper's single-component characterization (Lemma C.8:
-// for cross-thread a <tr b, a ≤WCP b iff N(a) ≤ Cb(t(a))) the whole vector
-// comparison collapses to one clock compare. The collapse is only valid
-// when the recorded access's effective time was a pure clock time — its
-// thread's ancestry clock Ot added nothing beyond Pt (oZero), so every
-// component the aggregate absorbed is clock-propagated and the
-// single-component compare characterizes it; wPure/rPure record that. The
-// aggregate clocks are still maintained; an unordered or o-contaminated
-// access falls back to the vector compare, so the flagged events are
-// exactly those of the pure vector implementation (pinned against the
-// closure by TestWCPDefaultModeMatchesVectorCheck).
-//
-// reads/writes are the pair-tracking cells, one per program location (see
-// race.Cell), read only when the verdict is racy. A cell's time compares
-// like the join of its accesses' effective times by the same lemma: in
-// epoch form the accesses are totally ordered and the latest is pure, so
-// one compare against the current effective time decides; in vector form
-// the clock holds the epoch component of every pure access (which, by
-// Lemma C.8, compares exactly like that access's whole effective time) and
-// the full effective time of every impure one.
+// A cell's time compares like the join of its accesses' effective times by
+// the paper's single-component characterization (Lemma C.8: for
+// cross-thread a <tr b, a ≤WCP b iff N(a) ≤ Cb(t(a))). In epoch form the
+// accesses are totally ordered and the latest is pure — its thread's
+// ancestry clock Ot added nothing beyond Pt (oZero) — so one compare
+// against the current effective time decides. In vector form the clock
+// holds the epoch component of every pure access, which by Lemma C.8
+// compares exactly like that access's whole effective time, and the full
+// effective time of every impure one, whose ancestry components the lemma
+// does not characterize. The flagged events are therefore exactly those of
+// a check against the joined effective times (pinned against the closure
+// by TestWCPDefaultModeMatchesVectorCheck).
 type varState struct {
-	readAll  vc.WC
-	writeAll vc.WC
-	wLast    vc.Epoch
-	rLast    vc.Epoch
-	wOrdered bool
-	rOrdered bool
-	wPure    bool
-	rPure    bool
-
-	reads  race.Cells
-	writes race.Cells
-
-	ep race.Epochs
+	r, w          race.Cell
+	reads, writes race.Cells
 }
 
 // Detector is the streaming WCP race detector. Create it with NewDetector,
@@ -780,18 +757,10 @@ func (d *Detector) stepAt(i int, kind event.Kind, t int, obj int32, loc event.Lo
 		d.release(t, event.LID(obj))
 	case event.Read:
 		d.read(t, event.VID(obj))
-		if d.opts.EpochCheck {
-			d.checkEpoch(i, t, event.VID(obj), false)
-		} else {
-			d.check(i, t, event.VID(obj), loc, false)
-		}
+		d.check(i, t, event.VID(obj), loc, false)
 	case event.Write:
 		d.write(t, event.VID(obj))
-		if d.opts.EpochCheck {
-			d.checkEpoch(i, t, event.VID(obj), true)
-		} else {
-			d.check(i, t, event.VID(obj), loc, true)
-		}
+		d.check(i, t, event.VID(obj), loc, true)
 	case event.Fork:
 		u := int(obj)
 		us := &d.threads[u]
@@ -1304,39 +1273,16 @@ func effComp(p, o *vc.WC, t int, n vc.Clock, oZero bool, i int) vc.Clock {
 	return c
 }
 
-// joinEff sets dst to dst ⊔ (p ⊔ o)[t := n], merging only the dirty
-// windows of p and o.
-func joinEff(dst, p, o *vc.WC, t int, n vc.Clock, oZero bool) {
-	dst.JoinEff(p, o, t, n, oZero)
-}
-
 // check performs the race check of §3.2: for a read, Wx ⊑ Ce must hold; for
-// a write, Rx ⊔ Wx ⊑ Ce must hold. It compares and records against
-// (Pt ⊔ Ot)[t := Nt] componentwise, never materializing the effective time,
-// and collapses each comparison to one clock compare while the accesses
-// stay totally ordered (see varState). With pair tracking, a racy verdict
-// scans the cells of the racing kinds for the partner locations, and every
-// access updates its own cell.
+// a write, Rx ⊔ Wx ⊑ Ce must hold. Rx and Wx are cells (see varState), so
+// each comparison is one clock compare while the variable's accesses stay
+// ordered, and the effective time is never materialized. With pair
+// tracking, a racy verdict scans the cells of the racing kinds for the
+// partner locations, and every access updates its own cell.
 func (d *Detector) check(i, t int, x event.VID, loc event.Loc, isWrite bool) {
 	vs := &d.vars[x]
-	ts := &d.threads[t]
-	p, o, n, oZero := &ts.p, &ts.o, ts.n, ts.oZero
-	racyW := false
-	if vs.writeAll.Ready() {
-		if vs.wOrdered && vs.wPure {
-			racyW = vs.wLast.Clock() > effComp(p, o, t, n, oZero, int(vs.wLast.TID()))
-		} else {
-			racyW = !leqEff(&vs.writeAll, p, o, t, n, oZero)
-		}
-	}
-	racyR := false
-	if isWrite && vs.readAll.Ready() {
-		if vs.rOrdered && vs.rPure {
-			racyR = vs.rLast.Clock() > effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
-		} else {
-			racyR = !leqEff(&vs.readAll, p, o, t, n, oZero)
-		}
-	}
+	racyW := !d.cellLeq(&vs.w, t)
+	racyR := isWrite && !d.cellLeq(&vs.r, t)
 	if racyW || racyR {
 		d.res.RacyEvents++
 		if d.res.FirstRace < 0 {
@@ -1353,42 +1299,15 @@ func (d *Detector) check(i, t int, x event.VID, loc event.Loc, isWrite bool) {
 		}
 	}
 	if isWrite {
-		if !vs.writeAll.Ready() {
-			vs.writeAll.Init(len(d.threads))
-			vs.wOrdered = true
-		} else if racyW {
-			// This write is unordered with an earlier one: the latest
-			// write no longer dominates Wx.
-			vs.wOrdered = false
-		}
-		vs.wLast = vc.MakeEpoch(t, n)
-		vs.wPure = oZero
-		joinEff(&vs.writeAll, p, o, t, n, oZero)
+		// A non-racy write is ordered after every earlier write, so it
+		// dominates Wx and its own cell without a compare.
+		d.recordCell(&vs.w, i, t, !racyW)
 		if d.res.Report != nil {
-			// A non-racy write is ordered after every earlier write, so
-			// its own cell is dominated without a compare.
 			d.recordCell(vs.writes.At(loc), i, t, !racyW)
 		}
 		return
 	}
-	if !vs.readAll.Ready() {
-		vs.readAll.Init(len(d.threads))
-		vs.rOrdered = true
-	} else if vs.rOrdered {
-		// rOrdered may only survive if Rx stays dominated by this read:
-		// decided by the epoch compare when the latest read was pure, by
-		// the exact vector compare otherwise. (Read-read is no race; this
-		// only maintains the flag.)
-		ordered := vs.rPure &&
-			vs.rLast.Clock() <= effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
-		if !ordered {
-			ordered = leqEff(&vs.readAll, p, o, t, n, oZero)
-		}
-		vs.rOrdered = ordered
-	}
-	vs.rLast = vc.MakeEpoch(t, n)
-	vs.rPure = oZero
-	joinEff(&vs.readAll, p, o, t, n, oZero)
+	d.recordCell(&vs.r, i, t, false)
 	if d.res.Report != nil {
 		d.recordCell(vs.reads.At(loc), i, t, false)
 	}
@@ -1430,7 +1349,7 @@ func (d *Detector) recordCell(c *race.Cell, i, t int, dominated bool) {
 	}
 	v := c.Vector(len(d.threads))
 	if !ts.oZero {
-		joinEff(v, &ts.p, &ts.o, t, ts.n, false)
+		v.JoinEff(&ts.p, &ts.o, t, ts.n, false)
 	} else if ts.n > v.Get(t) {
 		v.Set(t, ts.n)
 	}

@@ -221,13 +221,12 @@ func TestFigure5DeadlockWitness(t *testing.T) {
 }
 
 // TestWCPDefaultModeMatchesVectorCheck is the differential pin for the
-// epoch-gated fast path of the race check: over random traces with and
-// without fork/join ancestry, Options{} must flag exactly the events the
-// closure's ≤WCP says are racy. The fork/join shapes are the regression
-// case: ancestry (Ot) components folded into the aggregate clocks are not
-// characterized by the Lemma C.8 single-component compare, so the gate must
-// fall back to the vector compare for accesses recorded with ancestry
-// active.
+// epoch form of the Rx/Wx cells: over random traces with and without
+// fork/join ancestry, Options{} must flag exactly the events the closure's
+// ≤WCP says are racy. The fork/join shapes are the regression case:
+// ancestry (Ot) components are not characterized by the Lemma C.8
+// single-component compare, so an access recorded with ancestry active
+// must enter its cell as a whole effective time, never as an epoch.
 func TestWCPDefaultModeMatchesVectorCheck(t *testing.T) {
 	shapes := []gen.RandomConfig{
 		{Threads: 3, Locks: 2, Vars: 3, ForkJoin: true},

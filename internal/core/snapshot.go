@@ -38,14 +38,7 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 	if d.opts.CollectTimestamps {
 		return errTimestamps
 	}
-	var ob byte
-	if d.opts.TrackPairs {
-		ob |= 1
-	}
-	if d.opts.EpochCheck {
-		ob |= 2
-	}
-	w.Byte(ob)
+	w.Bool(d.opts.TrackPairs)
 	w.Uvarint(uint64(len(d.threads)))
 	w.Uvarint(uint64(len(d.locks)))
 	w.Uvarint(uint64(len(d.vars)))
@@ -123,11 +116,10 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 	return nil
 }
 
+// varFresh reports whether vs records no access. Every access updates Rx
+// or Wx, so a variable with location cells is never fresh.
 func varFresh(vs *varState) bool {
-	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
-		vs.wLast == vc.NoEpoch && vs.rLast == vc.NoEpoch &&
-		!vs.wOrdered && !vs.rOrdered && !vs.wPure && !vs.rPure &&
-		vs.reads.Len() == 0 && vs.writes.Len() == 0 && vs.ep.Fresh()
+	return vs.r.Fresh() && vs.w.Fresh()
 }
 
 func encodeVarSet(w *snap.Writer, s *varSet) {
@@ -494,70 +486,23 @@ func (d *Detector) packedLen(n, span, maskLo, maskHi vc.Clock) bool {
 }
 
 func encodeVar(w *snap.Writer, vs *varState) {
-	var fb byte
-	if vs.wOrdered {
-		fb |= 1
-	}
-	if vs.rOrdered {
-		fb |= 2
-	}
-	if vs.wPure {
-		fb |= 4
-	}
-	if vs.rPure {
-		fb |= 8
-	}
-	if vs.ep.Shared != nil {
-		fb |= 16
-	}
-	w.Byte(fb)
-	encodeWC(w, &vs.readAll)
-	encodeWC(w, &vs.writeAll)
-	w.Uvarint(uint64(vs.wLast))
-	w.Uvarint(uint64(vs.rLast))
-	w.Uvarint(uint64(vs.ep.W))
-	w.Uvarint(uint64(vs.ep.R))
-	if vs.ep.Shared != nil {
-		w.Sparse(vs.ep.Shared)
-	}
+	vs.r.EncodeTime(w)
+	vs.w.EncodeTime(w)
 	vs.reads.EncodeSnapshot(w)
 	vs.writes.EncodeSnapshot(w)
 }
 
-func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
-	width := len(d.threads)
-	fb, err := rd.Byte()
-	if err != nil {
+func decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
+	if err := vs.r.DecodeTime(rd, tmp); err != nil {
 		return err
 	}
-	if fb >= 32 {
-		return &snap.DecodeError{Reason: "bad variable flags"}
-	}
-	vs.wOrdered = fb&1 != 0
-	vs.rOrdered = fb&2 != 0
-	vs.wPure = fb&4 != 0
-	vs.rPure = fb&8 != 0
-	if err := decodeWC(rd, &vs.readAll, width, tmp); err != nil {
+	if err := vs.w.DecodeTime(rd, tmp); err != nil {
 		return err
 	}
-	if err := decodeWC(rd, &vs.writeAll, width, tmp); err != nil {
+	if err := vs.reads.DecodeSnapshot(rd, tmp); err != nil {
 		return err
 	}
-	for _, e := range []*vc.Epoch{&vs.wLast, &vs.rLast, &vs.ep.W, &vs.ep.R} {
-		if *e, err = race.DecodeEpoch(rd, width); err != nil {
-			return err
-		}
-	}
-	if fb&16 != 0 {
-		vs.ep.Shared = vc.New(width)
-		if err := rd.Sparse(vs.ep.Shared); err != nil {
-			return err
-		}
-	}
-	if err := vs.reads.DecodeSnapshot(rd, width); err != nil {
-		return err
-	}
-	if err := vs.writes.DecodeSnapshot(rd, width); err != nil {
+	if err := vs.writes.DecodeSnapshot(rd, tmp); err != nil {
 		return err
 	}
 	if varFresh(vs) {
@@ -571,14 +516,11 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 // DecodeSnapshot reconstructs a detector from a payload written by
 // EncodeSnapshot. Any malformation surfaces as a *snap.DecodeError.
 func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
-	ob, err := rd.Byte()
+	pairs, err := rd.Bool()
 	if err != nil {
 		return nil, err
 	}
-	if ob >= 4 {
-		return nil, &snap.DecodeError{Reason: "bad detector options"}
-	}
-	opts := Options{TrackPairs: ob&1 != 0, EpochCheck: ob&2 != 0}
+	opts := Options{TrackPairs: pairs}
 	threads, err := rd.Count(maxSnapThreads)
 	if err != nil {
 		return nil, err
@@ -722,7 +664,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 		if x >= vars {
 			return nil, &snap.DecodeError{Reason: "variable out of range"}
 		}
-		if err := d.decodeVar(rd, &d.vars[x], tmp); err != nil {
+		if err := decodeVar(rd, &d.vars[x], tmp); err != nil {
 			return nil, err
 		}
 	}

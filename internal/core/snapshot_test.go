@@ -102,20 +102,21 @@ func TestDecodeRejectsShortFixedStrideLog(t *testing.T) {
 }
 
 // TestDecodeRejectsEpochThreadOutOfRange: an epoch naming a thread past
-// the width would index past the first clock it is compared with.
+// the width would index past the first clock it is compared with, in the
+// variable's Wx or in a location cell.
 func TestDecodeRejectsEpochThreadOutOfRange(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Threads: 4, Locks: 2, Vars: 4, Events: 500, Seed: 4})
-	for _, opts := range []Options{{}, {EpochCheck: true}} {
+	for _, opts := range []Options{{}, {TrackPairs: true}} {
 		d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 		d.ProcessBlock(tr.SoA())
 		if _, err := roundTrip(t, d); err != nil {
 			t.Fatalf("%+v: untampered snapshot rejected: %v", opts, err)
 		}
 		bad := vc.MakeEpoch(tr.NumThreads(), 1)
-		if opts.EpochCheck {
-			d.vars[0].ep.W = bad
+		if opts.TrackPairs {
+			d.vars[0].writes.List()[0].Ep = bad
 		} else {
-			d.vars[0].wLast = bad
+			d.vars[0].w.Ep = bad
 		}
 		var de *snap.DecodeError
 		if _, err := roundTrip(t, d); !errors.As(err, &de) {

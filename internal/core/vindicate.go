@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/predict"
 	"repro/internal/trace"
 )
@@ -48,11 +51,17 @@ type Vindication struct {
 // warnings into explained reports. maxPairs caps how many pairs are
 // certified (0 = all); budget bounds each search.
 //
-// By Theorem 1 the first pair can never come back VerdictUnconfirmed given
-// enough budget; later pairs might, since the soundness guarantee covers
-// the first race only.
+// Pairs are certified in σ-order: by second event, and among pairs with
+// the same second event, latest first event first. The first pair is then
+// the σ-first race Theorem 1 covers — no event between its two events
+// races with the second — so it can never come back VerdictUnconfirmed
+// given enough budget; later pairs might, since the soundness guarantee
+// covers the first race only.
 func Vindicate(tr *trace.Trace, maxPairs int, budget predict.Budget) []Vindication {
 	pairs := FindRacePairs(tr)
+	slices.SortFunc(pairs, func(a, b EventPair) int {
+		return cmp.Or(cmp.Compare(a.Second, b.Second), cmp.Compare(b.First, a.First))
+	})
 	if maxPairs > 0 && len(pairs) > maxPairs {
 		pairs = pairs[:maxPairs]
 	}

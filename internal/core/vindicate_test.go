@@ -72,6 +72,23 @@ func TestVindicateMaxPairs(t *testing.T) {
 	}
 }
 
+// TestVindicateCertifiesSigmaFirstPair: of the two pairs racing with the
+// last write, Theorem 1 covers the one with the later first event, so a
+// cap of one certifies (1, 2), not FindRacePairs' leading (0, 2).
+func TestVindicateCertifiesSigmaFirstPair(t *testing.T) {
+	b := trace.NewBuilder()
+	b.Write("t1", "x") // 0
+	b.Write("t1", "x") // 1
+	b.Write("t2", "x") // 2: races with 0 and 1
+	vs := core.Vindicate(b.MustBuild(), 1, predict.Budget{})
+	if len(vs) != 1 || vs[0].Pair != (core.EventPair{First: 1, Second: 2}) {
+		t.Fatalf("vindicated %v, want only the σ-first pair (1, 2)", vs)
+	}
+	if vs[0].Verdict != core.VerdictRace {
+		t.Errorf("verdict %v, want race", vs[0].Verdict)
+	}
+}
+
 func TestVerdictString(t *testing.T) {
 	if core.VerdictRace.String() != "race" ||
 		core.VerdictDeadlock.String() != "deadlock" ||

@@ -77,7 +77,7 @@ func withDense(f func()) {
 	f()
 }
 
-// TestEnginesWindowedMatchesDense runs all seven engines over every
+// TestEnginesWindowedMatchesDense runs all five engines over every
 // workload twice — windowed clocks and forced-dense clocks — and requires
 // identical results, including the exact distinct race-pair sets.
 func TestEnginesWindowedMatchesDense(t *testing.T) {
@@ -104,7 +104,6 @@ func TestWCPDetectorWindowedMatchesDense(t *testing.T) {
 		opts := []core.Options{
 			{},
 			{TrackPairs: true},
-			{EpochCheck: true},
 		}
 		if collect {
 			opts = append(opts, core.Options{CollectTimestamps: true})
@@ -137,11 +136,10 @@ func TestWCPDetectorWindowedMatchesDense(t *testing.T) {
 }
 
 // TestHBDetectorWindowedMatchesDense pins the HB detector option
-// combinations, exercising both the per-variable access caches (vector
-// mode, no pairs) and the pair-tracking path that bypasses them.
+// combinations, with and without pair tracking.
 func TestHBDetectorWindowedMatchesDense(t *testing.T) {
 	for name, tr := range clockModeTraces(t) {
-		for _, o := range []hb.Options{{}, {TrackPairs: true}, {Epoch: true}} {
+		for _, o := range []hb.Options{{}, {TrackPairs: true}} {
 			windowed := hb.DetectOpts(tr, o)
 			var dense *hb.Result
 			withDense(func() { dense = hb.DetectOpts(tr, o) })

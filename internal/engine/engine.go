@@ -29,13 +29,11 @@ import (
 )
 
 // Result is the uniform outcome of one engine over one trace. Fields beyond
-// Engine, Duration and Summary are engine-specific; absent ones are zero
-// (Report is nil for the epoch engines, which track race existence only).
+// Engine, Duration and Summary are engine-specific; absent ones are zero.
 type Result struct {
 	// Engine is the name of the engine that produced this result.
 	Engine string
-	// Report holds distinct race pairs, nil for engines that don't track
-	// pairs (wcp-epoch, hb-epoch).
+	// Report holds distinct race pairs.
 	Report *race.Report
 	// RacyEvents counts events flagged as racing (-1 if not tracked).
 	RacyEvents int
@@ -61,8 +59,7 @@ type Result struct {
 	Err error
 }
 
-// Distinct returns the number of distinct race pairs, 0 when the engine
-// reports none.
+// Distinct returns the number of distinct race pairs, 0 without a report.
 func (r *Result) Distinct() int {
 	if r.Report == nil {
 		return 0
@@ -74,7 +71,7 @@ func (r *Result) Distinct() int {
 // must be safe for concurrent use: all the implementations in this package
 // build their detector state per call and treat the trace as read-only.
 type Engine interface {
-	// Name identifies the engine ("wcp", "hb-epoch", ...).
+	// Name identifies the engine ("wcp", "hb", ...).
 	Name() string
 	// Analyze runs the detector over the whole trace.
 	Analyze(tr *trace.Trace) *Result
@@ -84,7 +81,7 @@ type Engine interface {
 // block by block, never materializing the full event sequence: memory is
 // detector state plus a small fixed ring of decoded blocks, independent of
 // trace length, and decode runs on its own goroutine overlapping detector
-// compute (see drive). The wcp, wcp-epoch, hb and hb-epoch engines stream;
+// compute (see drive). The wcp and hb engines stream;
 // the windowed baselines (cp, predict) and lockset need the materialized
 // trace.
 //
@@ -117,9 +114,9 @@ type Session interface {
 }
 
 // SessionEngine is implemented by engines whose detectors can be held open
-// as resumable streaming sessions: the wcp, wcp-epoch, hb and hb-epoch
-// engines. (AnalyzeStream is the one-shot form; NewSession exposes the same
-// detector for incremental feeding.)
+// as resumable streaming sessions: the wcp and hb engines. (AnalyzeStream
+// is the one-shot form; NewSession exposes the same detector for
+// incremental feeding.)
 type SessionEngine interface {
 	Engine
 	// NewSession returns a fresh detector session for a trace with the
@@ -163,70 +160,48 @@ func (c Config) budget() int {
 	return c.Budget
 }
 
-// wcpResult assembles the uniform Result of a WCP run (vector or epoch).
-func wcpResult(name string, res *core.Result, epoch bool, dur time.Duration) *Result {
-	r := &Result{
-		Engine:        name,
+// wcpResult assembles the uniform Result of a WCP run.
+func wcpResult(res *core.Result, dur time.Duration) *Result {
+	return &Result{
+		Engine:        "wcp",
 		Report:        res.Report,
 		RacyEvents:    res.RacyEvents,
 		FirstRace:     res.FirstRace,
 		QueueMaxTotal: res.QueueMaxTotal,
 		QueueFraction: res.QueueMaxFraction(),
 		Duration:      dur,
+		Summary: fmt.Sprintf("racy events=%d queue max=%d (%.2f%% of events)",
+			res.RacyEvents, res.QueueMaxTotal, 100*res.QueueMaxFraction()),
 	}
-	if epoch {
-		r.Summary = fmt.Sprintf("racy events=%d first=%d (epoch mode reports no pairs)",
-			res.RacyEvents, res.FirstRace)
-	} else {
-		r.Summary = fmt.Sprintf("racy events=%d queue max=%d (%.2f%% of events)",
-			res.RacyEvents, res.QueueMaxTotal, 100*res.QueueMaxFraction())
-	}
-	return r
 }
 
-// hbResult assembles the uniform Result of an HB run (vector or epoch).
-func hbResult(name string, res *hb.Result, epoch bool, dur time.Duration) *Result {
-	r := &Result{
-		Engine:     name,
+// hbResult assembles the uniform Result of an HB run.
+func hbResult(res *hb.Result, dur time.Duration) *Result {
+	return &Result{
+		Engine:     "hb",
 		Report:     res.Report,
 		RacyEvents: res.RacyEvents,
 		FirstRace:  res.FirstRace,
 		Duration:   dur,
+		Summary:    fmt.Sprintf("racy events=%d", res.RacyEvents),
 	}
-	if epoch {
-		r.Summary = fmt.Sprintf("racy events=%d first=%d (epoch mode reports no pairs)",
-			res.RacyEvents, res.FirstRace)
-	} else {
-		r.Summary = fmt.Sprintf("racy events=%d", res.RacyEvents)
-	}
-	return r
 }
 
-// wcpEngine is the paper's Algorithm 1: with epoch false, distinct race-pair
-// tracking ("wcp"); with epoch true, the §6 epoch-optimized race check
-// ("wcp-epoch").
-type wcpEngine struct{ epoch bool }
+// wcpEngine is the paper's Algorithm 1 with distinct race-pair tracking.
+type wcpEngine struct{}
 
-func (e wcpEngine) Name() string {
-	if e.epoch {
-		return "wcp-epoch"
-	}
-	return "wcp"
-}
+// wcpOptions is the detector configuration of the wcp engine.
+var wcpOptions = core.Options{TrackPairs: true}
 
-func (e wcpEngine) options() core.Options {
-	return core.Options{TrackPairs: !e.epoch, EpochCheck: e.epoch}
-}
+func (wcpEngine) Name() string { return "wcp" }
 
-func (e wcpEngine) Analyze(tr *trace.Trace) *Result {
+func (wcpEngine) Analyze(tr *trace.Trace) *Result {
 	start := time.Now()
-	return wcpResult(e.Name(), core.DetectOpts(tr, e.options()), e.epoch, time.Since(start))
+	return wcpResult(core.DetectOpts(tr, wcpOptions), time.Since(start))
 }
 
 // wcpSession holds a WCP detector open across blocks (engine.Session).
 type wcpSession struct {
-	name    string
-	epoch   bool
 	d       *core.Detector
 	busy    time.Duration
 	compact compactState
@@ -243,47 +218,32 @@ func (s *wcpSession) ProcessBlock(b *trace.Block) {
 
 func (s *wcpSession) Events() int { return s.d.Result().Events }
 
-func (s *wcpSession) Finish() *Result {
-	return wcpResult(s.name, s.d.Result(), s.epoch, s.busy)
-}
+func (s *wcpSession) Finish() *Result { return wcpResult(s.d.Result(), s.busy) }
 
-func (e wcpEngine) NewSession(threads, locks, vars int) Session {
-	return &wcpSession{
-		name:  e.Name(),
-		epoch: e.epoch,
-		d:     core.NewDetector(threads, locks, vars, e.options()),
-	}
+func (wcpEngine) NewSession(threads, locks, vars int) Session {
+	return &wcpSession{d: core.NewDetector(threads, locks, vars, wcpOptions)}
 }
 
 func (e wcpEngine) AnalyzeStream(ctx context.Context, st *traceio.Stream) (*Result, error) {
 	return analyzeSessionStream(ctx, e, st)
 }
 
-// hbEngine is the happens-before baseline: full vector clocks with epoch
-// false ("hb"), the FastTrack-style epoch representation with epoch true
-// ("hb-epoch").
-type hbEngine struct{ epoch bool }
+// hbEngine is the happens-before baseline with distinct race-pair
+// tracking.
+type hbEngine struct{}
 
-func (e hbEngine) Name() string {
-	if e.epoch {
-		return "hb-epoch"
-	}
-	return "hb"
-}
+// hbOptions is the detector configuration of the hb engine.
+var hbOptions = hb.Options{TrackPairs: true}
 
-func (e hbEngine) options() hb.Options {
-	return hb.Options{TrackPairs: !e.epoch, Epoch: e.epoch}
-}
+func (hbEngine) Name() string { return "hb" }
 
-func (e hbEngine) Analyze(tr *trace.Trace) *Result {
+func (hbEngine) Analyze(tr *trace.Trace) *Result {
 	start := time.Now()
-	return hbResult(e.Name(), hb.DetectOpts(tr, e.options()), e.epoch, time.Since(start))
+	return hbResult(hb.DetectOpts(tr, hbOptions), time.Since(start))
 }
 
 // hbSession holds an HB detector open across blocks (engine.Session).
 type hbSession struct {
-	name    string
-	epoch   bool
 	d       *hb.Detector
 	busy    time.Duration
 	compact compactState
@@ -300,16 +260,10 @@ func (s *hbSession) ProcessBlock(b *trace.Block) {
 
 func (s *hbSession) Events() int { return s.d.Result().Events }
 
-func (s *hbSession) Finish() *Result {
-	return hbResult(s.name, s.d.Result(), s.epoch, s.busy)
-}
+func (s *hbSession) Finish() *Result { return hbResult(s.d.Result(), s.busy) }
 
-func (e hbEngine) NewSession(threads, locks, vars int) Session {
-	return &hbSession{
-		name:  e.Name(),
-		epoch: e.epoch,
-		d:     hb.NewDetector(threads, locks, vars, e.options()),
-	}
+func (hbEngine) NewSession(threads, locks, vars int) Session {
+	return &hbSession{d: hb.NewDetector(threads, locks, vars, hbOptions)}
 }
 
 func (e hbEngine) AnalyzeStream(ctx context.Context, st *traceio.Stream) (*Result, error) {
@@ -395,7 +349,7 @@ func (locksetEngine) Analyze(tr *trace.Trace) *Result {
 
 // constructors maps engine names to their factories, in the canonical
 // "all" order (the order cmd/rapid reports and RunAll preserves).
-var allOrder = []string{"wcp", "wcp-epoch", "hb", "hb-epoch", "cp", "predict", "lockset"}
+var allOrder = []string{"wcp", "hb", "cp", "predict", "lockset"}
 
 // New returns the named engine configured with cfg. Valid names are those
 // returned by Names.
@@ -403,12 +357,8 @@ func New(name string, cfg Config) (Engine, error) {
 	switch name {
 	case "wcp":
 		return wcpEngine{}, nil
-	case "wcp-epoch":
-		return wcpEngine{epoch: true}, nil
 	case "hb":
 		return hbEngine{}, nil
-	case "hb-epoch":
-		return hbEngine{epoch: true}, nil
 	case "cp":
 		return cpEngine{cfg}, nil
 	case "predict":

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -24,9 +25,8 @@ func genTrace(t *testing.T, name string, scale float64) (*trace.Trace, gen.Bench
 
 // TestEnginesAgree runs every engine concurrently over the same shared
 // traces and checks each engine's documented race set: WCP and HB match
-// the benchmark's Table-1 counts, the epoch engines agree with their
-// vector-clock counterparts on race existence and first race, and every
-// HB race pair is also a WCP race pair (HB ⊆ WCP, Theorem: WCP is weaker).
+// the benchmark's Table-1 counts, and every HB race pair is also a WCP
+// race pair (HB ⊆ WCP, Theorem: WCP is weaker).
 func TestEnginesAgree(t *testing.T) {
 	for _, name := range agreeBenchmarks {
 		name := name
@@ -47,17 +47,6 @@ func TestEnginesAgree(t *testing.T) {
 			}
 			if got, want := byName["hb"].Distinct(), b.HBRaces; got != want {
 				t.Errorf("hb: %d distinct pairs, want %d", got, want)
-			}
-
-			for _, pair := range [][2]string{{"wcp", "wcp-epoch"}, {"hb", "hb-epoch"}} {
-				full, epoch := byName[pair[0]], byName[pair[1]]
-				if (full.RacyEvents > 0) != (epoch.RacyEvents > 0) {
-					t.Errorf("%s vs %s: existence disagrees (%d vs %d racy events)",
-						pair[0], pair[1], full.RacyEvents, epoch.RacyEvents)
-				}
-				if full.FirstRace != epoch.FirstRace {
-					t.Errorf("%s vs %s: first race %d vs %d", pair[0], pair[1], full.FirstRace, epoch.FirstRace)
-				}
 			}
 
 			wcpReport := byName["wcp"].Report
@@ -119,11 +108,16 @@ func TestEngineSharedTrace(t *testing.T) {
 	}
 }
 
-// TestNewUnknown checks the error path and that Names covers every engine
-// New accepts.
+// TestNewUnknown checks the error path, including the retired epoch
+// engines, and that Names covers every engine New accepts.
 func TestNewUnknown(t *testing.T) {
-	if _, err := New("flux-capacitor", Config{}); err == nil {
-		t.Fatal("New accepted an unknown engine")
+	for _, name := range []string{"flux-capacitor", "wcp-epoch", "hb-epoch"} {
+		if _, err := New(name, Config{}); err == nil {
+			t.Fatalf("New accepted the unknown engine %q", name)
+		}
+	}
+	if got := strings.Join(Names(), ","); got != "cp,hb,lockset,predict,wcp" {
+		t.Fatalf("Names() = %s", got)
 	}
 	for _, name := range Names() {
 		e, err := New(name, Config{})

@@ -191,7 +191,7 @@ func TestAnalyzeCorpusCancel(t *testing.T) {
 			return gen.Random(gen.RandomConfig{Seed: 1, Events: 200, Threads: 3, Locks: 2, Vars: 4}), nil
 		}}
 	}
-	engines := []Engine{MustNew("hb-epoch", Config{})}
+	engines := []Engine{MustNew("hb", Config{})}
 	seen := map[int]bool{}
 	got := 0
 	for res := range AnalyzeCorpus(ctx, corpus, engines, 2) {
@@ -223,7 +223,7 @@ func TestAnalyzeCorpusAbandoned(t *testing.T) {
 			return gen.Random(gen.RandomConfig{Seed: 1, Events: 100, Threads: 2, Locks: 1, Vars: 2}), nil
 		}}
 	}
-	ch := AnalyzeCorpus(ctx, corpus, []Engine{MustNew("hb-epoch", Config{})}, 4)
+	ch := AnalyzeCorpus(ctx, corpus, []Engine{MustNew("hb", Config{})}, 4)
 	<-ch
 	cancel() // and never read ch again
 	deadline := time.Now().Add(5 * time.Second)

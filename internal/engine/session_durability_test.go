@@ -16,8 +16,9 @@ import (
 // identical to an uninterrupted, never-compacted run of the same engine
 // over the same trace.
 
-// sessionEngineNames are the engines with full session durability support.
-var sessionEngineNames = []string{"wcp", "wcp-epoch", "hb", "hb-epoch"}
+// sessionEngineNames are the engines that stream, with full session
+// durability support.
+var sessionEngineNames = []string{"wcp", "hb"}
 
 // runPlain streams tr through a fresh session in fixed-size blocks with no
 // compaction and no snapshotting.

@@ -17,7 +17,7 @@ import (
 // the contract the raced server relies on for report parity.
 func TestSessionMatchesAnalyze(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Seed: 5, Events: 30000, Threads: 4, Locks: 3, Vars: 6})
-	for _, name := range streamingEngineNames {
+	for _, name := range sessionEngineNames {
 		t.Run(name, func(t *testing.T) {
 			e := MustNew(name, Config{})
 			se, ok := e.(SessionEngine)
@@ -89,7 +89,7 @@ func TestAnalyzeStreamCancellation(t *testing.T) {
 	writeSyntheticBinary(t, path, nevents)
 	base := runtime.NumGoroutine()
 
-	for _, name := range streamingEngineNames {
+	for _, name := range sessionEngineNames {
 		t.Run(name, func(t *testing.T) {
 			st, err := traceio.StreamFile(path)
 			if err != nil {

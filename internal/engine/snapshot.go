@@ -65,7 +65,7 @@ func (c *compactState) run(d compactor) {
 }
 
 // CompactableSession is a Session whose detector supports state compaction
-// (wcp, wcp-epoch, hb, hb-epoch).
+// (wcp, hb).
 type CompactableSession interface {
 	Session
 	// Compact retires dominated detector state immediately.
@@ -97,23 +97,16 @@ const maxSnapName = 64
 
 // Snapshot writes the session as one snap frame: engine name, accumulated
 // busy time, then the detector payload.
-func (s *wcpSession) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w)
-	sw.String(s.name)
-	sw.Uvarint(uint64(s.busy))
-	if err := s.d.EncodeSnapshot(sw); err != nil {
-		return err
-	}
-	return sw.Close()
-}
+func (s *wcpSession) Snapshot(w io.Writer) error { return writeFrame(w, "wcp", s.busy, s.d) }
 
-// Snapshot writes the session as one snap frame: engine name, accumulated
-// busy time, then the detector payload.
-func (s *hbSession) Snapshot(w io.Writer) error {
+// Snapshot writes the session as one snap frame (see wcpSession.Snapshot).
+func (s *hbSession) Snapshot(w io.Writer) error { return writeFrame(w, "hb", s.busy, s.d) }
+
+func writeFrame(w io.Writer, name string, busy time.Duration, d interface{ EncodeSnapshot(*snap.Writer) error }) error {
 	sw := snap.NewWriter(w)
-	sw.String(s.name)
-	sw.Uvarint(uint64(s.busy))
-	if err := s.d.EncodeSnapshot(sw); err != nil {
+	sw.String(name)
+	sw.Uvarint(uint64(busy))
+	if err := d.EncodeSnapshot(sw); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -141,26 +134,24 @@ func RestoreSession(r io.Reader) (Session, string, error) {
 	busy := time.Duration(busyNS)
 	var sess Session
 	switch name {
-	case "wcp", "wcp-epoch":
-		epoch := name == "wcp-epoch"
+	case "wcp":
 		d, err := core.DecodeSnapshot(rd)
 		if err != nil {
 			return nil, "", err
 		}
-		if want := (wcpEngine{epoch: epoch}).options(); d.Options() != want {
+		if d.Options() != wcpOptions {
 			return nil, "", &snap.DecodeError{Reason: "detector options do not match engine " + name}
 		}
-		sess = &wcpSession{name: name, epoch: epoch, d: d, busy: busy}
-	case "hb", "hb-epoch":
-		epoch := name == "hb-epoch"
+		sess = &wcpSession{d: d, busy: busy}
+	case "hb":
 		d, err := hb.DecodeSnapshot(rd)
 		if err != nil {
 			return nil, "", err
 		}
-		if want := (hbEngine{epoch: epoch}).options(); d.Options() != want {
+		if d.Options() != hbOptions {
 			return nil, "", &snap.DecodeError{Reason: "detector options do not match engine " + name}
 		}
-		sess = &hbSession{name: name, epoch: epoch, d: d, busy: busy}
+		sess = &hbSession{d: d, busy: busy}
 	default:
 		return nil, "", &snap.DecodeError{Reason: "unknown engine " + name}
 	}

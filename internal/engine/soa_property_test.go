@@ -94,11 +94,11 @@ func resultsEqual(a, b *Result) bool {
 		reportsEqual(a.Report, b.Report)
 }
 
-// TestSoAEnginesMatchLegacyEventPath asserts, for all seven engines, that
+// TestSoAEnginesMatchLegacyEventPath asserts, for all five engines, that
 // analysis over the SoA view reports exactly the races of the legacy
 // event-slice path.
 //
-// For the streaming detectors (wcp, wcp-epoch, hb, hb-epoch) the legacy
+// For the streaming detectors (wcp, hb), with and without pairs, the legacy
 // path is the per-event Process loop over tr.Events, compared against the
 // block path the engines now use. For the windowed/materialized baselines
 // (cp, predict, lockset) the SoA cursor is their ingestion path; the legacy
@@ -109,7 +109,7 @@ func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 	engines := All(Config{Window: 120, Budget: 3000})
 	for ti, tr := range soaShapes(t) {
 		// Detector-level equivalence: Process-per-event vs ProcessBlock.
-		for _, opts := range []core.Options{{TrackPairs: true}, {EpochCheck: true}} {
+		for _, opts := range []core.Options{{TrackPairs: true}, {}} {
 			legacy := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 			for _, e := range tr.Events {
 				legacy.Process(e)
@@ -119,12 +119,12 @@ func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 			lr, sr := legacy.Result(), soa.Result()
 			if lr.RacyEvents != sr.RacyEvents || lr.FirstRace != sr.FirstRace ||
 				lr.QueueMaxTotal != sr.QueueMaxTotal || !reportsEqual(lr.Report, sr.Report) {
-				t.Fatalf("trace %d: WCP (epoch=%v) SoA path diverges: racy %d/%d first %d/%d queue %d/%d",
-					ti, opts.EpochCheck, lr.RacyEvents, sr.RacyEvents, lr.FirstRace, sr.FirstRace,
+				t.Fatalf("trace %d: WCP (pairs=%v) SoA path diverges: racy %d/%d first %d/%d queue %d/%d",
+					ti, opts.TrackPairs, lr.RacyEvents, sr.RacyEvents, lr.FirstRace, sr.FirstRace,
 					lr.QueueMaxTotal, sr.QueueMaxTotal)
 			}
 		}
-		for _, opts := range []hb.Options{{TrackPairs: true}, {Epoch: true}} {
+		for _, opts := range []hb.Options{{TrackPairs: true}, {}} {
 			legacy := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 			for _, e := range tr.Events {
 				legacy.Process(e)
@@ -134,7 +134,7 @@ func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 			lr, sr := legacy.Result(), soa.Result()
 			if lr.RacyEvents != sr.RacyEvents || lr.FirstRace != sr.FirstRace ||
 				!reportsEqual(lr.Report, sr.Report) {
-				t.Fatalf("trace %d: HB (epoch=%v) SoA path diverges", ti, opts.Epoch)
+				t.Fatalf("trace %d: HB (pairs=%v) SoA path diverges", ti, opts.TrackPairs)
 			}
 		}
 

@@ -16,10 +16,8 @@ import (
 	"repro/internal/traceio"
 )
 
-var streamingEngineNames = []string{"wcp", "wcp-epoch", "hb", "hb-epoch"}
-
 func TestCanStream(t *testing.T) {
-	for _, name := range streamingEngineNames {
+	for _, name := range sessionEngineNames {
 		if !CanStream([]Engine{MustNew(name, Config{})}) {
 			t.Errorf("%s should stream", name)
 		}
@@ -33,8 +31,8 @@ func TestCanStream(t *testing.T) {
 
 // streamingEngines returns the four streaming engines, in canonical order.
 func streamingEngines() []Engine {
-	engines := make([]Engine, len(streamingEngineNames))
-	for i, name := range streamingEngineNames {
+	engines := make([]Engine, len(sessionEngineNames))
+	for i, name := range sessionEngineNames {
 		engines[i] = MustNew(name, Config{})
 	}
 	return engines

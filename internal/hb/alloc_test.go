@@ -10,9 +10,8 @@ import (
 
 // TestHBSteadyStateAllocsHighThreads extends the steady-state pin of
 // TestHBSteadyStateAllocs to a T=256 thread-pool workload: windowed
-// clocks, the per-lock join caches and the per-variable access caches
-// must keep the streaming step loop allocation-free at high thread
-// counts.
+// clocks, the per-lock join caches and the per-variable cells must keep
+// the streaming step loop allocation-free at high thread counts.
 func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 	tr := gen.ThreadScaling(gen.ThreadScalingConfig{Threads: 256, Events: 60_000, Shape: "pools", Races: 4})
 	const limit = 0.005
@@ -22,7 +21,6 @@ func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 	}{
 		{"vector", hb.Options{}},
 		{"pairs", hb.Options{TrackPairs: true}},
-		{"epoch", hb.Options{Epoch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), tc.opts)
@@ -38,8 +36,8 @@ func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 }
 
 // TestHBSteadyStateAllocs pins the allocation discipline shared with the
-// WCP detector: after warm-up, the HB step loop (vector and epoch modes)
-// performs essentially zero heap allocations per event.
+// WCP detector: after warm-up, the HB step loop (with and without pair
+// tracking) performs essentially zero heap allocations per event.
 func TestHBSteadyStateAllocs(t *testing.T) {
 	bench, ok := gen.ByName("montecarlo")
 	if !ok {
@@ -53,7 +51,6 @@ func TestHBSteadyStateAllocs(t *testing.T) {
 	}{
 		{"vector", hb.Options{}},
 		{"pairs", hb.Options{TrackPairs: true}},
-		{"epoch", hb.Options{Epoch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), tc.opts)

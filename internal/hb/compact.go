@@ -3,7 +3,6 @@ package hb
 import (
 	"math"
 
-	"repro/internal/race"
 	"repro/internal/vc"
 )
 
@@ -58,23 +57,12 @@ func (d *Detector) Compact() {
 		}
 	}
 	for x := range d.vars {
-		vs := &d.vars[x]
-		// A pair-tracking cell holds components of its accesses' times, so
-		// the aggregates' domination covers the cells too.
-		if wcDominatedHB(&vs.readAll, f) && wcDominatedHB(&vs.writeAll, f) &&
-			(vs.readAll.Ready() || vs.writeAll.Ready()) {
+		// Rx and Wx cover every access of their kind, so their domination
+		// covers the pair-tracking cells too.
+		if vs := &d.vars[x]; vs.r.LeqVC(f) && vs.w.LeqVC(f) {
 			*vs = varState{}
 		}
 	}
-	for x := range d.evars {
-		if vs := &d.evars[x]; vs.DominatedBy(f) {
-			*vs = race.Epochs{}
-		}
-	}
-}
-
-func wcDominatedHB(w *vc.WC, floor vc.VC) bool {
-	return !w.Ready() || w.LeqVC(floor)
 }
 
 // StateBytes estimates the detector's retained state in bytes, for
@@ -89,16 +77,8 @@ func (d *Detector) StateBytes() int {
 	}
 	for x := range d.vars {
 		vs := &d.vars[x]
-		if vs.readAll.Ready() {
-			n += d.width * clockB
-		}
-		if vs.writeAll.Ready() {
-			n += d.width * clockB
-		}
+		n += vs.r.Bytes(d.width) + vs.w.Bytes(d.width)
 		n += vs.reads.Bytes(d.width) + vs.writes.Bytes(d.width)
-	}
-	for x := range d.evars {
-		n += 40 + len(d.evars[x].Shared)*clockB
 	}
 	return n
 }

@@ -1,8 +1,7 @@
 // Package hb implements happens-before race detection (Definition 1): the
 // classical linear-time vector-clock algorithm (Djit+ style), which the
 // paper uses as its scalability baseline (§4, "HB is the simplest sound
-// technique, and admits a fast linear time algorithm"), plus a
-// FastTrack-style epoch-optimized variant.
+// technique, and admits a fast linear time algorithm").
 //
 // Like the paper's RAPID implementation, the HB analysis here is NOT
 // windowed: it sees the whole trace and therefore catches the far-apart
@@ -12,27 +11,21 @@
 // create it with NewDetector (dimensions known up front, e.g. from a binary
 // trace header), feed events in trace order with Process, then read the
 // Result. Per-thread clocks live in one contiguous bank, so steady-state
-// processing performs near-zero heap allocations per event. The epoch mode
-// keeps each variable's state in race.Epochs, the FastTrack state machine
-// the WCP detector's epoch mode runs too; it allocates a read vector only
-// when concurrent readers inflate one, and the next write drops it.
+// processing performs near-zero heap allocations per event.
+//
+// Each variable's read and write times Rx and Wx are the adaptive cells
+// the WCP detector uses (race.Cell): one epoch while the accesses stay
+// ordered, so the check is a single compare — FastTrack's optimisation,
+// but exact — and a vector only while accesses are unordered, returning to
+// an epoch as soon as an access follows every earlier one (see varState).
 //
 // It also shares the WCP detector's windowed-clock discipline (vc.WC):
-// thread, lock and per-variable clocks carry dirty windows, so joins and
-// race-check comparisons touch only the components that can differ from
-// zero — work proportional to how many threads actually communicated, not
-// to the thread count. Two generation-based caches sit on top:
-//
-//   - a per-lock join cache (release generation + per-thread last-joined
-//     generation) skips the acquire-side join when the thread has already
-//     absorbed the lock clock's current value;
-//   - a per-variable access cache keyed by (thread, thread-clock
-//     generation, peer-state stamps) replays the outcome of the previous
-//     identical race check in O(1) — the overwhelmingly common case of a
-//     thread accessing the same variable repeatedly between
-//     synchronization events (vector mode; with pair tracking a replayed
-//     access still updates its location's cell in O(1), and only a racy
-//     replay scans the variable's cells).
+// thread, lock and vector-form cell clocks carry dirty windows, so joins
+// and comparisons touch only the components that can differ from zero —
+// work proportional to how many threads actually communicated, not to the
+// thread count. A per-lock join cache (release generation + per-thread
+// last-joined generation) skips the acquire-side join when the thread has
+// already absorbed the lock clock's current value.
 package hb
 
 import (
@@ -45,18 +38,10 @@ import (
 // Options configures the detector.
 type Options struct {
 	// TrackPairs enables distinct race-pair accounting per program-location
-	// pair (Table 1 metric). The racy verdict is the same vector check as
+	// pair (Table 1 metric). The racy verdict is the same check as
 	// without it; pair tracking adds one cell update per access and a scan
-	// of the variable's cells for each racy event. Ignored in Epoch mode,
-	// which reports no pairs.
+	// of the variable's cells for each racy event.
 	TrackPairs bool
-	// Epoch selects the FastTrack-style epoch representation for the
-	// per-variable state (race.Epochs): one clock@thread word per
-	// variable in the common case, inflating reads to a vector clock only
-	// under read sharing. Epoch mode flags a subset of racy events (the
-	// same-epoch fast path suppresses re-checks within an epoch) but agrees
-	// on whether any race exists and on the first racy event.
-	Epoch bool
 }
 
 // Result is the outcome of an HB analysis.
@@ -71,43 +56,17 @@ type Result struct {
 	Events int
 }
 
-// accessKey is the per-variable access cache: the identity of the last
-// read (or write) of the variable — thread, the thread clock's generation,
-// and the change stamps of the peer aggregate clocks the check compared
-// against — plus the check's outcome. While all of those still match, the
-// current access is indistinguishable from the cached one: same racy
-// verdict, and the aggregate join is a no-op (the aggregate already
-// absorbed this exact clock), so the whole access costs one compare.
-type accessKey struct {
-	valid          bool
-	racy           bool
-	t              int32
-	tgen           uint32
-	rStamp, wStamp uint32
-}
-
-func (k *accessKey) hit(t int, tgen, rStamp, wStamp uint32) bool {
-	return k.valid && k.t == int32(t) && k.tgen == tgen &&
-		k.rStamp == rStamp && k.wStamp == wStamp
-}
-
-// varState is the per-variable detector state of the full-vector-clock mode.
-//
-// reads/writes are the pair-tracking cells, one per program location (see
-// race.Cell), read only when the verdict is racy. HB times compare by one
-// component — for a <tr b, a ≤HB b iff H(a)[t(a)] ≤ H(b)[t(a)] — so an
-// epoch-form cell is its latest access (t, H[t]) and a vector-form cell
-// holds each access's own component, which compares exactly like the join
-// of the accesses' HB times.
+// varState is the per-variable detector state: r and w are Rx and Wx
+// (race.Cell, whose Loc and Last go unused), and with pair tracking reads
+// and writes hold one cell per program location, read only when the
+// verdict is racy. HB times compare by one component — for a <tr b,
+// a ≤HB b iff H(a)[t(a)] ≤ H(b)[t(a)] — so an epoch-form cell is its
+// latest access (t, H[t]) and a vector-form cell holds each access's own
+// component, which compares exactly like the join of the accesses' HB
+// times.
 type varState struct {
-	readAll  vc.WC // join of all read times (Rx in §3.2)
-	writeAll vc.WC // join of all write times (Wx)
-	// rStamp/wStamp bump whenever readAll/writeAll grow; lastR/lastW are
-	// the access caches.
-	rStamp, wStamp uint32
-	lastR, lastW   accessKey
-	reads          race.Cells
-	writes         race.Cells
+	r, w          race.Cell
+	reads, writes race.Cells
 }
 
 // hbLock is the per-lock state: the windowed clock of the last release
@@ -127,13 +86,7 @@ type Detector struct {
 	ct    []vc.WC   // C_t: current HB time of thread t, one contiguous bank
 	locks []*hbLock // L_ℓ: last-release state of ℓ, allocated on first use
 	vars  []varState
-	evars []race.Epochs // epoch-mode per-variable state
 	res   Result
-	// cache enables the per-variable access caches: vector mode, and only
-	// at widths where replaying a verdict beats redoing the compare (tiny-T
-	// compares are already a handful of instructions, and the cache
-	// bookkeeping would be pure overhead).
-	cache bool
 	// held tracks each thread's currently-held locks, maintained only in
 	// pair-tracking mode to supply the fingerprint context of race
 	// observations (HB has no critical-section stack of its own).
@@ -153,22 +106,17 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 		width:  threads,
 		ct:     vc.NewWCMatrix(threads, threads),
 		locks:  make([]*hbLock, locks),
+		vars:   make([]varState, vars),
 		joined: make([]bool, threads),
 	}
 	d.res.FirstRace = -1
-	if opts.Epoch {
-		d.evars = make([]race.Epochs, vars)
-	} else {
-		d.vars = make([]varState, vars)
-		if opts.TrackPairs {
-			d.res.Report = race.NewReport()
-			d.held = make([][]event.LID, threads)
-		}
+	if opts.TrackPairs {
+		d.res.Report = race.NewReport()
+		d.held = make([][]event.LID, threads)
 	}
 	for t := range d.ct {
 		d.ct[t].Set(t, 1)
 	}
-	d.cache = !opts.Epoch && threads > 8
 	return d
 }
 
@@ -234,20 +182,8 @@ func (d *Detector) stepAt(i int, kind event.Kind, t int, obj int32, loc event.Lo
 		d.ct[t].Join(&d.ct[int(obj)])
 		d.joined[int(obj)] = true
 	case event.Read:
-		if d.opts.Epoch {
-			if d.evars[obj].Read(t, d.ct[t].VC()) {
-				d.flag(i)
-			}
-			return
-		}
 		d.read(i, t, event.VID(obj), loc)
 	case event.Write:
-		if d.opts.Epoch {
-			if d.evars[obj].Write(t, d.ct[t].VC()) {
-				d.flag(i)
-			}
-			return
-		}
 		d.write(i, t, event.VID(obj), loc)
 	}
 }
@@ -266,35 +202,13 @@ func (d *Detector) popHeld(t int, l event.LID) {
 
 func (d *Detector) read(i, t int, x event.VID, loc event.Loc) {
 	vs := &d.vars[x]
-	now := &d.ct[t]
-	// Access cache: identical thread clock and unchanged write aggregate ⇒
-	// identical verdict, and the read aggregate has already absorbed this
-	// clock. (The read check ignores readAll, so its stamp is not part of
-	// the key.)
-	hit := d.cache && vs.lastR.hit(t, now.Gen(), 0, vs.wStamp)
-	var racy bool
-	if hit {
-		racy = vs.lastR.racy
-	} else {
-		racy = vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
-	}
-	if racy {
+	if !d.cellLeq(&vs.w, t) {
 		d.flag(i)
 		if d.res.Report != nil {
 			d.recordRaces(&vs.writes, i, t, loc, x)
 		}
 	}
-	if !hit {
-		if !vs.readAll.Ready() {
-			vs.readAll.Init(d.width)
-		}
-		if vs.readAll.Join(now) {
-			vs.rStamp++
-		}
-		if d.cache {
-			vs.lastR = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), wStamp: vs.wStamp}
-		}
-	}
+	d.recordCell(&vs.r, i, t, false)
 	if d.res.Report != nil {
 		d.recordCell(vs.reads.At(loc), i, t, false)
 	}
@@ -302,17 +216,8 @@ func (d *Detector) read(i, t int, x event.VID, loc event.Loc) {
 
 func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 	vs := &d.vars[x]
-	now := &d.ct[t]
-	hit := d.cache && vs.lastW.hit(t, now.Gen(), vs.rStamp, vs.wStamp)
-	var racyW, racyR bool
-	if hit {
-		// The cache keeps one verdict for both kinds; a racy replay scans
-		// both cell sets, where only cells unordered with now report.
-		racyW, racyR = vs.lastW.racy, vs.lastW.racy
-	} else {
-		racyW = vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
-		racyR = vs.readAll.Ready() && !vs.readAll.LeqVC(now.VC())
-	}
+	racyW := !d.cellLeq(&vs.w, t)
+	racyR := !d.cellLeq(&vs.r, t)
 	if racyW || racyR {
 		d.flag(i)
 		if d.res.Report != nil {
@@ -324,20 +229,10 @@ func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 			}
 		}
 	}
-	if !hit {
-		if !vs.writeAll.Ready() {
-			vs.writeAll.Init(d.width)
-		}
-		if vs.writeAll.Join(now) {
-			vs.wStamp++
-		}
-		if d.cache {
-			vs.lastW = accessKey{valid: true, racy: racyW || racyR, t: int32(t), tgen: now.Gen(), rStamp: vs.rStamp, wStamp: vs.wStamp}
-		}
-	}
+	// A non-racy write is ordered after every earlier write, so it
+	// dominates Wx and its own cell without a compare.
+	d.recordCell(&vs.w, i, t, !racyW)
 	if d.res.Report != nil {
-		// A non-racy write is ordered after every earlier write, so its own
-		// cell is dominated without a compare.
 		d.recordCell(vs.writes.At(loc), i, t, !racyW)
 	}
 }
@@ -345,10 +240,7 @@ func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 // cellLeq reports whether every access recorded in c happened before
 // thread t's current time.
 func (d *Detector) cellLeq(c *race.Cell, t int) bool {
-	if c.Ep != vc.NoEpoch {
-		return c.Ep.LeqVC(d.ct[t].VC())
-	}
-	return c.Vec == nil || c.Vec.LeqVC(d.ct[t].VC())
+	return c.LeqVC(d.ct[t].VC())
 }
 
 // recordRaces reports the race of event i (thread t, location loc,
@@ -389,12 +281,6 @@ func (d *Detector) Result() *Result { return &d.res }
 // tracking enabled.
 func Detect(tr *trace.Trace) *Result {
 	return DetectOpts(tr, Options{TrackPairs: true})
-}
-
-// DetectEpoch runs the FastTrack-style epoch-optimized HB detector over a
-// whole trace.
-func DetectEpoch(tr *trace.Trace) *Result {
-	return DetectOpts(tr, Options{Epoch: true})
 }
 
 // DetectOpts runs the HB race detector over a whole trace, walking its

@@ -106,61 +106,11 @@ func TestDetectMatchesClosure(t *testing.T) {
 	}
 }
 
-// TestEpochMatchesVC compares the FastTrack-style epoch detector with the
-// full-VC detector: same race existence, same first racy event, and the
-// epoch detector's count never exceeds the full one (the same-epoch fast
-// path can suppress re-reports only).
-func TestEpochMatchesVC(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		cfg := gen.RandomConfig{
-			Threads:  int(2 + seed%4),
-			Locks:    int(1 + seed%3),
-			Vars:     int(1 + seed%4),
-			Events:   80,
-			Seed:     seed + 1000,
-			ForkJoin: seed%2 == 0,
-		}
-		tr := gen.Random(cfg)
-		full := hb.DetectOpts(tr, hb.Options{})
-		ep := hb.DetectEpoch(tr)
-		if (full.RacyEvents > 0) != (ep.RacyEvents > 0) {
-			t.Fatalf("seed %d: existence disagrees: full=%d epoch=%d", seed, full.RacyEvents, ep.RacyEvents)
-		}
-		if full.FirstRace != ep.FirstRace {
-			t.Fatalf("seed %d: first race: full=%d epoch=%d", seed, full.FirstRace, ep.FirstRace)
-		}
-		if ep.RacyEvents > full.RacyEvents {
-			t.Fatalf("seed %d: epoch flagged more events (%d) than full (%d)", seed, ep.RacyEvents, full.RacyEvents)
-		}
-	}
-}
-
-// TestEpochReadShare exercises the read-sharing inflation path explicitly.
-func TestEpochReadShare(t *testing.T) {
-	b := trace.NewBuilder()
-	b.Write("t1", "x") // establish a writer
-	b.Fork("t1", "t2")
-	b.Fork("t1", "t3")
-	b.Read("t2", "x") // concurrent readers: inflate to shared
-	b.Read("t3", "x")
-	b.Write("t1", "x") // races with both reads
-	tr := b.MustBuild()
-	res := hb.DetectEpoch(tr)
-	if res.RacyEvents == 0 {
-		t.Error("write after shared reads should be flagged")
-	}
-	full := hb.DetectOpts(tr, hb.Options{})
-	if full.FirstRace != res.FirstRace {
-		t.Errorf("first race: full=%d epoch=%d", full.FirstRace, res.FirstRace)
-	}
-}
-
 // TestHBPairReportsMatchClosure pins the whole pair-tracking report —
 // pairs in order, Count, FirstEvent, distances and context — to the one
 // the closure reference derives from ≤HB with the detector's cell rules,
 // on random shapes with and without fork/join, with private and with
-// shared program locations. The T=9 and T=12 shapes run the per-variable
-// access cache.
+// shared program locations.
 func TestHBPairReportsMatchClosure(t *testing.T) {
 	shapes := []gen.RandomConfig{
 		{Threads: 2, Locks: 1, Vars: 2},

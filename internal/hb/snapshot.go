@@ -9,11 +9,11 @@ import (
 
 // Snapshot codec for the HB detector. Like internal/core's, the payload is
 // canonical: thread clocks, lock clocks, per-variable access state, held
-// stacks, and the result counters. Join-cache generations, the access
-// caches (lastR/lastW and the change stamps), and clock dirty windows are
-// recomputable and dropped — restore leaves caches cold and windows tight,
-// which costs a few redundant compares and changes no verdict. A snapshot
-// of a just-restored detector is byte-identical to the one it came from.
+// stacks, and the result counters. Join-cache generations and clock dirty
+// windows are recomputable and dropped — restore leaves caches cold and
+// windows tight, which costs a few redundant compares and changes no
+// verdict. A snapshot of a just-restored detector is byte-identical to the
+// one it came from.
 
 const (
 	maxSnapThreads = 1 << 20
@@ -23,21 +23,10 @@ const (
 
 // EncodeSnapshot appends the detector's full semantic state to w.
 func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
-	var ob byte
-	if d.opts.TrackPairs {
-		ob |= 1
-	}
-	if d.opts.Epoch {
-		ob |= 2
-	}
-	w.Byte(ob)
-	nvars := len(d.vars)
-	if d.opts.Epoch {
-		nvars = len(d.evars)
-	}
+	w.Bool(d.opts.TrackPairs)
 	w.Uvarint(uint64(d.width))
 	w.Uvarint(uint64(len(d.locks)))
-	w.Uvarint(uint64(nvars))
+	w.Uvarint(uint64(len(d.vars)))
 
 	w.Int(d.res.Events)
 	w.Int(d.res.RacyEvents)
@@ -72,32 +61,6 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		w.Sparse(lk.c.VC())
 	}
 
-	if d.opts.Epoch {
-		live := 0
-		for x := range d.evars {
-			if !d.evars[x].Fresh() {
-				live++
-			}
-		}
-		w.Uvarint(uint64(live))
-		prev := 0
-		for x := range d.evars {
-			vs := &d.evars[x]
-			if vs.Fresh() {
-				continue
-			}
-			w.Uvarint(uint64(x - prev))
-			prev = x
-			w.Uvarint(uint64(vs.W))
-			w.Uvarint(uint64(vs.R))
-			w.Bool(vs.Shared != nil)
-			if vs.Shared != nil {
-				w.Sparse(vs.Shared)
-			}
-		}
-		return nil
-	}
-
 	live := 0
 	for x := range d.vars {
 		if !hbVarFresh(&d.vars[x]) {
@@ -113,27 +76,17 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		}
 		w.Uvarint(uint64(x - prev))
 		prev = x
-		encodeHBWC(w, &vs.readAll)
-		encodeHBWC(w, &vs.writeAll)
+		vs.r.EncodeTime(w)
+		vs.w.EncodeTime(w)
 		vs.reads.EncodeSnapshot(w)
 		vs.writes.EncodeSnapshot(w)
 	}
 	return nil
 }
 
-func hbVarFresh(vs *varState) bool {
-	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
-		vs.reads.Len() == 0 && vs.writes.Len() == 0
-}
-
-func encodeHBWC(w *snap.Writer, c *vc.WC) {
-	if !c.Ready() {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.Sparse(c.VC())
-}
+// hbVarFresh reports whether vs records no access. Every access updates
+// Rx or Wx, so a variable with location cells is never fresh.
+func hbVarFresh(vs *varState) bool { return vs.r.Fresh() && vs.w.Fresh() }
 
 func decodeHBReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
 	tmp.Zero()
@@ -152,15 +105,11 @@ func decodeHBReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
 // DecodeSnapshot reconstructs a detector from a payload written by
 // EncodeSnapshot. Any malformation surfaces as a *snap.DecodeError.
 func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
-	ob, err := rd.Byte()
+	pairs, err := rd.Bool()
 	if err != nil {
 		return nil, err
 	}
-	if ob >= 4 || ob == 3 {
-		// Epoch mode never tracks pairs.
-		return nil, &snap.DecodeError{Reason: "bad detector options"}
-	}
-	opts := Options{TrackPairs: ob&1 != 0, Epoch: ob&2 != 0}
+	opts := Options{TrackPairs: pairs}
 	threads, err := rd.Count(maxSnapThreads)
 	if err != nil {
 		return nil, err
@@ -267,53 +216,17 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 		if x >= vars {
 			return nil, &snap.DecodeError{Reason: "variable out of range"}
 		}
-		if opts.Epoch {
-			vs := &d.evars[x]
-			if vs.W, err = race.DecodeEpoch(rd, threads); err != nil {
-				return nil, err
-			}
-			if vs.R, err = race.DecodeEpoch(rd, threads); err != nil {
-				return nil, err
-			}
-			hasShared, err := rd.Bool()
-			if err != nil {
-				return nil, err
-			}
-			if hasShared {
-				vs.Shared = vc.New(threads)
-				if err := rd.Sparse(vs.Shared); err != nil {
-					return nil, err
-				}
-			}
-			if vs.Fresh() {
-				return nil, &snap.DecodeError{Reason: "fresh variable encoded"}
-			}
-			continue
-		}
 		vs := &d.vars[x]
-		rdy, err := rd.Bool()
-		if err != nil {
+		if err := vs.r.DecodeTime(rd, tmp); err != nil {
 			return nil, err
 		}
-		if rdy {
-			vs.readAll.Init(threads)
-			if err := decodeHBReadyWC(rd, &vs.readAll, tmp); err != nil {
-				return nil, err
-			}
-		}
-		if rdy, err = rd.Bool(); err != nil {
+		if err := vs.w.DecodeTime(rd, tmp); err != nil {
 			return nil, err
 		}
-		if rdy {
-			vs.writeAll.Init(threads)
-			if err := decodeHBReadyWC(rd, &vs.writeAll, tmp); err != nil {
-				return nil, err
-			}
-		}
-		if err := vs.reads.DecodeSnapshot(rd, threads); err != nil {
+		if err := vs.reads.DecodeSnapshot(rd, tmp); err != nil {
 			return nil, err
 		}
-		if err := vs.writes.DecodeSnapshot(rd, threads); err != nil {
+		if err := vs.writes.DecodeSnapshot(rd, tmp); err != nil {
 			return nil, err
 		}
 		if hbVarFresh(vs) {

@@ -9,11 +9,14 @@ import (
 	"repro/internal/vc"
 )
 
-// Cell is the pair-attribution record of the accesses at one (variable,
-// program location, access kind): the location, the trace index of the
-// latest access, and a time that compares like the join of the accesses'
-// times against any later event. A detector that finds an event unordered
-// with that time has found a race between the event's location and Loc.
+// Cell is the race-check record of a set of accesses to one variable: a
+// time that compares like the join of the accesses' times against any
+// later event. A detector that finds an event unordered with that time has
+// found a race with one of the accesses. The detectors keep one cell per
+// access kind for the whole variable (the Rx and Wx of §3.2, whose Loc and
+// Last go unused) and, with pair tracking, one per (program location,
+// access kind), where Loc is the location and Last the trace index of the
+// latest access.
 //
 // The time takes one of two forms:
 //
@@ -25,8 +28,11 @@ import (
 //     detector's (see internal/core and internal/hb); a nil Vec is ⊥, the
 //     time of a cell with no accesses yet.
 //
-// Vec's storage is created on first need and kept when the cell returns to
-// epoch form, so a cell that flips between forms allocates once.
+// A detector returns a cell to epoch form when it records an access that
+// every recorded access is ordered before and whose whole time the epoch
+// characterizes. Vec's storage is created on first need and kept when the
+// cell returns to epoch form, so a cell that flips between forms allocates
+// once.
 type Cell struct {
 	Loc  event.Loc
 	Last int
@@ -50,6 +56,78 @@ func (c *Cell) Vector(width int) *vc.WC {
 	return c.Vec
 }
 
+// Bytes estimates the storage c's clock of the given width retains.
+func (c *Cell) Bytes(width int) int {
+	if c.Vec == nil {
+		return 0
+	}
+	return 4 * width
+}
+
+// Fresh reports whether c records no access: vector form at ⊥.
+func (c *Cell) Fresh() bool { return c.Ep == vc.NoEpoch && c.Vec == nil }
+
+// LeqVC reports whether c's time is ⊑ v componentwise: the epoch's one
+// component, or every component of the clock.
+func (c *Cell) LeqVC(v vc.VC) bool {
+	if c.Ep != vc.NoEpoch {
+		return c.Ep.LeqVC(v)
+	}
+	return c.Vec == nil || c.Vec.LeqVC(v)
+}
+
+// EncodeTime appends c's time to a snapshot payload: the epoch, followed
+// by the sparse clock when the epoch is vc.NoEpoch (vector form).
+func (c *Cell) EncodeTime(w *snap.Writer) {
+	w.Uvarint(uint64(c.Ep))
+	if c.Ep != vc.NoEpoch {
+		return
+	}
+	if c.Vec == nil {
+		w.Uvarint(0)
+	} else {
+		w.Sparse(c.Vec.VC())
+	}
+}
+
+// DecodeTime reads a time written by EncodeTime into c, for clocks of
+// len(tmp) components; tmp is scratch. A vector with no nonzero component
+// decodes as ⊥ (nil Vec).
+func (c *Cell) DecodeTime(rd *snap.Reader, tmp vc.VC) error {
+	var err error
+	if c.Ep, err = DecodeEpoch(rd, len(tmp)); err != nil || c.Ep != vc.NoEpoch {
+		return err
+	}
+	tmp.Zero()
+	if err := rd.Sparse(tmp); err != nil {
+		return err
+	}
+	for t, v := range tmp {
+		if v != 0 {
+			if c.Vec == nil {
+				c.Vec = new(vc.WC)
+				c.Vec.Init(len(tmp))
+			}
+			c.Vec.Set(t, v)
+		}
+	}
+	return nil
+}
+
+// DecodeEpoch reads an epoch written as a uvarint and rejects one whose
+// thread lies outside the clock width, which the first comparison against
+// a clock of that width would index past.
+func DecodeEpoch(rd *snap.Reader, width int) (vc.Epoch, error) {
+	v, err := rd.Uvarint()
+	if err != nil {
+		return vc.NoEpoch, err
+	}
+	if e := vc.Epoch(v); e.TID() < width {
+		return e, nil
+	}
+	return vc.NoEpoch, &snap.DecodeError{Reason: "epoch thread out of range"}
+}
+
 // Cells holds the cells of one (variable, access kind), sorted by
 // location. A racy access reports its partner locations in that order,
 // which depends on nothing but the locations themselves: not on when a
@@ -60,9 +138,6 @@ func (c *Cell) Vector(width int) *vc.WC {
 type Cells struct {
 	list []Cell
 }
-
-// Len returns the number of cells.
-func (s *Cells) Len() int { return len(s.list) }
 
 // List returns the cells in location order. Callers may modify the cells
 // in place but not the slice.
@@ -93,14 +168,12 @@ func (s *Cells) search(loc event.Loc) (int, bool) {
 }
 
 // Bytes estimates the retained storage of the set for detector state
-// budgets: the cell slice and each vector-form clock of the given width.
+// budgets: the cell slice and each cell's clock of the given width.
 func (s *Cells) Bytes(width int) int {
-	const cellB, clockB = 32, 4
+	const cellB = 32
 	n := cap(s.list) * cellB
 	for i := range s.list {
-		if s.list[i].Vec != nil {
-			n += width * clockB
-		}
+		n += s.list[i].Bytes(width)
 	}
 	return n
 }
@@ -110,8 +183,7 @@ const maxSnapCells = 1 << 24
 
 // EncodeSnapshot appends the set to a snapshot payload in location order:
 // per cell its location (the first in full, the rest as increments), latest
-// access index, and epoch, followed by the sparse clock when the epoch is
-// vc.NoEpoch (vector form).
+// access index, and time.
 func (s *Cells) EncodeSnapshot(w *snap.Writer) {
 	w.Uvarint(uint64(len(s.list)))
 	for i := range s.list {
@@ -122,25 +194,17 @@ func (s *Cells) EncodeSnapshot(w *snap.Writer) {
 			w.Uvarint(uint64(c.Loc - s.list[i-1].Loc))
 		}
 		w.Int(c.Last)
-		w.Uvarint(uint64(c.Ep))
-		if c.Ep == vc.NoEpoch {
-			if c.Vec == nil {
-				w.Uvarint(0)
-			} else {
-				w.Sparse(c.Vec.VC())
-			}
-		}
+		c.EncodeTime(w)
 	}
 }
 
 // DecodeSnapshot fills an empty set from a payload written by
-// EncodeSnapshot, for clocks of the given width.
-func (s *Cells) DecodeSnapshot(rd *snap.Reader, width int) error {
+// EncodeSnapshot, for clocks of len(tmp) components; tmp is scratch.
+func (s *Cells) DecodeSnapshot(rd *snap.Reader, tmp vc.VC) error {
 	n, err := rd.Count(maxSnapCells)
 	if err != nil {
 		return err
 	}
-	var tmp vc.VC
 	loc := event.Loc(0)
 	for i := 0; i < n; i++ {
 		if i == 0 {
@@ -164,26 +228,8 @@ func (s *Cells) DecodeSnapshot(rd *snap.Reader, width int) error {
 		if c.Last, err = rd.Int(); err != nil {
 			return err
 		}
-		if c.Ep, err = DecodeEpoch(rd, width); err != nil {
+		if err := c.DecodeTime(rd, tmp); err != nil {
 			return err
-		}
-		if c.Ep != vc.NoEpoch {
-			continue
-		}
-		c.Vec = new(vc.WC)
-		c.Vec.Init(width)
-		if tmp == nil {
-			tmp = vc.New(width)
-		} else {
-			tmp.Zero()
-		}
-		if err := rd.Sparse(tmp); err != nil {
-			return err
-		}
-		for t, v := range tmp {
-			if v != 0 {
-				c.Vec.Set(t, v)
-			}
 		}
 	}
 	return nil

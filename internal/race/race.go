@@ -3,8 +3,9 @@
 // unordered tuple of program locations corresponding to some pair of events
 // in the trace that are unordered by the partial order"), together with
 // occurrence counts and the race-distance statistic of §4.3. It also holds
-// the per-variable race-check state the WCP and HB detectors share: the
-// pair-tracking cells (Cell) and the FastTrack epoch state (Epochs).
+// the race-check state the WCP and HB detectors share: the Cell, an exact
+// epoch-or-vector time, which each keeps for every variable's reads and
+// writes (Rx and Wx) and, with pair tracking, per program location.
 package race
 
 import (

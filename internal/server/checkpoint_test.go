@@ -171,7 +171,7 @@ func TestGracefulRestartViaClose(t *testing.T) {
 	dir := t.TempDir()
 
 	s1, tc, kill := crashableServer(t, durableConfig(dir))
-	id := tc.createSession(tr, "wcp-epoch,hb-epoch")
+	id := tc.createSession(tr, "wcp,hb")
 	cut := len(tr.Events) / 2
 	tc.streamRange(id, tr, 0, cut)
 	if err := s1.Close(context.Background()); err != nil {
@@ -291,7 +291,7 @@ func TestEvictionSealsEngines(t *testing.T) {
 	}
 	s, tc := newTestServer(t, cfg)
 	tr := gen.Random(gen.RandomConfig{Seed: 21, Events: 6000, Threads: 4, Locks: 2, Vars: 4})
-	id := tc.createSession(tr, "hb-epoch")
+	id := tc.createSession(tr, "hb")
 	tc.stream(id, tr, 2)
 	sess := s.getSession(id)
 	if sess == nil {
@@ -311,7 +311,7 @@ func TestEvictionSealsEngines(t *testing.T) {
 		t.Fatalf("evicted session was not finalized; its engines still pin detector state")
 	}
 	// DELETE on a live session must seal engines too (abort path).
-	id2 := tc.createSession(tr, "hb-epoch")
+	id2 := tc.createSession(tr, "hb")
 	sess2 := s.getSession(id2)
 	tc.stream(id2, tr, 1)
 	if resp, raw := tc.do("DELETE", "/sessions/"+id2, nil); resp.StatusCode != http.StatusOK {

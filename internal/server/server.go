@@ -692,7 +692,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		se, ok := e.(engine.SessionEngine)
 		if !ok {
 			obs.WriteError(w, http.StatusBadRequest,
-				"engine %q cannot run as a streaming session (streaming engines: wcp, wcp-epoch, hb, hb-epoch)", name)
+				"engine %q cannot run as a streaming session (streaming engines: wcp, hb)", name)
 			return
 		}
 		makers[i] = se

@@ -297,6 +297,24 @@ func TestChunkDecodeError(t *testing.T) {
 	}
 }
 
+// TestRetiredEpochEngines: the epoch engines are gone, so a session naming
+// one is refused up front with the unknown-engine error, not opened with a
+// substitute.
+func TestRetiredEpochEngines(t *testing.T) {
+	_, tc := newTestServer(t, Config{})
+	tr := gen.Random(gen.RandomConfig{Seed: 9, Events: 50, Threads: 2, Locks: 1, Vars: 2})
+	for _, name := range []string{"wcp-epoch", "hb-epoch"} {
+		var hdr bytes.Buffer
+		if err := traceio.WriteHeader(&hdr, tr.Symbols, 0); err != nil {
+			t.Fatal(err)
+		}
+		resp, raw := tc.do("POST", "/sessions?engines=wcp,"+name, &hdr)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "unknown engine") {
+			t.Fatalf("%s: %d %s, want 400 unknown engine", name, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestAnalyzeOneShot: POST /analyze runs any engine (streaming or not)
 // over a whole trace body and matches the batch path.
 func TestAnalyzeOneShot(t *testing.T) {

@@ -29,10 +29,10 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 
 // Version is the current snapshot format version. Bump on any payload
 // layout change; Reader rejects mismatched versions with a DecodeError.
-// Version 2 encodes the detectors' pair-tracking cells as a first-seen list
-// of epochs and sparse clocks (version 1 held location-sorted dense
-// clocks).
-const Version = 2
+// Version 3 encodes each variable's read and write times as cells (an
+// epoch, or a sparse clock in vector form) and has no epoch-engine layout;
+// version 2 held them as full clocks with fast-path flags.
+const Version = 3
 
 // maxPayload bounds a single frame's payload so a corrupted length field
 // cannot drive a multi-gigabyte allocation. Detector snapshots for even

@@ -3,11 +3,10 @@ package vc
 import "fmt"
 
 // Epoch is a FastTrack-style scalar timestamp c@t packed into one word: the
-// clock of a single thread. The epoch modes of both detectors (race.Epochs)
-// use epochs for the common case of totally-ordered accesses, falling back
-// to full vector clocks only on contention; the paper lists epoch
-// optimizations as future work for WCP (§6). The detectors' pair-tracking
-// cells (race.Cell) and the WCP check's ordered fast path use them too.
+// clock of a single thread. Both detectors' per-variable and per-location
+// access times (race.Cell) are an epoch while their accesses stay totally
+// ordered, falling back to a vector clock only while they are not; the
+// paper lists epoch optimizations as future work for WCP (§6).
 type Epoch uint64
 
 // NoEpoch is the epoch representing "no access yet": clock 0 of thread 0,

@@ -1,7 +1,8 @@
 // Package vc implements the vector times of §3.1 of the paper: functions
 // from thread index to a non-negative scalar clock, supporting pointwise
 // comparison (⊑), pointwise maximum (⊔), and component assignment, plus a
-// FastTrack-style epoch representation used by the optimized HB detector.
+// FastTrack-style epoch representation for the detectors' ordered access
+// times.
 //
 // Vector clocks are represented as fixed-width []int32 slices sized to the
 // number of threads in the trace; detectors know the thread count up front

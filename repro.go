@@ -159,17 +159,8 @@ func VindicateWCPRaces(tr *Trace, maxPairs int, b SearchBudget) []Vindication {
 	return core.Vindicate(tr, maxPairs, b)
 }
 
-// DetectWCPEpoch runs the WCP detector with the epoch-optimized race check
-// (§6 future work): same clock machinery, per-variable state reduced to
-// epochs. Reports race existence and first race, no pair report.
-func DetectWCPEpoch(tr *Trace) *WCPResult { return core.DetectEpoch(tr) }
-
 // DetectHB runs the full-vector-clock happens-before detector.
 func DetectHB(tr *Trace) *HBResult { return hb.Detect(tr) }
-
-// DetectHBEpoch runs the FastTrack-style epoch-optimized HB detector
-// (cheaper; reports race existence and first race, no pair report).
-func DetectHBEpoch(tr *Trace) *HBResult { return hb.DetectEpoch(tr) }
 
 // DetectCP runs the Causally-Precedes baseline with the given window size
 // (CP has no known linear-time algorithm, so it is analyzed per fragment;
@@ -289,7 +280,7 @@ type TraceSource = engine.Source
 type CorpusResult = engine.CorpusResult
 
 // StreamEngine is an Engine whose detector consumes a trace block by block,
-// never materializing it ("wcp", "wcp-epoch", "hb", "hb-epoch").
+// never materializing it ("wcp", "hb").
 type StreamEngine = engine.StreamAnalyzer
 
 // EnginesCanStream reports whether every engine supports streaming analysis.
@@ -300,9 +291,8 @@ func EnginesCanStream(engines []Engine) bool { return engine.CanStream(engines) 
 // file block by block without materializing it.
 func NewFileTraceSource(path string) TraceSource { return engine.FileSource(path) }
 
-// NewEngine returns the named detector ("wcp", "wcp-epoch", "hb",
-// "hb-epoch", "cp", "predict", "lockset") behind the uniform Engine
-// interface.
+// NewEngine returns the named detector ("wcp", "hb", "cp", "predict",
+// "lockset") behind the uniform Engine interface.
 func NewEngine(name string, cfg EngineConfig) (Engine, error) { return engine.New(name, cfg) }
 
 // AllEngines returns every detector, in canonical reporting order.

@@ -33,9 +33,6 @@ func TestFacadeDetectors(t *testing.T) {
 	if got := DetectHB(tr).Report.Distinct(); got != 0 {
 		t.Errorf("HB pairs = %d, want 0", got)
 	}
-	if got := DetectHBEpoch(tr).RacyEvents; got != 0 {
-		t.Errorf("epoch HB racy = %d, want 0", got)
-	}
 	if got := DetectCP(tr, 0).Report.Distinct(); got != 0 {
 		t.Errorf("CP pairs = %d, want 0 (Figure 2b is CP-invisible)", got)
 	}
