@@ -87,9 +87,8 @@ var (
 	checkpointDir   = flag.String("checkpoint-dir", "", "directory for session/report checkpoints; enables crash recovery and graceful restarts")
 	checkpointEvery = flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (<0 disables the timer; POST /checkpoint still works)")
 	compactEvery    = flag.Int("compact-every", 1<<20, "compact session detector state every N events (0 disables)")
-	compactBudget   = flag.Int("compact-budget", 0, "only compact sessions whose state estimate exceeds this many bytes (0 = always)")
 
-	stateBudget   = flag.Int64("state-budget", 0, "global detector-state budget in bytes: over it, sessions are force-compacted then parked coldest-first (0 disables)")
+	stateBudget   = flag.Int64("state-budget", 0, "global detector-state budget in bytes: over it, sessions are force-compacted, then the coldest are parked (their detector state swapped for its snapshot, in memory or in -checkpoint-dir) until the next chunk or finish wakes them (0 disables)")
 	ingestTimeout = flag.Duration("ingest-timeout", time.Minute, "per-request body read deadline (<0 disables)")
 	chaos         = flag.String("chaos", "", "inject connection faults for resilience testing, e.g. 'drop=0.2,trunc=0.1,stall=0.1,flip=0.05,latency=2ms,seed=7' (see internal/faultinject)")
 
@@ -236,7 +235,6 @@ func run(logger *slog.Logger) error {
 		CheckpointDir:      *checkpointDir,
 		CheckpointEvery:    *checkpointEvery,
 		CompactEveryEvents: *compactEvery,
-		CompactBudgetBytes: *compactBudget,
 
 		StateBudgetBytes: *stateBudget,
 		IngestTimeout:    *ingestTimeout,

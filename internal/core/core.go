@@ -314,9 +314,8 @@ func (rt *relTimes) add(t int, h *vc.WC, width int) {
 	}
 	// The newer H dominates: overwrite (windowed — only the dirty spans of
 	// the two clocks are touched). Width-3 clocks are dense with a static
-	// window and their WC generation is never consumed (rt.gen is the join
-	// caches' key), so the raw overwrite is safe and keeps the tiny-T
-	// unroll inline.
+	// window, so the raw overwrite keeps them valid and saves the tiny-T
+	// path a call to WC.Copy, which does not inline.
 	if a, hv := rt.ha.VC(), h.VC(); len(a) == 3 && len(hv) == 3 {
 		a[0], a[1], a[2] = hv[0], hv[1], hv[2]
 	} else {
@@ -326,9 +325,9 @@ func (rt *relTimes) add(t int, h *vc.WC, width int) {
 
 // joinInto joins every thread's contribution except reader's into dst,
 // reporting whether dst changed. The join merges only the source clock's
-// dirty window. dst is always a thread's Pt, whose WC generation is never
-// consumed in this package, so the dense width-3 unroll writes the storage
-// raw (static window) and skips the generation bump.
+// dirty window. Width-3 clocks are dense with a static window, so the
+// width-3 unroll writes dst's storage raw and saves a call to WC.Join,
+// which does not inline.
 func (rt *relTimes) joinInto(dst *vc.WC, reader int) bool {
 	if rt == nil || !rt.ha.Ready() {
 		return false
@@ -835,8 +834,8 @@ func (d *Detector) acquire(t int, l event.LID) {
 			top.ctAcq.Init(width)
 		}
 		if ca, pv := top.ctAcq.VC(), ts.p.VC(); len(ca) == 3 && len(pv) == 3 {
-			// Dense raw write: the window is static and ctAcq's WC
-			// generation is never consumed.
+			// Dense raw write: the window is static, and it saves the
+			// WC.Copy and WC.Set calls.
 			ca[0], ca[1], ca[2] = pv[0], pv[1], pv[2]
 			ca[t] = ts.n
 		} else {
@@ -1052,8 +1051,8 @@ func (d *Detector) release(t int, l event.LID) {
 		ls.pl.Init(width)
 	}
 	if hl, hv := ls.hl.VC(), ts.h.VC(); len(hl) == 3 && len(hv) == 3 {
-		// Dense raw write: static windows, and the lock's join cache keys
-		// on ls.gen, not the WC generations.
+		// Dense raw write: static windows, and it saves two WC.Copy
+		// calls.
 		pl, pv := ls.pl.VC(), ts.p.VC()
 		hl[0], hl[1], hl[2] = hv[0], hv[1], hv[2]
 		pl[0], pl[1], pl[2] = pv[0], pv[1], pv[2]

@@ -212,7 +212,7 @@ func (s *wcpSession) ProcessBlock(b *trace.Block) {
 	s.d.ProcessBlock(b)
 	s.busy += time.Since(start)
 	if s.compact.due(len(b.Kinds)) {
-		s.compact.run(s.d)
+		s.d.Compact()
 	}
 }
 
@@ -254,7 +254,7 @@ func (s *hbSession) ProcessBlock(b *trace.Block) {
 	s.d.ProcessBlock(b)
 	s.busy += time.Since(start)
 	if s.compact.due(len(b.Kinds)) {
-		s.compact.run(s.d)
+		s.d.Compact()
 	}
 }
 

@@ -130,13 +130,6 @@ func TestCompactedSessionsMatchStraightThrough(t *testing.T) {
 			want := runPlain(t, name, tr, blockSize)
 			got := runDurable(t, name, tr, blockSize, CompactPolicy{EveryEvents: 1}, nil)
 			requireIdentical(t, name+"/"+tn+"/compacted", tr, got, want)
-
-			// Budget-gated policy: compaction fires only above the byte
-			// budget; a tiny budget means it always fires, a huge one never.
-			got = runDurable(t, name, tr, blockSize, CompactPolicy{EveryEvents: 1, BudgetBytes: 1}, nil)
-			requireIdentical(t, name+"/"+tn+"/budget-tiny", tr, got, want)
-			got = runDurable(t, name, tr, blockSize, CompactPolicy{EveryEvents: 1, BudgetBytes: 1 << 40}, nil)
-			requireIdentical(t, name+"/"+tn+"/budget-huge", tr, got, want)
 		}
 	}
 }

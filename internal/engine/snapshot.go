@@ -14,27 +14,12 @@ import (
 // Snapshot/Restore pair that serializes a whole session (engine identity,
 // accumulated busy time, detector state) into one checksummed snap frame.
 
-// CompactPolicy triggers detector state compaction on a session. The zero
-// value disables compaction entirely.
+// CompactPolicy sets the cadence of detector state compaction on a
+// session. The zero value disables compaction.
 type CompactPolicy struct {
 	// EveryEvents compacts every that many processed events (rounded up to
-	// block boundaries). Zero with a nonzero BudgetBytes checks the byte
-	// budget at a default cadence instead.
+	// block boundaries).
 	EveryEvents int
-	// BudgetBytes, when nonzero, makes the cadence conditional: the session
-	// compacts only when its detector's state-byte estimate exceeds the
-	// budget.
-	BudgetBytes int
-}
-
-// budgetCheckEvents is the cadence at which a budget-only policy samples
-// the state size: cheap relative to the work of processing that many
-// events, frequent enough to catch growth promptly.
-const budgetCheckEvents = 1 << 20
-
-type compactor interface {
-	Compact()
-	StateBytes() int
 }
 
 // compactState is the per-session compaction throttle. Its hot-path cost
@@ -44,24 +29,17 @@ type compactState struct {
 	since  int
 }
 
+// due counts a processed block of events and reports whether the policy's
+// cadence has elapsed, restarting the count when it has.
 func (c *compactState) due(events int) bool {
-	if c.policy == (CompactPolicy{}) {
+	if c.policy.EveryEvents <= 0 {
 		return false
 	}
-	c.since += events
-	every := c.policy.EveryEvents
-	if every <= 0 {
-		every = budgetCheckEvents
+	if c.since += events; c.since < c.policy.EveryEvents {
+		return false
 	}
-	return c.since >= every
-}
-
-func (c *compactState) run(d compactor) {
 	c.since = 0
-	if b := c.policy.BudgetBytes; b > 0 && d.StateBytes() <= b {
-		return
-	}
-	d.Compact()
+	return true
 }
 
 // CompactableSession is a Session whose detector supports state compaction

@@ -28,6 +28,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -137,6 +138,90 @@ func TestChaosFleetCoordinatorRestart(t *testing.T) {
 			waitNoGoroutineLeak(t, before)
 		})
 	}
+}
+
+// TestChaosFleetCoordinatorRestartParkedSession: one worker under an
+// impossible state budget parks the colder of two client sessions to its
+// checkpoint file. The coordinator restarts and rebuilds its placements
+// from the worker's re-registration, which must report the parked session
+// as well as the resident one; both sessions then finish byte-identical to
+// batch.
+func TestChaosFleetCoordinatorRestartParkedSession(t *testing.T) {
+	before := runtime.NumGoroutine()
+	traces := []*trace.Trace{fleetTrace(90), fleetTrace(91)}
+	func() {
+		f := startTestFleetOpts(t, fleetOpts{workers: 1, workerCfg: func(c *server.Config) {
+			c.CheckpointDir = t.TempDir()
+			c.CheckpointEvery = -1
+			c.StateBudgetBytes = 1 // park every session but the most recently active
+		}})
+		defer f.stop()
+		ctx := context.Background()
+		cfgs := make([]client.Config, len(traces))
+		sessions := make([]*client.Session, len(traces))
+		for c, tr := range traces {
+			cfgs[c] = fleetClientConfig(f.url, false)
+			s, err := client.Open(ctx, cfgs[c], tr.Symbols)
+			if err != nil {
+				t.Fatalf("client %d: open: %v", c, err)
+			}
+			sessions[c] = s
+			if err := s.Stream(ctx, tr.Events[:len(tr.Events)/2], 0); err != nil {
+				t.Fatalf("client %d: stream (pre-restart): %v", c, err)
+			}
+		}
+		w := f.workers[0]
+		f.wait(func() bool { return workerCounter(t, w.url, "raced_sessions_pressure_parked_total") > 0 },
+			"a parked session on the worker")
+
+		f.killCoordinator()
+		f.restartCoordinator()
+		var wg sync.WaitGroup
+		fins := make([]*client.FinishResult, len(traces))
+		for c := range traces {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				fins[c] = trickleStream(t, labelf("client %d", c), sessions[c], cfgs[c], traces[c], 0)
+			}(c)
+		}
+		wg.Wait()
+		for c, fin := range fins {
+			if fin == nil {
+				t.Fatalf("client %d: no finish result", c)
+			}
+			verifyFinish(t, labelf("client %d", c), cfgs[c].Engines, traces[c], fin)
+		}
+		if got := f.co.sessionsAdopted.Value(); got != uint64(len(traces)) {
+			t.Errorf("restarted coordinator adopted %d sessions, want %d", got, len(traces))
+		}
+	}()
+	waitNoGoroutineLeak(t, before)
+}
+
+// workerCounter reads one unlabeled series from a worker's /metrics.
+func workerCounter(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("worker does not export %s", name)
+	return 0
 }
 
 // TestChaosFleetStandbyTakeover: a warm standby leases the primary and the

@@ -77,6 +77,8 @@ type testFleet struct {
 	// defaults runs coordinators and worker agents at their production
 	// timings instead of the harness's aggressive ones.
 	defaults bool
+	// workerCfg, when set, adjusts each worker's server config.
+	workerCfg func(*server.Config)
 
 	standby     *Coordinator
 	standbyURL  string
@@ -99,6 +101,7 @@ type fleetOpts struct {
 	standbyGated bool          // route the standby's outbound HTTP through a gate
 	leaseTimeout time.Duration // 0 uses the coordinator default
 	defaults     bool          // production timings everywhere (overrides the above)
+	workerCfg    func(*server.Config)
 }
 
 // startTestFleet brings up a coordinator plus n workers and waits until all
@@ -136,7 +139,7 @@ func startTestFleetOpts(t *testing.T, opts fleetOpts) *testFleet {
 	f := &testFleet{
 		t: t, co: co, url: "http://" + ln.Addr().String(),
 		coAddr: ln.Addr().String(), coCfg: cfg, hs: hs,
-		gated: opts.gated, defaults: opts.defaults,
+		gated: opts.gated, defaults: opts.defaults, workerCfg: opts.workerCfg,
 	}
 	if opts.standby {
 		sbCfg := cfg
@@ -217,6 +220,9 @@ func (f *testFleet) addWorker() *testWorker {
 	name := fmt.Sprintf("w%d", len(f.workers))
 	cfg := workerServerConfig()
 	cfg.Name = name // stamped into spans so merged /debug views attribute work per worker
+	if f.workerCfg != nil {
+		f.workerCfg(&cfg)
+	}
 	srv := server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -40,7 +40,8 @@ const (
 	maxCkptHeaderLen = 64 << 20
 )
 
-// snapshotTo serializes the session: meta frame then engine frames. Caller
+// snapshotTo serializes the session: meta frame then engine frames. A
+// parked session writes the frames it was parked with, verbatim. Caller
 // must hold the session's scheduler key; s.mu is taken here.
 func (s *session) snapshotTo(w io.Writer) error {
 	s.mu.Lock()
@@ -50,6 +51,13 @@ func (s *session) snapshotTo(w io.Writer) error {
 	}
 	if s.failed != nil {
 		return fmt.Errorf("session %s failed ingest: %w", s.id, s.failed)
+	}
+	if s.parked.Load() {
+		frames, err := s.parkedFrames()
+		if err == nil {
+			_, err = w.Write(frames)
+		}
+		return err
 	}
 	var hdr bytes.Buffer
 	if err := traceio.WriteHeader(&hdr, s.header.Syms, s.header.Events); err != nil {
@@ -194,8 +202,12 @@ func (s *Server) checkpointStore() {
 }
 
 // checkpointSession persists one session. Must run under the session's
-// scheduler key so it serializes with chunk ingestion.
+// scheduler key so it serializes with chunk ingestion. A parked session is
+// skipped: with a CheckpointDir it was parked to its checkpoint file.
 func (s *Server) checkpointSession(sess *session) error {
+	if sess.parked.Load() {
+		return nil
+	}
 	t0 := time.Now()
 	err := writeFileAtomic(s.ckptPath(sess.id), sess.snapshotTo)
 	s.obs.checkpoint.ObserveSince(t0)
@@ -330,8 +342,7 @@ func (s *Server) restoreCheckpoints() {
 			s.cfg.Logger.Warn("checkpoint exceeds configured limits, skipping", "checkpoint", name)
 			continue
 		}
-		s.instrument(sess)
-		s.applyCompactPolicy(sess)
+		s.attach(sess)
 		s.mu.Lock()
 		full := len(s.sessions) >= s.cfg.MaxSessions
 		if !full {
@@ -351,13 +362,10 @@ func (s *Server) restoreCheckpoints() {
 // applyCompactPolicy installs the configured compaction policy on every
 // engine of the session that supports it.
 func (s *Server) applyCompactPolicy(sess *session) {
-	p := engine.CompactPolicy{
-		EveryEvents: s.cfg.CompactEveryEvents,
-		BudgetBytes: s.cfg.CompactBudgetBytes,
-	}
-	if p == (engine.CompactPolicy{}) {
+	if s.cfg.CompactEveryEvents <= 0 {
 		return
 	}
+	p := engine.CompactPolicy{EveryEvents: s.cfg.CompactEveryEvents}
 	for _, es := range sess.engines {
 		if cs, ok := es.(engine.CompactableSession); ok {
 			cs.SetCompactPolicy(p)
@@ -383,10 +391,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionSnapshot (GET /sessions/{id}/snapshot) streams the session's
 // serialized state: the migration handoff. The snapshot runs under the
-// session's scheduler key, so it captures a chunk boundary.
+// session's scheduler key, so it captures a chunk boundary; a parked
+// session serves its parked frames without waking.
 func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sess := s.liveSession(id)
+	sess := s.getSession(id)
 	if sess == nil {
 		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
@@ -433,8 +442,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	// the coordinator forwards the id it recorded at create time, so one
 	// trace id spans the session's life across worker deaths.
 	sess.traceID = obs.TraceIDFrom(r)
-	s.instrument(sess)
-	s.applyCompactPolicy(sess)
+	s.attach(sess)
 	s.mu.Lock()
 	_, exists := s.sessions[sess.id]
 	full := len(s.sessions) >= s.cfg.MaxSessions

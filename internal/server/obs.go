@@ -77,8 +77,8 @@ type engineObs struct {
 // worker goroutine to the pool.
 var unlabeledCtx = context.Background()
 
-// instrument attaches the server's observability to a session. Called on
-// every path that makes a session live: create, restore, unpark.
+// instrument attaches the server's observability to a session (see
+// Server.attach).
 func (s *Server) instrument(sess *session) {
 	sess.obs = s.obs
 	sess.engObs = make([]engineObs, len(sess.names))
@@ -109,18 +109,16 @@ func (s *Server) registerMetrics() {
 	s.integrityRejects = reg.Counter("raced_chunk_integrity_rejects_total", "Requests rejected by CRC mismatch (422).")
 	s.gapRejects = reg.Counter("raced_chunk_gap_rejects_total", "Chunks or finishes rejected because the client is ahead of the ack.")
 	s.sessionsParked = reg.Counter("raced_sessions_pressure_parked_total", "Sessions parked by the memory-pressure ladder.")
-	s.sessionsUnparked = reg.Counter("raced_sessions_unparked_total", "Parked sessions transparently restored on touch.")
+	s.sessionsUnparked = reg.Counter("raced_sessions_unparked_total", "Parked sessions woken in place by a chunk past the ack, a finish, idle eviction or shutdown.")
 	s.epochRejects = reg.Counter("raced_epoch_rejects_total", "Mutating requests rejected with 412 for carrying a stale coordinator epoch.")
 
-	reg.GaugeFunc("raced_sessions_active", "Open in-memory sessions.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.sessions))
+	reg.GaugeFunc("raced_sessions_active", "Open sessions holding their detector state (not parked).", func() float64 {
+		resident, _ := s.sessionCounts()
+		return float64(resident)
 	})
-	reg.GaugeFunc("raced_sessions_parked", "Sessions parked in memory under pressure.", func() float64 {
-		s.parkedMu.Lock()
-		defer s.parkedMu.Unlock()
-		return float64(len(s.parked))
+	reg.GaugeFunc("raced_sessions_parked", "Open sessions parked under memory pressure, in memory or on disk.", func() float64 {
+		_, parked := s.sessionCounts()
+		return float64(parked)
 	})
 	reg.GaugeFunc("raced_queue_depth", "Scheduler tasks pending (not yet running).", func() float64 {
 		return float64(s.sched.QueueDepth())

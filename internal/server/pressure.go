@@ -3,10 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -17,23 +16,18 @@ import (
 //
 //  1. Forced compaction, fattest sessions first — engine.CompactableSession
 //     state shrinks to its live epoch frontier.
-//  2. Parking, coldest sessions first — the session is serialized (the same
-//     frames checkpoints use), evicted from memory, and transparently
-//     restored when a request next names it. A parked session is paused,
-//     never lost: the client just sees its next chunk take one restore
-//     longer.
+//  2. Parking, coldest sessions first — the session swaps its engines for
+//     their snapshot frames (the same frames checkpoints use), kept in
+//     memory or, with a CheckpointDir, in its checkpoint file. It stays in
+//     Server.sessions: status, snapshot, listing, abort and every count
+//     serve it as it is. The first task that needs the detectors (a chunk
+//     carrying events past the ack, finish, idle eviction, Close without a
+//     CheckpointDir) wakes it in place, so a parked session is paused,
+//     never lost.
 //
 // Relief runs on a dedicated goroutine kicked from the ingest path, so a
 // chunk that crosses the budget never waits for other sessions' compaction
 // behind its own response.
-
-// parkedSession is a pressure-evicted session serialized in memory — the
-// parking spot when no CheckpointDir is configured (with one, the
-// checkpoint file on disk is the parking spot and this map stays empty).
-type parkedSession struct {
-	blob []byte
-	at   time.Time
-}
 
 // noteSessionState refreshes one session's contribution to the global
 // detector-state total and kicks the pressure loop if the budget is blown.
@@ -67,14 +61,30 @@ func (s *Server) pressureLoop() {
 	}
 }
 
-func (s *Server) openSessions() []*session {
+// residentSessions lists the sessions that hold their engines, the ones
+// the pressure ladder can shrink.
+func (s *Server) residentSessions() []*session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	list := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
-		list = append(list, sess)
+		if !sess.parked.Load() {
+			list = append(list, sess)
+		}
 	}
 	return list
+}
+
+// sessionCounts splits the registered sessions into resident and parked.
+func (s *Server) sessionCounts() (resident, parked int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sess := range s.sessions {
+		if sess.parked.Load() {
+			parked++
+		}
+	}
+	return len(s.sessions) - parked, parked
 }
 
 // relievePressure walks the escalation ladder until the state total is back
@@ -86,7 +96,7 @@ func (s *Server) relievePressure() {
 		return
 	}
 	// Step 1: force-compact, fattest first — the cheapest state to win back.
-	open := s.openSessions()
+	open := s.residentSessions()
 	sort.Slice(open, func(i, j int) bool { return open[i].cachedState() > open[j].cachedState() })
 	for _, sess := range open {
 		if s.stateTotal.Load() <= budget {
@@ -109,7 +119,7 @@ func (s *Server) relievePressure() {
 	// Step 2: park the coldest sessions. The most recently active session is
 	// never parked — whatever client is pushing hardest keeps making
 	// progress even when one session alone exceeds the budget.
-	open = s.openSessions()
+	open = s.residentSessions()
 	sort.Slice(open, func(i, j int) bool { return open[i].idleSince().Before(open[j].idleSince()) })
 	freed := 0
 	for i, sess := range open {
@@ -126,34 +136,35 @@ func (s *Server) relievePressure() {
 	}
 }
 
-// parkSession serializes one session, evicts it from memory, and records
-// the parking spot. Runs under the session's scheduler key so it lands on a
-// chunk boundary. Reports whether the session was actually parked.
+// parkSession swaps one session's engines for their snapshot frames. Runs
+// under the session's scheduler key so it lands on a chunk boundary.
+// Reports whether the session was actually parked.
 func (s *Server) parkSession(sess *session) bool {
 	parked := false
 	err := s.sched.Do(context.Background(), sess.id, func() {
+		if sess.parked.Load() {
+			return
+		}
 		var buf bytes.Buffer
 		if serr := sess.snapshotTo(&buf); serr != nil {
 			// Closed, failed, or unsnapshottable: not parkable. Failed
 			// sessions keep their latched error visible until idle eviction.
 			return
 		}
+		frames, ckpt := buf.Bytes(), ""
 		if s.cfg.CheckpointDir != "" {
-			werr := writeFileAtomic(s.ckptPath(sess.id), func(w io.Writer) error {
-				_, err := w.Write(buf.Bytes())
+			ckpt = s.ckptPath(sess.id)
+			werr := writeFileAtomic(ckpt, func(w io.Writer) error {
+				_, err := w.Write(frames)
 				return err
 			})
 			if werr != nil {
 				s.cfg.Logger.Error("parking session failed", "session", sess.id, "err", werr)
 				return
 			}
-		} else {
-			s.parkedMu.Lock()
-			s.parked[sess.id] = parkedSession{blob: buf.Bytes(), at: time.Now()}
-			s.parkedMu.Unlock()
+			frames = nil
 		}
-		s.removeSession(sess.id)
-		sess.abort()
+		sess.park(frames, ckpt)
 		if d := sess.remeasureState(); d != 0 {
 			s.stateTotal.Add(d)
 		}
@@ -163,111 +174,27 @@ func (s *Server) parkSession(sess *session) bool {
 	return err == nil && parked
 }
 
-// liveSession resolves id to an open session, transparently restoring
-// ("unparking") a pressure-parked one. Handlers that act on a session use
-// this instead of getSession, so parking is invisible to clients.
-func (s *Server) liveSession(id string) *session {
-	if sess := s.getSession(id); sess != nil {
-		return sess
+// wake restores a parked session's engines in place from its frames and
+// re-installs the compaction policy. It is the session's wake hook: the
+// caller runs under the session's scheduler key and holds sess.mu, and
+// re-measures the session's state once the task is done.
+func (s *Server) wake(sess *session) error {
+	frames, err := sess.parkedFrames()
+	var woken *session
+	if err == nil {
+		woken, err = restoreSession(bytes.NewReader(frames), time.Now())
 	}
-	return s.unpark(id)
-}
-
-func (s *Server) unpark(id string) *session {
-	// The id names a checkpoint file in dir mode: refuse path metacharacters
-	// before they reach the filesystem. Real ids are hex.
-	if id == "" || strings.ContainsAny(id, "/\\.") {
-		return nil
+	if err == nil && (woken.id != sess.id || woken.events != sess.events) {
+		err = fmt.Errorf("frames hold session %s at %d events", woken.id, woken.events)
 	}
-	var blob []byte
-	s.parkedMu.Lock()
-	if rec, ok := s.parked[id]; ok {
-		blob = rec.blob
-		delete(s.parked, id)
+	if err != nil {
+		s.cfg.Logger.Error("parked session unrestorable", "session", sess.id, "err", err)
+		return fmt.Errorf("waking parked session: %w", err)
 	}
-	s.parkedMu.Unlock()
-
-	var sess *session
-	switch {
-	case blob != nil:
-		var err error
-		if sess, err = restoreSession(bytes.NewReader(blob), time.Now()); err != nil {
-			s.cfg.Logger.Error("parked session unrestorable", "session", id, "err", err)
-			return nil
-		}
-	case s.cfg.CheckpointDir != "":
-		f, err := os.Open(s.ckptPath(id))
-		if err != nil {
-			return nil // not parked, plain unknown session
-		}
-		sess, err = restoreSession(f, time.Now())
-		f.Close()
-		if err != nil || sess.id != id {
-			s.cfg.Logger.Error("checkpoint for session unrestorable", "session", id, "err", err)
-			return nil
-		}
-	default:
-		return nil
-	}
-
-	s.instrument(sess)
+	sess.engines, sess.frames, sess.ckpt = woken.engines, nil, ""
+	sess.parked.Store(false)
 	s.applyCompactPolicy(sess)
-	s.mu.Lock()
-	if cur, ok := s.sessions[id]; ok {
-		s.mu.Unlock()
-		sess.abort() // lost an unpark race; drop the duplicate's state
-		return cur
-	}
-	s.sessions[id] = sess
-	s.mu.Unlock()
 	s.sessionsUnparked.Add(1)
-	s.noteSessionState(sess)
-	s.cfg.Logger.Info("unparked session", "session", id, "events", sess.events)
-	return sess
-}
-
-// dropParked discards a parked session's record (in-memory blob or
-// checkpoint file) and reports whether one existed — the abort path for
-// sessions that are parked rather than live.
-func (s *Server) dropParked(id string) bool {
-	s.parkedMu.Lock()
-	_, ok := s.parked[id]
-	delete(s.parked, id)
-	s.parkedMu.Unlock()
-	if ok {
-		s.dropSessionCheckpoint(id)
-		return true
-	}
-	if s.cfg.CheckpointDir == "" || id == "" || strings.ContainsAny(id, "/\\.") {
-		return false
-	}
-	return os.Remove(s.ckptPath(id)) == nil
-}
-
-// pruneParked finalizes in-memory parked sessions that have been idle past
-// the cutoff, so their races reach the report store like any idle-evicted
-// session's. Dir-mode parking needs no pruning: checkpoint files are
-// durable and survive to the next restore.
-func (s *Server) pruneParked(cutoff time.Time) {
-	s.parkedMu.Lock()
-	var stale []parkedSession
-	for id, rec := range s.parked {
-		if rec.at.Before(cutoff) {
-			stale = append(stale, rec)
-			delete(s.parked, id)
-		}
-	}
-	s.parkedMu.Unlock()
-	for _, rec := range stale {
-		sess, err := restoreSession(bytes.NewReader(rec.blob), time.Now())
-		if err != nil {
-			continue
-		}
-		sess.finalize(s.store, time.Now())
-		s.sessionsEvicted.Add(1)
-		s.cfg.Logger.Info("evicted stale parked session", "session", sess.id, "events", sess.events)
-	}
-	if len(stale) > 0 {
-		s.checkpointStore()
-	}
+	s.cfg.Logger.Info("woke parked session", "session", sess.id, "events", sess.events)
+	return nil
 }

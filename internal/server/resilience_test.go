@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -382,9 +383,10 @@ func TestRetryAfterDerivedFromQueueDepth(t *testing.T) {
 }
 
 // TestPressureParksAndUnparksTransparently: with an impossible state
-// budget the pressure loop checkpoints-and-evicts the coldest session;
-// touching the parked session restores it transparently and the final
-// report is identical to a run that was never parked.
+// budget the pressure loop parks the coldest session in place. A status
+// request reads the parked session without waking it, the next chunk wakes
+// it where it left off, and the final report is identical to a run that
+// was never parked.
 func TestPressureParksAndUnparksTransparently(t *testing.T) {
 	s, tc := newTestServer(t, Config{
 		Workers: 2, QueueCap: 64,
@@ -402,23 +404,21 @@ func TestPressureParksAndUnparksTransparently(t *testing.T) {
 
 	// The pressure loop can never get under a 1-byte budget, so it parks
 	// every session except the most recently active one (B).
-	deadline := time.Now().Add(10 * time.Second)
-	for s.sessionsParked.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pressure loop never parked a session (state=%d)", s.stateTotal.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if s.getSession(idA) != nil && s.sessionsParked.Value() > 0 && s.getSession(idB) == nil {
-		t.Fatal("pressure parked the most recently active session instead of the coldest")
+	waitFor(t, "a parked session", func() bool { return s.sessionsParked.Value() > 0 })
+	if parked := tc.parkedIDs(); !slices.Equal(parked, []string{idA}) {
+		t.Fatalf("parked sessions %v, want only the coldest, %s", parked, idA)
 	}
 
-	// Touching the parked session restores it where it left off.
+	// A status request reads the parked session where it left off, and
+	// leaves it parked.
 	if got := tc.sessionEvents(idA); got != uint64(cutA) {
-		t.Fatalf("unparked session at %d events, want %d", got, cutA)
+		t.Fatalf("parked session at %d events, want %d", got, cutA)
 	}
-	if s.sessionsUnparked.Value() == 0 {
-		t.Error("status on a parked session did not bump sessionsUnparked")
+	if n := s.sessionsUnparked.Value(); n != 0 {
+		t.Errorf("status on a parked session woke it (%d wakes)", n)
+	}
+	if parked := tc.parkedIDs(); !slices.Equal(parked, []string{idA}) {
+		t.Errorf("after a status request, parked sessions are %v, want %s", parked, idA)
 	}
 
 	for id, tr := range map[string]*trace.Trace{idA: trA, idB: trB} {
@@ -432,5 +432,8 @@ func TestPressureParksAndUnparksTransparently(t *testing.T) {
 			t.Errorf("report after park/unpark differs from batch analysis:\n%s\n--- want ---\n%s",
 				got.Results[0].Report, want.Report.Format(tr.Symbols))
 		}
+	}
+	if s.sessionsUnparked.Value() == 0 {
+		t.Error("a chunk past the ack did not wake the parked session")
 	}
 }

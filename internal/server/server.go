@@ -130,17 +130,18 @@ type Config struct {
 	// 30 seconds when CheckpointDir is set; <0 disables the periodic loop
 	// (checkpoints then happen only via POST /checkpoint and Close).
 	CheckpointEvery time.Duration
-	// CompactEveryEvents and CompactBudgetBytes form the compaction policy
-	// installed on every session engine (see engine.CompactPolicy). Both
-	// zero disables compaction.
+	// CompactEveryEvents is the compaction cadence installed on every
+	// session engine (see engine.CompactPolicy). Zero disables compaction.
 	CompactEveryEvents int
-	CompactBudgetBytes int
 	// StateBudgetBytes caps the summed detector state across all open
 	// sessions. When the total exceeds it the server degrades gracefully
 	// instead of OOMing: first forced compaction (largest sessions first),
-	// then the coldest sessions are checkpointed and evicted — parked, not
-	// lost: a chunk, status, finish or snapshot request for a parked
-	// session transparently restores it. 0 disables the budget.
+	// then the coldest sessions are parked: each swaps its engines for
+	// their snapshot frames, kept in memory or, with a CheckpointDir, in
+	// its checkpoint file. A parked session stays open and counts against
+	// MaxSessions; status and snapshot requests serve it as it is, and the
+	// next chunk past its ack, finish or idle eviction wakes it in place.
+	// 0 disables the budget.
 	StateBudgetBytes int64
 	// IngestTimeout bounds reading one request body (header or chunk), so
 	// a stalled peer cannot hold a connection forever. Defaults to 1
@@ -215,6 +216,7 @@ type Server struct {
 	start time.Time
 	obs   *serverObs
 
+	// sessions holds every open session, resident or parked.
 	mu       sync.Mutex
 	sessions map[string]*session
 
@@ -224,12 +226,8 @@ type Server struct {
 	finished map[string]sessionFinished
 	finOrder []string
 
-	// parked holds pressure-evicted sessions in serialized form when no
-	// CheckpointDir is configured (with one, the checkpoint file is the
-	// parking spot). stateTotal is the live sum of cached per-session
-	// detector StateBytes, the quantity StateBudgetBytes bounds.
-	parkedMu   sync.Mutex
-	parked     map[string]parkedSession
+	// stateTotal is the live sum of cached per-session detector
+	// StateBytes, the quantity StateBudgetBytes bounds.
 	stateTotal atomic.Int64
 
 	draining atomic.Bool
@@ -281,7 +279,6 @@ func New(cfg Config) *Server {
 		store:        report.NewStore(),
 		sessions:     make(map[string]*session),
 		finished:     make(map[string]sessionFinished),
-		parked:       make(map[string]parkedSession),
 		start:        time.Now(),
 		janitorStop:  make(chan struct{}),
 		janitorDone:  make(chan struct{}),
@@ -337,9 +334,11 @@ func (s *Server) Store() *report.Store { return s.store }
 
 // Close drains the server: new requests are refused (503), the scheduler
 // finishes every accepted chunk, and still-open sessions are finalized so
-// their races reach the report store. With a CheckpointDir configured,
-// open sessions are checkpointed instead of finalized — a graceful restart
-// and crash recovery share the restore path. Safe to call once.
+// their races reach the report store (parked ones are woken for it). With
+// a CheckpointDir configured, open sessions are checkpointed instead of
+// finalized — a graceful restart and crash recovery share the restore
+// path, and a session parked to disk is already checkpointed. Safe to call
+// once.
 func (s *Server) Close(ctx context.Context) error {
 	s.draining.Store(true)
 	close(s.janitorStop)
@@ -349,21 +348,6 @@ func (s *Server) Close(ctx context.Context) error {
 	close(s.pressureStop)
 	<-s.pressureDone
 	err := s.sched.Drain(ctx)
-
-	// In-memory parked sessions are resumable only while this process
-	// lives: finalize them so their races reach the report store.
-	s.parkedMu.Lock()
-	parked := s.parked
-	s.parked = make(map[string]parkedSession)
-	s.parkedMu.Unlock()
-	for id, rec := range parked {
-		sess, rerr := restoreSession(bytes.NewReader(rec.blob), time.Now())
-		if rerr != nil {
-			s.cfg.Logger.Error("parked session unrestorable at shutdown", "session", id, "err", rerr)
-			continue
-		}
-		sess.finalize(s.store, time.Now())
-	}
 
 	s.mu.Lock()
 	open := make([]*session, 0, len(s.sessions))
@@ -399,9 +383,9 @@ func (s *Server) Close(ctx context.Context) error {
 	return err
 }
 
-// janitor evicts idle sessions on a timer. Eviction goes through the
-// scheduler under the session's key, so it serializes behind any chunk
-// still queued for that session.
+// janitor evicts idle sessions, parked ones included, on a timer. Eviction
+// goes through the scheduler under the session's key, so it serializes
+// behind any chunk still queued for that session.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
 	t := time.NewTicker(s.cfg.JanitorPeriod)
@@ -425,17 +409,20 @@ func (s *Server) janitor() {
 			sess := sess
 			err := s.sched.Submit(sess.id, func() {
 				// Chunks queued behind this task may have touched the
-				// session since the tick collected it: re-check idleness at
-				// execution time before evicting.
-				if sess.idleSince().After(time.Now().Add(-s.cfg.IdleTimeout)) {
+				// session since the tick collected it, and an earlier tick's
+				// task may have evicted it: re-check at execution time.
+				if s.getSession(sess.id) != sess || sess.idleSince().After(time.Now().Add(-s.cfg.IdleTimeout)) {
 					return
 				}
-				s.removeSession(sess.id)
 				sess.finalize(s.store, time.Now())
 				s.noteSessionState(sess)
 				s.checkpointStore()
 				s.dropSessionCheckpoint(sess.id)
 				s.sessionsEvicted.Add(1)
+				// The session leaves the registry only once its races are in
+				// the store, so a client that finds it gone finds them in
+				// /reports.
+				s.dropSession(sess)
 				s.cfg.Logger.Info("evicted idle session", "session", sess.id, "events", sess.status().Events)
 			})
 			if err != nil {
@@ -443,22 +430,33 @@ func (s *Server) janitor() {
 				continue
 			}
 		}
-		s.pruneParked(cutoff)
 	}
 }
 
-func (s *Server) removeSession(id string) *session {
+// dropSession removes sess from the registry if it is still registered:
+// an abort may have removed it already, and a new session may hold its id
+// since.
+func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess := s.sessions[id]
-	delete(s.sessions, id)
-	return sess
+	if s.sessions[sess.id] == sess {
+		delete(s.sessions, sess.id)
+	}
 }
 
 func (s *Server) getSession(id string) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sessions[id]
+}
+
+// attach wires a session into this server on every path that makes it
+// live (create, restore): observability, the compaction policy, and the
+// wake hook parking relies on.
+func (s *Server) attach(sess *session) {
+	s.instrument(sess)
+	s.applyCompactPolicy(sess)
+	sess.wake = s.wake
 }
 
 // --- helpers ---
@@ -761,14 +759,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	sess := newSession(id, h, names, engines, time.Now())
 	sess.traceID = traceID
-	s.instrument(sess)
-	s.applyCompactPolicy(sess)
-	s.parkedMu.Lock()
-	_, isParked := s.parked[id]
-	s.parkedMu.Unlock()
+	s.attach(sess)
 	s.mu.Lock()
-	_, exists := s.sessions[id]
-	if exists || isParked {
+	if _, exists := s.sessions[id]; exists {
 		s.mu.Unlock()
 		obs.WriteError(w, http.StatusConflict, "session %s already open", id)
 		return
@@ -812,7 +805,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	sess := s.liveSession(id)
+	sess := s.getSession(id)
 	if sess == nil {
 		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
@@ -844,37 +837,20 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	traceID := obs.TraceIDFrom(r)
 	var added, replayed uint64
 	var ingestErr error
-	ingest := func(target *session) error {
-		tSub := time.Now()
-		var wait time.Duration
-		err := s.sched.Do(r.Context(), id, func() {
-			wait = time.Since(tSub)
-			added, replayed, ingestErr = target.ingest(bytes.NewReader(body), offset, hasOffset, traceID, time.Now())
-			s.noteSessionState(target)
-		})
-		if err == nil {
-			s.obs.span(obs.Span{
-				Trace: target.trace(traceID), Session: id, Name: "queue_wait",
-				Start: tSub, Duration: wait.Seconds(),
-			})
-		}
-		return err
-	}
-	if err := ingest(sess); err != nil {
+	tSub := time.Now()
+	var wait time.Duration
+	if err := s.sched.Do(r.Context(), id, func() {
+		wait = time.Since(tSub)
+		added, replayed, ingestErr = sess.ingest(bytes.NewReader(body), offset, hasOffset, traceID, time.Now())
+		s.noteSessionState(sess)
+	}); err != nil {
 		s.shedOrFail(w, err)
 		return
 	}
-	if errors.Is(ingestErr, errSessionClosed) {
-		// The session may have been pressure-parked between resolution and
-		// task execution; unpark and retry once on the fresh instance.
-		if fresh := s.liveSession(id); fresh != nil && fresh != sess {
-			sess = fresh
-			if err := ingest(sess); err != nil {
-				s.shedOrFail(w, err)
-				return
-			}
-		}
-	}
+	s.obs.span(obs.Span{
+		Trace: sess.trace(traceID), Session: id, Name: "queue_wait",
+		Start: tSub, Duration: wait.Seconds(),
+	})
 	s.eventsIngested.Add(added)
 	if replayed > 0 {
 		s.chunksReplayed.Add(1)
@@ -946,7 +922,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		wantOffset = int64(n)
 	}
 	traceID := obs.TraceIDFrom(r)
-	sess := s.liveSession(id)
+	sess := s.getSession(id)
 	if sess == nil {
 		if resp, ok := s.recallFinished(id); ok {
 			obs.WriteJSON(w, http.StatusOK, resp)
@@ -955,101 +931,82 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
-	// Two attempts: the session can be pressure-parked between resolution
-	// and task execution, in which case the retry runs on the unparked copy.
-	for attempt := 0; attempt < 2; attempt++ {
-		tStart := time.Now()
-		var resp sessionFinished
-		var done, gapped bool
-		var gapEvents uint64
-		err := s.sched.Do(r.Context(), id, func() {
-			if cached, ok := s.recallFinished(id); ok {
-				resp, done = cached, true
-				return
-			}
-			if have := sess.status().Events; wantOffset >= 0 && have != uint64(wantOffset) {
-				gapped, gapEvents = true, have
-				return
-			}
-			s.removeSession(id)
-			results := sess.finalize(s.store, time.Now())
-			s.noteSessionState(sess)
-			if results == nil {
-				return // sealed elsewhere (parked or aborted) — retry resolves it
-			}
-			// Store checkpoint before the session checkpoint disappears: a
-			// crash between the two re-counts this session's races, never
-			// loses them.
-			s.checkpointStore()
-			s.dropSessionCheckpoint(id)
-			st := sess.status()
-			resp = sessionFinished{ID: id, Events: st.Events, Results: make([]engineResult, len(results))}
-			for i, res := range results {
-				resp.Results[i] = renderResult(res, int(st.Events), sess.header)
-			}
-			s.rememberFinished(id, resp)
-			s.sessionsFinished.Add(1)
-			s.obs.span(obs.Span{
-				Trace: sess.trace(traceID), Session: id, Name: "finish",
-				Start: tStart, Duration: time.Since(tStart).Seconds(), Events: st.Events,
-			})
-			s.cfg.Logger.Info("session finished", "session", id, "trace", sess.trace(traceID),
-				"events", st.Events, "engines", len(results))
-			done = true
+	tStart := time.Now()
+	var resp sessionFinished
+	var done, gapped bool
+	var gapEvents uint64
+	err := s.sched.Do(r.Context(), id, func() {
+		if cached, ok := s.recallFinished(id); ok {
+			resp, done = cached, true
+			return
+		}
+		if have := sess.status().Events; wantOffset >= 0 && have != uint64(wantOffset) {
+			gapped, gapEvents = true, have
+			return
+		}
+		s.dropSession(sess)
+		results := sess.finalize(s.store, time.Now())
+		s.noteSessionState(sess)
+		if results == nil {
+			return // aborted or evicted while queued, or unrestorable once parked
+		}
+		// Store checkpoint before the session checkpoint disappears: a
+		// crash between the two re-counts this session's races, never
+		// loses them.
+		s.checkpointStore()
+		s.dropSessionCheckpoint(id)
+		st := sess.status()
+		resp = sessionFinished{ID: id, Events: st.Events, Results: make([]engineResult, len(results))}
+		for i, res := range results {
+			resp.Results[i] = renderResult(res, int(st.Events), sess.header)
+		}
+		s.rememberFinished(id, resp)
+		s.sessionsFinished.Add(1)
+		s.obs.span(obs.Span{
+			Trace: sess.trace(traceID), Session: id, Name: "finish",
+			Start: tStart, Duration: time.Since(tStart).Seconds(), Events: st.Events,
 		})
-		if err != nil {
-			s.shedOrFail(w, err)
-			return
-		}
-		if gapped {
-			s.gapRejects.Add(1)
-			obs.WriteJSON(w, http.StatusConflict, map[string]any{
-				"error":  fmt.Sprintf("session %s has %d acknowledged events, finish expected %d", id, gapEvents, wantOffset),
-				"events": gapEvents,
-				"gap":    true,
-			})
-			return
-		}
-		if done {
-			obs.WriteJSON(w, http.StatusOK, resp)
-			return
-		}
-		fresh := s.liveSession(id)
-		if fresh == nil || fresh == sess {
-			break
-		}
-		sess = fresh
+		s.cfg.Logger.Info("session finished", "session", id, "trace", sess.trace(traceID),
+			"events", st.Events, "engines", len(results))
+		done = true
+	})
+	switch {
+	case err != nil:
+		s.shedOrFail(w, err)
+	case gapped:
+		s.gapRejects.Add(1)
+		obs.WriteJSON(w, http.StatusConflict, map[string]any{
+			"error":  fmt.Sprintf("session %s has %d acknowledged events, finish expected %d", id, gapEvents, wantOffset),
+			"events": gapEvents,
+			"gap":    true,
+		})
+	case done:
+		obs.WriteJSON(w, http.StatusOK, resp)
+	default:
+		obs.WriteError(w, http.StatusConflict, "session %s is already closed", id)
 	}
-	obs.WriteError(w, http.StatusConflict, "session %s is already closed", id)
 }
 
 // handleAbort discards a session without reporting. A parked session is
-// aborted by discarding its parking record — no need to restore it first.
+// discarded as it is, without waking it.
 func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	if s.refuseFenced(w, r) {
 		return
 	}
 	id := r.PathValue("id")
-	sess := s.removeSession(id)
-	if sess == nil {
-		if !s.dropParked(id) {
-			obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
-			return
-		}
-		obs.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
+	if !s.AbortSession(id) {
+		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
-	sess.abort()
-	s.noteSessionState(sess)
-	s.dropSessionCheckpoint(id)
 	obs.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
 }
 
+// handleSessionStatus serves a session's acknowledged event count, the
+// offset a client resyncs from after a fault; a parked session answers
+// without waking.
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// liveSession, not getSession: a client resyncing its send offset after
-	// a fault must see a parked session's acknowledged event count.
-	sess := s.liveSession(id)
+	sess := s.getSession(id)
 	if sess == nil {
 		obs.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
@@ -1159,7 +1116,8 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 // handleHealthz reports the same load picture the fleet registry sees:
 // parked sessions count (they are paused, not gone), detector state bytes
 // and scheduler saturation are all part of "how loaded is this worker", so
-// humans and machines read identical numbers.
+// humans and machines read identical numbers. sessions_open counts the
+// resident sessions.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
@@ -1167,16 +1125,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	s.mu.Lock()
-	open := len(s.sessions)
-	s.mu.Unlock()
-	s.parkedMu.Lock()
-	parked := len(s.parked)
-	s.parkedMu.Unlock()
+	resident, parked := s.sessionCounts()
 	obs.WriteJSON(w, code, map[string]any{
 		"status":          status,
-		"sessions":        open + parked, // what Stats reports to the fleet
-		"sessions_open":   open,
+		"sessions":        resident + parked, // what Stats reports to the fleet
+		"sessions_open":   resident,
 		"sessions_parked": parked,
 		"state_bytes":     s.stateTotal.Load(),
 		"queue_depth":     s.sched.QueueDepth(),

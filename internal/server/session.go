@@ -3,8 +3,10 @@ package server
 import (
 	"fmt"
 	"io"
+	"os"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -25,6 +27,11 @@ import (
 // The scheduler serializes all tasks of one session (key = session id), so
 // ingest, finish and evict never run concurrently; mu additionally guards
 // the fields the HTTP status handlers read outside scheduler tasks.
+//
+// A parked session (see pressure.go) has swapped its engines for their
+// snapshot frames and stays registered with the server: status, snapshot
+// and abort serve it as it is, and the first task that needs the detectors
+// — a chunk carrying events past the ack, or finalize — wakes it in place.
 type session struct {
 	id      string
 	header  traceio.Header
@@ -32,17 +39,24 @@ type session struct {
 	created time.Time
 
 	// Observability, attached by Server.instrument on every path that makes
-	// the session live (create, restore, unpark). obs may be nil for
-	// sessions materialized outside a server (tests, shutdown finalize);
-	// ingest then skips instrumentation.
+	// the session live (create, restore). obs may be nil for sessions
+	// materialized outside a server (tests); ingest then skips
+	// instrumentation.
 	obs    *serverObs
 	engObs []engineObs // per-engine histogram + pprof label ctx
 	engNS  []int64     // scratch: sampled per-engine nanoseconds this chunk
 
+	// wake restores a parked session's engines in place (Server.wake,
+	// attached with the session); its caller holds mu.
+	wake func(*session) error
+	// parked is written under mu but read without it, so counting parked
+	// sessions never waits for a chunk in progress.
+	parked atomic.Bool
+
 	mu         sync.Mutex
-	engines    []engine.Session
-	block      *trace.Block
-	skipBuf    []event.Event // scratch for replay-skip decoding, grown on demand
+	engines    []engine.Session // nil while parked
+	block      *trace.Block     // decode scratch, allocated by the first chunk
+	skipBuf    []event.Event    // scratch for replay-skip decoding, grown on demand
 	events     uint64
 	chunks     int
 	blocks     uint64 // decoded data blocks, drives stage-timing sampling
@@ -51,6 +65,10 @@ type session struct {
 	closed     bool
 	failed     error // latched fatal ingest error; chunks are rejected after
 	state      int64 // last measured detector StateBytes sum (see measureState)
+	// While parked, frames holds the engines' snapshot frames, or, when the
+	// session was parked to disk, ckpt names the checkpoint file that does.
+	frames []byte
+	ckpt   string
 }
 
 func newSession(id string, h traceio.Header, names []string, engines []engine.Session, now time.Time) *session {
@@ -59,7 +77,6 @@ func newSession(id string, h traceio.Header, names []string, engines []engine.Se
 		header:     h,
 		names:      names,
 		engines:    engines,
-		block:      trace.NewBlock(traceio.DefaultBlockSize),
 		created:    now,
 		lastActive: now,
 	}
@@ -188,6 +205,9 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 		// goroutine labels; drop them when this worker goroutine moves on.
 		defer pprof.SetGoroutineLabels(unlabeledCtx)
 	}
+	if s.block == nil {
+		s.block = trace.NewBlock(traceio.DefaultBlockSize)
+	}
 	for {
 		// Only data blocks count toward the sampling period: a chunk is
 		// typically one data call plus an end-of-body call, and counting
@@ -207,6 +227,13 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 			sampledBlocks++
 		}
 		if n > 0 {
+			if s.parked.Load() {
+				// The chunk carries events past the ack: wake the detectors.
+				if err := s.wake(s); err != nil {
+					s.failed = err
+					return added, replayed, err
+				}
+			}
 			s.blocks++
 			chunkBlocks++
 			for i, es := range s.engines {
@@ -239,7 +266,9 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 
 // finalize seals every engine session, folds the per-engine race reports
 // into the store (source-tagged with the session id), and returns the
-// results. It is idempotent; only the first call does the work.
+// results. It is idempotent; only the first call does the work. A parked
+// session is woken first; if its frames cannot be restored it is sealed
+// with nothing to report, and finalize returns nil.
 func (s *session) finalize(store *report.Store, now time.Time) []*engine.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,6 +276,9 @@ func (s *session) finalize(store *report.Store, now time.Time) []*engine.Result 
 		return nil
 	}
 	s.closed = true
+	if s.parked.Load() && s.wake(s) != nil {
+		return nil
+	}
 	results := make([]*engine.Result, len(s.engines))
 	for i, es := range s.engines {
 		results[i] = es.Finish()
@@ -272,6 +304,7 @@ type sessionStatus struct {
 	LastActive time.Time `json:"last_active"`
 	Trace      string    `json:"trace,omitempty"`
 	Failed     string    `json:"failed,omitempty"`
+	Parked     bool      `json:"parked,omitempty"`
 }
 
 func (s *session) status() sessionStatus {
@@ -285,6 +318,7 @@ func (s *session) status() sessionStatus {
 		Created:    s.created,
 		LastActive: s.lastActive,
 		Trace:      s.traceID,
+		Parked:     s.parked.Load(),
 	}
 	if s.failed != nil {
 		st.Failed = s.failed.Error()
@@ -324,6 +358,26 @@ func (s *session) cachedState() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
+}
+
+// park swaps the engines (and the decode scratch) for their snapshot
+// frames: kept in frames, or, when frames is nil, in the checkpoint file
+// ckpt. Must run under the session's scheduler key.
+func (s *session) park(frames []byte, ckpt string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.engines, s.block, s.skipBuf = nil, nil, nil
+	s.frames, s.ckpt = frames, ckpt
+	s.parked.Store(true)
+}
+
+// parkedFrames returns the frames a parked session's engines were swapped
+// for. Caller holds mu.
+func (s *session) parkedFrames() ([]byte, error) {
+	if s.frames != nil {
+		return s.frames, nil
+	}
+	return os.ReadFile(s.ckpt)
 }
 
 // compactNow forces immediate state compaction on every engine that

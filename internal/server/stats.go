@@ -6,8 +6,8 @@ package server
 
 // Stats is a point-in-time load snapshot of the server.
 type Stats struct {
-	// Sessions is the number of open (in-memory) sessions; parked sessions
-	// count too — they are paused, not gone.
+	// Sessions is the number of open sessions, parked ones included: they
+	// are paused, not gone.
 	Sessions int
 	// StateBytes is the summed detector-state estimate across open sessions.
 	StateBytes int64
@@ -22,9 +22,6 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	open := len(s.sessions)
 	s.mu.Unlock()
-	s.parkedMu.Lock()
-	open += len(s.parked)
-	s.parkedMu.Unlock()
 	return Stats{
 		Sessions:   open,
 		StateBytes: s.stateTotal.Load(),
@@ -38,28 +35,27 @@ func (s *Server) Stats() Stats {
 // placements after a restart.
 func (s *Server) SessionIDs() []string {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.sessions))
 	for id := range s.sessions {
 		ids = append(ids, id)
 	}
-	s.mu.Unlock()
-	s.parkedMu.Lock()
-	for id := range s.parked {
-		ids = append(ids, id)
-	}
-	s.parkedMu.Unlock()
 	return ids
 }
 
 // AbortSession discards one session without reporting, the same as
 // DELETE /sessions/{id}: the fleet agent calls it to drop a stale copy the
 // coordinator failed over elsewhere while this worker was partitioned —
-// finalizing it here would double-count its races in the merged view.
-// Returns false when the session isn't open.
+// finalizing it here would double-count its races in the merged view. A
+// parked session is discarded without waking it. Returns false when the
+// session isn't open.
 func (s *Server) AbortSession(id string) bool {
-	sess := s.removeSession(id)
+	s.mu.Lock()
+	sess := s.sessions[id]
+	delete(s.sessions, id)
+	s.mu.Unlock()
 	if sess == nil {
-		return s.dropParked(id)
+		return false
 	}
 	sess.abort()
 	s.noteSessionState(sess)

@@ -23,12 +23,6 @@ package vc
 // the width. For width ≤ 4096 a bucket is ≤ 64 components; beyond that the
 // buckets widen and the bitmap degrades gracefully toward the span.
 //
-// Every WC also carries a *generation*, bumped on every mutation. Detectors
-// use generations as join caches: after joining source S at generation g
-// into a target that only ever grows, the join can be skipped for as long as
-// S's generation still reads g — the overwhelmingly common case for
-// repeated joins of an unchanged lock or queue clock in lock-heavy traces.
-//
 // Tiny widths (≤ denseWidth) and ForceDense builds opt out: their window is
 // permanently [0,width), so every operation takes the unrolled dense VC
 // paths that win at T ∈ {2,3,4}, and windows never have to be maintained.
@@ -94,14 +88,13 @@ func fullMask(width int, shift uint8) uint64 {
 }
 
 // WC is a windowed vector clock: dense []Clock storage plus the dirty
-// window and the mutation generation. The zero WC is not usable; call Init
+// window. The zero WC is not usable; call Init
 // (or carve one out of NewWCMatrix) first. All mutations must go through WC
 // methods — writing the storage directly would break the window invariant.
 type WC struct {
 	v      VC
 	lo, hi int32 // dirty span [lo,hi); empty when lo == hi
 	mask   uint64
-	gen    uint32
 	shift  uint8
 	dense  bool
 }
@@ -117,7 +110,6 @@ func (w *WC) InitFrom(v VC) {
 	w.v = v
 	w.shift = chunkShift(len(v))
 	w.dense = len(v) <= denseWidth || forceDense.Load()
-	w.gen = 0
 	if w.dense {
 		w.lo, w.hi = 0, int32(len(v))
 		w.mask = fullMask(len(v), w.shift)
@@ -159,10 +151,6 @@ func (w *WC) Width() int { return len(w.v) }
 
 // Get returns component t.
 func (w *WC) Get(t int) Clock { return w.v[t] }
-
-// Gen returns the mutation generation: it changes (increments) on every
-// mutation, so an unchanged generation proves the clock content unchanged.
-func (w *WC) Gen() uint32 { return w.gen }
 
 // Span returns the dirty span [lo,hi).
 func (w *WC) Span() (lo, hi int) { return int(w.lo), int(w.hi) }
@@ -211,27 +199,23 @@ func (w *WC) absorb(lo, hi int32, mask uint64) {
 	w.mask |= mask
 }
 
-// Set assigns component t and bumps the generation.
+// Set assigns component t.
 func (w *WC) Set(t int, c Clock) {
 	w.v[t] = c
 	if !w.dense {
 		w.markDirty(t)
 	}
-	w.gen++
 }
 
-// Zero resets every dirty component to 0, empties the window, and bumps the
-// generation.
+// Zero resets every dirty component to 0 and empties the window.
 func (w *WC) Zero() {
 	if w.dense {
 		w.v.Zero()
-		w.gen++
 		return
 	}
 	w.zeroDirty()
 	w.lo, w.hi = 0, 0
 	w.mask = 0
-	w.gen++
 }
 
 // zeroDirty zeroes the components covered by the window.
@@ -431,11 +415,8 @@ func (w *WC) JoinPacked(r []Clock, lo, hi int, mask uint64) bool {
 			}
 		}
 	}
-	if changed {
-		if !w.dense {
-			w.absorb(int32(lo), int32(hi), mask)
-		}
-		w.gen++
+	if changed && !w.dense {
+		w.absorb(int32(lo), int32(hi), mask)
 	}
 	return changed
 }
@@ -448,8 +429,7 @@ const SpanScan = spanScan
 // Join sets w to w ⊔ src in place, merging only src's dirty window, and
 // reports whether any component grew. Both clocks must have the same
 // width. The width-3 case (tiny-T clocks are always dense, no window
-// upkeep) stays small enough for the dispatcher and the unroll to inline
-// into the detector hot loops.
+// upkeep) is an unroll that inlines into Join; Join itself is a call.
 func (w *WC) Join(src *WC) bool {
 	if len(src.v) == 3 {
 		return w.join3(src)
@@ -472,19 +452,12 @@ func (w *WC) join3(src *WC) bool {
 		v[2] = sv[2]
 		changed = true
 	}
-	if changed {
-		w.gen++
-	}
 	return changed
 }
 
 func (w *WC) joinWide(src *WC) bool {
 	if w.dense && src.dense {
-		if w.v.JoinChanged(src.v) {
-			w.gen++
-			return true
-		}
-		return false
+		return w.v.JoinChanged(src.v)
 	}
 	changed := false
 	v, sv := w.v, src.v
@@ -509,23 +482,20 @@ func (w *WC) joinWide(src *WC) bool {
 			}
 		}
 	}
-	if changed {
-		if !w.dense {
-			w.absorb(src.lo, src.hi, src.mask)
-		}
-		w.gen++
+	if changed && !w.dense {
+		w.absorb(src.lo, src.hi, src.mask)
 	}
 	return changed
 }
 
 // Copy sets w to an exact copy of src: only src's dirty span is moved, and
 // only w's previously-dirty components outside it are zero-filled. Both
-// clocks must have the same width.
+// clocks must have the same width. Copy is a call; detector loops that
+// want the width-3 copy inline write the storage themselves.
 func (w *WC) Copy(src *WC) {
 	if sv := src.v; len(sv) == 3 && len(w.v) == 3 {
 		v := w.v[:3]
 		v[0], v[1], v[2] = sv[0], sv[1], sv[2]
-		w.gen++
 		return
 	}
 	w.copyWide(src)
@@ -537,7 +507,6 @@ func (w *WC) copyWide(src *WC) {
 	}
 	if w.dense {
 		w.v.Copy(src.v)
-		w.gen++
 		return
 	}
 	w.zeroDirty()
@@ -554,14 +523,11 @@ func (w *WC) copyWide(src *WC) {
 	}
 	w.lo, w.hi = src.lo, src.hi
 	w.mask = src.mask
-	w.gen++
 }
 
 // JoinEff sets w to w ⊔ (p ⊔ o)[t := n] — the WCP effective-time join —
 // merging only the sources' dirty windows. With oZero, the ⊔ o leg is
-// skipped (o adds nothing beyond p). The generation is bumped
-// unconditionally: an unchanged generation proves unchanged content, a
-// bumped one proves nothing.
+// skipped (o adds nothing beyond p).
 func (w *WC) JoinEff(p, o *WC, t int, n Clock, oZero bool) {
 	if oZero && len(p.v) == 3 && len(w.v) == 3 {
 		w.joinEff3(p, t, n)
@@ -584,7 +550,6 @@ func (w *WC) joinEff3(p *WC, t int, n Clock) {
 	if n > v[t] {
 		v[t] = n
 	}
-	w.gen++
 }
 
 func (w *WC) joinEffWide(p, o *WC, t int, n Clock, oZero bool) {
@@ -599,7 +564,7 @@ func (w *WC) joinEffWide(p, o *WC, t int, n Clock, oZero bool) {
 
 // LeqVC reports w ⊑ x (pointwise ≤), early-exiting outside w's dirty
 // window: components there are zero and ⊑ anything. x must not be narrower
-// than w. The width-3 case is small enough to inline into detector loops.
+// than w. The width-3 case is unrolled, but LeqVC is a call.
 func (w *WC) LeqVC(x VC) bool {
 	if v := w.v; len(v) == 3 {
 		x = x[:3]
@@ -643,8 +608,8 @@ func (w *WC) Leq(x *WC) bool { return w.LeqVC(x.v) }
 // components they cover — absorb only ever widens windows, so a long-lived
 // clock that repeatedly joined scattered sources can end up scanning buckets
 // whose components are all zero. Compaction passes call this on long-lived
-// clocks; it is O(width) and does not bump the generation (the content is
-// unchanged). Dense clocks have no window to tighten.
+// clocks; it is O(width) and leaves the content unchanged. Dense clocks
+// have no window to tighten.
 func (w *WC) Tighten() {
 	if w.dense {
 		return

@@ -149,27 +149,16 @@ func TestNewWCMatrix(t *testing.T) {
 	}
 }
 
-func TestWCGeneration(t *testing.T) {
+// TestWCJoinReportsChange: Join reports whether any component grew, so a
+// repeated join of an unchanged source reports no change.
+func TestWCJoinReportsChange(t *testing.T) {
 	a, b := NewWC(100), NewWC(100)
 	b.Set(7, 5)
-	g := a.Gen()
 	if !a.Join(&b) {
 		t.Fatal("first join must change a")
 	}
-	if a.Gen() == g {
-		t.Fatal("generation unchanged after mutating join")
-	}
-	g = a.Gen()
 	if a.Join(&b) {
 		t.Fatal("second join of unchanged source must be a no-op")
-	}
-	if a.Gen() != g {
-		t.Fatal("generation changed by no-op join")
-	}
-	gb := b.Gen()
-	b.Set(9, 1)
-	if b.Gen() == gb {
-		t.Fatal("Set must bump the generation")
 	}
 }
 
