@@ -161,16 +161,15 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 			// end of the log and drop their own-queues so neither pins
 			// storage. (The release-path clamp keeps even ill-formed
 			// resurrections deterministic.)
-			ls.cons[t].cur = end
-			ls.cons[t].blockT = -1
+			ls.cons[t] = end
 			ls.own[t] = ownQ{}
 			continue
 		}
-		if ls.cons[t].cur < end {
+		if ls.cons[t] < end {
 			drained = false
 		}
-		if minLive < 0 || ls.cons[t].cur < minLive {
-			minLive = ls.cons[t].cur
+		if minLive < 0 || ls.cons[t] < minLive {
+			minLive = ls.cons[t]
 		}
 		if !ls.own[t].empty() {
 			drained = false
@@ -270,9 +269,6 @@ func (d *Detector) StateBytes() int {
 		ts := &d.threads[t]
 		stack := ts.stack[:cap(ts.stack)]
 		for i := range stack {
-			if stack[i].ctAcq.Ready() {
-				n += width * clockB
-			}
 			n += (cap(stack[i].reads.list) + cap(stack[i].writes.list)) * 4
 			n += (len(stack[i].reads.seen) + len(stack[i].writes.seen)) * 8
 		}
@@ -287,7 +283,7 @@ func (d *Detector) StateBytes() int {
 			continue
 		}
 		n += cap(ls.log.buf) * clockB
-		n += len(ls.cons) * 12
+		n += len(ls.cons) * 8
 		n += len(ls.joinGen) * 4
 		if ls.pl.Ready() {
 			n += width * clockB

@@ -13,7 +13,7 @@
 //   - per lock ℓ and variable x: Lr(ℓ,x) and Lw(ℓ,x), the join of the HB
 //     times of releases of ℓ whose critical sections read/wrote x
 //     (rule (a));
-//   - per lock ℓ and thread t: a FIFO queue of (C-time of acquire, H-time of
+//   - per lock ℓ and thread t: a FIFO queue of (acquire time, H-time of
 //     release) records of ℓ's critical sections by other threads — Acqℓ(t)
 //     and Relℓ(t) of Algorithm 1, fused into pair records because critical
 //     sections on one lock never interleave, so the two queues advance in
@@ -31,15 +31,25 @@
 //   - acquires whose lock was last released by the acquiring thread itself
 //     skip the Hℓ/Pℓ joins — the lock's times are the thread's own earlier
 //     times, already ⊑ its current clocks;
-//   - the acquire's C-time snapshot is taken on the thread's own stack and
-//     published only at the matching release, as one record in a shared
-//     per-lock log that every consumer drains through its own cursor
-//     (invisible to consumers: they drain only at their own releases,
-//     which cannot fall inside this critical section; see queue.go);
-//   - a stuck log head memoizes the clock component its acq ⊑ Ct check
-//     failed on, so subsequent releases skip the O(T) comparison in O(1)
-//     until that component has actually advanced, and a popped run is
-//     absorbed with a single join of its last (H-monotone) release time;
+//   - an acquire is published only at the matching release, as one record
+//     in a shared per-lock log that every consumer drains through its own
+//     cursor (invisible to consumers: they drain only at their own
+//     releases, which cannot fall inside this critical section; see
+//     queue.go), and a popped run is absorbed with a single join of its
+//     last (H-monotone) release time;
+//   - the rule-(b) head check is one compare. At t's release of ℓ every
+//     record in ℓ's log belongs to a critical section released before t
+//     acquired ℓ (one holder at a time). t's acquire joined Pℓ, the P-time
+//     of the last of those releases (the joinGen skip fires only when Pt
+//     already dominates Pℓ); each acquire on ℓ joins the previous release's
+//     Pℓ, and P only grows along a thread, so Pt dominates the P-part of
+//     every record's acquire time. That acquire time is its P-part with the
+//     producer u's own component set to u's local clock nAcq, and its
+//     component t is at most Pt(t) ≤ Nt. So acq ⊑ Ct iff nAcq ≤ Pt(u) —
+//     the same shape as the own-queue test nAcq ≤ Pt(t) — and a record
+//     keeps only nAcq of its acquire time. The argument rests on the lock
+//     chain of well-formed traces, like the pop-run's single join; off the
+//     model the detector stays deterministic, not precise;
 //   - the rule-(a) Lr/Lw state collapses to the two latest contributions
 //     by distinct threads — releases on one lock are H-monotone, so they
 //     dominate all earlier ones (see relTimes);
@@ -175,19 +185,13 @@ func (s *varSet) addAll(other *varSet) {
 }
 
 // csEntry is one open critical section of a thread: the lock, the local
-// clock at its acquire, the C-time snapshot of the acquire (published to the
-// other threads' queues at the matching release), and the sets of variables
-// read/written inside it so far (the R and W parameters of the release
-// procedure in Algorithm 1).
+// clock at its acquire — the only word of the acquire's C-time a consumer's
+// rule-(b) check reads, published with the matching release — and the sets
+// of variables read/written inside it so far (the R and W parameters of the
+// release procedure in Algorithm 1).
 type csEntry struct {
-	lock event.LID
-	nAcq vc.Clock
-	// ctAcq holds the C-time snapshot of the outermost acquire
-	// (multi-thread traces only; hasCt marks it valid). The storage is
-	// reused across stack pushes, so steady-state locking allocates
-	// nothing.
-	ctAcq  vc.WC
-	hasCt  bool
+	lock   event.LID
+	nAcq   vc.Clock
 	reads  varSet
 	writes varSet
 }
@@ -230,14 +234,14 @@ type threadState struct {
 	accRGen, accWGen uint32
 }
 
-// pushCS opens a critical section, reusing the storage (variable-set list,
-// index, and snapshot clock) of a previously popped stack slot when one is
-// available so steady-state lock nesting allocates nothing.
+// pushCS opens a critical section, reusing the storage (variable-set list
+// and index) of a previously popped stack slot when one is available so
+// steady-state lock nesting allocates nothing.
 func (ts *threadState) pushCS(l event.LID, n vc.Clock) *csEntry {
 	if len(ts.stack) < cap(ts.stack) {
 		ts.stack = ts.stack[:len(ts.stack)+1]
 		top := &ts.stack[len(ts.stack)-1]
-		top.lock, top.nAcq, top.hasCt = l, n, false
+		top.lock, top.nAcq = l, n
 		top.reads.reset()
 		top.writes.reset()
 		return top
@@ -448,12 +452,13 @@ type lockState struct {
 	// nextCompact is the log length at which maybeCompact next recomputes
 	// the cursor minimum, so the O(T) scan is amortized over log growth.
 	nextCompact int
-	// log holds the (producer, acquire C-time, release H-time) records of
-	// ℓ's critical sections, appended once per release; cons[t] is thread
-	// t's drain cursor over it — together they realize Algorithm 1's
-	// Acqℓ(t) and Relℓ(t) queues, drained at t's releases of ℓ.
+	// log holds the (producer, acquire local clock, release H-time) records
+	// of ℓ's critical sections, appended once per release; cons[t] is
+	// thread t's drain cursor over it, the absolute word offset of the next
+	// record to inspect — together they realize Algorithm 1's Acqℓ(t) and
+	// Relℓ(t) queues, drained at t's releases of ℓ.
 	log  csLog
-	cons []consumer
+	cons []int
 	// own[t] holds t's own earlier critical sections on ℓ, for the
 	// same-thread instance of rule (b): releases r1 <TO r2 on ℓ with
 	// e1 ∈ CS(r1), e2 ∈ CS(r2), e1 ≺WCP e2 order r1 ≺WCP r2, which must
@@ -494,8 +499,7 @@ type Detector struct {
 	locks   []*lockState
 	vars    []varState
 	res     Result
-	queued  int   // current total queue entries (Algorithm 1 accounting)
-	scratch vc.WC // reusable Ce materialization
+	queued  int // current total queue entries (Algorithm 1 accounting)
 	// held is a reusable scratch for the lock context of a race
 	// observation, rebuilt from the CS stack only when a race is found.
 	held []event.LID
@@ -530,7 +534,6 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 		threads: make([]threadState, threads),
 		locks:   make([]*lockState, locks),
 		vars:    make([]varState, vars),
-		scratch: vc.NewWC(threads),
 		joined:  make([]bool, threads),
 		dead:    make([]bool, threads),
 	}
@@ -539,11 +542,11 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 		d.denseVars = vars
 	}
 	d.accCache = threads > 8
-	d.denseQ = d.scratch.Dense()
 	if opts.TrackPairs {
 		d.res.Report = race.NewReport()
 	}
 	ps := vc.NewWCMatrix(threads, threads)
+	d.denseQ = threads == 0 || ps[0].Dense()
 	hs := vc.NewWCMatrix(threads, threads)
 	os := vc.NewWCMatrix(threads, threads)
 	effs := vc.NewWCMatrix(threads, threads)
@@ -565,12 +568,9 @@ func (d *Detector) lock(l event.LID) *lockState {
 	if ls == nil {
 		n := len(d.threads)
 		ls = &lockState{
-			cons:    make([]consumer, n),
+			cons:    make([]int, n),
 			own:     make([]ownQ, n),
 			joinGen: make([]uint32, n),
-		}
-		for t := range ls.cons {
-			ls.cons[t].blockT = -1
 		}
 		d.locks[l] = ls
 	}
@@ -591,8 +591,8 @@ func (d *Detector) maybeCompact(ls *lockState) {
 		if d.dead[i] {
 			continue
 		}
-		if min < 0 || ls.cons[i].cur < min {
-			min = ls.cons[i].cur
+		if min < 0 || ls.cons[i] < min {
+			min = ls.cons[i]
 		}
 	}
 	if min < 0 {
@@ -600,15 +600,6 @@ func (d *Detector) maybeCompact(ls *lockState) {
 	}
 	ls.log.compact(min)
 	ls.nextCompact = len(ls.log.buf) + ringCompactAt
-}
-
-// ct materializes Ct = Pt[t := Nt] into the detector's scratch clock. The
-// returned clock is valid until the next call to ct.
-func (d *Detector) ct(t int) *vc.WC {
-	ts := &d.threads[t]
-	d.scratch.Copy(&ts.p)
-	d.scratch.Set(t, ts.n)
-	return &d.scratch
 }
 
 // effectiveTime materializes (Pt ⊔ Ot)[t := Nt]: the WCP time extended with
@@ -626,96 +617,6 @@ func (d *Detector) effectiveTime(t int) *vc.WC {
 		ts.effOK = true
 	}
 	return &ts.eff
-}
-
-// leqCtAt reports acq ⊑ Ct without materializing Ct. The record clock r is
-// bucket-compressed (vc.WC.AppendPacked) with the given window — components
-// outside it are zero and trivially ⊑. When the comparison fails it
-// returns a failing component and the clock Ct must reach there, which the
-// caller memoizes to skip re-comparison until that component has advanced.
-func (d *Detector) leqCtAt(r []vc.Clock, lo, hi int, mask uint64, t int) (comp int, need vc.Clock, ok bool) {
-	ts := &d.threads[t]
-	p, n := ts.p.VC(), ts.n
-	if len(r) == hi-lo {
-		// Contiguous record (every dense record and most narrow windowed
-		// ones): straight scan, with the width-3 unroll for tiny T (t < 3
-		// guards against width-3 *windows* inside wider detectors).
-		if lo == 0 && hi == 3 && t < 3 {
-			r, p := r[:3], p[:3]
-			if r[t] > n {
-				return t, r[t], false
-			}
-			if r[0] > p[0] && t != 0 {
-				return 0, r[0], false
-			}
-			if r[1] > p[1] && t != 1 {
-				return 1, r[1], false
-			}
-			if r[2] > p[2] && t != 2 {
-				return 2, r[2], false
-			}
-			return 0, 0, true
-		}
-		if lo <= t && t < hi {
-			if c := r[t-lo]; c > n {
-				return t, c, false
-			}
-		}
-		for i := lo; i < hi; i++ {
-			if c := r[i-lo]; c > p[i] && i != t {
-				return i, c, false
-			}
-		}
-		return 0, 0, true
-	}
-	off := 0
-	it := vc.NewMaskRuns(mask, ts.p.ChunkShift(), lo, hi)
-	for {
-		a, b, more := it.Next()
-		if !more {
-			return 0, 0, true
-		}
-		for i := a; i < b; i++ {
-			c := r[off]
-			off++
-			if c > p[i] && i != t {
-				return i, c, false
-			}
-		}
-		if a <= t && t < b {
-			if c := r[off-(b-t)]; c > n {
-				return t, c, false
-			}
-		}
-	}
-}
-
-// leqCtDense is leqCtAt for the fixed-stride record layout: v is the full
-// acquire clock.
-func (d *Detector) leqCtDense(v vc.VC, t int) (comp int, need vc.Clock, ok bool) {
-	ts := &d.threads[t]
-	if v[t] > ts.n {
-		return t, v[t], false
-	}
-	p := ts.p.VC()[:len(v)]
-	if len(v) == 3 {
-		if v[0] > p[0] && t != 0 {
-			return 0, v[0], false
-		}
-		if v[1] > p[1] && t != 1 {
-			return 1, v[1], false
-		}
-		if v[2] > p[2] && t != 2 {
-			return 2, v[2], false
-		}
-		return 0, 0, true
-	}
-	for i, c := range v {
-		if c > p[i] && i != t {
-			return i, c, false
-		}
-	}
-	return 0, 0, true
 }
 
 // Process feeds the next event of the trace to the detector.
@@ -802,17 +703,19 @@ func (d *Detector) stepAt(i int, kind event.Kind, t int, obj int32, loc event.Lo
 
 // acquire implements procedure acquire(t, ℓ) of Algorithm 1.
 //
-// The queue-publication side (Line 3) is deferred: the acquire's C-time is
-// snapshotted into the critical-section stack slot and enters the other
-// threads' queues only at the matching release, fused with the release's
-// H-time. Consumers cannot observe the difference — they drain only at
-// their own releases of ℓ, and critical sections on one lock never
-// interleave — but the accounting still credits the T−1 Acqℓ entries here,
-// so QueueMaxTotal reports Algorithm 1's queue sizes exactly.
+// The queue-publication side (Line 3) is deferred: the acquire enters the
+// other threads' queues only at the matching release, fused with the
+// release's H-time, and all it takes along is the local clock nAcq on the
+// critical-section stack slot — the one word of its C-time the rule-(b)
+// check reads (see the package comment), so nothing is snapshotted here.
+// Consumers cannot observe the deferral — they drain only at their own
+// releases of ℓ, and critical sections on one lock never interleave — but
+// the accounting still credits the T−1 Acqℓ entries here, so QueueMaxTotal
+// reports Algorithm 1's queue sizes exactly.
 func (d *Detector) acquire(t int, l event.LID) {
 	ts := &d.threads[t]
 	reentrant := ts.openDepth(l) > 0
-	top := ts.pushCS(l, ts.n)
+	ts.pushCS(l, ts.n)
 	if reentrant {
 		return // reentrant: no synchronization effect
 	}
@@ -830,19 +733,6 @@ func (d *Detector) acquire(t int, l event.LID) {
 		}
 	}
 	if width := len(d.threads); width > 1 {
-		if !top.ctAcq.Ready() {
-			top.ctAcq.Init(width)
-		}
-		if ca, pv := top.ctAcq.VC(), ts.p.VC(); len(ca) == 3 && len(pv) == 3 {
-			// Dense raw write: the window is static, and it saves the
-			// WC.Copy and WC.Set calls.
-			ca[0], ca[1], ca[2] = pv[0], pv[1], pv[2]
-			ca[t] = ts.n
-		} else {
-			top.ctAcq.Copy(&ts.p)
-			top.ctAcq.Set(t, ts.n)
-		}
-		top.hasCt = true
 		d.queued += width - 1 // the deferred Acqℓ(t') entries, t' ≠ t
 		if d.queued > d.res.QueueMaxTotal {
 			d.res.QueueMaxTotal = d.queued
@@ -895,22 +785,22 @@ func (d *Detector) release(t int, l event.LID) {
 
 	// Lines 4–6: rule (b). Drain critical sections of other threads whose
 	// acquire time has become ⊑ Ct, absorbing the matching release's H time
-	// into Pt. Interleaved with that, drain the same-thread rule-(b)
-	// queue: an own critical section CS(r1) applies once Pt(t) has reached
-	// its acquire time, i.e. some event of CS(r1) WCP-precedes an event of
-	// the current section. Each pop grows Pt, which can enable further
-	// pops from either queue, so iterate to a fixpoint. A stuck cross-
-	// thread head is skipped in O(1) via its blocked-component memo.
-	width := len(d.threads)
-	cons, myOwn := &ls.cons[t], &ls.own[t]
-	if cons.cur < ls.log.base {
+	// into Pt. For a record of thread u the check is the one compare
+	// nAcq ≤ Pt(u) (see the package comment). Interleaved with that, drain
+	// the same-thread rule-(b) queue: an own critical section CS(r1)
+	// applies once Pt(t) has reached its acquire time, i.e. some event of
+	// CS(r1) WCP-precedes an event of the current section. Each pop grows
+	// Pt, which can enable further pops from either queue, so iterate to a
+	// fixpoint.
+	width, dense := len(d.threads), d.denseQ
+	cur, myOwn := &ls.cons[t], &ls.own[t]
+	if *cur < ls.log.base {
 		// Compaction treats dead threads (joined, no open sections) as
 		// never draining again and truncates past their cursors; if an
 		// ill-formed trace revives such a thread anyway, clamp its cursor
 		// to the surviving records — determinism, not precision, is all
 		// the detector promises off the well-formed model.
-		cons.cur = ls.log.base
-		cons.blockT = -1
+		*cur = ls.log.base
 	}
 	for {
 		// Only a growth of Pt can unblock further records, so the fixpoint
@@ -920,93 +810,40 @@ func (d *Detector) release(t int, l event.LID) {
 		// H-monotone, so the last popped release time dominates the earlier
 		// ones and the whole run is absorbed into Pt with a single join
 		// when it ends (the join can unblock further records; the enclosing
-		// fixpoint retries). Records are bucket-compressed and variable-
-		// stride: each header carries the word counts and windows of its
-		// two clocks (see queue.go).
-		var lastRel []vc.Clock
-		lastLo, lastHi := 0, width
-		var lastMask uint64
-		buf, off := ls.log.buf, cons.cur-ls.log.base
-		if d.denseQ {
-			// Fixed-stride layout: [producer, acq..., rel...].
-			stride := 1 + 2*width
-			for off < len(buf) {
-				if int(buf[off]) == t {
-					off += stride
-					continue
+		// fixpoint retries). Pt does not change during the run.
+		pv := ts.p.VC()
+		buf, off, last, pops := ls.log.buf, *cur-ls.log.base, -1, 0
+		for off < len(buf) {
+			// The consumer's own records are not part of its Acqℓ/Relℓ
+			// queues (the same-thread rule drains through ownQ).
+			if u := int(buf[off]); u != t {
+				if buf[off+1] > pv[u] {
+					break // the front record cannot advance yet
 				}
-				if cons.blockT >= 0 {
-					have := ts.p.Get(int(cons.blockT))
-					if int(cons.blockT) == t {
-						have = ts.n
-					}
-					if have < cons.blockC {
-						break
-					}
-					cons.blockT = -1
-				}
-				if comp, need, ok := d.leqCtDense(buf[off+1:off+1+width], t); !ok {
-					cons.blockT, cons.blockC = int32(comp), need
-					break
-				}
-				lastRel = buf[off+1+width : off+stride]
-				off += stride
-				cons.blockT = -1
-				d.queued -= 2
+				last = off
+				pops++
 			}
-		} else {
-			for off < len(buf) {
-				aw, rw := int(buf[off+1]), int(buf[off+2])
-				stride := csHdr + aw + rw
-				if int(buf[off]) == t {
-					// The consumer's own record: not part of its Acqℓ/Relℓ
-					// queues (the same-thread rule drains through ownQ).
-					off += stride
-					continue
-				}
-				if cons.blockT >= 0 {
-					have := ts.p.Get(int(cons.blockT))
-					if int(cons.blockT) == t {
-						have = ts.n
-					}
-					if have < cons.blockC {
-						break // the front record still cannot advance
-					}
-					cons.blockT = -1
-				}
-				alo, ahi := unpackSpan(buf[off+3], width)
-				amask := maskFrom(buf[off+4], buf[off+5])
-				if comp, need, ok := d.leqCtAt(buf[off+csHdr:off+csHdr+aw], alo, ahi, amask, t); !ok {
-					cons.blockT, cons.blockC = int32(comp), need
-					break
-				}
-				lastRel = buf[off+csHdr+aw : off+stride]
-				lastLo, lastHi = unpackSpan(buf[off+6], width)
-				lastMask = maskFrom(buf[off+7], buf[off+8])
-				off += stride
-				cons.blockT = -1
-				d.queued -= 2
+			if dense {
+				off += 2 + width
+			} else {
+				off += csHdr + int(buf[off+2])
 			}
 		}
-		cons.cur = ls.log.base + off
-		if lastRel != nil && ts.p.JoinPacked(lastRel, lastLo, lastHi, lastMask) {
-			ts.effOK = false
-			pChanged = true
+		*cur = ls.log.base + off
+		d.queued -= 2 * pops
+		if last >= 0 {
+			if r, lo, hi, mask, _ := relAt(buf, last+2, width, dense); ts.p.JoinPacked(r, lo, hi, mask) {
+				ts.effOK = false
+				pChanged = true
+			}
 		}
 		for !myOwn.empty() && myOwn.frontNAcq() <= ts.p.Get(t) {
-			if d.denseQ {
-				if ts.p.JoinPacked(myOwn.frontDense(width), 0, width, 0) {
-					ts.effOK = false
-					pChanged = true
-				}
-				myOwn.popDense(width)
-			} else {
-				if r, lo, hi, mask := myOwn.front(width); ts.p.JoinPacked(r, lo, hi, mask) {
-					ts.effOK = false
-					pChanged = true
-				}
-				myOwn.pop(width)
+			r, lo, hi, mask, next := relAt(myOwn.buf, myOwn.head+1, width, dense)
+			if ts.p.JoinPacked(r, lo, hi, mask) {
+				ts.effOK = false
+				pChanged = true
 			}
+			myOwn.pop(next)
 			d.queued--
 		}
 		if !pChanged {
@@ -1064,31 +901,23 @@ func (d *Detector) release(t int, l event.LID) {
 	ls.joinGen[t] = ls.gen
 
 	// Line 10 (and the deferred Line 3): publish this critical section to
-	// every other thread's queue as one (acquire C-time, release H-time)
-	// record, and to the thread's own same-thread rule-(b) queue, as plain
-	// clock words (dirty spans only; see queue.go).
+	// every other thread's queue as one (acquire local clock, release
+	// H-time) record, and to the thread's own same-thread rule-(b) queue, as
+	// plain clock words (dirty spans only; see queue.go).
 	if width > 1 {
-		acq := &entry.ctAcq
-		if !entry.hasCt {
+		nAcq := entry.nAcq
+		if dep == 0 {
 			// Release without a matching acquire (ill-formed trace): treat
 			// the release point itself as the acquire, and account the Acqℓ
 			// entries the missing acquire would have contributed.
-			acq = d.ct(t)
+			nAcq = ts.n
 			d.queued += width - 1
 		}
-		if d.denseQ {
-			ls.log.pushDense(t, acq.VC(), ts.h.VC())
-		} else {
-			ls.log.push(t, acq, &ts.h)
-		}
+		ls.log.push(t, nAcq, &ts.h, dense)
 		d.maybeCompact(ls)
 		d.queued += width - 1 // the Relℓ(t') entries, t' ≠ t
 	}
-	if d.denseQ {
-		myOwn.pushDense(entry.nAcq, ts.h.VC())
-	} else {
-		myOwn.push(entry.nAcq, &ts.h)
-	}
+	myOwn.push(entry.nAcq, &ts.h, dense)
 	d.queued++
 	if d.queued > d.res.QueueMaxTotal {
 		d.res.QueueMaxTotal = d.queued

@@ -5,23 +5,30 @@ import "repro/internal/vc"
 // Algorithm 1's per-(lock, thread) FIFO queues are realized as one shared
 // per-lock log of critical-section records plus one cursor per consumer
 // thread. Every release appends exactly one record — producer thread, the
-// acquire's C-time, the release's H-time, as plain clock words — and each
-// consumer drains the same record sequence through its own cursor, skipping
-// its own records. This preserves the per-consumer FIFO semantics of the
-// paper's Acqℓ(t)/Relℓ(t) queues exactly (the queues of all consumers
-// receive identical record sequences, fused into pairs because critical
-// sections on one lock never interleave, so the two queues advance in
-// lockstep), while storing each record once instead of T−1 times.
+// acquire's local clock nAcq, the release's H-time, as plain clock words —
+// and each consumer drains the same record sequence through its own cursor,
+// skipping its own records. This preserves the per-consumer FIFO semantics
+// of the paper's Acqℓ(t)/Relℓ(t) queues exactly (the queues of all
+// consumers receive identical record sequences, fused into pairs because
+// critical sections on one lock never interleave, so the two queues advance
+// in lockstep), while storing each record once instead of T−1 times.
 //
-// Records are *bucket-compressed*: only the clock words covered by each
-// clock's dirty bitmap (vc.WC) are stored, in mask-run order, prefixed by a
-// header carrying the word counts, span bounds and bitmaps. Consumers walk
+// A record keeps one word of the acquire's C-time, not all T: the rule-(b)
+// head check acq ⊑ Ct reduces to nAcq ≤ Pt(producer) (see the package
+// comment), so the producer's own component is the only one a consumer
+// ever reads.
+//
+// Release times are *bucket-compressed*: only the clock words covered by
+// the clock's dirty bitmap (vc.WC) are stored, in mask-run order, behind a
+// header carrying the word count, span bounds and bitmap. Consumers walk
 // the same mask runs (vc.MaskRuns is the shared definition), so both the
-// log's memory and the drain work are proportional to how many threads a
+// log's memory and the join work are proportional to how many threads a
 // critical section actually communicated with, not to the thread count T —
 // a clock whose support is "my pool plus the main thread" costs a dozen
 // words even at T=1024, where its contiguous span would cost hundreds.
 // Records have variable stride; cursors walk them header by header.
+// Detectors whose clocks are all dense (tiny widths, ForceDense) store
+// fixed-stride records instead, with all T release words and no header.
 //
 // The log is pointer-free: drains scan contiguous memory, a pop advances a
 // cursor, and there is nothing for the garbage collector to trace. Records
@@ -31,27 +38,29 @@ import "repro/internal/vc"
 //
 // The same-thread rule-(b) queue (ownQ) stays separate per thread: its
 // entries must remain drainable while a cross-thread record ahead of them
-// is stuck, which a single shared cursor could not express.
+// is stuck, which a single shared cursor could not express. Its records
+// are the log's without the producer word.
 
 // ringCompactAt is the dead-prefix size (in words) past which a ring or log
 // compacts.
 const ringCompactAt = 4096
 
-// csHdr is the header width of a csLog record:
+// relHdr is the header width of a bucket-compressed release time:
 //
-//	[producer, acqWords, relWords,
-//	 acqSpan, acqMaskLo, acqMaskHi, relSpan, relMaskLo, relMaskHi]
+//	[relWords, relSpan, relMaskLo, relMaskHi]
 //
-// followed by acqWords bucket-compressed words of the acquire C-time and
-// relWords of the release H-time. The stride is csHdr+acqWords+relWords.
-const csHdr = 9
+// followed by relWords bucket-compressed words of the release H-time.
+const relHdr = 4
 
-// ownHdr is the header width of an ownQ record:
+// csHdr is the header width of a windowed csLog record:
 //
-//	[nAcq, relWords, relSpan, relMaskLo, relMaskHi]
+//	[producer, nAcq, relWords, relSpan, relMaskLo, relMaskHi, rel…]
 //
-// followed by the release H-time's bucket-compressed words.
-const ownHdr = 5
+// with stride csHdr+relWords. The fixed-stride layout is
+// [producer, nAcq, rel×T], stride 2+T. An ownQ record is either layout
+// without the producer word: [nAcq, relWords, relSpan, relMaskLo,
+// relMaskHi, rel…] or [nAcq, rel×T].
+const csHdr = 2 + relHdr
 
 // spanPackLimit bounds the clock widths whose spans pack into one word;
 // wider clocks (beyond any realistic thread universe) store the sentinel
@@ -84,8 +93,9 @@ func maskFrom(lo, hi vc.Clock) uint64 {
 	return uint64(uint32(lo)) | uint64(uint32(hi))<<32
 }
 
-// growSlow reallocates buf with room for need more words; the in-capacity
-// fast path is written out at each push site so it inlines.
+// growSlow reallocates buf with room for need more words. The in-capacity
+// fast path is written out in pushRecord; the rare reallocation stays out
+// of line.
 //
 //go:noinline
 func growSlow(buf []vc.Clock, need int) []vc.Clock {
@@ -95,68 +105,55 @@ func growSlow(buf []vc.Clock, need int) []vc.Clock {
 	return g
 }
 
-// csLog is the shared per-lock record log. Consumers address records by
-// absolute word offset since the lock's creation; base is the absolute
-// offset of buf[0], so compaction just advances base.
-type csLog struct {
-	buf  []vc.Clock
-	base int
-}
-
-// pushDense appends one fixed-stride record (dense-clock detectors): no
-// header beyond the producer, stride 1+2·width — half the words of the
-// windowed format at tiny widths, which matters for drain cache traffic.
-func (g *csLog) pushDense(producer int, acq, rel vc.VC) {
-	n := len(g.buf)
-	w := len(acq)
-	buf := g.buf
-	if n+1+2*w <= cap(buf) {
-		buf = buf[: n+1+2*w : cap(buf)]
+// pushRecord appends one record to buf: lead free words for the caller
+// (the producer, in a csLog), nAcq, then the release H-time h — all width
+// words with dense, else bucket-compressed behind its relHdr header. Spans
+// that exceed the packSpan sentinel limit are widened to the full width
+// *before* packing, so the writer's mask-run walk clamps exactly as the
+// reader's will after unpackSpan returns the full span. It returns the
+// grown buffer and the offset of the record.
+func pushRecord(buf []vc.Clock, lead int, nAcq vc.Clock, h *vc.WC, dense bool) ([]vc.Clock, int) {
+	var lo, hi, w int
+	if dense {
+		w = h.Width()
 	} else {
-		buf = growSlow(buf, 1+2*w)
+		lo, hi = spanOrFull(h)
+		w = relHdr + vc.PackedWords(h.Mask(), h.ChunkShift(), lo, hi)
 	}
-	buf[n] = vc.Clock(producer)
-	a := buf[n+1 : n+1+w : n+1+w]
-	r := buf[n+1+w : n+1+2*w : n+1+2*w]
-	if w == 3 {
-		a[0], a[1], a[2] = acq[0], acq[1], acq[2]
-		r[0], r[1], r[2] = rel[0], rel[1], rel[2]
+	n := len(buf)
+	end := n + lead + 1 + w
+	if end <= cap(buf) {
+		buf = buf[:end:cap(buf)]
 	} else {
-		for i := 0; i < w; i++ {
-			a[i] = acq[i]
-			r[i] = rel[i]
+		buf = growSlow(buf, end-n)
+	}
+	buf[n+lead] = nAcq
+	dst := buf[n+lead+1 : end : end]
+	if dense {
+		if hv := h.VC(); len(hv) == 3 {
+			dst[0], dst[1], dst[2] = hv[0], hv[1], hv[2]
+		} else {
+			copy(dst, hv)
 		}
+		return buf, n
 	}
-	g.buf = buf
+	dst[0] = vc.Clock(w - relHdr)
+	dst[1] = packSpan(lo, hi)
+	dst[2], dst[3] = maskHalves(h.Mask())
+	appendPacked(dst[relHdr:], h, lo, hi)
+	return buf, n
 }
 
-// push appends one bucket-compressed record (windowed-clock detectors).
-// Spans that exceed the packSpan sentinel limit are widened to the full
-// width *before* packing, so the writer's mask-run walk clamps exactly as
-// the reader's will after unpackSpan returns the full span.
-func (g *csLog) push(producer int, acq, rel *vc.WC) {
-	alo, ahi := spanOrFull(acq)
-	rlo, rhi := spanOrFull(rel)
-	aw := vc.PackedWords(acq.Mask(), acq.ChunkShift(), alo, ahi)
-	rw := vc.PackedWords(rel.Mask(), rel.ChunkShift(), rlo, rhi)
-	stride := csHdr + aw + rw
-	n := len(g.buf)
-	buf := g.buf
-	if n+stride <= cap(buf) {
-		buf = buf[: n+stride : cap(buf)]
-	} else {
-		buf = growSlow(buf, stride)
+// relAt returns the release H-time stored at buf[p:] — the record tail
+// after nAcq — as packed words plus its window, and the offset just past
+// it, where the next record starts.
+func relAt(buf []vc.Clock, p, width int, dense bool) (r []vc.Clock, lo, hi int, mask uint64, end int) {
+	if dense {
+		return buf[p : p+width], 0, width, 0, p + width
 	}
-	buf[n] = vc.Clock(producer)
-	buf[n+1] = vc.Clock(aw)
-	buf[n+2] = vc.Clock(rw)
-	buf[n+3] = packSpan(alo, ahi)
-	buf[n+4], buf[n+5] = maskHalves(acq.Mask())
-	buf[n+6] = packSpan(rlo, rhi)
-	buf[n+7], buf[n+8] = maskHalves(rel.Mask())
-	appendPacked(buf[n+csHdr:n+csHdr+aw], acq, alo, ahi)
-	appendPacked(buf[n+csHdr+aw:n+stride], rel, rlo, rhi)
-	g.buf = buf
+	end = p + relHdr + int(buf[p])
+	lo, hi = unpackSpan(buf[p+1], width)
+	return buf[p+relHdr : end], lo, hi, maskFrom(buf[p+2], buf[p+3]), end
 }
 
 // spanOrFull returns the clock's dirty span, widened to the full width
@@ -188,6 +185,21 @@ func appendPacked(dst []vc.Clock, w *vc.WC, lo, hi int) {
 	}
 }
 
+// csLog is the shared per-lock record log. Consumers address records by
+// absolute word offset since the lock's creation; base is the absolute
+// offset of buf[0], so compaction just advances base.
+type csLog struct {
+	buf  []vc.Clock
+	base int
+}
+
+// push appends producer's record of one critical section.
+func (g *csLog) push(producer int, nAcq vc.Clock, h *vc.WC, dense bool) {
+	var n int
+	g.buf, n = pushRecord(g.buf, 1, nAcq, h, dense)
+	g.buf[n] = vc.Clock(producer)
+}
+
 // compact discards records below minCur (the slowest consumer cursor).
 func (g *csLog) compact(minCur int) {
 	dead := minCur - g.base
@@ -215,21 +227,9 @@ func (g *csLog) compactForce(minCur int) {
 	}
 }
 
-// consumer is one thread's view of a lock's log: its drain cursor and the
-// stuck-head memo. blockT/blockC memoize why the front record is stuck: the
-// last failed acq ⊑ Ct check failed at component blockT, which needs to
-// reach blockC. Ct is monotone, so until Ct(blockT) ≥ blockC the full
-// comparison cannot succeed and the drain loop skips it in O(1) — lazy
-// draining that batches pops until the head can actually advance.
-type consumer struct {
-	cur    int   // absolute word offset of the next record to inspect
-	blockT int32 // component the front record is known stuck on, or -1
-	blockC vc.Clock
-}
-
 // ownQ is the FIFO of a thread's own completed critical sections on a lock,
-// for the same-thread instance of rule (b): bucket-compressed records of
-// the acquire's local clock followed by the release H-time.
+// for the same-thread instance of rule (b): records of the acquire's local
+// clock followed by the release H-time.
 type ownQ struct {
 	buf  []vc.Clock
 	head int
@@ -240,75 +240,15 @@ func (q *ownQ) empty() bool { return q.head == len(q.buf) }
 // frontNAcq returns the acquire local time of the front record.
 func (q *ownQ) frontNAcq() vc.Clock { return q.buf[q.head] }
 
-// front returns the release H-time of the front record as bucket-compressed
-// words plus its window.
-func (q *ownQ) front(width int) (r []vc.Clock, lo, hi int, mask uint64) {
-	w := int(q.buf[q.head+1])
-	lo, hi = unpackSpan(q.buf[q.head+2], width)
-	mask = maskFrom(q.buf[q.head+3], q.buf[q.head+4])
-	return q.buf[q.head+ownHdr : q.head+ownHdr+w], lo, hi, mask
+// push appends one record.
+func (q *ownQ) push(nAcq vc.Clock, h *vc.WC, dense bool) {
+	q.buf, _ = pushRecord(q.buf, 0, nAcq, h, dense)
 }
 
-// frontDense returns the release H-time of the front fixed-stride record.
-func (q *ownQ) frontDense(width int) vc.VC {
-	return vc.VC(q.buf[q.head+1 : q.head+1+width])
-}
-
-// pushDense appends one fixed-stride record: [nAcq, h...], stride 1+width.
-func (q *ownQ) pushDense(nAcq vc.Clock, h vc.VC) {
-	n := len(q.buf)
-	w := len(h)
-	buf := q.buf
-	if n+1+w <= cap(buf) {
-		buf = buf[: n+1+w : cap(buf)]
-	} else {
-		buf = growSlow(buf, 1+w)
-	}
-	buf[n] = nAcq
-	dst := buf[n+1 : n+1+w : n+1+w]
-	if w == 3 {
-		dst[0], dst[1], dst[2] = h[0], h[1], h[2]
-	} else {
-		for i := 0; i < w; i++ {
-			dst[i] = h[i]
-		}
-	}
-	q.buf = buf
-}
-
-// popDense drops the front fixed-stride record.
-func (q *ownQ) popDense(width int) {
-	q.head += 1 + width
-	if q.head >= ringCompactAt && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-}
-
-// push appends one bucket-compressed record.
-func (q *ownQ) push(nAcq vc.Clock, h *vc.WC) {
-	lo, hi := spanOrFull(h)
-	w := vc.PackedWords(h.Mask(), h.ChunkShift(), lo, hi)
-	stride := ownHdr + w
-	n := len(q.buf)
-	buf := q.buf
-	if n+stride <= cap(buf) {
-		buf = buf[: n+stride : cap(buf)]
-	} else {
-		buf = growSlow(buf, stride)
-	}
-	buf[n] = nAcq
-	buf[n+1] = vc.Clock(w)
-	buf[n+2] = packSpan(lo, hi)
-	buf[n+3], buf[n+4] = maskHalves(h.Mask())
-	appendPacked(buf[n+ownHdr:n+stride], h, lo, hi)
-	q.buf = buf
-}
-
-// pop drops the front record.
-func (q *ownQ) pop(width int) {
-	q.head += ownHdr + int(q.buf[q.head+1])
+// pop drops the front record; next is the offset just past it (relAt's
+// end).
+func (q *ownQ) pop(next int) {
+	q.head = next
 	if q.head >= ringCompactAt && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]

@@ -78,10 +78,6 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 			e := &ts.stack[i]
 			w.Int(int(e.lock))
 			w.Int(int(e.nAcq))
-			w.Bool(e.hasCt)
-			if e.hasCt {
-				w.Sparse(e.ctAcq.VC())
-			}
 			encodeVarSet(w, &e.reads)
 			encodeVarSet(w, &e.writes)
 		}
@@ -266,10 +262,8 @@ func encodeLock(w *snap.Writer, ls *lockState) {
 	w.Int(ls.nextCompact)
 	w.Int(ls.log.base)
 	w.I32s(ls.log.buf)
-	for t := range ls.cons {
-		w.Uvarint(uint64(ls.cons[t].cur))
-		w.Int(int(ls.cons[t].blockT))
-		w.Int(int(ls.cons[t].blockC))
+	for _, cur := range ls.cons {
+		w.Uvarint(uint64(cur))
 	}
 	for t := range ls.own {
 		q := &ls.own[t]
@@ -349,18 +343,7 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 		if _, ok := slices.BinarySearch(starts, int(cur)-ls.log.base); !ok {
 			return &snap.DecodeError{Reason: "queue cursor off a record boundary"}
 		}
-		ls.cons[t].cur = int(cur)
-		bt, err := rd.I32()
-		if err != nil {
-			return err
-		}
-		if bt < -1 || int(bt) >= width {
-			return &snap.DecodeError{Reason: "blocked component out of range"}
-		}
-		ls.cons[t].blockT = bt
-		if ls.cons[t].blockC, err = rd.I32(); err != nil {
-			return err
-		}
+		ls.cons[t] = int(cur)
 	}
 	for t := range ls.own {
 		buf, err := rd.I32s(maxSnapWords)
@@ -416,73 +399,62 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 }
 
 // The queue logs arrive as raw clock words, and the release drain trusts
-// their record headers: a word count past the buffer, a span outside the
-// clock width or a cursor inside a record would panic at the lock's next
-// release. Decode therefore walks every record as the drain will (see
-// queue.go for the two layouts) and rejects any log the encoder could not
-// have written.
+// their record headers: a producer past the width, a word count past the
+// buffer, a span outside the clock width or a cursor inside a record would
+// panic at the lock's next release. Decode therefore walks every record as
+// the drain will (see queue.go for the two layouts) and rejects any log the
+// encoder could not have written.
 
 // logRecords checks a lock's csLog buffer and returns the offset of every
 // record, followed by len(buf): the positions a consumer cursor may hold.
 func (d *Detector) logRecords(buf []vc.Clock) ([]int, error) {
-	width := len(d.threads)
-	bad := &snap.DecodeError{Reason: "malformed queue record"}
 	var starts []int
 	for off := 0; off < len(buf); {
 		starts = append(starts, off)
-		if p := buf[off]; p < 0 || int(p) >= width {
-			return nil, bad
+		end, ok := d.relEnd(buf, off+2)
+		if p := buf[off]; !ok || p < 0 || int(p) >= len(d.threads) {
+			return nil, &snap.DecodeError{Reason: "malformed queue record"}
 		}
-		var stride int
-		if d.denseQ {
-			stride = 1 + 2*width
-		} else {
-			if len(buf)-off < csHdr ||
-				!d.packedLen(buf[off+1], buf[off+3], buf[off+4], buf[off+5]) ||
-				!d.packedLen(buf[off+2], buf[off+6], buf[off+7], buf[off+8]) {
-				return nil, bad
-			}
-			stride = csHdr + int(buf[off+1]) + int(buf[off+2])
-		}
-		if stride > len(buf)-off {
-			return nil, bad
-		}
-		off += stride
+		off = end
 	}
 	return append(starts, len(buf)), nil
 }
 
 // checkOwnQ checks the records of one thread's decoded ownQ buffer.
 func (d *Detector) checkOwnQ(buf []vc.Clock) error {
-	bad := &snap.DecodeError{Reason: "malformed own-queue record"}
 	for off := 0; off < len(buf); {
-		stride := 1 + len(d.threads)
-		if !d.denseQ {
-			if len(buf)-off < ownHdr || !d.packedLen(buf[off+1], buf[off+2], buf[off+3], buf[off+4]) {
-				return bad
-			}
-			stride = ownHdr + int(buf[off+1])
+		end, ok := d.relEnd(buf, off+1)
+		if !ok {
+			return &snap.DecodeError{Reason: "malformed own-queue record"}
 		}
-		if stride > len(buf)-off {
-			return bad
-		}
-		off += stride
+		off = end
 	}
 	return nil
 }
 
-// packedLen reports whether a record header's word count n is exactly the
+// relEnd returns the offset just past the release time stored at buf[p:],
+// the record tail after nAcq, as relAt will read it. It reports false when
+// the tail runs past buf or its header's word count is not exactly the
 // packed width of its span and mask, with the span inside the clock width.
-func (d *Detector) packedLen(n, span, maskLo, maskHi vc.Clock) bool {
+func (d *Detector) relEnd(buf []vc.Clock, p int) (int, bool) {
 	width := len(d.threads)
+	if d.denseQ {
+		return p + width, p+width <= len(buf)
+	}
+	if len(buf)-p < relHdr {
+		return 0, false
+	}
+	n, span := buf[p], buf[p+1]
 	if span < -1 {
-		return false
+		return 0, false
 	}
 	lo, hi := unpackSpan(span, width)
-	if lo > hi || hi > width {
-		return false
+	if lo > hi || hi > width ||
+		int(n) != vc.PackedWords(maskFrom(buf[p+2], buf[p+3]), d.threads[0].p.ChunkShift(), lo, hi) {
+		return 0, false
 	}
-	return int(n) == vc.PackedWords(maskFrom(maskLo, maskHi), d.scratch.ChunkShift(), lo, hi)
+	end := p + relHdr + int(n)
+	return end, end <= len(buf)
 }
 
 func encodeVar(w *snap.Writer, vs *varState) {
@@ -611,15 +583,6 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 				return nil, err
 			}
 			e := ts.pushCS(event.LID(l), nAcq)
-			if e.hasCt, err = rd.Bool(); err != nil {
-				return nil, err
-			}
-			if e.hasCt {
-				e.ctAcq.Init(threads)
-				if err := decodeReadyWC(rd, &e.ctAcq, tmp); err != nil {
-					return nil, err
-				}
-			}
 			if err := decodeVarSet(rd, &e.reads, vars); err != nil {
 				return nil, err
 			}

@@ -52,7 +52,7 @@ func loggedLock(t *testing.T, d *Detector) *lockState {
 	for _, ls := range d.locks {
 		if ls != nil && len(ls.log.buf) > 0 {
 			for i := range ls.cons {
-				ls.cons[i] = consumer{cur: ls.log.base, blockT: -1}
+				ls.cons[i] = ls.log.base
 			}
 			return ls
 		}
@@ -79,24 +79,22 @@ func requireDecodeError(t *testing.T, d *Detector, tamper func(*lockState)) {
 }
 
 // TestDecodeRejectsOversizedRecordWords: a windowed record (T=16) whose
-// acquire word count runs past the buffer. The lock's next release would
+// release word count runs past the buffer. The lock's next release would
 // slice the record past its end.
 func TestDecodeRejectsOversizedRecordWords(t *testing.T) {
 	requireDecodeError(t, liveDetector(t, 16), func(ls *lockState) {
-		ls.log.buf[1] = 1 << 20
+		ls.log.buf[2] = 1 << 20
 	})
 }
 
 // TestDecodeRejectsShortFixedStrideLog: a fixed-stride log (T=3) one word
-// short of a record, whose acquire words are zero so a drain would accept
-// the record and slice its release words past the end.
+// short of a [producer, nAcq, rel×3] record, whose nAcq is zero so a drain
+// would accept the record and slice its release words past the end.
 func TestDecodeRejectsShortFixedStrideLog(t *testing.T) {
 	requireDecodeError(t, liveDetector(t, 3), func(ls *lockState) {
 		const width = 3
-		rec := ls.log.buf[:2*width]
-		for i := 1; i <= width; i++ {
-			rec[i] = 0
-		}
+		rec := ls.log.buf[:2+width-1]
+		rec[1] = 0
 		ls.log.buf = rec
 	})
 }

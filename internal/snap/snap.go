@@ -29,10 +29,12 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 
 // Version is the current snapshot format version. Bump on any payload
 // layout change; Reader rejects mismatched versions with a DecodeError.
-// Version 3 encodes each variable's read and write times as cells (an
-// epoch, or a sparse clock in vector form) and has no epoch-engine layout;
-// version 2 held them as full clocks with fast-path flags.
-const Version = 3
+// Version 4 keeps only the acquire's local clock in WCP queue records and
+// drops the acquire C-time snapshots and stuck-head memos; version 3
+// encodes each variable's read and write times as cells (an epoch, or a
+// sparse clock in vector form) and has no epoch-engine layout; version 2
+// held them as full clocks with fast-path flags.
+const Version = 4
 
 // maxPayload bounds a single frame's payload so a corrupted length field
 // cannot drive a multi-gigabyte allocation. Detector snapshots for even
