@@ -13,9 +13,9 @@ import (
 // the state that can never influence another verdict:
 //
 //   - a thread that has been joined and has no open critical section is
-//     dead — its clocks are frozen, it will never drain a queue again, so
-//     its queue cursors stop pinning lock logs and its stack/cache storage
-//     is freed (its P/H/O clocks stay: later joins may still read them);
+//     dead — its clocks are frozen, it will never release again, so its
+//     own-queues and stack/cache storage are freed (its P/H/O clocks stay:
+//     later joins may still read them);
 //   - a variable whose Rx and Wx times are ⊑ the effective-time floor (the
 //     pointwise minimum over live threads) can never race again — every
 //     future check against it would report "ordered" — so its state resets
@@ -153,28 +153,19 @@ func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 // be retired entirely (recreated fresh on its next acquire).
 func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 	end := ls.log.base + len(ls.log.buf)
-	minLive := -1
 	drained := true
 	for t := range ls.cons {
+		q := &ls.own[t]
 		if d.dead[t] {
-			// Dead threads never drain again: park their cursors at the
-			// end of the log and drop their own-queues so neither pins
-			// storage. (The release-path clamp keeps even ill-formed
-			// resurrections deterministic.)
-			ls.cons[t] = end
-			ls.own[t] = ownQ{}
+			// Dead threads never release again: drop their own-queues.
+			// Their cursors pin nothing — the log keeps only its unsettled
+			// tail, whatever the cursors behind it.
+			*q = ownQ{}
 			continue
 		}
-		if ls.cons[t] < end {
+		if c := &ls.cons[t]; c.idx < ls.log.settledN || c.off < end || !q.empty() {
 			drained = false
 		}
-		if minLive < 0 || ls.cons[t] < minLive {
-			minLive = ls.cons[t]
-		}
-		if !ls.own[t].empty() {
-			drained = false
-		}
-		q := &ls.own[t]
 		if q.head > 0 {
 			n := copy(q.buf, q.buf[q.head:])
 			q.buf = q.buf[:n]
@@ -184,11 +175,7 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 			q.buf = append([]vc.Clock(nil), q.buf...)
 		}
 	}
-	if minLive < 0 {
-		minLive = end
-	}
-	ls.log.compactForce(minLive)
-	ls.nextCompact = len(ls.log.buf) + ringCompactAt
+	ls.log.compactForce(len(d.threads), d.denseQ)
 
 	// Quiesce dominated rule-(a) records and recompute the presence masks
 	// from what survives.
@@ -283,7 +270,7 @@ func (d *Detector) StateBytes() int {
 			continue
 		}
 		n += cap(ls.log.buf) * clockB
-		n += len(ls.cons) * 8
+		n += len(ls.cons) * 32 // four ints per consumer
 		n += len(ls.joinGen) * 4
 		if ls.pl.Ready() {
 			n += width * clockB

@@ -50,6 +50,12 @@
 //     keeps only nAcq of its acquire time. The argument rests on the lock
 //     chain of well-formed traces, like the pop-run's single join; off the
 //     model the detector stays deterministic, not precise;
+//   - the log keeps only what a later drain might still refuse: after each
+//     release publishes Pℓ, the records with nAcq ≤ Pℓ(producer) are
+//     settled — every later releaser's Pt dominates Pℓ along the lock
+//     chain, so every later drain pops them — and a cursor behind the
+//     settled run takes it in O(1), from counts and the run's last two
+//     records by distinct producers (see queue.go);
 //   - the rule-(a) Lr/Lw state collapses to the two latest contributions
 //     by distinct threads — releases on one lock are H-monotone, so they
 //     dominate all earlier ones (see relTimes);
@@ -449,16 +455,13 @@ type lockState struct {
 	joinGen []uint32
 	// acc holds the rule-(a) Lr/Lw records per variable.
 	acc relIndex
-	// nextCompact is the log length at which maybeCompact next recomputes
-	// the cursor minimum, so the O(T) scan is amortized over log growth.
-	nextCompact int
 	// log holds the (producer, acquire local clock, release H-time) records
-	// of ℓ's critical sections, appended once per release; cons[t] is
-	// thread t's drain cursor over it, the absolute word offset of the next
-	// record to inspect — together they realize Algorithm 1's Acqℓ(t) and
-	// Relℓ(t) queues, drained at t's releases of ℓ.
+	// of ℓ's critical sections, appended once per release; cons[t] holds
+	// thread t's drain cursor over it — together they realize Algorithm 1's
+	// Acqℓ(t) and Relℓ(t) queues, drained at t's releases of ℓ — and the
+	// count of t's records in the log's settled run (see queue.go).
 	log  csLog
-	cons []int
+	cons []consumer
 	// own[t] holds t's own earlier critical sections on ℓ, for the
 	// same-thread instance of rule (b): releases r1 <TO r2 on ℓ with
 	// e1 ∈ CS(r1), e2 ∈ CS(r2), e1 ≺WCP e2 order r1 ≺WCP r2, which must
@@ -518,9 +521,9 @@ type Detector struct {
 	denseQ bool
 	// joined marks threads some other thread has joined; dead marks joined
 	// threads with no open critical sections, whose clocks are frozen
-	// forever. Compaction (compact.go) treats dead threads' queue cursors
-	// as infinitely far ahead and uses the remaining live threads' clocks
-	// as the domination floor for retiring quiesced state.
+	// forever. Compaction (compact.go) drops dead threads' own-queues and
+	// uses the remaining live threads' clocks as the domination floor for
+	// retiring quiesced state.
 	joined []bool
 	dead   []bool
 }
@@ -568,38 +571,14 @@ func (d *Detector) lock(l event.LID) *lockState {
 	if ls == nil {
 		n := len(d.threads)
 		ls = &lockState{
-			cons:    make([]int, n),
+			log:     newCSLog(),
+			cons:    make([]consumer, n),
 			own:     make([]ownQ, n),
 			joinGen: make([]uint32, n),
 		}
 		d.locks[l] = ls
 	}
 	return ls
-}
-
-// maybeCompact discards log records every consumer has passed, once the log
-// is large enough to bother; the cursor-minimum scan re-runs only after the
-// log has grown past the previous check's high-water mark. Dead threads'
-// cursors are ignored — they will never drain again, so waiting on them
-// would pin the log forever.
-func (d *Detector) maybeCompact(ls *lockState) {
-	if n := len(ls.log.buf); n < ringCompactAt || n < ls.nextCompact {
-		return
-	}
-	min := -1
-	for i := range ls.cons {
-		if d.dead[i] {
-			continue
-		}
-		if min < 0 || ls.cons[i] < min {
-			min = ls.cons[i]
-		}
-	}
-	if min < 0 {
-		min = ls.log.base + len(ls.log.buf)
-	}
-	ls.log.compact(min)
-	ls.nextCompact = len(ls.log.buf) + ringCompactAt
 }
 
 // effectiveTime materializes (Pt ⊔ Ot)[t := Nt]: the WCP time extended with
@@ -793,14 +772,14 @@ func (d *Detector) release(t int, l event.LID) {
 	// Pt, which can enable further pops from either queue, so iterate to a
 	// fixpoint.
 	width, dense := len(d.threads), d.denseQ
-	cur, myOwn := &ls.cons[t], &ls.own[t]
-	if *cur < ls.log.base {
-		// Compaction treats dead threads (joined, no open sections) as
-		// never draining again and truncates past their cursors; if an
-		// ill-formed trace revives such a thread anyway, clamp its cursor
-		// to the surviving records — determinism, not precision, is all
-		// the detector promises off the well-formed model.
-		*cur = ls.log.base
+	c, myOwn, g := &ls.cons[t], &ls.own[t], &ls.log
+	// A cursor behind the settled run takes the whole run in O(1); its
+	// pops and its join ride into the first pop run below.
+	last := -1
+	if c.idx < g.settledN {
+		var pops int
+		last, pops = g.catchUp(c, t)
+		d.queued -= 2 * pops
 	}
 	for {
 		// Only a growth of Pt can unblock further records, so the fixpoint
@@ -812,7 +791,7 @@ func (d *Detector) release(t int, l event.LID) {
 		// when it ends (the join can unblock further records; the enclosing
 		// fixpoint retries). Pt does not change during the run.
 		pv := ts.p.VC()
-		buf, off, last, pops := ls.log.buf, *cur-ls.log.base, -1, 0
+		buf, off, pops, own := g.buf, c.off-g.base, 0, 0
 		for off < len(buf) {
 			// The consumer's own records are not part of its Acqℓ/Relℓ
 			// queues (the same-thread rule drains through ownQ).
@@ -822,6 +801,8 @@ func (d *Detector) release(t int, l event.LID) {
 				}
 				last = off
 				pops++
+			} else {
+				own++
 			}
 			if dense {
 				off += 2 + width
@@ -829,13 +810,14 @@ func (d *Detector) release(t int, l event.LID) {
 				off += csHdr + int(buf[off+2])
 			}
 		}
-		*cur = ls.log.base + off
+		c.off, c.idx, c.own = g.base+off, c.idx+pops+own, c.own+own
 		d.queued -= 2 * pops
 		if last >= 0 {
 			if r, lo, hi, mask, _ := relAt(buf, last+2, width, dense); ts.p.JoinPacked(r, lo, hi, mask) {
 				ts.effOK = false
 				pChanged = true
 			}
+			last = -1
 		}
 		for !myOwn.empty() && myOwn.frontNAcq() <= ts.p.Get(t) {
 			r, lo, hi, mask, next := relAt(myOwn.buf, myOwn.head+1, width, dense)
@@ -913,8 +895,9 @@ func (d *Detector) release(t int, l event.LID) {
 			nAcq = ts.n
 			d.queued += width - 1
 		}
-		ls.log.push(t, nAcq, &ts.h, dense)
-		d.maybeCompact(ls)
+		g.push(t, nAcq, &ts.h, dense)
+		// Pℓ is Pt now: settle the records every later drain will pop.
+		g.settle(ls.cons, ts.p.VC(), width, dense)
 		d.queued += width - 1 // the Relℓ(t') entries, t' ≠ t
 	}
 	myOwn.push(entry.nAcq, &ts.h, dense)

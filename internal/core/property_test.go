@@ -31,25 +31,32 @@ func randomTraces(n int, events int) []*trace.Trace {
 	return out
 }
 
-// TestTheorem2TimestampsMatchClosure is the Theorem 2 cross-check: for all
-// events a <tr b, the streaming algorithm's timestamps satisfy
-// Ca ⊑ Cb ⟺ a ≤WCP b, where ≤WCP is computed independently by fixpoint
-// closure of Definition 3. The HB clocks are checked the same way.
-func TestTheorem2TimestampsMatchClosure(t *testing.T) {
-	traces := randomTraces(200, 64)
-	// randomTraces stays at T ≤ 5, where every clock is dense and the queue
-	// logs hold fixed-stride records. Widths past 8 take the windowed
-	// clocks and the bucket-compressed records the release drain walks.
+// windowedTraces yields 60 random traces at T ∈ {9, 10, 12}, with and
+// without fork/join. randomTraces stays at T ≤ 5, where every clock is
+// dense and the queue logs hold fixed-stride records; widths past 8 take
+// the windowed clocks and the bucket-compressed records the release drain
+// walks.
+func windowedTraces() []*trace.Trace {
+	var out []*trace.Trace
 	for _, threads := range []int{9, 10, 12} {
 		for _, forkJoin := range []bool{false, true} {
 			for seed := int64(0); seed < 10; seed++ {
-				traces = append(traces, gen.Random(gen.RandomConfig{
+				out = append(out, gen.Random(gen.RandomConfig{
 					Threads: threads, Locks: 3, Vars: 4, Events: 96,
 					ForkJoin: forkJoin, Seed: seed*7919 + int64(threads),
 				}))
 			}
 		}
 	}
+	return out
+}
+
+// TestTheorem2TimestampsMatchClosure is the Theorem 2 cross-check: for all
+// events a <tr b, the streaming algorithm's timestamps satisfy
+// Ca ⊑ Cb ⟺ a ≤WCP b, where ≤WCP is computed independently by fixpoint
+// closure of Definition 3. The HB clocks are checked the same way.
+func TestTheorem2TimestampsMatchClosure(t *testing.T) {
+	traces := append(randomTraces(200, 64), windowedTraces()...)
 	for ti, tr := range traces {
 		res := core.DetectOpts(tr, core.Options{CollectTimestamps: true})
 		wcp := closure.ComputeWCP(tr)

@@ -31,10 +31,22 @@ import "repro/internal/vc"
 // fixed-stride records instead, with all T release words and no header.
 //
 // The log is pointer-free: drains scan contiguous memory, a pop advances a
-// cursor, and there is nothing for the garbage collector to trace. Records
-// before the slowest cursor are discarded by periodic compaction (amortized
-// by a high-water check so the cursor minimum is not recomputed on every
-// release).
+// cursor, and there is nothing for the garbage collector to trace.
+//
+// The log keeps a *settled run*: the prefix of records whose acquire every
+// later drain passes. After a release publishes Pℓ, the run advances over
+// the records with nAcq ≤ Pℓ(producer); Pℓ only grows along the lock chain
+// of a well-formed trace and every later releaser's Pt dominates it, so
+// each of those records is popped by every later drain (or skipped as the
+// consumer's own). A consumer whose cursor is behind the run takes it in
+// O(1) (csLog.catchUp): its pops are the run's records minus its own, and
+// its join is the H-time of the run's last record, or — when that one is
+// its own — of the last record by another producer; releases on one lock
+// are H-monotone, so that record dominates the rest. The log therefore
+// keeps only the unsettled tail plus those two records, whatever the
+// consumers' cursors: threads that never take the lock pin nothing.
+// Cursors count records (and the consumer's own records among them) so
+// that the jump needs no word offsets inside the dropped run.
 //
 // The same-thread rule-(b) queue (ownQ) stays separate per thread: its
 // entries must remain drainable while a cross-thread record ahead of them
@@ -185,12 +197,41 @@ func appendPacked(dst []vc.Clock, w *vc.WC, lo, hi int) {
 	}
 }
 
-// csLog is the shared per-lock record log. Consumers address records by
+// csLog is the shared per-lock record log. Records are addressed by
 // absolute word offset since the lock's creation; base is the absolute
 // offset of buf[0], so compaction just advances base.
+//
+// settledOff is the absolute offset just past the settled run and settledN
+// the number of records in it. last and other are the absolute offsets of
+// the run's last record and of its last record by another producer than
+// last's (-1 when there is none); compaction keeps only those two of the
+// run, packed in front of the tail.
 type csLog struct {
-	buf  []vc.Clock
-	base int
+	buf         []vc.Clock
+	base        int
+	settledOff  int
+	settledN    int
+	last, other int
+}
+
+// consumer is one thread's view of a lock's log. As a drainer it holds its
+// cursor: idx, the absolute index of the next record to inspect; off, that
+// record's absolute word offset, meaningful while idx ≥ settledN; and own,
+// how many of the records before idx are its own. As a producer it holds
+// settled, how many of its records lie in the settled run.
+type consumer struct {
+	off, idx, own, settled int
+}
+
+// newCSLog returns an empty log.
+func newCSLog() csLog { return csLog{last: -1, other: -1} }
+
+// recLen returns the length in words of the record at buf[off:].
+func recLen(buf []vc.Clock, off, width int, dense bool) int {
+	if dense {
+		return 2 + width
+	}
+	return csHdr + int(buf[off+2])
 }
 
 // push appends producer's record of one critical section.
@@ -200,31 +241,90 @@ func (g *csLog) push(producer int, nAcq vc.Clock, h *vc.WC, dense bool) {
 	g.buf[n] = vc.Clock(producer)
 }
 
-// compact discards records below minCur (the slowest consumer cursor).
-func (g *csLog) compact(minCur int) {
-	dead := minCur - g.base
-	if dead < ringCompactAt || dead*2 < len(g.buf) {
-		return
+// settle advances the settled run over the records with nAcq ≤ pl(producer)
+// for the Pℓ just published, then compacts once the run's droppable words
+// are worth a copy.
+func (g *csLog) settle(cons []consumer, pl vc.VC, width int, dense bool) {
+	buf, off := g.buf, g.settledOff-g.base
+	for off < len(buf) {
+		u := int(buf[off])
+		if buf[off+1] > pl[u] {
+			break
+		}
+		if g.last >= 0 && int(buf[g.last-g.base]) != u {
+			g.other = g.last
+		}
+		g.last = g.base + off
+		cons[u].settled++
+		g.settledN++
+		off += recLen(buf, off, width, dense)
 	}
-	n := copy(g.buf, g.buf[dead:])
-	g.buf = g.buf[:n]
-	g.base = minCur
+	g.settledOff = g.base + off
+	if dead := g.deadWords(width, dense); dead >= ringCompactAt && dead*2 >= len(buf) {
+		g.compact(width, dense)
+	}
 }
 
-// compactForce discards records below minCur without the amortization
-// guard, and returns oversized backing storage to the allocator when the
-// live region has shrunk well below it. Whole-detector compaction calls
-// this: unlike the steady-state compact above, it runs off the hot path
-// and wants the memory back now.
-func (g *csLog) compactForce(minCur int) {
-	if dead := minCur - g.base; dead > 0 {
-		n := copy(g.buf, g.buf[dead:])
-		g.buf = g.buf[:n]
-		g.base = minCur
+// deadWords returns the number of words of the settled run that
+// compaction would drop: all of it but the last and other records.
+func (g *csLog) deadWords(width int, dense bool) int {
+	if g.last < 0 {
+		return 0
+	}
+	keep := g.settledOff - g.last
+	if g.other >= 0 {
+		keep += recLen(g.buf, g.other-g.base, width, dense)
+	}
+	return g.settledOff - g.base - keep
+}
+
+// compact drops the settled run but its other and last records, which it
+// packs in front of the tail; absolute offsets of the tail are unchanged.
+// The run must hold a record to drop.
+func (g *csLog) compact(width int, dense bool) {
+	k := 0
+	if g.other >= 0 {
+		o := g.other - g.base
+		k = copy(g.buf, g.buf[o:o+recLen(g.buf, o, width, dense)])
+	}
+	n := k + copy(g.buf[k:], g.buf[g.last-g.base:])
+	g.buf = g.buf[:n]
+	g.base = g.last - k
+	if g.other >= 0 {
+		g.other = g.base
+	}
+}
+
+// compactForce compacts without the amortization guard, and returns
+// oversized backing storage to the allocator when the live region has
+// shrunk well below it. Whole-detector compaction calls this: unlike the
+// steady-state compaction in settle, it runs off the hot path and wants
+// the memory back now.
+func (g *csLog) compactForce(width int, dense bool) {
+	if g.deadWords(width, dense) > 0 {
+		g.compact(width, dense)
 	}
 	if cap(g.buf) >= 4*ringCompactAt && len(g.buf) < cap(g.buf)/4 {
 		g.buf = append([]vc.Clock(nil), g.buf...)
 	}
+}
+
+// catchUp moves a consumer t whose cursor is behind the settled run to the
+// run's end. It returns the buf offset of the record whose release time
+// the drain would have joined over the run — the run's last record not by
+// t, or -1 when there is none past the cursor — and the pops it would have
+// made: the run's records past the cursor minus t's own.
+func (g *csLog) catchUp(c *consumer, t int) (last, pops int) {
+	last = -1
+	if pops = g.settledN - c.idx - (c.settled - c.own); pops > 0 {
+		last = g.last
+		if int(g.buf[last-g.base]) == t {
+			last = g.other
+		}
+		last -= g.base
+	}
+	c.off, c.idx, c.own = g.settledOff, g.settledN, c.settled
+	return last, pops
 }
 
 // ownQ is the FIFO of a thread's own completed critical sections on a lock,
@@ -246,10 +346,13 @@ func (q *ownQ) push(nAcq vc.Clock, h *vc.WC, dense bool) {
 }
 
 // pop drops the front record; next is the offset just past it (relAt's
-// end).
+// end). A queue drained empty rewinds in place, so one that empties at
+// every release never grows or copies.
 func (q *ownQ) pop(next int) {
 	q.head = next
-	if q.head >= ringCompactAt && q.head*2 >= len(q.buf) {
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	} else if q.head >= ringCompactAt && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
 		q.head = 0

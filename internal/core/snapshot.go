@@ -259,11 +259,20 @@ func encodeLock(w *snap.Writer, ls *lockState) {
 	if ls.hl.Ready() {
 		w.Sparse(ls.pl.VC())
 	}
-	w.Int(ls.nextCompact)
-	w.Int(ls.log.base)
-	w.I32s(ls.log.buf)
-	for _, cur := range ls.cons {
-		w.Uvarint(uint64(cur))
+	// The log goes out as its buffered words with offsets relative to its
+	// first word; the settled run as its offset there, its record count and
+	// each producer's share; each cursor as a record index and an own-record
+	// count. Word offsets of cursors are recomputed at decode.
+	g := &ls.log
+	w.I32s(g.buf)
+	w.Uvarint(uint64(g.settledOff - g.base))
+	w.Uvarint(uint64(g.settledN))
+	for t := range ls.cons {
+		w.Uvarint(uint64(ls.cons[t].settled))
+	}
+	for t := range ls.cons {
+		w.Uvarint(uint64(ls.cons[t].idx))
+		w.Uvarint(uint64(ls.cons[t].own))
 	}
 	for t := range ls.own {
 		q := &ls.own[t]
@@ -314,36 +323,8 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 		// re-joins at each thread's next acquire).
 		ls.gen = 1
 	}
-	var err error
-	if ls.nextCompact, err = rd.Int(); err != nil {
+	if err := d.decodeLog(rd, ls); err != nil {
 		return err
-	}
-	if ls.log.base, err = rd.Int(); err != nil {
-		return err
-	}
-	if ls.log.buf, err = rd.I32s(maxSnapWords); err != nil {
-		return err
-	}
-	if len(ls.log.buf) == 0 {
-		ls.log.buf = nil
-	}
-	starts, err := d.logRecords(ls.log.buf)
-	if err != nil {
-		return err
-	}
-	end := ls.log.base + len(ls.log.buf)
-	for t := range ls.cons {
-		cur, err := rd.Uvarint()
-		if err != nil {
-			return err
-		}
-		if int(cur) < ls.log.base || int(cur) > end {
-			return &snap.DecodeError{Reason: "queue cursor outside log"}
-		}
-		if _, ok := slices.BinarySearch(starts, int(cur)-ls.log.base); !ok {
-			return &snap.DecodeError{Reason: "queue cursor off a record boundary"}
-		}
-		ls.cons[t] = int(cur)
 	}
 	for t := range ls.own {
 		buf, err := rd.I32s(maxSnapWords)
@@ -400,13 +381,108 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 
 // The queue logs arrive as raw clock words, and the release drain trusts
 // their record headers: a producer past the width, a word count past the
-// buffer, a span outside the clock width or a cursor inside a record would
-// panic at the lock's next release. Decode therefore walks every record as
-// the drain will (see queue.go for the two layouts) and rejects any log the
-// encoder could not have written.
+// buffer, a span outside the clock width or a settled offset inside a
+// record would panic at the lock's next release. Decode therefore walks
+// every record as the drain will (see queue.go for the two layouts) and
+// rejects any log the encoder could not have written.
+
+// decodeLog restores a lock's csLog and cursors (see encodeLock). Beyond
+// the record walk it checks what catchUp and the drain rely on: the settled
+// run ends on a record boundary, its kept records exist exactly when it is
+// nonempty and hold another producer's record whenever some other producer
+// has records in it, the producers' shares sum to its count, and every
+// cursor's counts fit the run — behind it, no more own or foreign records
+// than the run holds; at or past it, exactly the own records it passed.
+func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
+	buf, err := rd.I32s(maxSnapWords)
+	if err != nil {
+		return err
+	}
+	if len(buf) == 0 {
+		buf = nil
+	}
+	starts, err := d.logRecords(buf)
+	if err != nil {
+		return err
+	}
+	off, err := rd.Uvarint()
+	if err != nil {
+		return err
+	}
+	k, ok := slices.BinarySearch(starts, int(min(off, uint64(len(buf)+1))))
+	if !ok {
+		return &snap.DecodeError{Reason: "settled offset off a record boundary or outside the log"}
+	}
+	n, err := rd.Count(max(d.res.Events, 0))
+	if err != nil {
+		return err
+	}
+	if (k == 0) != (n == 0) {
+		return &snap.DecodeError{Reason: "settled count without kept records"}
+	}
+	g := &ls.log
+	*g = csLog{buf: buf, settledOff: int(off), settledN: n, last: -1, other: -1}
+	if k > 0 {
+		g.last = starts[k-1]
+		for i := k - 2; i >= 0; i-- {
+			if buf[starts[i]] != buf[g.last] {
+				g.other = starts[i]
+				break
+			}
+		}
+	}
+	sum := 0
+	for u := range ls.cons {
+		c := &ls.cons[u]
+		if c.settled, err = rd.Count(n); err != nil {
+			return err
+		}
+		sum += c.settled
+		if c.settled > 0 && g.other < 0 && u != int(buf[g.last]) {
+			return &snap.DecodeError{Reason: "settled record of a producer the kept records lack"}
+		}
+	}
+	if sum != n {
+		return &snap.DecodeError{Reason: "per-producer settled counts do not sum to the settled count"}
+	}
+	tail := len(starts) - 1 - k
+	type tailCursor struct{ pos, t int }
+	var at []tailCursor
+	for t := range ls.cons {
+		c := &ls.cons[t]
+		if c.idx, err = rd.Count(n + tail); err != nil {
+			return err
+		}
+		if c.own, err = rd.Count(c.idx); err != nil {
+			return err
+		}
+		if c.idx >= n {
+			at = append(at, tailCursor{c.idx - n, t})
+		} else if c.own > c.settled || c.idx-c.own > n-c.settled {
+			return &snap.DecodeError{Reason: "consumer counts past the settled run"}
+		}
+	}
+	// Cursors in the tail: one sweep over its records, in cursor order,
+	// counts each one's own records and recovers its word offset.
+	sort.Slice(at, func(i, j int) bool { return at[i].pos < at[j].pos })
+	seen := make([]int, len(ls.cons))
+	i := 0
+	for _, a := range at {
+		for ; i < a.pos; i++ {
+			seen[buf[starts[k+i]]]++
+		}
+		c := &ls.cons[a.t]
+		if c.own != c.settled+seen[a.t] {
+			return &snap.DecodeError{Reason: "consumer own count disagrees with the log"}
+		}
+		c.off = starts[k+a.pos]
+	}
+	return nil
+}
 
 // logRecords checks a lock's csLog buffer and returns the offset of every
-// record, followed by len(buf): the positions a consumer cursor may hold.
+// record, followed by len(buf): the positions a settled offset or a cursor
+// may hold.
 func (d *Detector) logRecords(buf []vc.Clock) ([]int, error) {
 	var starts []int
 	for off := 0; off < len(buf); {

@@ -46,13 +46,16 @@ func liveDetector(t *testing.T, threads int) *Detector {
 }
 
 // loggedLock returns a lock of d whose log holds at least one record, with
-// every consumer cursor rewound to the log's first record.
+// its settled run emptied and every consumer cursor rewound to the log's
+// first record, so that a tampered record fails only the record walk.
 func loggedLock(t *testing.T, d *Detector) *lockState {
 	t.Helper()
 	for _, ls := range d.locks {
 		if ls != nil && len(ls.log.buf) > 0 {
+			g := &ls.log
+			g.settledOff, g.settledN, g.last, g.other = g.base, 0, -1, -1
 			for i := range ls.cons {
-				ls.cons[i] = ls.log.base
+				ls.cons[i] = consumer{off: g.base}
 			}
 			return ls
 		}
@@ -123,14 +126,99 @@ func TestDecodeRejectsEpochThreadOutOfRange(t *testing.T) {
 	}
 }
 
+// settledLock returns a lock of d whose settled run keeps two records (its
+// last, and the last by another producer), with every cursor rewound to
+// record 0: behind the run, where decode checks only counts.
+func settledLock(t *testing.T, d *Detector) *lockState {
+	t.Helper()
+	for _, ls := range d.locks {
+		if ls != nil && ls.log.other >= 0 {
+			for i := range ls.cons {
+				ls.cons[i].off, ls.cons[i].idx, ls.cons[i].own = 0, 0, 0
+			}
+			return ls
+		}
+	}
+	t.Fatal("no lock keeps two settled records")
+	return nil
+}
+
+// settledTampers are the settled-run states decode must reject, each
+// caught by exactly one of its checks.
+var settledTampers = []struct {
+	name   string
+	tamper func(ls *lockState, width int)
+}{
+	{"settled offset off a record boundary", func(ls *lockState, _ int) {
+		ls.log.settledOff++
+	}},
+	{"settled offset outside the log", func(ls *lockState, _ int) {
+		ls.log.settledOff = ls.log.base + len(ls.log.buf) + 1
+	}},
+	{"settled count without kept records", func(ls *lockState, _ int) {
+		ls.log.settledOff = ls.log.base
+	}},
+	{"kept records lack another producer's record", func(ls *lockState, width int) {
+		// The run ends after its first buffered record; the producers of
+		// last and other, which differ, keep their settled counts.
+		g := &ls.log
+		g.settledOff = g.base + recLen(g.buf, 0, width, width <= 8)
+	}},
+	{"per-producer counts off the settled count", func(ls *lockState, _ int) {
+		ls.cons[ls.log.buf[ls.log.last-ls.log.base]].settled++
+	}},
+	{"own records before a cursor past the producer's settled count", func(ls *lockState, _ int) {
+		c := extremeSettled(ls, -1)
+		c.own = c.settled + 1
+		c.idx = c.own
+	}},
+	{"foreign records before a cursor past the settled run's", func(ls *lockState, _ int) {
+		c := extremeSettled(ls, 1)
+		c.idx = ls.log.settledN - c.settled + 1
+	}},
+	{"own count of a cursor in the tail", func(ls *lockState, _ int) {
+		c := extremeSettled(ls, -1)
+		c.idx, c.own = ls.log.settledN, c.settled+1
+	}},
+}
+
+// extremeSettled returns the consumer with the fewest (sign < 0) or the
+// most (sign > 0) settled records.
+func extremeSettled(ls *lockState, sign int) *consumer {
+	m := &ls.cons[0]
+	for i := range ls.cons {
+		if sign*(ls.cons[i].settled-m.settled) > 0 {
+			m = &ls.cons[i]
+		}
+	}
+	return m
+}
+
 // TestDecodeQueueMutations mutates the csLog and ownQ words of live T=3
-// (fixed-stride) and T=16 (windowed) detectors: overwritten words, dropped
-// and appended tails. Decode must reject a mutation with a
-// *snap.DecodeError or accept it, and an accepted detector must survive an
-// acquire/release round by every thread on every lock.
+// (fixed-stride) and T=16 (windowed) detectors — overwritten words,
+// dropped and appended tails — and their settled runs and cursors. Each
+// settledTampers state must be rejected with a *snap.DecodeError. Beyond
+// those, decode must reject a mutation with a *snap.DecodeError or accept
+// it, and an accepted detector must survive an acquire/release round by
+// every thread on every lock.
 func TestDecodeQueueMutations(t *testing.T) {
 	for _, threads := range []int{3, 16} {
 		live := liveDetector(t, threads)
+		for _, tc := range settledTampers {
+			d, err := roundTrip(t, live)
+			if err != nil {
+				t.Fatalf("T=%d: live snapshot rejected: %v", threads, err)
+			}
+			ls := settledLock(t, d)
+			if _, err := roundTrip(t, d); err != nil {
+				t.Fatalf("T=%d: rewound snapshot rejected: %v", threads, err)
+			}
+			tc.tamper(ls, threads)
+			var de *snap.DecodeError
+			if _, err := roundTrip(t, d); !errors.As(err, &de) {
+				t.Fatalf("T=%d: %s: decoded with err=%v, want *snap.DecodeError", threads, tc.name, err)
+			}
+		}
 		rng := rand.New(rand.NewSource(int64(threads)))
 		special := []vc.Clock{0, 1, -1, -2, vc.Clock(threads - 1), vc.Clock(threads), vc.Clock(threads + 1),
 			1 << 15, 1 << 20, math.MaxInt32, math.MinInt32}
@@ -150,6 +238,22 @@ func TestDecodeQueueMutations(t *testing.T) {
 				q.buf = q.buf[q.head:]
 				q.head = 0
 				buf = &q.buf
+			}
+			if rng.Intn(3) == 0 {
+				// A settled-run or cursor field instead of words: nudged,
+				// or set to a special value; the word mutations below then
+				// hit a scratch buffer.
+				c := &ls.cons[rng.Intn(threads)]
+				fields := []*int{&ls.log.settledOff, &ls.log.settledN, &c.settled, &c.idx, &c.own}
+				for n := 1 + rng.Intn(2); n > 0; n-- {
+					f := fields[rng.Intn(len(fields))]
+					if rng.Intn(2) == 0 {
+						*f += rng.Intn(7) - 3
+					} else {
+						*f = int(special[rng.Intn(len(special))])
+					}
+				}
+				buf = new([]vc.Clock)
 			}
 			for n := 1 + rng.Intn(3); n > 0; n-- {
 				switch op := rng.Intn(4); {

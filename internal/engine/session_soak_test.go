@@ -190,6 +190,59 @@ func runSoak(t *testing.T, name string, total int) {
 		name, done, lateState, warmState, lateHeap, warmHeap)
 }
 
+// scalingWorkload streams the thread-scaling pools shape race-free: thread
+// 0 forks every worker, then each unit cycles one worker through a
+// critical section (acquire, read, write, release) on its pool's lock
+// around one of the pool's variables. One pool of every worker with one
+// variable is the hotlock shape. Outside its pool no thread ever takes a
+// pool's lock, and no thread is ever joined, so a pool's queue records
+// can only be retired by its own members' drains.
+type scalingWorkload struct {
+	threads, poolSize, poolVars int
+	unit                        int
+}
+
+func (w *scalingWorkload) pools() int { return (w.threads - 2 + w.poolSize) / w.poolSize }
+
+// nextBlock appends up to n events to b (reset first) and reports how many.
+func (w *scalingWorkload) nextBlock(b *trace.Block, n int) int {
+	b.Reset()
+	workers := w.threads - 1
+	if w.unit == 0 {
+		for t := 1; t < w.threads; t++ {
+			b.AppendFields(event.Fork, 0, int32(t), 0)
+		}
+	}
+	for b.Len()+4 <= n {
+		wi := 1 + w.unit%workers
+		pool := (wi - 1) / w.poolSize
+		x := int32(pool*w.poolVars + (w.unit/workers)%w.poolVars)
+		b.AppendFields(event.Acquire, event.TID(wi), int32(pool), 0)
+		b.AppendFields(event.Read, event.TID(wi), x, event.Loc(2*wi))
+		b.AppendFields(event.Write, event.TID(wi), x, event.Loc(2*wi+1))
+		b.AppendFields(event.Release, event.TID(wi), int32(pool), 0)
+		w.unit++
+	}
+	return b.Len()
+}
+
+// scalingStateBytes streams events of the workload through a fresh session
+// of the engine, compacts it, and returns its state estimate.
+func scalingStateBytes(t *testing.T, name string, w scalingWorkload, events int) int {
+	t.Helper()
+	s := MustNew(name, Config{}).(SessionEngine).NewSession(w.threads, w.pools(), w.pools()*w.poolVars)
+	b := trace.NewBlock(1 << 14)
+	for done := 0; done < events; {
+		done += w.nextBlock(b, min(1<<14, events-done+4))
+		s.ProcessBlock(b)
+	}
+	if r := s.Finish(); r.RacyEvents != 0 {
+		t.Fatalf("%s: the workload is race-free by construction, got %d racy events", name, r.RacyEvents)
+	}
+	s.(CompactableSession).Compact()
+	return s.(CompactableSession).StateBytes()
+}
+
 // TestSoakBoundedMemory is the scaled-down default soak; set SOAK_EVENTS to
 // stream the full-length run (e.g. SOAK_EVENTS=100000000).
 func TestSoakBoundedMemory(t *testing.T) {
@@ -204,6 +257,31 @@ func TestSoakBoundedMemory(t *testing.T) {
 				def = 1 << 20 // pair-tracking engines are slower per event
 			}
 			runSoak(t, name, soakEvents(t, def))
+		})
+	}
+	// WCP's queue logs keep only what a later drain might still refuse, so
+	// on the thread-scaling shapes a compacted session's state does not
+	// grow with its length: pools at T=256 (SOAK_EVENTS=1000000 streams
+	// 400k and 1.6M events), where 247 of the 255 workers never take a
+	// given pool's lock, and hotlock at T=1024 over 30k and 120k events.
+	n := soakEvents(t, 1<<20) * 2 / 5
+	for _, tc := range []struct {
+		shape       string
+		w           scalingWorkload
+		short, long int
+	}{
+		{"pools-T256", scalingWorkload{threads: 256, poolSize: 8, poolVars: 4}, n, 4 * n},
+		{"hotlock-T1024", scalingWorkload{threads: 1024, poolSize: 1023, poolVars: 1}, 30_000, 120_000},
+	} {
+		tc := tc
+		t.Run(tc.shape+"/wcp", func(t *testing.T) {
+			short := scalingStateBytes(t, "wcp", tc.w, tc.short)
+			long := scalingStateBytes(t, "wcp", tc.w, tc.long)
+			if long != short {
+				t.Errorf("%s: compacted WCP state grows with the session: %d bytes at %d events, %d at %d",
+					tc.shape, short, tc.short, long, tc.long)
+			}
+			t.Logf("%s: compacted WCP state %d bytes at %d events, %d at %d", tc.shape, short, tc.short, long, tc.long)
 		})
 	}
 }

@@ -29,12 +29,15 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 
 // Version is the current snapshot format version. Bump on any payload
 // layout change; Reader rejects mismatched versions with a DecodeError.
-// Version 4 keeps only the acquire's local clock in WCP queue records and
-// drops the acquire C-time snapshots and stuck-head memos; version 3
+// Version 5 adds each WCP lock log's settled run (offset, record count and
+// per-producer counts) and encodes each cursor as a record index and an
+// own-record count, without the compaction high-water word; version 4
+// keeps only the acquire's local clock in WCP queue records and drops the
+// acquire C-time snapshots and stuck-head memos; version 3
 // encodes each variable's read and write times as cells (an epoch, or a
 // sparse clock in vector form) and has no epoch-engine layout; version 2
 // held them as full clocks with fast-path flags.
-const Version = 4
+const Version = 5
 
 // maxPayload bounds a single frame's payload so a corrupted length field
 // cannot drive a multi-gigabyte allocation. Detector snapshots for even

@@ -13,7 +13,8 @@ package vc
 //     zero and cannot raise anything);
 //   - Leq early-exits outside the left operand's window (zero ⊑ anything);
 //   - Copy memmoves only the source's dirty span and zero-fills only the
-//     destination's previously-dirty components.
+//     destination's previously-dirty components, and none of them when the
+//     destination's window lies inside the source's.
 //
 // The span alone is exact for workloads whose thread neighborhoods are
 // contiguous; once a span grows past spanScan components the operations
@@ -61,9 +62,6 @@ var forceDense atomic.Bool
 // dense representation (on=true) or restores the default (on=false).
 // Intended for tests; do not toggle concurrently with detector execution.
 func ForceDense(on bool) { forceDense.Store(on) }
-
-// DenseForced reports whether ForceDense(true) is in effect.
-func DenseForced() bool { return forceDense.Load() }
 
 // chunkShift returns the bucket shift for a width: the smallest s such that
 // maskBuckets buckets of 2^s components cover the width.
@@ -322,19 +320,10 @@ func PackedWords(mask uint64, shift uint, lo, hi int) int {
 	}
 }
 
-// PackedLen returns the number of clock words the clock occupies in
-// bucket-compressed form. A dense clock packs as its full width without
-// walking the bitmap.
-func (w *WC) PackedLen() int {
-	if w.dense {
-		return len(w.v)
-	}
-	return PackedWords(w.mask, uint(w.shift), int(w.lo), int(w.hi))
-}
-
 // AppendPacked writes the clock's window components into dst in
 // bucket-compressed form (mask-run order) and returns the words written;
-// dst must have room for PackedLen of them. Dense clocks (and any clock
+// dst must have room for them: the clock's width when dense, else
+// PackedWords of its window. Dense clocks (and any clock
 // whose dirty buckets form one contiguous run) take a straight copy.
 func (w *WC) AppendPacked(dst []Clock) int {
 	if w.dense {
@@ -489,9 +478,11 @@ func (w *WC) joinWide(src *WC) bool {
 }
 
 // Copy sets w to an exact copy of src: only src's dirty span is moved, and
-// only w's previously-dirty components outside it are zero-filled. Both
-// clocks must have the same width. Copy is a call; detector loops that
-// want the width-3 copy inline write the storage themselves.
+// only w's previously-dirty components outside it are zero-filled — none
+// when w's span and bitmap lie inside src's, since the move overwrites
+// every component w's window covers. Both clocks must have the same width.
+// Copy is a call; detector loops that want the width-3 copy inline write
+// the storage themselves.
 func (w *WC) Copy(src *WC) {
 	if sv := src.v; len(sv) == 3 && len(w.v) == 3 {
 		v := w.v[:3]
@@ -509,7 +500,9 @@ func (w *WC) copyWide(src *WC) {
 		w.v.Copy(src.v)
 		return
 	}
-	w.zeroDirty()
+	if w.lo < src.lo || w.hi > src.hi || w.mask&^src.mask != 0 {
+		w.zeroDirty()
+	}
 	lo, hi := int(src.lo), int(src.hi)
 	if hi-lo <= spanScan {
 		copy(w.v[lo:hi], src.v[lo:hi])

@@ -51,13 +51,15 @@ func (m *wcModel) verify(t *testing.T) {
 }
 
 // step applies one pseudo-random operation to the model pair. Operations
-// mirror exactly what detectors do: Set, Join, JoinRaw (queue records),
-// Copy, Zero, and Leq comparisons.
+// mirror exactly what detectors do: Set, Join, JoinPacked (queue records),
+// Copy, Zero, Leq comparisons, and the release-side publish that joins a
+// clock into a newer one and copies the result back (Copy into a
+// destination whose window lies inside the source's).
 func step(t *testing.T, rng *rand.Rand, clocks []*wcModel) {
 	t.Helper()
 	a := clocks[rng.Intn(len(clocks))]
 	width := len(a.ref)
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0, 1, 2: // Set
 		i := rng.Intn(width)
 		c := Clock(rng.Intn(50))
@@ -97,6 +99,13 @@ func step(t *testing.T, rng *rand.Rand, clocks []*wcModel) {
 		if got, want := a.w.Leq(&b.w), a.ref.Leq(b.ref); got != want {
 			t.Fatalf("Leq=%v, dense Leq=%v", got, want)
 		}
+	case 10: // join b into a, then copy a into b
+		b := clocks[rng.Intn(len(clocks))]
+		a.w.Join(&b.w)
+		a.ref.JoinChanged(b.ref)
+		b.w.Copy(&a.w)
+		b.ref.Copy(a.ref)
+		b.verify(t)
 	}
 	a.verify(t)
 }
@@ -120,8 +129,6 @@ func TestWCMatchesDense(t *testing.T) {
 	}
 }
 
-// TestWCGeneration pins the join-cache contract: the generation changes on
-// every mutation and stays put when an operation was a no-op.
 // TestNewWCMatrix pins the contiguous clock bank: each row has exactly its
 // width of capacity (an append cannot run into the next row) and rows do
 // not alias.
