@@ -229,15 +229,12 @@ func (s *Session) rotateBase(opName string) {
 // empty session to the server's idle janitor.
 func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error) {
 	cfg.fill()
-	var hdr bytes.Buffer
-	if err := traceio.WriteHeader(&hdr, syms, 0); err != nil {
-		return nil, err
-	}
+	hdr := traceio.AppendHeader(nil, syms, 0)
 	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), trace: obs.NewID()}
 	// The checksum lets the server reject a header corrupted in transit
 	// before it sizes detectors from garbage symbol tables.
 	crcHdr := map[string]string{
-		"X-Raced-Crc32": strconv.FormatUint(uint64(crc32.ChecksumIEEE(hdr.Bytes())), 10),
+		"X-Raced-Crc32": strconv.FormatUint(uint64(crc32.ChecksumIEEE(hdr)), 10),
 	}
 	var created struct {
 		ID string `json:"id"`
@@ -247,7 +244,7 @@ func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error
 		if len(cfg.Engines) > 0 {
 			url += "?engines=" + strings.Join(cfg.Engines, ",")
 		}
-		return s.roundTrip(ctx, "POST", url, hdr.Bytes(), crcHdr, &created)
+		return s.roundTrip(ctx, "POST", url, hdr, crcHdr, &created)
 	}); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"unsafe"
 
+	"repro/internal/event"
 	"repro/internal/vc"
 )
 
@@ -84,12 +86,27 @@ func wcDominated(w *vc.WC, floor vc.VC) bool {
 	return !w.Ready() || w.LeqVC(floor)
 }
 
+// refDominated reports whether the release time r holds is ⊑ the floor —
+// an absent one trivially so. tmp is a scratch clock of the width.
+func (d *Detector) refDominated(r *relRef, g *csLog, floor, tmp vc.VC) bool {
+	return !r.present() || d.unpackRef(r, g, tmp).Leq(floor)
+}
+
 // rtDominated reports whether every contribution of rt is ⊑ the floor.
 // Both stored contributions are checked explicitly rather than relying on
-// ha dominating hb — ill-formed traces can break that monotonicity, and
+// a dominating b — ill-formed traces can break that monotonicity, and
 // compaction must stay sound even where precision is forfeit.
-func rtDominated(rt *relTimes, floor vc.VC) bool {
-	return wcDominated(&rt.ha, floor) && wcDominated(&rt.hb, floor)
+func (d *Detector) rtDominated(rt *relTimes, g *csLog, floor, tmp vc.VC) bool {
+	return d.refDominated(&rt.a, g, floor, tmp) && d.refDominated(&rt.b, g, floor, tmp)
+}
+
+// unpackRef writes the release time r holds into tmp, a scratch clock of
+// the detector's width, and returns it.
+func (d *Detector) unpackRef(r *relRef, g *csLog, tmp vc.VC) vc.VC {
+	tmp.Zero()
+	w, lo, hi, mask := r.rel(g, len(d.threads), d.denseQ)
+	unpackRel(tmp, w, lo, hi, mask, d.threads[0].p.ChunkShift())
+	return tmp
 }
 
 // Compact retires dominated detector state. It is safe at any event
@@ -152,57 +169,55 @@ func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 // compactLock quiesces one lock's state and reports whether the lock can
 // be retired entirely (recreated fresh on its next acquire).
 func (d *Detector) compactLock(ls *lockState, f *floors) bool {
+	width, dense := len(d.threads), d.denseQ
 	end := ls.log.base + len(ls.log.buf)
 	drained := true
 	for t := range ls.cons {
 		q := &ls.own[t]
+		before := ownQBytes(q)
 		if d.dead[t] {
 			// Dead threads never release again: drop their own-queues.
 			// Their cursors pin nothing — the log keeps only its unsettled
 			// tail, whatever the cursors behind it.
 			*q = ownQ{}
-			continue
+		} else {
+			if c := &ls.cons[t]; c.idx < ls.log.settledN || c.off < end || !q.empty() {
+				drained = false
+			}
+			q.inl, q.ih = shrink(q.inl, q.ih), 0
+			q.refs, q.rh = shrink(q.refs, q.rh), 0
 		}
-		if c := &ls.cons[t]; c.idx < ls.log.settledN || c.off < end || !q.empty() {
-			drained = false
-		}
-		if q.head > 0 {
-			n := copy(q.buf, q.buf[q.head:])
-			q.buf = q.buf[:n]
-			q.head = 0
-		}
-		if cap(q.buf) >= 4*ringCompactAt && len(q.buf) < cap(q.buf)/4 {
-			q.buf = append([]vc.Clock(nil), q.buf...)
-		}
+		ls.bytes += ownQBytes(q) - before
 	}
-	ls.log.compactForce(len(d.threads), d.denseQ)
 
 	// Quiesce dominated rule-(a) records and recompute the presence masks
-	// from what survives.
+	// from what survives — before the log compacts, so that only surviving
+	// records take inline copies of the release times it drops.
 	ls.acc.rMask, ls.acc.wMask = 0, 0
 	busy := 0
+	tmp := vc.New(width)
 	if ls.acc.dense != nil {
 		for x := range ls.acc.dense {
-			busy += quiescePair(&ls.acc.dense[x], int32(x), &ls.acc, f.ct)
+			busy += d.quiescePair(ls, &ls.acc.dense[x], int32(x), f.ct, tmp)
 		}
 	} else if ls.acc.m != nil {
 		for x, pair := range ls.acc.m {
-			if quiescePair(pair, int32(x), &ls.acc, f.ct) == 0 {
+			if d.quiescePair(ls, pair, int32(x), f.ct, tmp) == 0 {
 				delete(ls.acc.m, x)
+				ls.bytes -= relPairB + mapEntryB
 			} else {
 				busy++
 			}
 		}
 	}
+	ls.compactForce(width, dense)
 
 	if busy > 0 || !drained {
 		ls.pl.Tighten()
-		ls.hl.Tighten()
 		return false
 	}
-	if !wcDominated(&ls.hl, f.h) || !wcDominated(&ls.pl, f.ct) {
+	if !d.refDominated(&ls.hl, &ls.log, f.h, tmp) || !wcDominated(&ls.pl, f.ct) {
 		ls.pl.Tighten()
-		ls.hl.Tighten()
 		return false
 	}
 	// The lock is fully quiesced; make sure no live thread still has it
@@ -223,33 +238,46 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 // quiescePair resets the relTimes of one (lock, variable) record whose
 // contributions are all ⊑ the C-time floor, and folds the survivors into
 // the index masks. It returns the number of live records remaining (0–2).
-func quiescePair(pair *relPair, x int32, ri *relIndex, ctFloor vc.VC) int {
+func (d *Detector) quiescePair(ls *lockState, pair *relPair, x int32, ctFloor, tmp vc.VC) int {
 	live := 0
-	if pair.r.ha.Ready() {
-		if rtDominated(&pair.r, ctFloor) {
-			pair.r = relTimes{}
-		} else {
-			ri.rMask |= 1 << (uint32(x) & 63)
-			live++
+	for _, rt := range []*relTimes{&pair.r, &pair.w} {
+		if !rt.a.present() {
+			continue
 		}
-	}
-	if pair.w.ha.Ready() {
-		if rtDominated(&pair.w, ctFloor) {
-			pair.w = relTimes{}
-		} else {
-			ri.wMask |= 1 << (uint32(x) & 63)
-			live++
+		if d.rtDominated(rt, &ls.log, ctFloor, tmp) {
+			ls.bytes -= relTimesBytes(rt)
+			*rt = relTimes{}
+			continue
 		}
+		if rt == &pair.r {
+			ls.acc.rMask |= 1 << (uint32(x) & 63)
+		} else {
+			ls.acc.wMask |= 1 << (uint32(x) & 63)
+		}
+		live++
 	}
 	return live
 }
 
+// Byte sizes of the state StateBytes counts.
+const (
+	clockB     = int(unsafe.Sizeof(vc.Clock(0)))
+	lockStateB = int(unsafe.Sizeof(lockState{}))
+	consumerB  = int(unsafe.Sizeof(consumer{}))
+	ownQB      = int(unsafe.Sizeof(ownQ{}))
+	ownRefB    = int(unsafe.Sizeof(ownRef{}))
+	accRefB    = int(unsafe.Sizeof(accRef{}))
+	relPairB   = int(unsafe.Sizeof(relPair{}))
+	// mapEntryB is a hashed rule-(a) index entry's key and pointer.
+	mapEntryB = int(unsafe.Sizeof(event.VID(0)) + unsafe.Sizeof((*relPair)(nil)))
+)
+
 // StateBytes estimates the detector's retained state in bytes: clock
 // storage, queue buffers, rule-(a) records, and per-variable maps. It is
 // an estimate for compaction budgets and soak assertions, not an exact
-// heap measurement.
+// heap measurement. Each lock keeps its share current as it changes
+// (lockBytes defines it), so a call costs O(threads + variables + locks).
 func (d *Detector) StateBytes() int {
-	const clockB = 4
 	width := len(d.threads)
 	n := 4 * width * width * clockB // p/h/o/eff banks
 	for t := range d.threads {
@@ -266,41 +294,40 @@ func (d *Detector) StateBytes() int {
 		n += vs.reads.Bytes(width) + vs.writes.Bytes(width)
 	}
 	for _, ls := range d.locks {
-		if ls == nil {
-			continue
-		}
-		n += cap(ls.log.buf) * clockB
-		n += len(ls.cons) * 32 // four ints per consumer
-		n += len(ls.joinGen) * 4
-		if ls.pl.Ready() {
-			n += width * clockB
-		}
-		if ls.hl.Ready() {
-			n += width * clockB
-		}
-		for t := range ls.own {
-			n += cap(ls.own[t].buf) * clockB
-		}
-		countPair := func(pair *relPair) {
-			for _, rt := range []*relTimes{&pair.r, &pair.w} {
-				if rt.ha.Ready() {
-					n += width * clockB
-				}
-				if rt.hb.Ready() {
-					n += width * clockB
-				}
-			}
-		}
-		if ls.acc.dense != nil {
-			n += len(ls.acc.dense) * 24
-			for x := range ls.acc.dense {
-				countPair(&ls.acc.dense[x])
-			}
-		}
-		for _, pair := range ls.acc.m {
-			n += 48
-			countPair(pair)
+		if ls != nil {
+			n += ls.bytes
 		}
 	}
 	return n
 }
+
+// lockBytes counts a lock's share of StateBytes from scratch: its struct,
+// per-thread cursors, own-queue headers and join generations, the
+// capacities of its log, registry and own-queue buffers, Pℓ, every inline
+// release time, and its rule-(a) index — dense tables whole, hashed ones
+// per entry. lockState.bytes holds the same sum, kept current.
+func (d *Detector) lockBytes(ls *lockState) int {
+	n := lockStateB + len(ls.cons)*consumerB + len(ls.own)*ownQB + len(ls.joinGen)*4
+	n += cap(ls.log.buf)*clockB + cap(ls.refs)*accRefB + cap(ls.hl.inl)*clockB
+	if ls.pl.Ready() {
+		n += len(d.threads) * clockB
+	}
+	for t := range ls.own {
+		n += ownQBytes(&ls.own[t])
+	}
+	for x := range ls.acc.dense {
+		p := &ls.acc.dense[x]
+		n += relPairB + relTimesBytes(&p.r) + relTimesBytes(&p.w)
+	}
+	for _, p := range ls.acc.m {
+		n += relPairB + mapEntryB + relTimesBytes(&p.r) + relTimesBytes(&p.w)
+	}
+	return n
+}
+
+// ownQBytes returns the capacity of an own-queue's buffers in bytes.
+func ownQBytes(q *ownQ) int { return cap(q.inl)*clockB + cap(q.refs)*ownRefB }
+
+// relTimesBytes returns the capacity of a rule-(a) record's inline
+// release times in bytes.
+func relTimesBytes(rt *relTimes) int { return (cap(rt.a.inl) + cap(rt.b.inl)) * clockB }

@@ -59,6 +59,14 @@
 //   - the rule-(a) Lr/Lw state collapses to the two latest contributions
 //     by distinct threads — releases on one lock are H-monotone, so they
 //     dominate all earlier ones (see relTimes);
+//   - a release's H-time is written once, as its log record: Hℓ, the
+//     rule-(a) slots it updates and its own-queue entry hold the record's
+//     offset, and read its words in place (the dense layout, where a copy
+//     is as cheap, keeps copies). Log compaction, the only step that drops
+//     a record, first gives every reference into the dropped range an
+//     inline copy, found from the dropped records' producers and from a
+//     per-lock registry of rule-(a) references, so no release scans the
+//     threads or variables (see queue.go);
 //   - the race check never materializes the effective time
 //     (Pt ⊔ Ot)[t := Nt]: it compares componentwise, drops the ⊔ Ot leg
 //     once Pt dominates the static ancestry clock, and keeps Rx and Wx as
@@ -292,80 +300,90 @@ func (ts *threadState) openDepth(l event.LID) int {
 // contributions by *distinct* threads: a reader that is not the latest
 // contributor joins the latest contribution; the latest contributor itself
 // joins the runner-up, which dominates every other thread's contribution.
-// Publication is one vector copy; the access-side join stays one vector
-// join. (Ill-formed traces — a release without its acquire — can break the
-// monotonicity chain; such traces are outside the paper's model and the
-// detector only promises determinism there.)
+// Each contribution is a reference to its release's record in the lock's
+// log (relRef), so publication writes one offset, not a clock; the
+// access-side join reads the record's packed words in place. (Ill-formed
+// traces — a release without its acquire — can break the monotonicity
+// chain; such traces are outside the paper's model and the detector only
+// promises determinism there.)
 type relTimes struct {
-	ta, tb int32 // threads of the latest / second-latest distinct contributions
-	ha, hb vc.WC // their H-times; !ha.Ready() means no contributions yet
+	ta, tb int32  // threads of the latest / second-latest distinct contributions
+	a, b   relRef // their H-times; !a.present() means no contributions yet
 	// gen bumps on every add; the per-thread join caches compare it to
 	// prove an earlier join of this record is still current.
 	gen uint32
 }
 
-func (rt *relTimes) add(t int, h *vc.WC, width int) {
+// add records thread t's release, whose record sits at absolute log offset
+// off (0 for an inline copy of its H-time h), and returns the growth of the
+// record's storage in words.
+func (rt *relTimes) add(t, off int, h *vc.WC, dense bool) int {
 	rt.gen++
-	if !rt.ha.Ready() {
-		rt.ta = int32(t)
-		rt.ha.Init(width)
-		rt.ha.Copy(h)
-		return
-	}
-	if rt.ta != int32(t) {
-		// New latest contributor: the previous latest becomes the runner-up
-		// (reusing its storage), dominating all older contributions.
-		if !rt.hb.Ready() {
-			rt.hb.Init(width)
-		}
-		rt.ha, rt.hb = rt.hb, rt.ha
+	if rt.a.present() && rt.ta != int32(t) {
+		// New latest contributor: the previous latest becomes the runner-up,
+		// dominating all older contributions; its slot takes the new time.
+		rt.a, rt.b = rt.b, rt.a
 		rt.tb = rt.ta
-		rt.ta = int32(t)
 	}
-	// The newer H dominates: overwrite (windowed — only the dirty spans of
-	// the two clocks are touched). Width-3 clocks are dense with a static
-	// window, so the raw overwrite keeps them valid and saves the tiny-T
-	// path a call to WC.Copy, which does not inline.
-	if a, hv := rt.ha.VC(), h.VC(); len(a) == 3 && len(hv) == 3 {
-		a[0], a[1], a[2] = hv[0], hv[1], hv[2]
-	} else {
-		rt.ha.Copy(h)
+	rt.ta = int32(t)
+	if off == 0 && rt.a.set3(h.VC()) {
+		return 0
 	}
+	return rt.a.set(off, h, dense)
+}
+
+// inline gives the contributions that reference the record at absolute
+// offset off an inline copy of its release time (see lockState.compact),
+// and returns the growth of the record's storage in words.
+func (rt *relTimes) inline(off int, g *csLog, width int, dense bool) int {
+	return rt.a.inline(off, g, width, dense) + rt.b.inline(off, g, width, dense)
 }
 
 // joinInto joins every thread's contribution except reader's into dst,
-// reporting whether dst changed. The join merges only the source clock's
-// dirty window. Width-3 clocks are dense with a static window, so the
-// width-3 unroll writes dst's storage raw and saves a call to WC.Join,
-// which does not inline.
-func (rt *relTimes) joinInto(dst *vc.WC, reader int) bool {
-	if rt == nil || !rt.ha.Ready() {
+// reporting whether dst changed. The join merges only the stored release
+// time's packed words, read in place from the log record g holds or from
+// the inline copy. Width-3 clocks are dense with a static window, so the
+// width-3 unroll writes dst's storage raw and saves a call to
+// WC.JoinPacked, which does not inline.
+func (rt *relTimes) joinInto(dst *vc.WC, reader int, g *csLog, width int, dense bool) bool {
+	if rt == nil || !rt.a.present() {
 		return false
 	}
-	src := &rt.ha
+	src := &rt.a
 	if rt.ta == int32(reader) {
-		if !rt.hb.Ready() {
+		if !rt.b.present() {
 			return false
 		}
-		src = &rt.hb
+		src = &rt.b
 	}
-	if sv, dv := src.VC(), dst.VC(); len(sv) == 3 && len(dv) == 3 {
-		changed := false
-		if sv[0] > dv[0] {
-			dv[0] = sv[0]
-			changed = true
+	if dense {
+		// The dense layout keeps inline copies: the T words themselves.
+		if dv := dst.VC(); len(dv) == 3 {
+			return join3(dv, src.inl)
 		}
-		if sv[1] > dv[1] {
-			dv[1] = sv[1]
-			changed = true
-		}
-		if sv[2] > dv[2] {
-			dv[2] = sv[2]
-			changed = true
-		}
-		return changed
+		return dst.JoinPacked(src.inl, 0, width, 0)
 	}
-	return dst.Join(src)
+	r, lo, hi, mask := src.rel(g, width, false)
+	return dst.JoinPacked(r, lo, hi, mask)
+}
+
+// join3 joins the three words of r into dv, reporting whether dv changed.
+func join3(dv, r vc.VC) bool {
+	dv, r = dv[:3], r[:3]
+	changed := false
+	if r[0] > dv[0] {
+		dv[0] = r[0]
+		changed = true
+	}
+	if r[1] > dv[1] {
+		dv[1] = r[1]
+		changed = true
+	}
+	if r[2] > dv[2] {
+		dv[2] = r[2]
+		changed = true
+	}
+	return changed
 }
 
 // varBit maps a variable to its bit in the per-lock accessed-variable masks.
@@ -418,32 +436,53 @@ func (ri *relIndex) get(x event.VID) *relPair {
 }
 
 // getOrCreate returns the record pair for x, creating it (and the index
-// itself on first use) as needed. nvars is the trace's variable-universe
-// size, or <= 0 to force the map representation (large lock universes).
-func (ri *relIndex) getOrCreate(x event.VID, nvars int) *relPair {
+// itself on first use) as needed, and the bytes that creation added. nvars
+// is the trace's variable-universe size, or <= 0 to force the map
+// representation (large lock universes).
+func (ri *relIndex) getOrCreate(x event.VID, nvars int) (*relPair, int) {
+	grown := 0
 	if ri.dense == nil && ri.m == nil {
 		if nvars > 0 && nvars <= denseVarLimit {
 			ri.dense = make([]relPair, nvars)
+			grown = nvars * relPairB
 		} else {
 			ri.m = make(map[event.VID]*relPair)
 		}
 	}
 	if ri.dense != nil {
-		return &ri.dense[x]
+		return &ri.dense[x], grown
 	}
 	rt := ri.m[x]
 	if rt == nil {
 		rt = &relPair{}
 		ri.m[x] = rt
+		grown = relPairB + mapEntryB
 	}
-	return rt
+	return rt, grown
+}
+
+// Rule-(a) reference kinds of an accRef.
+const (
+	accR = 1 << iota // the variable's Lr slot
+	accW             // its Lw slot
+)
+
+// accRef records that the rule-(a) slots of variable x named by kinds took
+// a reference to the log record at absolute offset off.
+type accRef struct {
+	off   int
+	x     event.VID
+	kinds uint8
 }
 
 // lockState is the per-lock component of the detector state, allocated on
 // first use of the lock.
 type lockState struct {
 	pl vc.WC // Pℓ
-	hl vc.WC // Hℓ
+	// hl is Hℓ: a reference to the lock's newest log record, whose H-time
+	// the last release published; an inline copy in the dense layout,
+	// without a log (width 1), and after a restore until the next release.
+	hl relRef
 	// gen counts releases of ℓ; joinGen[t] is the value of gen when thread
 	// t last absorbed (or produced) Hℓ/Pℓ. Together they form the
 	// per-thread join cache: an acquire whose joinGen[t] still equals gen
@@ -469,6 +508,14 @@ type lockState struct {
 	// t's own component), such an e1 exists iff Pt(t) has reached the
 	// acquire time of CS(r1).
 	own []ownQ
+	// refs lists, in offset order, the references into the log that
+	// rule-(a) slots took at the releases whose records compaction has not
+	// dropped yet; compaction inlines those into the range it drops. An
+	// entry whose slot has since moved on is skipped then.
+	refs []accRef
+	// bytes is the lock's share of StateBytes (lockBytes), kept current
+	// wherever one of its buffers changes capacity.
+	bytes int
 }
 
 // varState is the per-variable race-checking state: r and w are Rx and Wx
@@ -576,6 +623,10 @@ func (d *Detector) lock(l event.LID) *lockState {
 			own:     make([]ownQ, n),
 			joinGen: make([]uint32, n),
 		}
+		for t := range ls.cons {
+			ls.cons[t].off = ls.log.base
+		}
+		ls.bytes = d.lockBytes(ls)
 		d.locks[l] = ls
 	}
 	return ls
@@ -704,8 +755,17 @@ func (d *Detector) acquire(t int, l event.LID) {
 	// times are ⊑ its monotone clocks — the joins are skipped in O(1).
 	if ls.joinGen[t] != ls.gen {
 		ls.joinGen[t] = ls.gen
-		if ls.hl.Ready() {
-			ts.h.Join(&ls.hl)      // Line 1
+		if ls.hl.present() {
+			// Line 1, read as relTimes.joinInto reads a contribution: in
+			// the dense layout Hℓ is an inline copy of the T words.
+			if hv := ts.h.VC(); !d.denseQ {
+				r, lo, hi, mask := ls.hl.rel(&ls.log, len(hv), false)
+				ts.h.JoinPacked(r, lo, hi, mask)
+			} else if len(hv) == 3 {
+				join3(hv, ls.hl.inl)
+			} else {
+				ts.h.JoinPacked(ls.hl.inl, 0, len(hv), 0)
+			}
 			if ts.p.Join(&ls.pl) { // Line 2
 				ts.effOK = false
 			}
@@ -819,17 +879,52 @@ func (d *Detector) release(t int, l event.LID) {
 			}
 			last = -1
 		}
-		for !myOwn.empty() && myOwn.frontNAcq() <= ts.p.Get(t) {
-			r, lo, hi, mask, next := relAt(myOwn.buf, myOwn.head+1, width, dense)
+		// The own FIFO: its inline entries, then its references.
+		for q := myOwn; q.ih < len(q.inl) && q.inl[q.ih] <= ts.p.Get(t); {
+			r, lo, hi, mask, next := relAt(q.inl, q.ih+1, width, dense)
 			if ts.p.JoinPacked(r, lo, hi, mask) {
 				ts.effOK = false
 				pChanged = true
 			}
-			myOwn.pop(next)
+			q.popInline(next)
+			d.queued--
+		}
+		for q := myOwn; q.ih == len(q.inl) && q.rh < len(q.refs) && q.refs[q.rh].nAcq <= ts.p.Get(t); {
+			if r, lo, hi, mask, _ := relAt(g.buf, q.refs[q.rh].off-g.base+2, width, dense); ts.p.JoinPacked(r, lo, hi, mask) {
+				ts.effOK = false
+				pChanged = true
+			}
+			q.popRef()
 			d.queued--
 		}
 		if !pChanged {
 			break
+		}
+	}
+
+	// Line 10, first half: the release's H-time is written once, as its
+	// record in the lock's log; Hℓ, the rule-(a) slots and the own-queue
+	// entry below refer to that record by its absolute offset ref. Without
+	// other threads (width 1) there is no log, and in the dense layout a
+	// copy of the T words costs no more than a reference and its
+	// bookkeeping: there ref stays 0, and each of them takes an inline
+	// copy.
+	ref := 0
+	if width > 1 {
+		nAcq := entry.nAcq
+		if dep == 0 {
+			// Release without a matching acquire (ill-formed trace): treat
+			// the release point itself as the acquire, and account the Acqℓ
+			// entries the missing acquire would have contributed.
+			nAcq = ts.n
+			d.queued += width - 1
+		}
+		c, n := cap(g.buf), 0
+		g.buf, n = pushRecord(g.buf, 2, &ts.h, dense)
+		g.buf[n], g.buf[n+1] = vc.Clock(t), nAcq
+		ls.bytes += (cap(g.buf) - c) * clockB
+		if !dense {
+			ref = g.base + n
 		}
 	}
 
@@ -840,19 +935,21 @@ func (d *Detector) release(t int, l event.LID) {
 	if rl, wl := entry.reads.list, entry.writes.list; len(rl) == 1 && len(wl) == 1 && rl[0] == wl[0] {
 		// The dominant shape — a critical section reading and writing one
 		// variable — publishes both records through a single lookup.
-		pair := ls.acc.getOrCreate(rl[0], nvars)
-		pair.r.add(t, &ts.h, width)
-		pair.w.add(t, &ts.h, width)
+		pair, grown := ls.acc.getOrCreate(rl[0], nvars)
+		grown += (pair.r.add(t, ref, &ts.h, dense) + pair.w.add(t, ref, &ts.h, dense)) * clockB
+		ls.bytes += grown + ls.noteRef(ref, rl[0], accR|accW)
 		b := varBit(rl[0])
 		ls.acc.rMask |= b
 		ls.acc.wMask |= b
 	} else {
 		for _, x := range rl {
-			ls.acc.getOrCreate(x, nvars).r.add(t, &ts.h, width)
+			pair, grown := ls.acc.getOrCreate(x, nvars)
+			ls.bytes += grown + pair.r.add(t, ref, &ts.h, dense)*clockB + ls.noteRef(ref, x, accR)
 			ls.acc.rMask |= varBit(x)
 		}
 		for _, x := range wl {
-			ls.acc.getOrCreate(x, nvars).w.add(t, &ts.h, width)
+			pair, grown := ls.acc.getOrCreate(x, nvars)
+			ls.bytes += grown + pair.w.add(t, ref, &ts.h, dense)*clockB + ls.noteRef(ref, x, accW)
 			ls.acc.wMask |= varBit(x)
 		}
 	}
@@ -865,42 +962,40 @@ func (d *Detector) release(t int, l event.LID) {
 	// Line 9: remember this release's H and P times for later acquires, and
 	// bump the lock's generation: every consumer's join cache is now stale
 	// except this thread's own (its times are the ones just stored).
-	if !ls.hl.Ready() {
-		ls.hl.Init(width)
+	if !ls.pl.Ready() {
 		ls.pl.Init(width)
+		ls.bytes += width * clockB
 	}
-	if hl, hv := ls.hl.VC(), ts.h.VC(); len(hl) == 3 && len(hv) == 3 {
-		// Dense raw write: static windows, and it saves two WC.Copy
-		// calls.
-		pl, pv := ls.pl.VC(), ts.p.VC()
-		hl[0], hl[1], hl[2] = hv[0], hv[1], hv[2]
+	if pl, pv := ls.pl.VC(), ts.p.VC(); len(pl) == 3 && len(pv) == 3 {
+		// Dense raw write: static windows, and it saves a WC.Copy call.
 		pl[0], pl[1], pl[2] = pv[0], pv[1], pv[2]
 	} else {
-		ls.hl.Copy(&ts.h)
 		ls.pl.Copy(&ts.p)
+	}
+	if ref != 0 || !ls.hl.set3(ts.h.VC()) {
+		ls.bytes += ls.hl.set(ref, &ts.h, dense) * clockB
 	}
 	ls.gen++
 	ls.joinGen[t] = ls.gen
 
-	// Line 10 (and the deferred Line 3): publish this critical section to
-	// every other thread's queue as one (acquire local clock, release
-	// H-time) record, and to the thread's own same-thread rule-(b) queue, as
-	// plain clock words (dirty spans only; see queue.go).
+	// Line 10, second half (and the deferred Line 3): the record reaches
+	// every other thread's queue through the log, and this thread's
+	// same-thread rule-(b) queue as a reference.
 	if width > 1 {
-		nAcq := entry.nAcq
-		if dep == 0 {
-			// Release without a matching acquire (ill-formed trace): treat
-			// the release point itself as the acquire, and account the Acqℓ
-			// entries the missing acquire would have contributed.
-			nAcq = ts.n
-			d.queued += width - 1
-		}
-		g.push(t, nAcq, &ts.h, dense)
 		// Pℓ is Pt now: settle the records every later drain will pop.
-		g.settle(ls.cons, ts.p.VC(), width, dense)
+		if g.settle(ls.cons, ts.p.VC(), width, dense) {
+			ls.compact(width, dense)
+		}
 		d.queued += width - 1 // the Relℓ(t') entries, t' ≠ t
 	}
-	myOwn.push(entry.nAcq, &ts.h, dense)
+	if ref > 0 {
+		p := ref - g.base + 2
+		ls.bytes += myOwn.pushRef(entry.nAcq, ref, relEndAt(g.buf, p, width, dense)-p)
+	} else {
+		n := cap(myOwn.inl)
+		myOwn.pushInline(entry.nAcq, &ts.h, dense)
+		ls.bytes += (cap(myOwn.inl) - n) * clockB
+	}
 	d.queued++
 	if d.queued > d.res.QueueMaxTotal {
 		d.res.QueueMaxTotal = d.queued
@@ -941,7 +1036,7 @@ func (d *Detector) mergeCS(ts *threadState, entry *csEntry, entryOnTop bool) {
 func (d *Detector) read(t int, x event.VID) {
 	ts := &d.threads[t]
 	if stack := ts.stack; len(stack) > 0 {
-		bit := varBit(x)
+		bit, width, dense := varBit(x), len(d.threads), d.denseQ
 		for k := range stack {
 			if ls := d.locks[stack[k].lock]; ls != nil && ls.acc.wMask&bit != 0 {
 				if pair := ls.acc.get(x); pair != nil {
@@ -951,7 +1046,7 @@ func (d *Detector) read(t int, x event.VID) {
 						}
 						ts.accW, ts.accWGen = pair, pair.w.gen
 					}
-					if pair.w.joinInto(&ts.p, t) {
+					if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
 						ts.effOK = false
 					}
 				}
@@ -965,28 +1060,28 @@ func (d *Detector) read(t int, x event.VID) {
 func (d *Detector) write(t int, x event.VID) {
 	ts := &d.threads[t]
 	if stack := ts.stack; len(stack) > 0 {
-		bit := varBit(x)
+		bit, width, dense := varBit(x), len(d.threads), d.denseQ
 		for k := range stack {
 			if ls := d.locks[stack[k].lock]; ls != nil && (ls.acc.rMask|ls.acc.wMask)&bit != 0 {
 				if pair := ls.acc.get(x); pair != nil {
 					if d.accCache {
 						if !(pair == ts.accR && pair.r.gen == ts.accRGen) {
-							if pair.r.joinInto(&ts.p, t) {
+							if pair.r.joinInto(&ts.p, t, &ls.log, width, dense) {
 								ts.effOK = false
 							}
 							ts.accR, ts.accRGen = pair, pair.r.gen
 						}
 						if !(pair == ts.accW && pair.w.gen == ts.accWGen) {
-							if pair.w.joinInto(&ts.p, t) {
+							if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
 								ts.effOK = false
 							}
 							ts.accW, ts.accWGen = pair, pair.w.gen
 						}
 					} else {
-						if pair.r.joinInto(&ts.p, t) {
+						if pair.r.joinInto(&ts.p, t, &ls.log, width, dense) {
 							ts.effOK = false
 						}
-						if pair.w.joinInto(&ts.p, t) {
+						if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
 							ts.effOK = false
 						}
 					}

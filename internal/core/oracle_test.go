@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -246,8 +248,9 @@ type namedTrace struct {
 }
 
 // oracleTraces is the oracle's trace set: randomTraces, the windowed
-// T ∈ {9, 10, 12} set, and the three thread-scaling shapes at T = 16, long
-// enough that their logs settle and compact.
+// T ∈ {9, 10, 12} set, the three thread-scaling shapes at T = 16, long
+// enough that their logs settle and compact, and the traces whose
+// references outlive their log records (core.RefTraces).
 func oracleTraces() []namedTrace {
 	var traces []namedTrace
 	for i, tr := range randomTraces(200, 64) {
@@ -261,6 +264,10 @@ func oracleTraces() []namedTrace {
 			Threads: 16, Events: 8000, Shape: shape, Races: 4,
 		})})
 	}
+	refs := core.RefTraces()
+	for _, name := range slices.Sorted(maps.Keys(refs)) {
+		traces = append(traces, namedTrace{name, refs[name]})
+	}
 	return traces
 }
 
@@ -268,21 +275,50 @@ func oracleTraces() []namedTrace {
 // per-event C-times and H-times and QueueMaxTotal must be equal. It is the
 // only check of QueueMaxTotal against an independent implementation, and
 // the one that sees the queue work avoidance (settled runs, single joins,
-// one-compare heads) as a whole.
+// one-compare heads, references into the logs) as a whole.
 func TestAlgorithm1Oracle(t *testing.T) {
 	for _, nt := range oracleTraces() {
-		tr := nt.tr
-		res := core.DetectOpts(tr, core.Options{CollectTimestamps: true})
-		a := newAlgo1(tr.NumThreads())
-		for i, e := range tr.Events {
-			c, h := a.step(t, e)
-			if !c.Equal(res.Times[i]) || !h.Equal(res.HBTimes[i]) {
-				t.Fatalf("%s: event %d (%s): detector C=%v H=%v, Algorithm 1 C=%v H=%v",
-					nt.name, i, tr.Describe(i), res.Times[i], res.HBTimes[i], c, h)
-			}
+		checkAlgorithm1(t, nt.name, nt.tr)
+	}
+}
+
+// FuzzAlgorithm1Oracle runs checkAlgorithm1 on gen.Random traces the
+// fuzzer configures: T from 2 to 20, 1–4 locks, 1–6 variables, up to 6,000
+// events (enough for the logs to compact at T ≥ 9), with or without
+// fork/join, and with per-access or shared locations.
+func FuzzAlgorithm1Oracle(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(1), uint16(200), int64(1), false, uint8(0))
+	f.Add(uint8(7), uint8(3), uint8(5), uint16(6000), int64(2), true, uint8(1))
+	f.Add(uint8(10), uint8(0), uint8(2), uint16(5000), int64(3), false, uint8(2))
+	f.Add(uint8(18), uint8(1), uint8(3), uint16(6000), int64(4), true, uint8(0))
+	f.Fuzz(func(t *testing.T, threads, locks, vars uint8, events uint16, seed int64, forkJoin bool, locs uint8) {
+		tr := gen.Random(gen.RandomConfig{
+			Threads:   2 + int(threads)%19,
+			Locks:     1 + int(locks)%4,
+			Vars:      1 + int(vars)%6,
+			Events:    int(events) % 6001,
+			Seed:      seed,
+			ForkJoin:  forkJoin,
+			Locations: []int{0, 4, 8}[locs%3],
+		})
+		checkAlgorithm1(t, "fuzz", tr)
+	})
+}
+
+// checkAlgorithm1 runs tr through the detector and through algo1, and
+// requires equal per-event C-times and H-times and QueueMaxTotal.
+func checkAlgorithm1(t *testing.T, name string, tr *trace.Trace) {
+	t.Helper()
+	res := core.DetectOpts(tr, core.Options{CollectTimestamps: true})
+	a := newAlgo1(tr.NumThreads())
+	for i, e := range tr.Events {
+		c, h := a.step(t, e)
+		if !c.Equal(res.Times[i]) || !h.Equal(res.HBTimes[i]) {
+			t.Fatalf("%s: event %d (%s): detector C=%v H=%v, Algorithm 1 C=%v H=%v",
+				name, i, tr.Describe(i), res.Times[i], res.HBTimes[i], c, h)
 		}
-		if res.QueueMaxTotal != a.maxQueued {
-			t.Fatalf("%s: QueueMaxTotal %d, Algorithm 1 %d", nt.name, res.QueueMaxTotal, a.maxQueued)
-		}
+	}
+	if res.QueueMaxTotal != a.maxQueued {
+		t.Fatalf("%s: QueueMaxTotal %d, Algorithm 1 %d", name, res.QueueMaxTotal, a.maxQueued)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/vc"
+import (
+	"repro/internal/event"
+	"repro/internal/vc"
+)
 
 // Algorithm 1's per-(lock, thread) FIFO queues are realized as one shared
 // per-lock log of critical-section records plus one cursor per consumer
@@ -12,6 +15,16 @@ import "repro/internal/vc"
 // consumers receive identical record sequences, fused into pairs because
 // critical sections on one lock never interleave, so the two queues advance
 // in lockstep), while storing each record once instead of T−1 times.
+//
+// The record is also the only place the release's H-time is written. Every
+// other holder of that time refers to the record by its absolute offset
+// (relRef): Hℓ is the lock's newest record, a rule-(a) Lr/Lw slot names the
+// records of its two latest contributions, and an own-queue entry names its
+// release's record. A reference yields exactly the words a copy would hold.
+// The dense layout is the exception: there a copy of the T words costs no
+// more than a reference and its bookkeeping (EXPERIMENTS.md, "one store of
+// release times"), so its holders keep inline copies, as they do without a
+// log at width 1.
 //
 // A record keeps one word of the acquire's C-time, not all T: the rule-(b)
 // head check acq ⊑ Ct reduces to nAcq ≤ Pt(producer) (see the package
@@ -48,10 +61,18 @@ import "repro/internal/vc"
 // Cursors count records (and the consumer's own records among them) so
 // that the jump needs no word offsets inside the dropped run.
 //
-// The same-thread rule-(b) queue (ownQ) stays separate per thread: its
+// References pin nothing either. Compaction (lockState.compact) is the only
+// place a record goes, and before it drops a range it gives every reference
+// into the range an inline copy of the record's release time: own-queue
+// entries are found from the dropped records' producers, rule-(a) slots
+// from the lock's registry of the references it handed out (lockState.refs),
+// both in offset order, so inlining costs O(1) per dropped record and per
+// reference, never a walk over the threads or variables.
+//
+// The same-thread rule-(b) queue (ownQ) keeps its own FIFO per thread: its
 // entries must remain drainable while a cross-thread record ahead of them
-// is stuck, which a single shared cursor could not express. Its records
-// are the log's without the producer word.
+// is stuck, which a single shared cursor could not express. An entry is its
+// own nAcq plus a reference to its release's record.
 
 // ringCompactAt is the dead-prefix size (in words) past which a ring or log
 // compacts.
@@ -69,9 +90,10 @@ const relHdr = 4
 //	[producer, nAcq, relWords, relSpan, relMaskLo, relMaskHi, rel…]
 //
 // with stride csHdr+relWords. The fixed-stride layout is
-// [producer, nAcq, rel×T], stride 2+T. An ownQ record is either layout
-// without the producer word: [nAcq, relWords, relSpan, relMaskLo,
-// relMaskHi, rel…] or [nAcq, rel×T].
+// [producer, nAcq, rel×T], stride 2+T. An inline own-queue entry, and an
+// own-queue entry in a snapshot, is either layout without the producer
+// word: [nAcq, relWords, relSpan, relMaskLo, relMaskHi, rel…] or
+// [nAcq, rel×T]. An inline rule-(a) or Hℓ time is the release part alone.
 const csHdr = 2 + relHdr
 
 // spanPackLimit bounds the clock widths whose spans pack into one word;
@@ -117,14 +139,14 @@ func growSlow(buf []vc.Clock, need int) []vc.Clock {
 	return g
 }
 
-// pushRecord appends one record to buf: lead free words for the caller
-// (the producer, in a csLog), nAcq, then the release H-time h — all width
+// pushRecord appends lead free words for the caller (producer and nAcq in
+// a csLog, nAcq in an own-queue) and then the release H-time h — all width
 // words with dense, else bucket-compressed behind its relHdr header. Spans
 // that exceed the packSpan sentinel limit are widened to the full width
 // *before* packing, so the writer's mask-run walk clamps exactly as the
 // reader's will after unpackSpan returns the full span. It returns the
-// grown buffer and the offset of the record.
-func pushRecord(buf []vc.Clock, lead int, nAcq vc.Clock, h *vc.WC, dense bool) ([]vc.Clock, int) {
+// grown buffer and the offset of the appended words.
+func pushRecord(buf []vc.Clock, lead int, h *vc.WC, dense bool) ([]vc.Clock, int) {
 	var lo, hi, w int
 	if dense {
 		w = h.Width()
@@ -133,14 +155,13 @@ func pushRecord(buf []vc.Clock, lead int, nAcq vc.Clock, h *vc.WC, dense bool) (
 		w = relHdr + vc.PackedWords(h.Mask(), h.ChunkShift(), lo, hi)
 	}
 	n := len(buf)
-	end := n + lead + 1 + w
+	end := n + lead + w
 	if end <= cap(buf) {
 		buf = buf[:end:cap(buf)]
 	} else {
 		buf = growSlow(buf, end-n)
 	}
-	buf[n+lead] = nAcq
-	dst := buf[n+lead+1 : end : end]
+	dst := buf[n+lead : end : end]
 	if dense {
 		if hv := h.VC(); len(hv) == 3 {
 			dst[0], dst[1], dst[2] = hv[0], hv[1], hv[2]
@@ -166,6 +187,14 @@ func relAt(buf []vc.Clock, p, width int, dense bool) (r []vc.Clock, lo, hi int, 
 	end = p + relHdr + int(buf[p])
 	lo, hi = unpackSpan(buf[p+1], width)
 	return buf[p+relHdr : end], lo, hi, maskFrom(buf[p+2], buf[p+3]), end
+}
+
+// relEndAt returns the offset just past the release time stored at buf[p:].
+func relEndAt(buf []vc.Clock, p, width int, dense bool) int {
+	if dense {
+		return p + width
+	}
+	return p + relHdr + int(buf[p])
 }
 
 // spanOrFull returns the clock's dirty span, widened to the full width
@@ -197,9 +226,28 @@ func appendPacked(dst []vc.Clock, w *vc.WC, lo, hi int) {
 	}
 }
 
+// unpackRel writes the packed release time r with window [lo,hi) and mask
+// into dst, a zeroed dense clock, assigning its words as stored.
+func unpackRel(dst vc.VC, r []vc.Clock, lo, hi int, mask uint64, shift uint) {
+	if len(r) == hi-lo {
+		copy(dst[lo:hi], r)
+		return
+	}
+	off := 0
+	it := vc.NewMaskRuns(mask, shift, lo, hi)
+	for {
+		a, b, ok := it.Next()
+		if !ok {
+			return
+		}
+		off += copy(dst[a:b], r[off:])
+	}
+}
+
 // csLog is the shared per-lock record log. Records are addressed by
 // absolute word offset since the lock's creation; base is the absolute
-// offset of buf[0], so compaction just advances base.
+// offset of buf[0], so compaction just advances base. Offsets start at 1,
+// so that the zero offset can mean "no record" in a relRef.
 //
 // settledOff is the absolute offset just past the settled run and settledN
 // the number of records in it. last and other are the absolute offsets of
@@ -224,7 +272,7 @@ type consumer struct {
 }
 
 // newCSLog returns an empty log.
-func newCSLog() csLog { return csLog{last: -1, other: -1} }
+func newCSLog() csLog { return csLog{base: 1, settledOff: 1, last: -1, other: -1} }
 
 // recLen returns the length in words of the record at buf[off:].
 func recLen(buf []vc.Clock, off, width int, dense bool) int {
@@ -234,17 +282,10 @@ func recLen(buf []vc.Clock, off, width int, dense bool) int {
 	return csHdr + int(buf[off+2])
 }
 
-// push appends producer's record of one critical section.
-func (g *csLog) push(producer int, nAcq vc.Clock, h *vc.WC, dense bool) {
-	var n int
-	g.buf, n = pushRecord(g.buf, 1, nAcq, h, dense)
-	g.buf[n] = vc.Clock(producer)
-}
-
 // settle advances the settled run over the records with nAcq ≤ pl(producer)
-// for the Pℓ just published, then compacts once the run's droppable words
-// are worth a copy.
-func (g *csLog) settle(cons []consumer, pl vc.VC, width int, dense bool) {
+// for the Pℓ just published, and reports whether the run's droppable words
+// are now worth a compaction.
+func (g *csLog) settle(cons []consumer, pl vc.VC, width int, dense bool) bool {
 	buf, off := g.buf, g.settledOff-g.base
 	for off < len(buf) {
 		u := int(buf[off])
@@ -260,9 +301,8 @@ func (g *csLog) settle(cons []consumer, pl vc.VC, width int, dense bool) {
 		off += recLen(buf, off, width, dense)
 	}
 	g.settledOff = g.base + off
-	if dead := g.deadWords(width, dense); dead >= ringCompactAt && dead*2 >= len(buf) {
-		g.compact(width, dense)
-	}
+	dead := g.deadWords(width, dense)
+	return dead >= ringCompactAt && dead*2 >= len(buf)
 }
 
 // deadWords returns the number of words of the settled run that
@@ -279,8 +319,9 @@ func (g *csLog) deadWords(width int, dense bool) int {
 }
 
 // compact drops the settled run but its other and last records, which it
-// packs in front of the tail; absolute offsets of the tail are unchanged.
-// The run must hold a record to drop.
+// packs in front of the tail; absolute offsets from last on are unchanged,
+// other moves. The run must hold a record to drop, and no reference may
+// point before last (see lockState.compact).
 func (g *csLog) compact(width int, dense bool) {
 	k := 0
 	if g.other >= 0 {
@@ -292,20 +333,6 @@ func (g *csLog) compact(width int, dense bool) {
 	g.base = g.last - k
 	if g.other >= 0 {
 		g.other = g.base
-	}
-}
-
-// compactForce compacts without the amortization guard, and returns
-// oversized backing storage to the allocator when the live region has
-// shrunk well below it. Whole-detector compaction calls this: unlike the
-// steady-state compaction in settle, it runs off the hot path and wants
-// the memory back now.
-func (g *csLog) compactForce(width int, dense bool) {
-	if g.deadWords(width, dense) > 0 {
-		g.compact(width, dense)
-	}
-	if cap(g.buf) >= 4*ringCompactAt && len(g.buf) < cap(g.buf)/4 {
-		g.buf = append([]vc.Clock(nil), g.buf...)
 	}
 }
 
@@ -327,34 +354,255 @@ func (g *csLog) catchUp(c *consumer, t int) (last, pops int) {
 	return last, pops
 }
 
-// ownQ is the FIFO of a thread's own completed critical sections on a lock,
-// for the same-thread instance of rule (b): records of the acquire's local
-// clock followed by the release H-time.
-type ownQ struct {
-	buf  []vc.Clock
-	head int
+// relRef is where a reader finds one release's H-time: the absolute offset
+// of the release's record in the lock's log (off > 0), or an inline copy in
+// the record-tail form relAt reads (off == 0, len(inl) > 0) — made when
+// compaction dropped the record, when a snapshot restored the time, at
+// width 1, where there is no log, and in the dense layout, where a copy
+// costs no more than a reference. The zero value holds no time. An inline
+// copy keeps its storage when the reference moves on to a newer record, so
+// steady-state inlining allocates nothing.
+type relRef struct {
+	off int
+	inl []vc.Clock
 }
 
-func (q *ownQ) empty() bool { return q.head == len(q.buf) }
+func (r *relRef) present() bool { return r.off > 0 || len(r.inl) > 0 }
 
-// frontNAcq returns the acquire local time of the front record.
-func (q *ownQ) frontNAcq() vc.Clock { return q.buf[q.head] }
-
-// push appends one record.
-func (q *ownQ) push(nAcq vc.Clock, h *vc.WC, dense bool) {
-	q.buf, _ = pushRecord(q.buf, 0, nAcq, h, dense)
-}
-
-// pop drops the front record; next is the offset just past it (relAt's
-// end). A queue drained empty rewinds in place, so one that empties at
-// every release never grows or copies.
-func (q *ownQ) pop(next int) {
-	q.head = next
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	} else if q.head >= ringCompactAt && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
+// rel returns the referenced release time as packed words plus its window.
+// The dense layout holds only inline copies (see release): the T clock
+// words themselves, which the hot paths read straight from inl.
+func (r *relRef) rel(g *csLog, width int, dense bool) ([]vc.Clock, int, int, uint64) {
+	buf, p := r.inl, 0
+	if r.off > 0 {
+		buf, p = g.buf, r.off-g.base+2
 	}
+	w, lo, hi, mask, _ := relAt(buf, p, width, dense)
+	return w, lo, hi, mask
+}
+
+// set3 makes r an inline copy of the width-3 clock hv when r has room for
+// it, reporting whether it did: the tiny-T path, which inlines where set
+// and pushRecord do not.
+func (r *relRef) set3(hv vc.VC) bool {
+	if len(hv) != 3 || cap(r.inl) < 3 {
+		return false
+	}
+	a := r.inl[:3]
+	a[0], a[1], a[2] = hv[0], hv[1], hv[2]
+	r.off, r.inl = 0, a
+	return true
+}
+
+// set points r at the record at absolute offset off, or, with off == 0,
+// makes it an inline copy of h. It returns the growth of r's storage in
+// words.
+func (r *relRef) set(off int, h *vc.WC, dense bool) int {
+	r.off, r.inl = off, r.inl[:0]
+	if off > 0 {
+		return 0
+	}
+	c := cap(r.inl)
+	if dense {
+		// A dense record tail is the T words themselves.
+		r.inl = append(r.inl, h.VC()...)
+	} else {
+		r.inl, _ = pushRecord(r.inl, 0, h, false)
+	}
+	return cap(r.inl) - c
+}
+
+// inline replaces a reference to the record at absolute offset off with a
+// copy of its release time, and returns the growth of r's storage in
+// words. It does nothing to a relRef that does not reference off.
+func (r *relRef) inline(off int, g *csLog, width int, dense bool) int {
+	if r.off != off {
+		return 0
+	}
+	c := cap(r.inl)
+	p := off - g.base + 2
+	r.off, r.inl = 0, append(r.inl[:0], g.buf[p:relEndAt(g.buf, p, width, dense)]...)
+	return cap(r.inl) - c
+}
+
+// ownRef is an own-queue entry that references its release's record.
+type ownRef struct {
+	nAcq vc.Clock
+	off  int
+}
+
+// ownQ is the FIFO of a thread's own completed critical sections on a lock,
+// for the same-thread instance of rule (b): each entry is the acquire's
+// local clock and the release's H-time. The oldest entries may be inline
+// records [nAcq, rel…] (inl, from head ih) — copies compaction made before
+// dropping their log records, restored snapshot entries, or, at width 1
+// and in the dense layout, every entry — and all later ones reference the
+// log (refs, from head rh).
+// Inline entries always precede referencing ones: references are only
+// appended, and compaction inlines the oldest of them first.
+type ownQ struct {
+	inl  []vc.Clock
+	ih   int
+	refs []ownRef
+	rh   int
+}
+
+func (q *ownQ) empty() bool { return q.ih == len(q.inl) && q.rh == len(q.refs) }
+
+// popInline drops the front inline entry; next is the offset just past it
+// (relAt's end). A part drained empty rewinds in place, so a queue that
+// empties at every release never grows or copies.
+func (q *ownQ) popInline(next int) {
+	q.ih = next
+	if q.ih == len(q.inl) {
+		q.inl, q.ih = q.inl[:0], 0
+	} else if q.ih >= ringCompactAt {
+		q.inl, q.ih = rewind(q.inl, q.ih)
+	}
+}
+
+// popRef drops the front reference.
+func (q *ownQ) popRef() {
+	q.rh++
+	if q.rh == len(q.refs) {
+		q.refs, q.rh = q.refs[:0], 0
+	} else if q.rh >= ringCompactAt {
+		q.refs, q.rh = rewind(q.refs, q.rh)
+	}
+}
+
+// pushRef appends an entry referencing the record at absolute offset off,
+// whose release time is words long, and returns the growth of the queue's
+// storage in bytes. The first reference also reserves the inline room the
+// queue's first copy would have taken (growSlow's), so that compaction
+// inlines into storage the queue already holds.
+func (q *ownQ) pushRef(nAcq vc.Clock, off, words int) int {
+	c, ci := cap(q.refs), cap(q.inl)
+	if q.inl == nil {
+		q.inl = make([]vc.Clock, 0, 2*(1+words)+64)
+	}
+	q.refs = append(q.refs, ownRef{nAcq, off})
+	return (cap(q.refs)-c)*ownRefB + (cap(q.inl)-ci)*clockB
+}
+
+// pushInline appends an inline entry. Only a queue without references
+// takes one.
+func (q *ownQ) pushInline(nAcq vc.Clock, h *vc.WC, dense bool) {
+	var n int
+	q.inl, n = pushRecord(q.inl, 1, h, dense)
+	q.inl[n] = nAcq
+}
+
+// inlineFront moves the front reference, to the record at absolute offset
+// off, into the inline part, copying the record's release time; it returns
+// the growth of the queue's storage in bytes. It does nothing unless the
+// front reference is to off.
+func (q *ownQ) inlineFront(off int, g *csLog, width int, dense bool) int {
+	if q.rh == len(q.refs) || q.refs[q.rh].off != off {
+		return 0
+	}
+	c := cap(q.inl)
+	p := off - g.base + 2
+	q.inl = append(append(q.inl, q.refs[q.rh].nAcq), g.buf[p:relEndAt(g.buf, p, width, dense)]...)
+	q.popRef()
+	return (cap(q.inl) - c) * clockB
+}
+
+// appendTo appends the queue's live entries to dst in the inline layout,
+// references resolved: the form a snapshot stores.
+func (q *ownQ) appendTo(dst []vc.Clock, g *csLog, width int, dense bool) []vc.Clock {
+	dst = append(dst, q.inl[q.ih:]...)
+	for _, e := range q.refs[q.rh:] {
+		p := e.off - g.base + 2
+		dst = append(dst, e.nAcq)
+		dst = append(dst, g.buf[p:relEndAt(g.buf, p, width, dense)]...)
+	}
+	return dst
+}
+
+// rewind drops the consumed prefix [0, head) of a FIFO buffer whose head
+// has passed ringCompactAt, by a copy once the prefix is at least half the
+// buffer.
+func rewind[E any](buf []E, head int) ([]E, int) {
+	if head*2 >= len(buf) {
+		return buf[:copy(buf, buf[head:])], 0
+	}
+	return buf, head
+}
+
+// noteRef registers that x's rule-(a) slots named by kinds took a reference
+// to the record at absolute offset off (none without a log), and returns
+// the growth of the registry in bytes.
+func (ls *lockState) noteRef(off int, x event.VID, kinds uint8) int {
+	if off == 0 {
+		return 0
+	}
+	c := cap(ls.refs)
+	ls.refs = append(ls.refs, accRef{off, x, kinds})
+	return (cap(ls.refs) - c) * accRefB
+}
+
+// compact drops the log's settled run but its other and last records (see
+// csLog.compact), after giving every reference into the dropped range an
+// inline copy of its release time. The own-queue entries there are found
+// from the dropped records' producers: a producer's references are in
+// offset order, so an entry for a dropped record is at the front of its
+// queue's references. The rule-(a) slots are found from the registry's
+// entries before last. Hℓ, the newest record, is never in the range.
+func (ls *lockState) compact(width int, dense bool) {
+	g := &ls.log
+	for off := g.base; off < g.last; {
+		p := off - g.base
+		ls.bytes += ls.own[g.buf[p]].inlineFront(off, g, width, dense)
+		off += recLen(g.buf, p, width, dense)
+	}
+	i := 0
+	for ; i < len(ls.refs) && ls.refs[i].off < g.last; i++ {
+		e := &ls.refs[i]
+		if pair := ls.acc.get(e.x); pair != nil {
+			grown := 0
+			if e.kinds&accR != 0 {
+				grown += pair.r.inline(e.off, g, width, dense)
+			}
+			if e.kinds&accW != 0 {
+				grown += pair.w.inline(e.off, g, width, dense)
+			}
+			ls.bytes += grown * clockB
+		}
+	}
+	// The entries left name the records compaction keeps in place, at most
+	// half the log's words, so moving them down costs no more than the
+	// compaction itself.
+	ls.refs = ls.refs[:copy(ls.refs, ls.refs[i:])]
+	g.compact(width, dense)
+}
+
+// compactForce compacts without the amortization guard, and returns
+// oversized backing storage of the log and the registry to the allocator
+// when the live region has shrunk well below it. Whole-detector compaction
+// calls this: unlike the steady-state compaction in release, it runs off
+// the hot path and wants the memory back now.
+func (ls *lockState) compactForce(width int, dense bool) {
+	g := &ls.log
+	if g.deadWords(width, dense) > 0 {
+		ls.compact(width, dense)
+	}
+	c := cap(g.buf)
+	g.buf = shrink(g.buf, 0)
+	ls.bytes += (cap(g.buf) - c) * clockB
+	c = cap(ls.refs)
+	ls.refs = shrink(ls.refs, 0)
+	ls.bytes += (cap(ls.refs) - c) * accRefB
+}
+
+// shrink drops a FIFO buffer's consumed prefix [0, head), and reallocates
+// the buffer when its live part uses under a quarter of a large capacity.
+func shrink[E any](buf []E, head int) []E {
+	if head > 0 {
+		buf = buf[:copy(buf, buf[head:])]
+	}
+	if cap(buf) >= 4*ringCompactAt && len(buf) < cap(buf)/4 {
+		buf = append([]E(nil), buf...)
+	}
+	return buf
 }

@@ -83,13 +83,17 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		}
 	}
 
+	var sc encodeScratch
+	if len(d.threads) > 0 {
+		sc.tmp = vc.New(len(d.threads))
+	}
 	for _, ls := range d.locks {
 		if ls == nil {
 			w.Bool(false)
 			continue
 		}
 		w.Bool(true)
-		encodeLock(w, ls)
+		d.encodeLock(w, ls, &sc)
 	}
 
 	live := 0
@@ -148,29 +152,12 @@ func decodeVarSet(rd *snap.Reader, s *varSet, nvars int) error {
 	return nil
 }
 
-func encodeWC(w *snap.Writer, c *vc.WC) {
-	if !c.Ready() {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.Sparse(c.VC())
-}
-
-// decodeWC restores a clock written by encodeWC into c, initializing it at
-// the given width when present. Set rebuilds the dirty window tightly.
-func decodeWC(rd *snap.Reader, c *vc.WC, width int, tmp vc.VC) error {
-	ok, err := rd.Bool()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	if !c.Ready() {
-		c.Init(width)
-	}
-	return decodeReadyWC(rd, c, tmp)
+// encodeScratch is EncodeSnapshot's scratch storage: a clock of the
+// detector's width, into which referenced release times are unpacked, and
+// the words of one own-queue.
+type encodeScratch struct {
+	tmp   vc.VC
+	words []vc.Clock
 }
 
 // decodeReadyWC fills an already-initialized clock from a bare sparse
@@ -189,28 +176,41 @@ func decodeReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
 	return nil
 }
 
-func encodeRelTimes(w *snap.Writer, rt *relTimes) {
-	// !ha.Ready() means semantically absent (never contributed, or
+// decodeRef restores a release time written as a bare sparse vector into
+// r, as an inline copy. h is a scratch clock of the detector's width.
+func (d *Detector) decodeRef(rd *snap.Reader, r *relRef, h *vc.WC, tmp vc.VC) error {
+	if err := decodeReadyWC(rd, h, tmp); err != nil {
+		return err
+	}
+	r.set(0, h, d.denseQ)
+	return nil
+}
+
+// encodeRelTimes writes a rule-(a) record, each release time in full
+// whether it is referenced or inline.
+func (d *Detector) encodeRelTimes(w *snap.Writer, rt *relTimes, g *csLog, tmp vc.VC) {
+	// !a.present() means semantically absent (never contributed, or
 	// quiesced by compaction): encoded as such, so the record's residual
 	// generation counter is canonically dropped.
-	if !rt.ha.Ready() {
+	if !rt.a.present() {
 		w.Byte(0)
 		return
 	}
-	if rt.hb.Ready() {
+	if rt.b.present() {
 		w.Byte(2)
 	} else {
 		w.Byte(1)
 	}
 	w.Int(int(rt.ta))
-	w.Sparse(rt.ha.VC())
-	if rt.hb.Ready() {
+	w.Sparse(d.unpackRef(&rt.a, g, tmp))
+	if rt.b.present() {
 		w.Int(int(rt.tb))
-		w.Sparse(rt.hb.VC())
+		w.Sparse(d.unpackRef(&rt.b, g, tmp))
 	}
 }
 
-func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
+func (d *Detector) decodeRelTimes(rd *snap.Reader, rt *relTimes, h *vc.WC, tmp vc.VC) error {
+	width := len(d.threads)
 	kind, err := rd.Byte()
 	if err != nil {
 		return err
@@ -229,8 +229,7 @@ func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
 		return &snap.DecodeError{Reason: "relTimes thread out of range"}
 	}
 	rt.ta = ta
-	rt.ha.Init(width)
-	if err := decodeReadyWC(rd, &rt.ha, tmp); err != nil {
+	if err := d.decodeRef(rd, &rt.a, h, tmp); err != nil {
 		return err
 	}
 	if kind == 2 {
@@ -242,8 +241,7 @@ func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
 			return &snap.DecodeError{Reason: "relTimes runner-up thread invalid"}
 		}
 		rt.tb = tb
-		rt.hb.Init(width)
-		if err := decodeReadyWC(rd, &rt.hb, tmp); err != nil {
+		if err := d.decodeRef(rd, &rt.b, h, tmp); err != nil {
 			return err
 		}
 	}
@@ -254,16 +252,20 @@ func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
 	return nil
 }
 
-func encodeLock(w *snap.Writer, ls *lockState) {
-	encodeWC(w, &ls.hl)
-	if ls.hl.Ready() {
+// encodeLock writes a lock's state. Every release time goes out in full,
+// whether the lock holds it as a reference into its log or inline: Hℓ and
+// the rule-(a) times as sparse clocks, own-queue entries as inline records.
+func (d *Detector) encodeLock(w *snap.Writer, ls *lockState, sc *encodeScratch) {
+	g := &ls.log
+	w.Bool(ls.hl.present())
+	if ls.hl.present() {
+		w.Sparse(d.unpackRef(&ls.hl, g, sc.tmp))
 		w.Sparse(ls.pl.VC())
 	}
 	// The log goes out as its buffered words with offsets relative to its
 	// first word; the settled run as its offset there, its record count and
 	// each producer's share; each cursor as a record index and an own-record
 	// count. Word offsets of cursors are recomputed at decode.
-	g := &ls.log
 	w.I32s(g.buf)
 	w.Uvarint(uint64(g.settledOff - g.base))
 	w.Uvarint(uint64(g.settledN))
@@ -275,8 +277,8 @@ func encodeLock(w *snap.Writer, ls *lockState) {
 		w.Uvarint(uint64(ls.cons[t].own))
 	}
 	for t := range ls.own {
-		q := &ls.own[t]
-		w.I32s(q.buf[q.head:])
+		sc.words = ls.own[t].appendTo(sc.words[:0], g, len(d.threads), d.denseQ)
+		w.I32s(sc.words)
 	}
 	// Rule-(a) records, sorted by variable for a canonical byte stream.
 	type accEnt struct {
@@ -286,13 +288,13 @@ func encodeLock(w *snap.Writer, ls *lockState) {
 	var ents []accEnt
 	if ls.acc.dense != nil {
 		for x := range ls.acc.dense {
-			if p := &ls.acc.dense[x]; p.r.ha.Ready() || p.w.ha.Ready() {
+			if p := &ls.acc.dense[x]; p.r.a.present() || p.w.a.present() {
 				ents = append(ents, accEnt{event.VID(x), p})
 			}
 		}
 	} else {
 		for x, p := range ls.acc.m {
-			if p.r.ha.Ready() || p.w.ha.Ready() {
+			if p.r.a.present() || p.w.a.present() {
 				ents = append(ents, accEnt{x, p})
 			}
 		}
@@ -303,17 +305,25 @@ func encodeLock(w *snap.Writer, ls *lockState) {
 	for _, e := range ents {
 		w.Uvarint(uint64(e.x - prev))
 		prev = e.x
-		encodeRelTimes(w, &e.pair.r)
-		encodeRelTimes(w, &e.pair.w)
+		d.encodeRelTimes(w, &e.pair.r, g, sc.tmp)
+		d.encodeRelTimes(w, &e.pair.w, g, sc.tmp)
 	}
 }
 
-func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
+// decodeLock restores a lock written by encodeLock. Every release time
+// outside the log comes back as an inline copy, so the restored lock holds
+// no references until its next release; h is a scratch clock of the
+// detector's width.
+func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, h *vc.WC, tmp vc.VC) error {
 	width := len(d.threads)
-	if err := decodeWC(rd, &ls.hl, width, tmp); err != nil {
+	ok, err := rd.Bool()
+	if err != nil {
 		return err
 	}
-	if ls.hl.Ready() {
+	if ok {
+		if err := d.decodeRef(rd, &ls.hl, h, tmp); err != nil {
+			return err
+		}
 		ls.pl.Init(width)
 		if err := decodeReadyWC(rd, &ls.pl, tmp); err != nil {
 			return err
@@ -335,7 +345,7 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 			return err
 		}
 		if len(buf) > 0 {
-			ls.own[t].buf = buf
+			ls.own[t].inl = buf
 		}
 	}
 	n, err := rd.Count(len(d.vars))
@@ -359,23 +369,24 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 		if int(x) >= len(d.vars) {
 			return &snap.DecodeError{Reason: "acc variable out of range"}
 		}
-		pair := ls.acc.getOrCreate(x, d.denseVars)
-		if err := decodeRelTimes(rd, &pair.r, width, tmp); err != nil {
+		pair, _ := ls.acc.getOrCreate(x, d.denseVars)
+		if err := d.decodeRelTimes(rd, &pair.r, h, tmp); err != nil {
 			return err
 		}
-		if err := decodeRelTimes(rd, &pair.w, width, tmp); err != nil {
+		if err := d.decodeRelTimes(rd, &pair.w, h, tmp); err != nil {
 			return err
 		}
-		if !pair.r.ha.Ready() && !pair.w.ha.Ready() {
+		if !pair.r.a.present() && !pair.w.a.present() {
 			return &snap.DecodeError{Reason: "empty rule-(a) record"}
 		}
-		if pair.r.ha.Ready() {
+		if pair.r.a.present() {
 			ls.acc.rMask |= varBit(x)
 		}
-		if pair.w.ha.Ready() {
+		if pair.w.a.present() {
 			ls.acc.wMask |= varBit(x)
 		}
 	}
+	ls.bytes = d.lockBytes(ls)
 	return nil
 }
 
@@ -420,13 +431,16 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 	if (k == 0) != (n == 0) {
 		return &snap.DecodeError{Reason: "settled count without kept records"}
 	}
+	// The restored log's absolute offsets start where a new log's do.
 	g := &ls.log
-	*g = csLog{buf: buf, settledOff: int(off), settledN: n, last: -1, other: -1}
+	*g = newCSLog()
+	g.buf, g.settledN = buf, n
+	g.settledOff += int(off)
 	if k > 0 {
-		g.last = starts[k-1]
+		g.last = g.base + starts[k-1]
 		for i := k - 2; i >= 0; i-- {
-			if buf[starts[i]] != buf[g.last] {
-				g.other = starts[i]
+			if buf[starts[i]] != buf[starts[k-1]] {
+				g.other = g.base + starts[i]
 				break
 			}
 		}
@@ -438,7 +452,7 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 			return err
 		}
 		sum += c.settled
-		if c.settled > 0 && g.other < 0 && u != int(buf[g.last]) {
+		if c.settled > 0 && g.other < 0 && u != int(buf[starts[k-1]]) {
 			return &snap.DecodeError{Reason: "settled record of a producer the kept records lack"}
 		}
 	}
@@ -475,7 +489,7 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 		if c.own != c.settled+seen[a.t] {
 			return &snap.DecodeError{Reason: "consumer own count disagrees with the log"}
 		}
-		c.off = starts[k+a.pos]
+		c.off = g.base + starts[k+a.pos]
 	}
 	return nil
 }
@@ -586,6 +600,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 	}
 	d := NewDetector(threads, locks, vars, opts)
 	tmp := vc.New(threads)
+	h := vc.NewWC(threads)
 
 	if d.res.Events, err = rd.Int(); err != nil {
 		return nil, err
@@ -677,7 +692,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 			continue
 		}
 		ls := d.lock(event.LID(l))
-		if err := d.decodeLock(rd, ls, tmp); err != nil {
+		if err := d.decodeLock(rd, ls, &h, tmp); err != nil {
 			return nil, err
 		}
 	}

@@ -234,10 +234,11 @@ func TestDecodeQueueMutations(t *testing.T) {
 			}
 			buf := &ls.log.buf
 			if k := rng.Intn(threads + 1); k < threads {
+				// A restored own-queue holds inline entries only.
 				q := &ls.own[k]
-				q.buf = q.buf[q.head:]
-				q.head = 0
-				buf = &q.buf
+				q.inl = q.inl[q.ih:]
+				q.ih = 0
+				buf = &q.inl
 			}
 			if rng.Intn(3) == 0 {
 				// A settled-run or cursor field instead of words: nudged,

@@ -485,7 +485,7 @@ func (c *Coordinator) traceFor(r *http.Request, id string) string {
 
 // readBody buffers a capped request body.
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, err := obs.ReadBody(w, r, c.cfg.MaxBodyBytes)
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return nil, false

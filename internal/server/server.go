@@ -700,7 +700,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// before it shapes detector allocation: a bit flipped inside a symbol
 	// name would otherwise decode cleanly and silently skew every report.
 	s.setIngestDeadline(w)
-	hdrBody, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	hdrBody, err := obs.ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, "reading session header: %v", err)
 		return
@@ -823,7 +823,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.setIngestDeadline(w)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := obs.ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, "reading chunk body: %v", err)
 		return

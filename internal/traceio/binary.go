@@ -69,22 +69,6 @@ func reserve(bw *bufio.Writer, n int) error {
 	return nil
 }
 
-func writeUvarint(bw *bufio.Writer, v uint64) error {
-	if err := reserve(bw, binary.MaxVarintLen64); err != nil {
-		return err
-	}
-	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
-	return err
-}
-
-func writeString(w *bufio.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
 // writeEvents encodes events straight into bw's free buffer, flushing
 // whenever a worst-case event no longer fits. It returns how many events
 // reached bw, exact even when a flush fails.
@@ -108,33 +92,45 @@ func writeEvents(bw *bufio.Writer, events []event.Event) (int, error) {
 	return done, nil
 }
 
-// writeBinaryHeader writes the magic, version, symbol tables and event count.
-func writeBinaryHeader(bw *bufio.Writer, syms *event.Symbols, nevents int) error {
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
+// headerLen returns the encoded size of a header: magic, version, the four
+// table sizes, each name with its length, and the event count.
+func headerLen(tables *[4][]string, nevents int) int {
+	n := len(binaryMagic) + 1 + uvarintLen(uint64(nevents))
+	for _, names := range tables {
+		n += uvarintLen(uint64(len(names)))
+		for _, name := range names {
+			n += uvarintLen(uint64(len(name))) + len(name)
+		}
 	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
+	return n
+}
+
+// AppendHeader appends the standalone binary header for syms and nevents
+// (see WriteHeader) to dst, growing it once to the exact encoded size.
+func AppendHeader(dst []byte, syms *event.Symbols, nevents int) []byte {
 	tables := [4][]string{
 		syms.ThreadNames(),
 		syms.LockNames(),
 		syms.VarNames(),
 		syms.LocationNames(),
 	}
+	if n := headerLen(&tables, nevents); cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = append(dst, binaryMagic...)
+	dst = append(dst, binaryVersion)
 	for _, names := range tables {
-		if err := writeUvarint(bw, uint64(len(names))); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(len(names)))
 	}
 	for _, names := range tables {
 		for _, name := range names {
-			if err := writeString(bw, name); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(len(name)))
+			dst = append(dst, name...)
 		}
 	}
-	return writeUvarint(bw, uint64(nevents))
+	return binary.AppendUvarint(dst, uint64(nevents))
 }
 
 // BinaryWriter emits a binary-format trace incrementally: the header (symbol
@@ -151,7 +147,7 @@ type BinaryWriter struct {
 // naming syms, and returns a writer for the event body.
 func NewBinaryWriter(w io.Writer, syms *event.Symbols, nevents int) (*BinaryWriter, error) {
 	bw := bufio.NewWriter(w)
-	if err := writeBinaryHeader(bw, syms, nevents); err != nil {
+	if _, err := bw.Write(AppendHeader(nil, syms, nevents)); err != nil {
 		return nil, fmt.Errorf("traceio: %w", err)
 	}
 	return &BinaryWriter{bw: bw, remaining: uint64(nevents)}, nil
@@ -321,8 +317,10 @@ func headerError(r *binaryReader, err error) *DecodeError {
 // readBinaryHeader consumes the magic, version, symbol tables and event
 // count, returning the positional symbol tables and the declared count.
 // Every name goes into one backing string, so the tables cost a constant
-// number of allocations however many names they hold.
-func readBinaryHeader(r *binaryReader) (*event.Symbols, uint64, error) {
+// number of allocations however many names they hold. size, when
+// positive, is the most bytes the header can span: the backing string is
+// reserved at that size up front and never regrows.
+func readBinaryHeader(r *binaryReader, size int) (*event.Symbols, uint64, error) {
 	r.fill(len(binaryMagic) + 1)
 	b := r.win[r.pos:]
 	if len(b) < len(binaryMagic) {
@@ -352,6 +350,9 @@ func readBinaryHeader(r *binaryReader) (*event.Symbols, uint64, error) {
 	}
 	lens := make([]uint32, 0, hint)
 	var arena strings.Builder
+	if size > 0 {
+		arena.Grow(size)
+	}
 	for _, c := range counts {
 		for j := uint64(0); j < c; j++ {
 			n, err := r.name(&arena)
@@ -488,13 +489,10 @@ func (h Header) Dims() Dims {
 
 // WriteHeader writes a standalone binary trace header: the symbol universe
 // and the declared event count (use 0 for an open-ended body). The written
-// bytes are exactly the preamble a full binary trace would start with.
+// bytes are exactly the preamble a full binary trace would start with,
+// encoded once at their exact size (AppendHeader).
 func WriteHeader(w io.Writer, syms *event.Symbols, nevents int) error {
-	bw := bufio.NewWriter(w)
-	if err := writeBinaryHeader(bw, syms, nevents); err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := w.Write(AppendHeader(nil, syms, nevents)); err != nil {
 		return fmt.Errorf("traceio: %w", err)
 	}
 	return nil
@@ -502,9 +500,15 @@ func WriteHeader(w io.Writer, syms *event.Symbols, nevents int) error {
 
 // ReadHeader decodes a standalone binary trace header from r. It may read
 // past the header's last byte (buffering), so r should contain only a
-// header; to decode header and body from one stream use OpenStream.
+// header; to decode header and body from one stream use OpenStream. When r
+// reports its remaining length (as bytes.Reader does), the header's names
+// are stored in one allocation of that size.
 func ReadHeader(r io.Reader) (Header, error) {
-	syms, nev, err := readBinaryHeader(&binaryReader{br: bufio.NewReader(r)})
+	size := 0
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len()
+	}
+	syms, nev, err := readBinaryHeader(&binaryReader{br: bufio.NewReader(r)}, size)
 	if err != nil {
 		return Header{}, err
 	}
@@ -547,7 +551,7 @@ func AppendEvents(dst []byte, events []event.Event) []byte {
 // ReadBinary parses a binary-format trace from r.
 func ReadBinary(r io.Reader) (*trace.Trace, error) {
 	br := &binaryReader{br: bufio.NewReader(r)}
-	syms, nev, err := readBinaryHeader(br)
+	syms, nev, err := readBinaryHeader(br, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -109,8 +111,9 @@ func tableSymbols(n int) *event.Symbols {
 }
 
 // TestHeaderCodecAllocs pins the header codec's allocations to a constant
-// independent of the name count: every decoded name shares one backing
-// string, and encoding writes varints straight into the output buffer.
+// independent of the name count: the decoded names of a header of known
+// size share one backing string, and encoding writes the header once at
+// its exact size.
 func TestHeaderCodecAllocs(t *testing.T) {
 	const maxAllocs = 32
 	for _, n := range []int{1 << 10, 1 << 16} {
@@ -135,6 +138,57 @@ func TestHeaderCodecAllocs(t *testing.T) {
 			t.Errorf("%d names: ReadHeader %.0f, WriteHeader %.0f allocations, want at most %d each",
 				n, read, write, maxAllocs)
 		}
+	}
+}
+
+// TestHeaderCodecSizes checks that WriteHeader writes AppendHeader's
+// bytes, and that the header decodes to the same symbols whether or not
+// the reader reports its length (a known length sizes the name arena up
+// front).
+func TestHeaderCodecSizes(t *testing.T) {
+	syms := tableSymbols(1 << 14)
+	want := AppendHeader(nil, syms, 7)
+	var buf bytes.Buffer
+	if err := WriteHeader(&buf, syms, 7); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteHeader differs from AppendHeader (err %v)", err)
+	}
+	for _, r := range []io.Reader{bytes.NewReader(want), struct{ io.Reader }{bytes.NewReader(want)}} {
+		h, err := ReadHeader(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Events != 7 || !slices.Equal(h.Syms.VarNames(), syms.VarNames()) ||
+			!slices.Equal(h.Syms.LocationNames(), syms.LocationNames()) ||
+			!slices.Equal(h.Syms.ThreadNames(), syms.ThreadNames()) ||
+			!slices.Equal(h.Syms.LockNames(), syms.LockNames()) {
+			t.Fatalf("%T: decoded header differs from the encoded symbols", r)
+		}
+	}
+}
+
+// TestHeaderInflatedCounts reads a header that declares huge symbol counts
+// but holds a few megabytes, most of them after a bad first name, through
+// a reader that reports its length. The declared counts may preallocate at
+// most maxPrealloc names whatever the reader's length, so the failed read
+// allocates about the length (the name arena) and no multiple of it.
+func TestHeaderInflatedCounts(t *testing.T) {
+	const size = 4 << 20
+	raw := append([]byte(binaryMagic), binaryVersion)
+	for range 4 {
+		raw = binary.AppendUvarint(raw, 1<<40)
+	}
+	raw = binary.AppendUvarint(raw, maxName+1)
+	raw = append(raw, make([]byte, size-len(raw))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadHeader(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header whose first name exceeds maxName decoded")
+	}
+	bound := uint64(size + 4*maxPrealloc + 64<<10)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Errorf("a failed %d-byte header read allocated %d bytes, want at most %d", size, alloc, bound)
 	}
 }
 

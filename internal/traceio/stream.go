@@ -82,7 +82,7 @@ func OpenStream(r io.Reader) (*Stream, error) {
 	magic, err := br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
 		bin := &binaryReader{br: br}
-		syms, nev, err := readBinaryHeader(bin)
+		syms, nev, err := readBinaryHeader(bin, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -265,10 +265,10 @@ func BucketBounds(m uint64, shift uint, lo, hi int) (a, b int) {
 // run covering the whole span, so dense clocks degrade to a single linear
 // pass. Writers and readers of bucket-compressed records (see
 // core/queue.go) must walk the same runs in the same order; this iterator
-// is that shared definition.
+// is that shared definition. Next is small enough to inline, so hot loops
+// walk runs without a call.
 type MaskRuns struct {
-	m      uint64
-	base   int // absolute index of bucket bit 0 of m
+	m      uint64 // buckets not yet walked, at their absolute bit positions
 	shift  uint
 	lo, hi int
 }
@@ -281,24 +281,15 @@ func NewMaskRuns(mask uint64, shift uint, lo, hi int) MaskRuns {
 // Next returns the next run's component range [a,b), or ok=false when done.
 func (r *MaskRuns) Next() (a, b int, ok bool) {
 	for r.m != 0 {
-		k := bits.TrailingZeros64(r.m)
-		r.m >>= uint(k)
-		r.base += k
-		run := bits.TrailingZeros64(^r.m)
-		if run >= 64 {
-			r.m = 0
-		} else {
-			r.m >>= uint(run)
-		}
-		a = r.base << r.shift
-		b = (r.base + run) << r.shift
-		r.base += run
-		if a < r.lo {
-			a = r.lo
-		}
-		if b > r.hi {
-			b = r.hi
-		}
+		// Adding the lowest set bit carries through the lowest run: the
+		// sum's lowest set bit is the bucket after the run (64, the sum
+		// 0, when the run reaches bit 63), and masking with it clears
+		// the run.
+		low := r.m & -r.m
+		end := r.m + low
+		a = max(bits.TrailingZeros64(low)<<r.shift, r.lo)
+		b = min(bits.TrailingZeros64(end)<<r.shift, r.hi)
+		r.m &= end
 		if a < b {
 			return a, b, true
 		}
@@ -380,9 +371,10 @@ func (w *WC) JoinPacked(r []Clock, lo, hi int, mask uint64) bool {
 				changed = true
 			}
 		} else {
-			for i := lo; i < hi; i++ {
-				if c := r[i-lo]; c > v[i] {
-					v[i] = c
+			u := v[lo : lo+len(r)]
+			for i, c := range r {
+				if c > u[i] {
+					u[i] = c
 					changed = true
 				}
 			}

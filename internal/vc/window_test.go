@@ -212,6 +212,51 @@ func TestWCSparseOpsTouchLittle(t *testing.T) {
 	}
 }
 
+// TestMaskRunsMatchesBuckets checks MaskRuns against a bucket-by-bucket
+// walk: set buckets merged into maximal runs, clamped to the span, empty
+// runs dropped. The masks include the empty and the full one (a run of 64
+// buckets) and runs touching bit 63.
+func TestMaskRunsMatchesBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	masks := []uint64{0, ^uint64(0), 1, 1 << 63, ^uint64(1), ^uint64(0) >> 1, 0xf0f0f0f0f0f0f0f0}
+	for range 2000 {
+		masks = append(masks, rng.Uint64()&rng.Uint64())
+	}
+	for _, mask := range masks {
+		shift := uint(rng.Intn(5))
+		span := 64 << shift
+		lo := rng.Intn(span)
+		hi := lo + rng.Intn(span-lo+1)
+		var want [][2]int
+		for i := 0; i < 64; i++ {
+			if mask&(1<<uint(i)) == 0 {
+				continue
+			}
+			a, b := max(i<<shift, lo), min((i+1)<<shift, hi)
+			if a >= b {
+				continue
+			}
+			if n := len(want); n > 0 && want[n-1][1] == i<<shift {
+				want[n-1][1] = b
+			} else {
+				want = append(want, [2]int{a, b})
+			}
+		}
+		var got [][2]int
+		it := NewMaskRuns(mask, shift, lo, hi)
+		for {
+			a, b, ok := it.Next()
+			if !ok {
+				break
+			}
+			got = append(got, [2]int{a, b})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("mask %#x shift %d span [%d,%d): runs %v, want %v", mask, shift, lo, hi, got, want)
+		}
+	}
+}
+
 func popcount(m uint64) int {
 	n := 0
 	for ; m != 0; m &= m - 1 {
