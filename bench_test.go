@@ -418,3 +418,35 @@ func BenchmarkStreamingIngestWCP(b *testing.B) {
 	}
 	reportEventsPerSec(b, tr.Len())
 }
+
+// BenchmarkCheckBlock measures the §2.1 checker that every streamed block
+// passes before a detector sees it (trace.Checker), in ns/event over
+// decode-sized blocks: four Table-1 traces and serve-wide's shape, pools
+// at T = 256.
+func BenchmarkCheckBlock(b *testing.B) {
+	traces := map[string]*trace.Trace{
+		"pools/T256": gen.ThreadScaling(gen.ThreadScalingConfig{Threads: 256, Events: 400_000, Shape: "pools", Races: 4}),
+	}
+	for _, name := range []string{"xalan", "eclipse", "montecarlo", "derby"} {
+		traces[name] = benchTrace(b, name, table1Scale)
+	}
+	for _, name := range []string{"xalan", "eclipse", "montecarlo", "derby", "pools/T256"} {
+		tr := traces[name]
+		var blocks []*trace.Block
+		for at := 0; at < tr.Len(); at += traceio.DefaultBlockSize {
+			blocks = append(blocks, trace.BlockOf(tr.Events[at:min(at+traceio.DefaultBlockSize, tr.Len())]))
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c, at := trace.NewChecker(tr.Symbols), 0
+				for _, blk := range blocks {
+					if err := c.CheckBlock(blk, at); err != nil {
+						b.Fatal(err)
+					}
+					at += blk.Len()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/event")
+		})
+	}
+}

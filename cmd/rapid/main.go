@@ -32,6 +32,11 @@
 // block by block straight into the detectors, so memory stays constant
 // no matter how long the trace is (engines that cannot stream, and text
 // traces, fall back to loading).
+//
+// Every trace is checked for well-formedness (§2.1: lock semantics,
+// well-nestedness, fork/join sanity) before any engine sees it: a loaded
+// trace as a whole, a streamed one block by block. An ill-formed trace is
+// an error naming the offending event's index.
 package main
 
 import (
@@ -51,11 +56,10 @@ var (
 	window     = flag.Int("window", 1000, "window size for windowed engines (cp, predict); 0 = whole trace")
 	budget     = flag.Int("budget", 30000, "per-window exploration budget for predict")
 	quiet      = flag.Bool("quiet", false, "print summary only, not individual race pairs")
-	validate   = flag.Bool("validate", true, "validate trace well-formedness before analysis")
 	vindicate  = flag.Int("vindicate", 0, "wcp only: certify up to N reported race pairs with witness schedules")
 	parallel   = flag.Bool("parallel", false, "run the selected engines concurrently over each trace")
 	jobs       = flag.Int("jobs", 0, "worker-pool width for multi-file batches; 0 = GOMAXPROCS")
-	stream     = flag.Bool("stream", false, "analyze block by block without materializing traces (binary traces with streaming engines: wcp, hb; others fall back to loading); skips -validate; -parallel has no effect: a streamed trace is decoded once while its engines run on goroutines of their own, and a trace that falls back to loading runs its engines serially")
+	stream     = flag.Bool("stream", false, "analyze block by block without materializing traces (binary traces with streaming engines: wcp, hb; others fall back to loading); -parallel has no effect: a streamed trace is decoded once while its engines run on goroutines of their own, and a trace that falls back to loading runs its engines serially")
 	genFlag    = flag.String("gen", "", "analyze a built-in generated workload instead of a file: pools, forkjoin, hotlock, random, or bench:NAME")
 	genThreads = flag.Int("threads", 64, "generator thread count (with -gen)")
 	genEvents  = flag.Int("events", 100_000, "generator approximate event count (with -gen)")
@@ -114,21 +118,7 @@ func runGenerated() error {
 		})
 	}
 	fmt.Printf("generated %s (threads=%d): %s\n", *genFlag, tr.NumThreads(), repro.TraceStats(tr))
-	var results []*repro.EngineResult
-	if *parallel {
-		results = repro.RunEngines(context.Background(), tr, engines)
-	} else {
-		for _, e := range engines {
-			results = append(results, e.Analyze(tr))
-		}
-	}
-	for _, res := range results {
-		printResult(tr.Symbols, res)
-	}
-	if *vindicate > 0 {
-		runVindicate(tr, *vindicate)
-	}
-	return nil
+	return analyze(tr, engines)
 }
 
 // selectEngines resolves the -engine/-window/-budget flags.
@@ -161,7 +151,12 @@ func run(paths []string) error {
 		return runBatch(paths, engines)
 	}
 	if len(paths) == 1 {
-		return runOne(paths[0], engines)
+		tr, err := repro.ReadTraceFile(paths[0])
+		if err != nil {
+			return err
+		}
+		fmt.Printf("trace: %s\n", repro.TraceStats(tr))
+		return analyze(tr, engines)
 	}
 	if *vindicate > 0 {
 		return fmt.Errorf("-vindicate requires a single trace file (got %d)", len(paths))
@@ -169,14 +164,12 @@ func run(paths []string) error {
 	return runBatch(paths, engines)
 }
 
-// runOne analyzes a single trace file, optionally fanning it out to the
-// selected engines concurrently.
-func runOne(path string, engines []repro.Engine) error {
-	tr, err := loadTrace(path)
-	if err != nil {
-		return err
+// analyze checks a loaded trace's well-formedness, then runs the selected
+// engines over it, concurrently with -parallel.
+func analyze(tr *repro.Trace, engines []repro.Engine) error {
+	if err := repro.ValidateTrace(tr); err != nil {
+		return fmt.Errorf("invalid trace: %w", err)
 	}
-	fmt.Printf("trace: %s\n", repro.TraceStats(tr))
 	var results []*repro.EngineResult
 	if *parallel {
 		results = repro.RunEngines(context.Background(), tr, engines)
@@ -202,11 +195,10 @@ func runBatch(paths []string, engines []repro.Engine) error {
 		p := p
 		if *stream {
 			// Streamable source: engines that support it analyze the file
-			// block by block, never materializing the trace (no whole-trace
-			// validation in that mode).
+			// block by block, never materializing the trace.
 			corpus[i] = repro.NewFileTraceSource(p)
 		} else {
-			corpus[i] = repro.TraceSource{Name: p, Load: func() (*repro.Trace, error) { return loadTrace(p) }}
+			corpus[i] = repro.TraceSource{Name: p, Load: func() (*repro.Trace, error) { return repro.ReadTraceFile(p) }}
 		}
 	}
 	start := time.Now()
@@ -221,8 +213,15 @@ func runBatch(paths []string, engines []repro.Engine) error {
 		fmt.Fprintf(&b, "=== %s (%v)\n", res.Name, res.Duration.Round(time.Millisecond))
 		fmt.Fprintf(&b, "trace: %+v\n", res.Stats)
 		fmt.Print(b.String())
+		// A streamed trace that fails to decode or validate fails each of
+		// its engines.
+		ok := true
 		for _, er := range res.Results {
 			printResult(res.Symbols, er)
+			ok = ok && er.Err == nil
+		}
+		if !ok {
+			failed++
 		}
 	}
 	fmt.Printf("batch: %d file(s), %d failed, %v total (%d worker(s))\n",
@@ -242,20 +241,6 @@ func jobsWidth(files int) int {
 		n = files
 	}
 	return n
-}
-
-// loadTrace reads and (by default) validates one trace file.
-func loadTrace(path string) (*repro.Trace, error) {
-	tr, err := repro.ReadTraceFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if *validate {
-		if err := repro.ValidateTrace(tr); err != nil {
-			return nil, fmt.Errorf("invalid trace: %w", err)
-		}
-	}
-	return tr, nil
 }
 
 // printResult renders one engine result; syms supplies symbol names for

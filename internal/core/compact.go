@@ -87,17 +87,9 @@ func wcDominated(w *vc.WC, floor vc.VC) bool {
 }
 
 // refDominated reports whether the release time r holds is ⊑ the floor —
-// an absent one trivially so. tmp is a scratch clock of the width.
+// an absent one, or ⊥, trivially so. tmp is a scratch clock of the width.
 func (d *Detector) refDominated(r *relRef, g *csLog, floor, tmp vc.VC) bool {
 	return !r.present() || d.unpackRef(r, g, tmp).Leq(floor)
-}
-
-// rtDominated reports whether every contribution of rt is ⊑ the floor.
-// Both stored contributions are checked explicitly rather than relying on
-// a dominating b — ill-formed traces can break that monotonicity, and
-// compaction must stay sound even where precision is forfeit.
-func (d *Detector) rtDominated(rt *relTimes, g *csLog, floor, tmp vc.VC) bool {
-	return d.refDominated(&rt.a, g, floor, tmp) && d.refDominated(&rt.b, g, floor, tmp)
 }
 
 // unpackRef writes the release time r holds into tmp, a scratch clock of
@@ -129,7 +121,7 @@ func (d *Detector) Compact() {
 		// with a stale cached generation after the record regrows. Dropping
 		// every cache makes any (pointer, gen) pair held after this point
 		// postdate the reset — the next access simply re-joins.
-		ts.accR, ts.accW = nil, nil
+		ts.cacheR, ts.cacheW = nil, nil
 		if d.dead[t] {
 			ts.stack = nil
 			continue
@@ -169,7 +161,7 @@ func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 // compactLock quiesces one lock's state and reports whether the lock can
 // be retired entirely (recreated fresh on its next acquire).
 func (d *Detector) compactLock(ls *lockState, f *floors) bool {
-	width, dense := len(d.threads), d.denseQ
+	width := len(d.threads)
 	end := ls.log.base + len(ls.log.buf)
 	drained := true
 	for t := range ls.cons {
@@ -191,8 +183,7 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 	}
 
 	// Quiesce dominated rule-(a) records and recompute the presence masks
-	// from what survives — before the log compacts, so that only surviving
-	// records take inline copies of the release times it drops.
+	// from what survives.
 	ls.acc.rMask, ls.acc.wMask = 0, 0
 	busy := 0
 	tmp := vc.New(width)
@@ -210,7 +201,14 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 			}
 		}
 	}
-	ls.compactForce(width, dense)
+	// Unlike release's amortized compaction, drop the dead part of the
+	// settled run now, and hand an oversized log buffer back.
+	if g := &ls.log; g.last > g.base {
+		g.compact()
+	}
+	c := cap(ls.log.buf)
+	ls.log.buf = shrink(ls.log.buf, 0)
+	ls.bytes += (cap(ls.log.buf) - c) * clockB
 
 	if busy > 0 || !drained {
 		ls.pl.Tighten()
@@ -236,15 +234,16 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 }
 
 // quiescePair resets the relTimes of one (lock, variable) record whose
-// contributions are all ⊑ the C-time floor, and folds the survivors into
-// the index masks. It returns the number of live records remaining (0–2).
+// latest contribution is ⊑ the C-time floor — along the lock chain it
+// dominates the runner-up — and folds the survivors into the index masks.
+// It returns the number of live records remaining (0–2).
 func (d *Detector) quiescePair(ls *lockState, pair *relPair, x int32, ctFloor, tmp vc.VC) int {
 	live := 0
 	for _, rt := range []*relTimes{&pair.r, &pair.w} {
 		if !rt.a.present() {
 			continue
 		}
-		if d.rtDominated(rt, &ls.log, ctFloor, tmp) {
+		if d.refDominated(&rt.a, &ls.log, ctFloor, tmp) {
 			ls.bytes -= relTimesBytes(rt)
 			*rt = relTimes{}
 			continue
@@ -266,7 +265,6 @@ const (
 	consumerB  = int(unsafe.Sizeof(consumer{}))
 	ownQB      = int(unsafe.Sizeof(ownQ{}))
 	ownRefB    = int(unsafe.Sizeof(ownRef{}))
-	accRefB    = int(unsafe.Sizeof(accRef{}))
 	relPairB   = int(unsafe.Sizeof(relPair{}))
 	// mapEntryB is a hashed rule-(a) index entry's key and pointer.
 	mapEntryB = int(unsafe.Sizeof(event.VID(0)) + unsafe.Sizeof((*relPair)(nil)))
@@ -303,12 +301,12 @@ func (d *Detector) StateBytes() int {
 
 // lockBytes counts a lock's share of StateBytes from scratch: its struct,
 // per-thread cursors, own-queue headers and join generations, the
-// capacities of its log, registry and own-queue buffers, Pℓ, every inline
+// capacities of its log and own-queue buffers, Pℓ, every inline
 // release time, and its rule-(a) index — dense tables whole, hashed ones
 // per entry. lockState.bytes holds the same sum, kept current.
 func (d *Detector) lockBytes(ls *lockState) int {
 	n := lockStateB + len(ls.cons)*consumerB + len(ls.own)*ownQB + len(ls.joinGen)*4
-	n += cap(ls.log.buf)*clockB + cap(ls.refs)*accRefB + cap(ls.hl.inl)*clockB
+	n += cap(ls.log.buf)*clockB + cap(ls.hl.inl)*clockB
 	if ls.pl.Ready() {
 		n += len(d.threads) * clockB
 	}

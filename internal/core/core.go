@@ -48,14 +48,13 @@
 //     component t is at most Pt(t) ≤ Nt. So acq ⊑ Ct iff nAcq ≤ Pt(u) —
 //     the same shape as the own-queue test nAcq ≤ Pt(t) — and a record
 //     keeps only nAcq of its acquire time. The argument rests on the lock
-//     chain of well-formed traces, like the pop-run's single join; off the
-//     model the detector stays deterministic, not precise;
+//     chain of well-formed traces, like the pop-run's single join;
 //   - the log keeps only what a later drain might still refuse: after each
 //     release publishes Pℓ, the records with nAcq ≤ Pℓ(producer) are
 //     settled — every later releaser's Pt dominates Pℓ along the lock
 //     chain, so every later drain pops them — and a cursor behind the
-//     settled run takes it in O(1), from counts and the run's last two
-//     records by distinct producers (see queue.go);
+//     settled run takes it in O(1), from counts and the run's last record
+//     (see queue.go);
 //   - the rule-(a) Lr/Lw state collapses to the two latest contributions
 //     by distinct threads — releases on one lock are H-monotone, so they
 //     dominate all earlier ones (see relTimes);
@@ -63,10 +62,9 @@
 //     rule-(a) slots it updates and its own-queue entry hold the record's
 //     offset, and read its words in place (the dense layout, where a copy
 //     is as cheap, keeps copies). Log compaction, the only step that drops
-//     a record, first gives every reference into the dropped range an
-//     inline copy, found from the dropped records' producers and from a
-//     per-lock registry of rule-(a) references, so no release scans the
-//     threads or variables (see queue.go);
+//     a record, drops only records whose H-time every later reader has
+//     already absorbed along the lock chain, so a reference into the
+//     dropped range reads as ⊥ (see queue.go);
 //   - the race check never materializes the effective time
 //     (Pt ⊔ Ot)[t := Nt]: it compares componentwise, drops the ⊔ Ot leg
 //     once Pt dominates the static ancestry clock, and keeps Rx and Wx as
@@ -88,6 +86,14 @@
 // Reentrant (same-lock nested) acquisitions are accepted and treated as
 // no-ops for synchronization, matching JVM lock semantics; the paper's trace
 // model has no same-lock nesting.
+//
+// Algorithm 1, Theorem 1 and every shortcut above hold on well-formed
+// traces (§2.1). Every streamed path checks that with trace.Checker before
+// a block reaches the detector, and the loaded paths run trace.Validate.
+// A detector fed an unchecked in-memory trace (Detect, Engine.Analyze)
+// stays deterministic and panic-free on ill-formed input, and promises
+// nothing more: a release that does not close the thread's innermost open
+// critical section is ignored.
 package core
 
 import (
@@ -192,8 +198,8 @@ func (s *varSet) add(x event.VID) {
 	}
 }
 
-func (s *varSet) addAll(other *varSet) {
-	for _, x := range other.list {
+func (s *varSet) addAll(src *varSet) {
+	for _, x := range src.list {
 		s.add(x)
 	}
 }
@@ -237,15 +243,15 @@ type threadState struct {
 	// at fork/join events, so the property is sticky between them.
 	oZero bool
 	stack []csEntry
-	// accR/accW are the per-thread rule-(a) join caches: the last relPair
-	// whose Lr/Lw record was joined into Pt, with the record's generation
-	// at the time. Pt only grows and relTimes generations bump on every
-	// mutation, so a matching generation proves the earlier join still
-	// dominates and the whole rule-(a) join collapses to one compare — the
-	// overwhelmingly common case for the repeated accesses inside one
+	// cacheR/cacheW are the per-thread rule-(a) join caches: the last
+	// relPair whose Lr/Lw record was joined into Pt, with the record's
+	// generation at the time. Pt only grows and relTimes generations bump
+	// on every mutation, so a matching generation proves the earlier join
+	// still dominates and the whole rule-(a) join collapses to one compare
+	// — the overwhelmingly common case for the repeated accesses inside one
 	// critical section.
-	accR, accW       *relPair
-	accRGen, accWGen uint32
+	cacheR, cacheW       *relPair
+	cacheRGen, cacheWGen uint32
 }
 
 // pushCS opens a critical section, reusing the storage (variable-set list
@@ -302,10 +308,7 @@ func (ts *threadState) openDepth(l event.LID) int {
 // joins the runner-up, which dominates every other thread's contribution.
 // Each contribution is a reference to its release's record in the lock's
 // log (relRef), so publication writes one offset, not a clock; the
-// access-side join reads the record's packed words in place. (Ill-formed
-// traces — a release without its acquire — can break the monotonicity
-// chain; such traces are outside the paper's model and the detector only
-// promises determinism there.)
+// access-side join reads the record's packed words in place.
 type relTimes struct {
 	ta, tb int32  // threads of the latest / second-latest distinct contributions
 	a, b   relRef // their H-times; !a.present() means no contributions yet
@@ -332,19 +335,12 @@ func (rt *relTimes) add(t, off int, h *vc.WC, dense bool) int {
 	return rt.a.set(off, h, dense)
 }
 
-// inline gives the contributions that reference the record at absolute
-// offset off an inline copy of its release time (see lockState.compact),
-// and returns the growth of the record's storage in words.
-func (rt *relTimes) inline(off int, g *csLog, width int, dense bool) int {
-	return rt.a.inline(off, g, width, dense) + rt.b.inline(off, g, width, dense)
-}
-
 // joinInto joins every thread's contribution except reader's into dst,
 // reporting whether dst changed. The join merges only the stored release
-// time's packed words, read in place from the log record g holds or from
-// the inline copy. Width-3 clocks are dense with a static window, so the
-// width-3 unroll writes dst's storage raw and saves a call to
-// WC.JoinPacked, which does not inline.
+// time's packed words, read in place from the log record g holds (nothing
+// once compaction dropped it) or from the inline copy. Width-3 clocks are
+// dense with a static window, so the width-3 unroll writes dst's storage
+// raw and saves a call to WC.JoinPacked, which does not inline.
 func (rt *relTimes) joinInto(dst *vc.WC, reader int, g *csLog, width int, dense bool) bool {
 	if rt == nil || !rt.a.present() {
 		return false
@@ -461,20 +457,6 @@ func (ri *relIndex) getOrCreate(x event.VID, nvars int) (*relPair, int) {
 	return rt, grown
 }
 
-// Rule-(a) reference kinds of an accRef.
-const (
-	accR = 1 << iota // the variable's Lr slot
-	accW             // its Lw slot
-)
-
-// accRef records that the rule-(a) slots of variable x named by kinds took
-// a reference to the log record at absolute offset off.
-type accRef struct {
-	off   int
-	x     event.VID
-	kinds uint8
-}
-
 // lockState is the per-lock component of the detector state, allocated on
 // first use of the lock.
 type lockState struct {
@@ -508,11 +490,6 @@ type lockState struct {
 	// t's own component), such an e1 exists iff Pt(t) has reached the
 	// acquire time of CS(r1).
 	own []ownQ
-	// refs lists, in offset order, the references into the log that
-	// rule-(a) slots took at the releases whose records compaction has not
-	// dropped yet; compaction inlines those into the range it drops. An
-	// entry whose slot has since moved on is skipped then.
-	refs []accRef
 	// bytes is the lock's share of StateBytes (lockBytes), kept current
 	// wherever one of its buffers changes capacity.
 	bytes int
@@ -782,42 +759,17 @@ func (d *Detector) acquire(t int, l event.LID) {
 // release implements procedure release(t, ℓ, R, W) of Algorithm 1.
 func (d *Detector) release(t int, l event.LID) {
 	ts := &d.threads[t]
-	// Find the innermost open critical section; tolerate mismatched
-	// releases on traces that were not validated.
-	dep := ts.openDepth(l)
-	var local csEntry
-	entry := &local
-	popTop := false
-	if n := len(ts.stack); n > 0 && ts.stack[n-1].lock == l {
-		// entry aliases the top slot in place — no struct copy; the slot is
-		// consumed (published and merged) and only truncated at the end,
-		// before any push can reuse it.
-		entry = &ts.stack[n-1]
-		popTop = true
-	} else if dep > 0 {
-		// Non-well-nested release: close the innermost open section on l
-		// wherever it sits. Leaving it open would make every later
-		// acquire(l) look reentrant, permanently disabling the lock's
-		// synchronization.
-		for i := len(ts.stack) - 1; i >= 0; i-- {
-			if ts.stack[i].lock == l {
-				local = ts.stack[i]
-				copy(ts.stack[i:], ts.stack[i+1:])
-				last := len(ts.stack) - 1
-				// Zero the vacated slot: after the shift it aliases the
-				// moved entries' variable-set storage, which a pushCS
-				// slot reuse would otherwise clear out from under them.
-				ts.stack[last] = csEntry{}
-				ts.stack = ts.stack[:last]
-				break
-			}
-		}
+	n := len(ts.stack)
+	if n == 0 || ts.stack[n-1].lock != l {
+		return // outside §2.1: no open critical section for it to close
 	}
-	if dep > 1 {
-		d.mergeCS(ts, entry, popTop)
-		if popTop {
-			ts.stack = ts.stack[:len(ts.stack)-1]
-		}
+	// entry aliases the top slot in place — no struct copy; the slot is
+	// consumed (published and merged) and only truncated at the end,
+	// before any push can reuse it.
+	entry := &ts.stack[n-1]
+	if ts.openDepth(l) > 1 {
+		ts.mergeCS()
+		ts.stack = ts.stack[:n-1]
 		return // reentrant inner release: no synchronization effect
 	}
 	ls := d.lock(l)
@@ -879,7 +831,8 @@ func (d *Detector) release(t int, l event.LID) {
 			}
 			last = -1
 		}
-		// The own FIFO: its inline entries, then its references.
+		// The own FIFO: its inline entries, then its references, which
+		// join nothing once compaction dropped their records.
 		for q := myOwn; q.ih < len(q.inl) && q.inl[q.ih] <= ts.p.Get(t); {
 			r, lo, hi, mask, next := relAt(q.inl, q.ih+1, width, dense)
 			if ts.p.JoinPacked(r, lo, hi, mask) {
@@ -890,9 +843,11 @@ func (d *Detector) release(t int, l event.LID) {
 			d.queued--
 		}
 		for q := myOwn; q.ih == len(q.inl) && q.rh < len(q.refs) && q.refs[q.rh].nAcq <= ts.p.Get(t); {
-			if r, lo, hi, mask, _ := relAt(g.buf, q.refs[q.rh].off-g.base+2, width, dense); ts.p.JoinPacked(r, lo, hi, mask) {
-				ts.effOK = false
-				pChanged = true
+			if off := q.refs[q.rh].off; off >= g.base {
+				if r, lo, hi, mask, _ := relAt(g.buf, off-g.base+2, width, dense); ts.p.JoinPacked(r, lo, hi, mask) {
+					ts.effOK = false
+					pChanged = true
+				}
 			}
 			q.popRef()
 			d.queued--
@@ -911,17 +866,9 @@ func (d *Detector) release(t int, l event.LID) {
 	// copy.
 	ref := 0
 	if width > 1 {
-		nAcq := entry.nAcq
-		if dep == 0 {
-			// Release without a matching acquire (ill-formed trace): treat
-			// the release point itself as the acquire, and account the Acqℓ
-			// entries the missing acquire would have contributed.
-			nAcq = ts.n
-			d.queued += width - 1
-		}
 		c, n := cap(g.buf), 0
 		g.buf, n = pushRecord(g.buf, 2, &ts.h, dense)
-		g.buf[n], g.buf[n+1] = vc.Clock(t), nAcq
+		g.buf[n], g.buf[n+1] = vc.Clock(t), entry.nAcq
 		ls.bytes += (cap(g.buf) - c) * clockB
 		if !dense {
 			ref = g.base + n
@@ -937,27 +884,25 @@ func (d *Detector) release(t int, l event.LID) {
 		// variable — publishes both records through a single lookup.
 		pair, grown := ls.acc.getOrCreate(rl[0], nvars)
 		grown += (pair.r.add(t, ref, &ts.h, dense) + pair.w.add(t, ref, &ts.h, dense)) * clockB
-		ls.bytes += grown + ls.noteRef(ref, rl[0], accR|accW)
+		ls.bytes += grown
 		b := varBit(rl[0])
 		ls.acc.rMask |= b
 		ls.acc.wMask |= b
 	} else {
 		for _, x := range rl {
 			pair, grown := ls.acc.getOrCreate(x, nvars)
-			ls.bytes += grown + pair.r.add(t, ref, &ts.h, dense)*clockB + ls.noteRef(ref, x, accR)
+			ls.bytes += grown + pair.r.add(t, ref, &ts.h, dense)*clockB
 			ls.acc.rMask |= varBit(x)
 		}
 		for _, x := range wl {
 			pair, grown := ls.acc.getOrCreate(x, nvars)
-			ls.bytes += grown + pair.w.add(t, ref, &ts.h, dense)*clockB + ls.noteRef(ref, x, accW)
+			ls.bytes += grown + pair.w.add(t, ref, &ts.h, dense)*clockB
 			ls.acc.wMask |= varBit(x)
 		}
 	}
 	// Accesses inside this critical section also happened inside every
 	// still-open enclosing critical section.
-	if n := len(ts.stack); n > 1 || (!popTop && n > 0) {
-		d.mergeCS(ts, entry, popTop)
-	}
+	ts.mergeCS()
 
 	// Line 9: remember this release's H and P times for later acquires, and
 	// bump the lock's generation: every consumer's join cache is now stale
@@ -984,13 +929,12 @@ func (d *Detector) release(t int, l event.LID) {
 	if width > 1 {
 		// Pℓ is Pt now: settle the records every later drain will pop.
 		if g.settle(ls.cons, ts.p.VC(), width, dense) {
-			ls.compact(width, dense)
+			g.compact()
 		}
 		d.queued += width - 1 // the Relℓ(t') entries, t' ≠ t
 	}
 	if ref > 0 {
-		p := ref - g.base + 2
-		ls.bytes += myOwn.pushRef(entry.nAcq, ref, relEndAt(g.buf, p, width, dense)-p)
+		ls.bytes += myOwn.pushRef(entry.nAcq, ref)
 	} else {
 		n := cap(myOwn.inl)
 		myOwn.pushInline(entry.nAcq, &ts.h, dense)
@@ -1000,9 +944,7 @@ func (d *Detector) release(t int, l event.LID) {
 	if d.queued > d.res.QueueMaxTotal {
 		d.res.QueueMaxTotal = d.queued
 	}
-	if popTop {
-		ts.stack = ts.stack[:len(ts.stack)-1]
-	}
+	ts.stack = ts.stack[:n-1]
 	// A release is a cheap, per-critical-section place to notice that the
 	// thread's ancestry clock has been overtaken by its WCP clock; the
 	// comparison scans only O's dirty window.
@@ -1012,25 +954,19 @@ func (d *Detector) release(t int, l event.LID) {
 	ts.incNext = true
 }
 
-// mergeCS folds a closed critical section's access sets into the enclosing
-// open critical section, if any. With entryOnTop, entry still occupies the
-// top stack slot (the caller truncates after consuming it) and the
-// enclosing section is one below.
-func (d *Detector) mergeCS(ts *threadState, entry *csEntry, entryOnTop bool) {
-	top := len(ts.stack) - 1
-	if entryOnTop {
-		top--
+// mergeCS folds the access sets of the innermost open critical section,
+// which its release is closing (the caller truncates the stack after),
+// into the enclosing one, if any.
+func (ts *threadState) mergeCS() {
+	if n := len(ts.stack); n > 1 {
+		top, tgt := &ts.stack[n-1], &ts.stack[n-2]
+		tgt.reads.addAll(&top.reads)
+		tgt.writes.addAll(&top.writes)
 	}
-	if top < 0 {
-		return
-	}
-	tgt := &ts.stack[top]
-	tgt.reads.addAll(&entry.reads)
-	tgt.writes.addAll(&entry.writes)
 }
 
 // read implements procedure read(t, x, L) of Algorithm 1 (Line 11). The
-// per-thread join cache (threadState.accW) collapses the repeated rule-(a)
+// per-thread join cache (threadState.cacheW) collapses the repeated rule-(a)
 // joins of an unchanged Lw record — every access after the first inside one
 // critical section — to a pointer-and-generation compare.
 func (d *Detector) read(t int, x event.VID) {
@@ -1041,10 +977,10 @@ func (d *Detector) read(t int, x event.VID) {
 			if ls := d.locks[stack[k].lock]; ls != nil && ls.acc.wMask&bit != 0 {
 				if pair := ls.acc.get(x); pair != nil {
 					if d.accCache {
-						if pair == ts.accW && pair.w.gen == ts.accWGen {
+						if pair == ts.cacheW && pair.w.gen == ts.cacheWGen {
 							continue // Pt already absorbed this record
 						}
-						ts.accW, ts.accWGen = pair, pair.w.gen
+						ts.cacheW, ts.cacheWGen = pair, pair.w.gen
 					}
 					if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
 						ts.effOK = false
@@ -1065,17 +1001,17 @@ func (d *Detector) write(t int, x event.VID) {
 			if ls := d.locks[stack[k].lock]; ls != nil && (ls.acc.rMask|ls.acc.wMask)&bit != 0 {
 				if pair := ls.acc.get(x); pair != nil {
 					if d.accCache {
-						if !(pair == ts.accR && pair.r.gen == ts.accRGen) {
+						if !(pair == ts.cacheR && pair.r.gen == ts.cacheRGen) {
 							if pair.r.joinInto(&ts.p, t, &ls.log, width, dense) {
 								ts.effOK = false
 							}
-							ts.accR, ts.accRGen = pair, pair.r.gen
+							ts.cacheR, ts.cacheRGen = pair, pair.r.gen
 						}
-						if !(pair == ts.accW && pair.w.gen == ts.accWGen) {
+						if !(pair == ts.cacheW && pair.w.gen == ts.cacheWGen) {
 							if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
 								ts.effOK = false
 							}
-							ts.accW, ts.accWGen = pair, pair.w.gen
+							ts.cacheW, ts.cacheWGen = pair, pair.w.gen
 						}
 					} else {
 						if pair.r.joinInto(&ts.p, t, &ls.log, width, dense) {

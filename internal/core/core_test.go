@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/event"
 	"repro/internal/gen"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/vc"
 )
 
@@ -68,19 +72,77 @@ func TestReentrantLocking(t *testing.T) {
 	}
 }
 
-// TestUnvalidatedInputTolerance: the detector must not panic on
-// malformed-ish traces (mismatched releases), since windowed callers feed
-// fragments.
+// TestUnvalidatedInputTolerance: Detect and Engine.Analyze on an
+// in-memory trace sit outside the input contract — every streamed and
+// loaded entry rejects an ill-formed trace before a detector sees it
+// (trace.Checker) — so on such a trace the detectors promise only to stay
+// deterministic and not to panic. The shapes are the ones whose fallbacks
+// the detectors no longer carry: a release with no acquire, a release out
+// of nesting order and two holders of one lock, each followed by well-
+// formed sections on the same lock, plus every tracetest shape inside the
+// trace's universe. Each runs through wcp and hb straight through, and
+// with a Compact and a snapshot/restore between every two events.
 func TestUnvalidatedInputTolerance(t *testing.T) {
-	b := trace.NewBuilder()
-	b.Release("t1", "l") // release with no acquire
-	b.Write("t1", "x")
-	b.Acquire("t2", "l")
-	b.Write("t2", "x")
-	tr := b.Build()
-	res := core.Detect(tr) // must not panic
-	if res.Events != 4 {
-		t.Errorf("events = %d", res.Events)
+	traces := map[string]*trace.Trace{}
+	for name, prefix := range map[string]func(b *trace.Builder){
+		"release with no acquire": func(b *trace.Builder) {
+			b.Release("t1", "l")
+		},
+		"release out of nesting order": func(b *trace.Builder) {
+			b.Acquire("t1", "l")
+			b.Acquire("t1", "m")
+			b.Write("t1", "x")
+			b.Release("t1", "l")
+			b.Release("t1", "m")
+		},
+		"two holders": func(b *trace.Builder) {
+			b.Acquire("t1", "l")
+			b.Write("t1", "x")
+			b.Acquire("t2", "l")
+			b.Write("t2", "x")
+			b.Release("t1", "l")
+			b.Release("t2", "l")
+		},
+	} {
+		b := trace.NewBuilder()
+		prefix(b)
+		for i := 0; i < 12; i++ {
+			th := []string{"t1", "t2", "t3"}[i%3]
+			b.Acquire(th, "l")
+			b.Write(th, "x")
+			b.Release(th, "l")
+			b.Read(th, "x")
+		}
+		traces[name] = b.Build()
+	}
+	for _, s := range tracetest.IllFormedTraces() {
+		if s.Name != "id beyond the universe" {
+			traces["tracetest/"+s.Name] = s.Trace
+		}
+	}
+	for name, tr := range traces {
+		for _, e := range []engine.Engine{engine.MustNew("wcp", engine.Config{}), engine.MustNew("hb", engine.Config{})} {
+			if got, again := e.Analyze(tr), e.Analyze(tr); got.Summary != again.Summary ||
+				got.Report.Format(tr.Symbols) != again.Report.Format(tr.Symbols) {
+				t.Errorf("%s, %s: two runs differ", name, e.Name())
+			}
+			s := e.(engine.SessionEngine).NewSession(tr.NumThreads(), tr.NumLocks(), tr.NumVars())
+			for i, ev := range tr.Events {
+				s.ProcessBlock(trace.BlockOf([]event.Event{ev}))
+				s.(engine.CompactableSession).Compact()
+				var buf bytes.Buffer
+				if err := s.(engine.SnapshotSession).Snapshot(&buf); err != nil {
+					t.Fatalf("%s, %s: snapshot after event %d: %v", name, e.Name(), i, err)
+				}
+				var err error
+				if s, _, err = engine.RestoreSession(&buf); err != nil {
+					t.Fatalf("%s, %s: restore after event %d: %v", name, e.Name(), i, err)
+				}
+			}
+			if res := s.Finish(); res.Report == nil {
+				t.Errorf("%s, %s: no report", name, e.Name())
+			}
+		}
 	}
 }
 

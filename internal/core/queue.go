@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/event"
-	"repro/internal/vc"
-)
+import "repro/internal/vc"
 
 // Algorithm 1's per-(lock, thread) FIFO queues are realized as one shared
 // per-lock log of critical-section records plus one cursor per consumer
@@ -20,7 +17,8 @@ import (
 // other holder of that time refers to the record by its absolute offset
 // (relRef): Hℓ is the lock's newest record, a rule-(a) Lr/Lw slot names the
 // records of its two latest contributions, and an own-queue entry names its
-// release's record. A reference yields exactly the words a copy would hold.
+// release's record. A reference yields exactly the words a copy would hold
+// while the record is in the log, and ⊥ once compaction dropped it (below).
 // The dense layout is the exception: there a copy of the T words costs no
 // more than a reference and its bookkeeping (EXPERIMENTS.md, "one store of
 // release times"), so its holders keep inline copies, as they do without a
@@ -53,26 +51,32 @@ import (
 // each of those records is popped by every later drain (or skipped as the
 // consumer's own). A consumer whose cursor is behind the run takes it in
 // O(1) (csLog.catchUp): its pops are the run's records minus its own, and
-// its join is the H-time of the run's last record, or — when that one is
-// its own — of the last record by another producer; releases on one lock
-// are H-monotone, so that record dominates the rest. The log therefore
-// keeps only the unsettled tail plus those two records, whatever the
-// consumers' cursors: threads that never take the lock pin nothing.
-// Cursors count records (and the consumer's own records among them) so
-// that the jump needs no word offsets inside the dropped run.
+// its join is the H-time of the run's last record unless that one is its
+// own; releases on one lock are H-monotone, so that record dominates the
+// rest. The log therefore keeps only the unsettled tail plus that record,
+// whatever the consumers' cursors: threads that never take the lock pin
+// nothing. Cursors count records (and the consumer's own records among
+// them) so that the jump needs no word offsets inside the dropped run.
 //
-// References pin nothing either. Compaction (lockState.compact) is the only
-// place a record goes, and before it drops a range it gives every reference
-// into the range an inline copy of the record's release time: own-queue
-// entries are found from the dropped records' producers, rule-(a) slots
-// from the lock's registry of the references it handed out (lockState.refs),
-// both in offset order, so inlining costs O(1) per dropped record and per
-// reference, never a walk over the threads or variables.
+// References pin nothing either: compaction (csLog.compact), the only
+// place a record goes, drops the settled run but its last record, and a
+// reference below the log's base reads as ⊥. Its join does nothing, and
+// along the lock chain of a well-formed trace (trace.Checker keeps every
+// other trace out) it had nothing to add. Every settled record but the
+// lock's newest has an H-time ⊑ Pℓ: the releaser that settled it either
+// popped it or drained it as its own, and a record settled at its own
+// release is absorbed by the next releaser. A thread that later joins a
+// dropped record — through a rule-(a) slot or its own-queue — first
+// absorbed that Pℓ at its acquire of ℓ; a thread that holds ℓ during a
+// whole-detector Compact acquired it after the last settle. The run's last
+// record stays, because it can be the lock's newest, whose catch-up join
+// is real.
 //
 // The same-thread rule-(b) queue (ownQ) keeps its own FIFO per thread: its
 // entries must remain drainable while a cross-thread record ahead of them
 // is stuck, which a single shared cursor could not express. An entry is its
-// own nAcq plus a reference to its release's record.
+// own nAcq plus a reference to its release's record; one whose record was
+// dropped still pops, with nothing to join.
 
 // ringCompactAt is the dead-prefix size (in words) past which a ring or log
 // compacts.
@@ -84,6 +88,10 @@ const ringCompactAt = 4096
 //
 // followed by relWords bucket-compressed words of the release H-time.
 const relHdr = 4
+
+// emptyRel is the ⊥ release time in the bucket-compressed form: no words,
+// an empty span and no dirty buckets.
+var emptyRel [relHdr]vc.Clock
 
 // csHdr is the header width of a windowed csLog record:
 //
@@ -189,14 +197,6 @@ func relAt(buf []vc.Clock, p, width int, dense bool) (r []vc.Clock, lo, hi int, 
 	return buf[p+relHdr : end], lo, hi, maskFrom(buf[p+2], buf[p+3]), end
 }
 
-// relEndAt returns the offset just past the release time stored at buf[p:].
-func relEndAt(buf []vc.Clock, p, width int, dense bool) int {
-	if dense {
-		return p + width
-	}
-	return p + relHdr + int(buf[p])
-}
-
 // spanOrFull returns the clock's dirty span, widened to the full width
 // when it cannot be represented by packSpan.
 func spanOrFull(w *vc.WC) (lo, hi int) {
@@ -250,16 +250,15 @@ func unpackRel(dst vc.VC, r []vc.Clock, lo, hi int, mask uint64, shift uint) {
 // so that the zero offset can mean "no record" in a relRef.
 //
 // settledOff is the absolute offset just past the settled run and settledN
-// the number of records in it. last and other are the absolute offsets of
-// the run's last record and of its last record by another producer than
-// last's (-1 when there is none); compaction keeps only those two of the
-// run, packed in front of the tail.
+// the number of records in it. last is the absolute offset of the run's
+// last record (-1 while the run is empty), the only one of the run that
+// compaction keeps.
 type csLog struct {
-	buf         []vc.Clock
-	base        int
-	settledOff  int
-	settledN    int
-	last, other int
+	buf        []vc.Clock
+	base       int
+	settledOff int
+	settledN   int
+	last       int
 }
 
 // consumer is one thread's view of a lock's log. As a drainer it holds its
@@ -272,7 +271,7 @@ type consumer struct {
 }
 
 // newCSLog returns an empty log.
-func newCSLog() csLog { return csLog{base: 1, settledOff: 1, last: -1, other: -1} }
+func newCSLog() csLog { return csLog{base: 1, settledOff: 1, last: -1} }
 
 // recLen returns the length in words of the record at buf[off:].
 func recLen(buf []vc.Clock, off, width int, dense bool) int {
@@ -292,76 +291,49 @@ func (g *csLog) settle(cons []consumer, pl vc.VC, width int, dense bool) bool {
 		if buf[off+1] > pl[u] {
 			break
 		}
-		if g.last >= 0 && int(buf[g.last-g.base]) != u {
-			g.other = g.last
-		}
 		g.last = g.base + off
 		cons[u].settled++
 		g.settledN++
 		off += recLen(buf, off, width, dense)
 	}
 	g.settledOff = g.base + off
-	dead := g.deadWords(width, dense)
+	// Compaction would drop the run but its last record (last < 0 while
+	// the run is empty).
+	dead := g.last - g.base
 	return dead >= ringCompactAt && dead*2 >= len(buf)
 }
 
-// deadWords returns the number of words of the settled run that
-// compaction would drop: all of it but the last and other records.
-func (g *csLog) deadWords(width int, dense bool) int {
-	if g.last < 0 {
-		return 0
-	}
-	keep := g.settledOff - g.last
-	if g.other >= 0 {
-		keep += recLen(g.buf, g.other-g.base, width, dense)
-	}
-	return g.settledOff - g.base - keep
-}
-
-// compact drops the settled run but its other and last records, which it
-// packs in front of the tail; absolute offsets from last on are unchanged,
-// other moves. The run must hold a record to drop, and no reference may
-// point before last (see lockState.compact).
-func (g *csLog) compact(width int, dense bool) {
-	k := 0
-	if g.other >= 0 {
-		o := g.other - g.base
-		k = copy(g.buf, g.buf[o:o+recLen(g.buf, o, width, dense)])
-	}
-	n := k + copy(g.buf[k:], g.buf[g.last-g.base:])
-	g.buf = g.buf[:n]
-	g.base = g.last - k
-	if g.other >= 0 {
-		g.other = g.base
-	}
+// compact drops the settled run but its last record, which must exist;
+// absolute offsets from last on are unchanged, and references below it
+// read as ⊥ from now on (see the file comment).
+func (g *csLog) compact() {
+	g.buf = g.buf[:copy(g.buf, g.buf[g.last-g.base:])]
+	g.base = g.last
 }
 
 // catchUp moves a consumer t whose cursor is behind the settled run to the
 // run's end. It returns the buf offset of the record whose release time
-// the drain would have joined over the run — the run's last record not by
-// t, or -1 when there is none past the cursor — and the pops it would have
-// made: the run's records past the cursor minus t's own.
+// the drain joins over the run — the run's last record, or -1 when that is
+// t's own (the records before it add nothing on the lock chain) or no
+// record is past the cursor — and the pops it would have made: the run's
+// records past the cursor minus t's own.
 func (g *csLog) catchUp(c *consumer, t int) (last, pops int) {
 	last = -1
-	if pops = g.settledN - c.idx - (c.settled - c.own); pops > 0 {
-		last = g.last
-		if int(g.buf[last-g.base]) == t {
-			last = g.other
-		}
-		last -= g.base
+	if pops = g.settledN - c.idx - (c.settled - c.own); pops > 0 && int(g.buf[g.last-g.base]) != t {
+		last = g.last - g.base
 	}
 	c.off, c.idx, c.own = g.settledOff, g.settledN, c.settled
 	return last, pops
 }
 
 // relRef is where a reader finds one release's H-time: the absolute offset
-// of the release's record in the lock's log (off > 0), or an inline copy in
-// the record-tail form relAt reads (off == 0, len(inl) > 0) — made when
-// compaction dropped the record, when a snapshot restored the time, at
+// of the release's record in the lock's log (off > 0), ⊥ once compaction
+// dropped the record, or an inline copy in the record-tail form relAt reads
+// (off == 0, len(inl) > 0) — made when a snapshot restored the time, at
 // width 1, where there is no log, and in the dense layout, where a copy
 // costs no more than a reference. The zero value holds no time. An inline
 // copy keeps its storage when the reference moves on to a newer record, so
-// steady-state inlining allocates nothing.
+// a restored slot allocates nothing when it becomes a copy again.
 type relRef struct {
 	off int
 	inl []vc.Clock
@@ -369,12 +341,16 @@ type relRef struct {
 
 func (r *relRef) present() bool { return r.off > 0 || len(r.inl) > 0 }
 
-// rel returns the referenced release time as packed words plus its window.
-// The dense layout holds only inline copies (see release): the T clock
-// words themselves, which the hot paths read straight from inl.
+// rel returns the referenced release time as packed words plus its window,
+// no words for a reference below the log's base. The dense layout holds
+// only inline copies (see release): the T clock words themselves, which the
+// hot paths read straight from inl.
 func (r *relRef) rel(g *csLog, width int, dense bool) ([]vc.Clock, int, int, uint64) {
 	buf, p := r.inl, 0
 	if r.off > 0 {
+		if r.off < g.base {
+			return nil, 0, 0, 0
+		}
 		buf, p = g.buf, r.off-g.base+2
 	}
 	w, lo, hi, mask, _ := relAt(buf, p, width, dense)
@@ -412,19 +388,6 @@ func (r *relRef) set(off int, h *vc.WC, dense bool) int {
 	return cap(r.inl) - c
 }
 
-// inline replaces a reference to the record at absolute offset off with a
-// copy of its release time, and returns the growth of r's storage in
-// words. It does nothing to a relRef that does not reference off.
-func (r *relRef) inline(off int, g *csLog, width int, dense bool) int {
-	if r.off != off {
-		return 0
-	}
-	c := cap(r.inl)
-	p := off - g.base + 2
-	r.off, r.inl = 0, append(r.inl[:0], g.buf[p:relEndAt(g.buf, p, width, dense)]...)
-	return cap(r.inl) - c
-}
-
 // ownRef is an own-queue entry that references its release's record.
 type ownRef struct {
 	nAcq vc.Clock
@@ -434,12 +397,11 @@ type ownRef struct {
 // ownQ is the FIFO of a thread's own completed critical sections on a lock,
 // for the same-thread instance of rule (b): each entry is the acquire's
 // local clock and the release's H-time. The oldest entries may be inline
-// records [nAcq, rel…] (inl, from head ih) — copies compaction made before
-// dropping their log records, restored snapshot entries, or, at width 1
-// and in the dense layout, every entry — and all later ones reference the
-// log (refs, from head rh).
-// Inline entries always precede referencing ones: references are only
-// appended, and compaction inlines the oldest of them first.
+// records [nAcq, rel…] (inl, from head ih) — restored snapshot entries, or,
+// at width 1 and in the dense layout, every entry — and all later ones
+// reference the log (refs, from head rh). Inline entries always precede
+// referencing ones: a restored queue is all inline, and references are
+// only appended.
 type ownQ struct {
 	inl  []vc.Clock
 	ih   int
@@ -472,17 +434,11 @@ func (q *ownQ) popRef() {
 }
 
 // pushRef appends an entry referencing the record at absolute offset off,
-// whose release time is words long, and returns the growth of the queue's
-// storage in bytes. The first reference also reserves the inline room the
-// queue's first copy would have taken (growSlow's), so that compaction
-// inlines into storage the queue already holds.
-func (q *ownQ) pushRef(nAcq vc.Clock, off, words int) int {
-	c, ci := cap(q.refs), cap(q.inl)
-	if q.inl == nil {
-		q.inl = make([]vc.Clock, 0, 2*(1+words)+64)
-	}
+// and returns the growth of the queue's storage in bytes.
+func (q *ownQ) pushRef(nAcq vc.Clock, off int) int {
+	c := cap(q.refs)
 	q.refs = append(q.refs, ownRef{nAcq, off})
-	return (cap(q.refs)-c)*ownRefB + (cap(q.inl)-ci)*clockB
+	return (cap(q.refs) - c) * ownRefB
 }
 
 // pushInline appends an inline entry. Only a queue without references
@@ -493,29 +449,21 @@ func (q *ownQ) pushInline(nAcq vc.Clock, h *vc.WC, dense bool) {
 	q.inl[n] = nAcq
 }
 
-// inlineFront moves the front reference, to the record at absolute offset
-// off, into the inline part, copying the record's release time; it returns
-// the growth of the queue's storage in bytes. It does nothing unless the
-// front reference is to off.
-func (q *ownQ) inlineFront(off int, g *csLog, width int, dense bool) int {
-	if q.rh == len(q.refs) || q.refs[q.rh].off != off {
-		return 0
-	}
-	c := cap(q.inl)
-	p := off - g.base + 2
-	q.inl = append(append(q.inl, q.refs[q.rh].nAcq), g.buf[p:relEndAt(g.buf, p, width, dense)]...)
-	q.popRef()
-	return (cap(q.inl) - c) * clockB
-}
-
 // appendTo appends the queue's live entries to dst in the inline layout,
-// references resolved: the form a snapshot stores.
+// references resolved: the form a snapshot stores. A reference below the
+// log's base, whose release time reads as ⊥, goes out as the empty time.
+// Only the windowed layout has references.
 func (q *ownQ) appendTo(dst []vc.Clock, g *csLog, width int, dense bool) []vc.Clock {
 	dst = append(dst, q.inl[q.ih:]...)
 	for _, e := range q.refs[q.rh:] {
-		p := e.off - g.base + 2
 		dst = append(dst, e.nAcq)
-		dst = append(dst, g.buf[p:relEndAt(g.buf, p, width, dense)]...)
+		if e.off < g.base {
+			dst = append(dst, emptyRel[:]...)
+			continue
+		}
+		p := e.off - g.base + 2
+		_, _, _, _, end := relAt(g.buf, p, width, dense)
+		dst = append(dst, g.buf[p:end]...)
 	}
 	return dst
 }
@@ -528,71 +476,6 @@ func rewind[E any](buf []E, head int) ([]E, int) {
 		return buf[:copy(buf, buf[head:])], 0
 	}
 	return buf, head
-}
-
-// noteRef registers that x's rule-(a) slots named by kinds took a reference
-// to the record at absolute offset off (none without a log), and returns
-// the growth of the registry in bytes.
-func (ls *lockState) noteRef(off int, x event.VID, kinds uint8) int {
-	if off == 0 {
-		return 0
-	}
-	c := cap(ls.refs)
-	ls.refs = append(ls.refs, accRef{off, x, kinds})
-	return (cap(ls.refs) - c) * accRefB
-}
-
-// compact drops the log's settled run but its other and last records (see
-// csLog.compact), after giving every reference into the dropped range an
-// inline copy of its release time. The own-queue entries there are found
-// from the dropped records' producers: a producer's references are in
-// offset order, so an entry for a dropped record is at the front of its
-// queue's references. The rule-(a) slots are found from the registry's
-// entries before last. Hℓ, the newest record, is never in the range.
-func (ls *lockState) compact(width int, dense bool) {
-	g := &ls.log
-	for off := g.base; off < g.last; {
-		p := off - g.base
-		ls.bytes += ls.own[g.buf[p]].inlineFront(off, g, width, dense)
-		off += recLen(g.buf, p, width, dense)
-	}
-	i := 0
-	for ; i < len(ls.refs) && ls.refs[i].off < g.last; i++ {
-		e := &ls.refs[i]
-		if pair := ls.acc.get(e.x); pair != nil {
-			grown := 0
-			if e.kinds&accR != 0 {
-				grown += pair.r.inline(e.off, g, width, dense)
-			}
-			if e.kinds&accW != 0 {
-				grown += pair.w.inline(e.off, g, width, dense)
-			}
-			ls.bytes += grown * clockB
-		}
-	}
-	// The entries left name the records compaction keeps in place, at most
-	// half the log's words, so moving them down costs no more than the
-	// compaction itself.
-	ls.refs = ls.refs[:copy(ls.refs, ls.refs[i:])]
-	g.compact(width, dense)
-}
-
-// compactForce compacts without the amortization guard, and returns
-// oversized backing storage of the log and the registry to the allocator
-// when the live region has shrunk well below it. Whole-detector compaction
-// calls this: unlike the steady-state compaction in release, it runs off
-// the hot path and wants the memory back now.
-func (ls *lockState) compactForce(width int, dense bool) {
-	g := &ls.log
-	if g.deadWords(width, dense) > 0 {
-		ls.compact(width, dense)
-	}
-	c := cap(g.buf)
-	g.buf = shrink(g.buf, 0)
-	ls.bytes += (cap(g.buf) - c) * clockB
-	c = cap(ls.refs)
-	ls.refs = shrink(ls.refs, 0)
-	ls.bytes += (cap(ls.refs) - c) * accRefB
 }
 
 // shrink drops a FIFO buffer's consumed prefix [0, head), and reallocates

@@ -15,13 +15,11 @@ import (
 // at least three compactions of the lock's log at either record layout.
 const refChurn = 3000
 
-// refTrace is one of refTraces: the trace, the indices of a's and b's
-// first releases, and the index where its final critical sections, the
-// ones that read the outlived references, begin.
+// refTrace is one of refTraces: the trace, and the index where its final
+// critical sections, the ones that read the outlived references, begin.
 type refTrace struct {
-	tr         *trace.Trace
-	relA, relB int
-	tail       int
+	tr   *trace.Trace
+	tail int
 }
 
 // refTraces returns the traces whose references outlive their log
@@ -32,10 +30,10 @@ type refTrace struct {
 //     record), b and c then churn ℓ on y until its log has compacted the
 //     first records away, and finally d reads z and x and b reads x under
 //     ℓ. d joins the rule-(a) slots of z (a's release) and x (b's), and b
-//     the runner-up of x (a's), all inline copies by then;
+//     the runner-up of x (a's), all below the log's base by then;
 //   - own: a writes x under ℓ, b writes x under ℓ, b and c churn, and a
 //     takes ℓ again: its own-queue entry, whose record was settled and
-//     compacted away in between, drains from its inline copy.
+//     compacted away in between, drains with nothing to join.
 func refTraces() map[string]refTrace {
 	out := map[string]refTrace{}
 	for _, width := range []int{4, 12} {
@@ -57,9 +55,7 @@ func refTraces() map[string]refTrace {
 				n += 2 + len(reads) + len(writes)
 			}
 			cs("a", nil, []string{"x", "z"})
-			relA := n - 1
 			cs("b", nil, []string{"x"})
-			relB := n - 1
 			for i := 0; i < refChurn; i++ {
 				cs([]string{"b", "c"}[i%2], nil, []string{"y"})
 			}
@@ -71,53 +67,53 @@ func refTraces() map[string]refTrace {
 				cs("a", nil, []string{"x"})
 				cs("b", nil, []string{"x"})
 			}
-			out[fmt.Sprintf("refs/%s/T%d", shape, width)] = refTrace{b.Build(), relA, relB, tail}
+			out[fmt.Sprintf("refs/%s/T%d", shape, width)] = refTrace{b.Build(), tail}
 		}
 	}
 	return out
 }
 
-// TestRefTracesInline pins what refTraces are for: before the final
+// TestRefTracesBelowBase pins what refTraces are for: before the final
 // critical sections, the lock's log has compacted at least three times,
-// and the references they read are inline copies of the right release
-// times — z's Lw slot of a's first release, x's of b's and (runner-up)
-// a's, and a's own-queue entry of a's. Well-formed traces cannot show a
-// wrong copy in their timestamps: every later releaser's Pt already
-// dominates a dropped record's time, so the joins it feeds are no-ops.
-func TestRefTracesInline(t *testing.T) {
+// and at the windowed width the references those sections read — z's Lw
+// slot, x's Lw slot and its runner-up, and a's own-queue entry — point
+// below the log's base, so they read as ⊥. TestAlgorithm1Oracle and
+// TestRefTracesRestoreEverywhere therefore run the ⊥ path, and show that
+// on the lock chain its joins had nothing to add. At the fixed-stride
+// width the holders keep copies.
+func TestRefTracesBelowBase(t *testing.T) {
 	for name, rt := range refTraces() {
 		tr := rt.tr
-		hb := DetectOpts(tr, Options{CollectTimestamps: true}).HBTimes
 		d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{})
 		d.ProcessBlock(trace.BlockOf(tr.Events[:rt.tail]))
 		ls := d.locks[0]
 		if dropped := ls.log.base - 1; dropped < 3*ringCompactAt {
 			t.Errorf("%s: the log dropped %d words, want at least three compactions", name, dropped)
 		}
-		tmp := vc.New(tr.NumThreads())
-		inline := func(what string, r *relRef, rel int) {
-			t.Helper()
-			if r.off != 0 || !r.present() {
-				t.Errorf("%s: %s is not an inline copy (offset %d)", name, what, r.off)
-			} else if got := d.unpackRef(r, &ls.log, tmp); !got.Equal(hb[rel]) {
-				t.Errorf("%s: %s holds %v, want the H-time %v of event %d", name, what, got, hb[rel], rel)
-			}
-		}
+		q := &ls.own[tr.Symbols.Thread("a")]
 		z := &ls.acc.get(tr.Symbols.Var("z")).w
 		x := &ls.acc.get(tr.Symbols.Var("x")).w
-		inline("z's Lw", &z.a, rt.relA)
-		inline("x's Lw", &x.a, rt.relB)
-		inline("x's Lw runner-up", &x.b, rt.relA)
-		q := &ls.own[tr.Symbols.Thread("a")]
-		if q.ih == len(q.inl) || q.rh != len(q.refs) {
-			t.Errorf("%s: a's own-queue entry is not an inline copy", name)
+		refs := map[string]*relRef{"z's Lw": &z.a, "x's Lw": &x.a, "x's Lw runner-up": &x.b}
+		if d.denseQ {
+			for what, r := range refs {
+				if r.off != 0 || !r.present() {
+					t.Errorf("%s: %s is not a copy (offset %d)", name, what, r.off)
+				}
+			}
+			if q.rh != len(q.refs) || q.ih == len(q.inl) {
+				t.Errorf("%s: a's own-queue entry is not a copy", name)
+			}
 			continue
 		}
-		r, lo, hi, mask, _ := relAt(q.inl, q.ih+1, tr.NumThreads(), d.denseQ)
-		tmp.Zero()
-		unpackRel(tmp, r, lo, hi, mask, d.threads[0].p.ChunkShift())
-		if !tmp.Equal(hb[rt.relA]) {
-			t.Errorf("%s: a's own-queue entry holds %v, want %v", name, tmp, hb[rt.relA])
+		for what, r := range refs {
+			if r.off <= 0 || r.off >= ls.log.base {
+				t.Errorf("%s: %s references offset %d, want below the log's base %d", name, what, r.off, ls.log.base)
+			}
+		}
+		if q.rh == len(q.refs) {
+			t.Errorf("%s: a's own-queue holds no reference", name)
+		} else if off := q.refs[q.rh].off; off >= ls.log.base {
+			t.Errorf("%s: a's own-queue entry references offset %d, want below the log's base %d", name, off, ls.log.base)
 		}
 	}
 }

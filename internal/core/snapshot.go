@@ -253,8 +253,9 @@ func (d *Detector) decodeRelTimes(rd *snap.Reader, rt *relTimes, h *vc.WC, tmp v
 }
 
 // encodeLock writes a lock's state. Every release time goes out in full,
-// whether the lock holds it as a reference into its log or inline: Hℓ and
-// the rule-(a) times as sparse clocks, own-queue entries as inline records.
+// whether the lock holds it as a reference into its log or inline, and a
+// reference below the log's base as the empty time it reads as: Hℓ and the
+// rule-(a) times as sparse clocks, own-queue entries as inline records.
 func (d *Detector) encodeLock(w *snap.Writer, ls *lockState, sc *encodeScratch) {
 	g := &ls.log
 	w.Bool(ls.hl.present())
@@ -399,11 +400,10 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, h *vc.WC, tmp vc.V
 
 // decodeLog restores a lock's csLog and cursors (see encodeLock). Beyond
 // the record walk it checks what catchUp and the drain rely on: the settled
-// run ends on a record boundary, its kept records exist exactly when it is
-// nonempty and hold another producer's record whenever some other producer
-// has records in it, the producers' shares sum to its count, and every
-// cursor's counts fit the run — behind it, no more own or foreign records
-// than the run holds; at or past it, exactly the own records it passed.
+// run ends on a record boundary, its kept record exists exactly when it is
+// nonempty, the producers' shares sum to its count, and every cursor's
+// counts fit the run — behind it, no more own or foreign records than the
+// run holds; at or past it, exactly the own records it passed.
 func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 	buf, err := rd.I32s(maxSnapWords)
 	if err != nil {
@@ -438,12 +438,6 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 	g.settledOff += int(off)
 	if k > 0 {
 		g.last = g.base + starts[k-1]
-		for i := k - 2; i >= 0; i-- {
-			if buf[starts[i]] != buf[starts[k-1]] {
-				g.other = g.base + starts[i]
-				break
-			}
-		}
 	}
 	sum := 0
 	for u := range ls.cons {
@@ -452,9 +446,6 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 			return err
 		}
 		sum += c.settled
-		if c.settled > 0 && g.other < 0 && u != int(buf[starts[k-1]]) {
-			return &snap.DecodeError{Reason: "settled record of a producer the kept records lack"}
-		}
 	}
 	if sum != n {
 		return &snap.DecodeError{Reason: "per-producer settled counts do not sum to the settled count"}

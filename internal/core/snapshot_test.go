@@ -53,7 +53,7 @@ func loggedLock(t *testing.T, d *Detector) *lockState {
 	for _, ls := range d.locks {
 		if ls != nil && len(ls.log.buf) > 0 {
 			g := &ls.log
-			g.settledOff, g.settledN, g.last, g.other = g.base, 0, -1, -1
+			g.settledOff, g.settledN, g.last = g.base, 0, -1
 			for i := range ls.cons {
 				ls.cons[i] = consumer{off: g.base}
 			}
@@ -126,20 +126,20 @@ func TestDecodeRejectsEpochThreadOutOfRange(t *testing.T) {
 	}
 }
 
-// settledLock returns a lock of d whose settled run keeps two records (its
-// last, and the last by another producer), with every cursor rewound to
-// record 0: behind the run, where decode checks only counts.
+// settledLock returns a lock of d whose settled run holds records of at
+// least two producers, with every cursor rewound to record 0: behind the
+// run, where decode checks only counts.
 func settledLock(t *testing.T, d *Detector) *lockState {
 	t.Helper()
 	for _, ls := range d.locks {
-		if ls != nil && ls.log.other >= 0 {
+		if ls != nil && ls.log.settledN > extremeSettled(ls, 1).settled {
 			for i := range ls.cons {
 				ls.cons[i].off, ls.cons[i].idx, ls.cons[i].own = 0, 0, 0
 			}
 			return ls
 		}
 	}
-	t.Fatal("no lock keeps two settled records")
+	t.Fatal("no lock has settled records of two producers")
 	return nil
 }
 
@@ -157,12 +157,6 @@ var settledTampers = []struct {
 	}},
 	{"settled count without kept records", func(ls *lockState, _ int) {
 		ls.log.settledOff = ls.log.base
-	}},
-	{"kept records lack another producer's record", func(ls *lockState, width int) {
-		// The run ends after its first buffered record; the producers of
-		// last and other, which differ, keep their settled counts.
-		g := &ls.log
-		g.settledOff = g.base + recLen(g.buf, 0, width, width <= 8)
 	}},
 	{"per-producer counts off the settled count", func(ls *lockState, _ int) {
 		ls.cons[ls.log.buf[ls.log.last-ls.log.base]].settled++

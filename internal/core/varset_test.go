@@ -100,31 +100,6 @@ func TestWideCriticalSection(t *testing.T) {
 	}
 }
 
-// TestNonWellNestedRelease pins the tolerate-invalid-traces path: a
-// non-well-nested prefix (rel l while m is the innermost section) must not
-// leave l's critical section open forever — later properly l-protected
-// accesses would otherwise look unsynchronized (or reentrantly skipped) and
-// misreport races.
-func TestNonWellNestedRelease(t *testing.T) {
-	b := trace.NewBuilder()
-	b.Acquire("t1", "l")
-	b.Acquire("t1", "m")
-	b.Release("t1", "l") // mismatched: m is innermost
-	b.Release("t1", "m")
-	for _, th := range []string{"t1", "t2"} {
-		b.Acquire(th, "l")
-		b.At("pc.race").Write(th, "x")
-		b.Release(th, "l")
-	}
-	// Build without MustBuild: validation rejects non-well-nested traces,
-	// and the detector documents tolerating them.
-	tr := b.Build()
-	res := Detect(tr)
-	if res.RacyEvents != 0 {
-		t.Fatalf("l-protected writes after a non-well-nested prefix reported %d racy events", res.RacyEvents)
-	}
-}
-
 // TestWideCriticalSectionNested exercises the spill through mergeCS: a wide
 // inner section folds its access set into the enclosing one.
 func TestWideCriticalSectionNested(t *testing.T) {

@@ -21,11 +21,13 @@ type BlockProcessor interface {
 const ringSize = 4
 
 // drive decodes st once, on the calling goroutine, into a ring of ringSize
-// reusable blocks, and feeds every block in trace order to each of procs,
+// reusable blocks, checks each block (trace.Checker, against the universe
+// st declares), and feeds every block in trace order to each of procs,
 // each on a goroutine of its own. A block returns to the ring when the last
 // processor is done with it, so memory is O(ring). drive returns nil at end
-// of stream, or the decode error once every processor has seen the blocks
-// before it. A canceled context stops the drive within one block: the
+// of stream, or the decode error or violation once every processor has seen
+// the blocks before it; no processor sees a block holding a violation. A
+// canceled context stops the drive within one block: the
 // decoder checks ctx.Err() before each decode, processors skip queued
 // blocks, and drive returns ctx.Err(). Every goroutine drive starts has
 // exited when it returns.
@@ -51,8 +53,9 @@ func drive[P BlockProcessor](ctx context.Context, st *traceio.Stream, procs []P)
 		}(feeds[i])
 	}
 
+	check := trace.NewChecker(st.Symbols())
 	var err error
-	for n := 0; ; n++ {
+	for n, base := 0, 0; ; n++ {
 		s := &ring[n%ringSize]
 		s.pending.Wait() // every processor is done with block n-ringSize
 		if err = ctx.Err(); err != nil {
@@ -63,6 +66,10 @@ func drive[P BlockProcessor](ctx context.Context, st *traceio.Stream, procs []P)
 		}
 		k, derr := st.NextBlockSoA(s.b)
 		if k > 0 {
+			if err = check.CheckBlock(s.b, base); err != nil {
+				break
+			}
+			base += k
 			s.pending.Add(len(procs))
 			for _, feed := range feeds {
 				feed <- s

@@ -122,8 +122,8 @@ func TraceSource(name string, tr *trace.Trace) Source {
 }
 
 // CorpusResult is the analysis of one corpus entry: the per-engine results
-// in engine order, or Err when the source failed to load (or the run was
-// canceled before this entry started).
+// in engine order, or Err when the source failed to load or to validate
+// (or the run was canceled before this entry started).
 type CorpusResult struct {
 	// Index is the entry's position in the input corpus; results stream in
 	// completion order, so consumers needing input order reorder by Index.
@@ -139,7 +139,8 @@ type CorpusResult struct {
 	Results []*Result
 	// Duration is the wall-clock time for this entry: load + all engines.
 	Duration time.Duration
-	// Err is the load error, or the context error for canceled entries.
+	// Err is the load error or §2.1 violation (a *trace.ValidationError),
+	// or the context error for canceled entries.
 	Err error
 }
 
@@ -148,6 +149,8 @@ type CorpusResult struct {
 // entries complete (completion order, not input order). A streamed entry
 // is decoded once for all its engines, which run concurrently; a loaded
 // entry runs them serially (RunAll parallelizes engines over one trace).
+// Either way an ill-formed trace (§2.1) reaches no engine: its entry fails
+// with the violation, naming the offending event.
 //
 // The channel is closed once no more entries will be delivered. While the
 // context is live, every entry is delivered exactly once. After
@@ -187,6 +190,9 @@ func analyzeSource(ctx context.Context, i int, src Source, engines []Engine) Cor
 		// dimensions): fall through to the materializing path.
 	}
 	tr, err := src.Load()
+	if err == nil {
+		err = trace.Validate(tr)
+	}
 	if err != nil {
 		res.Err = err
 		res.Duration = time.Since(start)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/gen"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/traceio"
 )
 
@@ -336,4 +337,64 @@ func TestStreamingBoundsMaterialization(t *testing.T) {
 				nevents, n, float64(n)/nevents)
 		})
 	}
+}
+
+// eventCounter is a BlockProcessor that counts the events it is fed.
+type eventCounter struct{ n int }
+
+func (c *eventCounter) ProcessBlock(b *trace.Block) { c.n += b.Len() }
+
+// TestIllFormedRejected drives every tracetest shape through the corpus
+// runner, loaded and streamed, and through drive: each names the shape's
+// offending event — the loaded entry as its Err, the streamed one as every
+// engine's — and no processor sees the block that holds it.
+func TestIllFormedRejected(t *testing.T) {
+	engines := streamingEngines()
+	for _, s := range tracetest.IllFormedTraces() {
+		data := binaryTrace(t, s.Trace)
+		open := func() (*traceio.Stream, error) { return traceio.OpenStream(bytes.NewReader(data)) }
+		loaded, streamed := TraceSource(s.Name, s.Trace), Source{Name: s.Name, Open: open}
+		for res := range AnalyzeCorpus(context.Background(), []Source{loaded, streamed}, engines, 1) {
+			errs := []error{res.Err}
+			if res.Index == 1 {
+				if res.Err != nil || len(res.Results) != len(engines) {
+					t.Fatalf("%s, streamed: entry error %v with %d results, want per-engine errors", s.Name, res.Err, len(res.Results))
+				}
+				errs = errs[:0]
+				for _, r := range res.Results {
+					errs = append(errs, r.Err)
+				}
+			}
+			for _, err := range errs {
+				if got := errIndex(err); got != s.Index {
+					t.Errorf("%s, entry %d: %v names event %d, want %d", s.Name, res.Index, err, got, s.Index)
+				}
+			}
+		}
+		st, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &eventCounter{}
+		if err := drive(context.Background(), st, []*eventCounter{c}); errIndex(err) != s.Index {
+			t.Errorf("%s: drive = %v, want the violation at event %d", s.Name, err, s.Index)
+		}
+		if c.n > s.Index {
+			t.Errorf("%s: a processor saw %d events, past the violation at %d", s.Name, c.n, s.Index)
+		}
+	}
+}
+
+// errIndex returns the index of the event err rejects: a violation's Index
+// or a decode error's Event; -1 when err names none.
+func errIndex(err error) int {
+	var ve *trace.ValidationError
+	if errors.As(err, &ve) {
+		return ve.Index
+	}
+	var de *traceio.DecodeError
+	if errors.As(err, &de) {
+		return int(de.Event)
+	}
+	return -1
 }

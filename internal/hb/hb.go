@@ -161,8 +161,8 @@ func (d *Detector) stepAt(i int, kind event.Kind, t int, obj int32, loc event.Lo
 			lk.joinGen[t] = lk.gen
 		}
 	case event.Release:
-		if d.held != nil {
-			d.popHeld(t, event.LID(obj))
+		if h := d.held; h != nil && len(h[t]) > 0 {
+			h[t] = h[t][:len(h[t])-1] // §2.1: the innermost held lock
 		}
 		lk := d.locks[obj]
 		if lk == nil {
@@ -185,18 +185,6 @@ func (d *Detector) stepAt(i int, kind event.Kind, t int, obj int32, loc event.Lo
 		d.read(i, t, event.VID(obj), loc)
 	case event.Write:
 		d.write(i, t, event.VID(obj), loc)
-	}
-}
-
-// popHeld removes lock l from thread t's held stack, scanning from the top
-// so non-nested release orders still unwind correctly.
-func (d *Detector) popHeld(t int, l event.LID) {
-	h := d.held[t]
-	for j := len(h) - 1; j >= 0; j-- {
-		if h[j] == l {
-			d.held[t] = append(h[:j], h[j+1:]...)
-			return
-		}
 	}
 }
 

@@ -80,14 +80,8 @@ func Detect(tr *trace.Trace) *Result {
 		case event.Acquire:
 			held[thread] = append(held[thread], event.LID(objs[i]))
 		case event.Release:
-			s := held[thread]
-			// Pop the innermost matching lock (well-nested traces pop the
-			// top; tolerate others).
-			for k := len(s) - 1; k >= 0; k-- {
-				if s[k] == event.LID(objs[i]) {
-					held[thread] = append(s[:k:k], s[k+1:]...)
-					break
-				}
+			if s := held[thread]; len(s) > 0 {
+				held[thread] = s[:len(s)-1] // §2.1: the innermost held lock
 			}
 		case event.Read, event.Write:
 			isWrite := event.Kind(k) == event.Write

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/snap"
+	"repro/internal/trace"
 	"repro/internal/traceio"
 )
 
@@ -23,10 +24,10 @@ import (
 // code path: the server periodically serializes every open session (and the
 // dedup report store) to CheckpointDir, and a restarting server re-opens
 // whatever it finds there. A session checkpoint is a meta frame (id, engine
-// names, trace header, ingest counters) followed by one engine.Snapshot
-// frame per engine — all snap frames, so every byte is CRC-guarded and a
-// torn write from a crash mid-checkpoint is detected and skipped, never
-// silently half-restored.
+// names, trace header, ingest counters, the §2.1 checker's state) followed
+// by one engine.Snapshot frame per engine — all snap frames, so every byte
+// is CRC-guarded and a torn write from a crash mid-checkpoint is detected
+// and skipped, never silently half-restored.
 //
 // The same frames serve live migration: GET /sessions/{id}/snapshot hands
 // the serialized session to the client, POST /sessions/restore accepts it
@@ -73,6 +74,7 @@ func (s *session) snapshotTo(w io.Writer) error {
 	sw.Uvarint(s.events)
 	sw.Uvarint(uint64(s.chunks))
 	sw.Varint(s.created.UnixNano())
+	s.check.EncodeSnapshot(sw)
 	if err := sw.Close(); err != nil {
 		return err
 	}
@@ -137,6 +139,10 @@ func restoreSession(r io.Reader, now time.Time) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
+	check, err := trace.DecodeChecker(rd, header.Syms, events)
+	if err != nil {
+		return nil, err
+	}
 	if err := rd.Close(); err != nil {
 		return nil, err
 	}
@@ -153,6 +159,7 @@ func restoreSession(r io.Reader, now time.Time) (*session, error) {
 		engines[i] = es
 	}
 	sess := newSession(id, header, names, engines, now)
+	sess.check = check
 	sess.events = events
 	sess.chunks = chunks
 	sess.created = time.Unix(0, createdNS)

@@ -34,7 +34,7 @@ func chunkCRC(offset uint64, hasOffset bool, body []byte) string {
 	return strconv.FormatUint(uint64(h.Sum32()), 10)
 }
 
-func encodeEvents(t *testing.T, events []event.Event) []byte {
+func encodeEvents(t testing.TB, events []event.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := traceio.EncodeEvents(&buf, events); err != nil {

@@ -34,6 +34,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/server/sched"
+	"repro/internal/trace"
 	"repro/internal/traceio"
 )
 
@@ -464,15 +465,21 @@ func (s *Server) attach(sess *session) {
 type apiError struct {
 	Error  string `json:"error"`
 	Offset int64  `json:"offset,omitempty"`
-	Event  int64  `json:"event,omitempty"`
+	Event  int64  `json:"event"` // -1 in a header
 }
 
-// writeDecodeError maps a chunk/trace decode failure to 400 with the
-// offset/event context the traceio layer captured.
+// writeDecodeError maps a chunk/trace decode failure or §2.1 violation to
+// 400 with the event index (and, for a decode failure, the byte offset)
+// the traceio layer or the checker captured.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var de *traceio.DecodeError
 	if errors.As(err, &de) {
 		obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: de.Error(), Offset: de.Offset, Event: de.Event})
+		return
+	}
+	var ve *trace.ValidationError
+	if errors.As(err, &ve) {
+		obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: ve.Error(), Event: int64(ve.Index)})
 		return
 	}
 	obs.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -1050,6 +1057,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		engines[i] = e
 	}
 	tr, err := traceio.ReadAuto(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = trace.Validate(tr)
+	}
 	if err != nil {
 		writeDecodeError(w, err)
 		return

@@ -55,6 +55,7 @@ type session struct {
 
 	mu         sync.Mutex
 	engines    []engine.Session // nil while parked
+	check      *trace.Checker   // §2.1 state of the ingested events, kept while parked
 	block      *trace.Block     // decode scratch, allocated by the first chunk
 	skipBuf    []event.Event    // scratch for replay-skip decoding, grown on demand
 	events     uint64
@@ -77,6 +78,7 @@ func newSession(id string, h traceio.Header, names []string, engines []engine.Se
 		header:     h,
 		names:      names,
 		engines:    engines,
+		check:      trace.NewChecker(h.Syms),
 		created:    now,
 		lastActive: now,
 	}
@@ -106,9 +108,11 @@ func (s *session) trace(reqID string) string {
 }
 
 // ingest decodes one chunk body into every engine session. It returns the
-// number of events the chunk added; a decode error is latched — the
-// session's analysis is no longer trustworthy past the corruption — and
-// further chunks are rejected.
+// number of events the chunk added. Each decoded block passes the
+// session's §2.1 checker before any detector sees it. A decode error or a
+// violation (*trace.ValidationError) is latched — the session's analysis
+// is no longer trustworthy past it — and further chunks are rejected; the
+// block that holds it reaches no detector.
 //
 // When the chunk declares its absolute offset (hasOffset), ingestion is
 // idempotent: events the session has already acknowledged are decoded and
@@ -178,8 +182,9 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 		return 0, 0, &gapError{offset: offset, acked: s.events}
 	}
 	st := traceio.NewEventStream(body, s.header, offset)
-	// Replay skip: decode (and validate) the already-analyzed prefix
-	// without feeding the detectors.
+	// Replay skip: decode the already-analyzed prefix, which the checker
+	// accepted the first time, without feeding the checker or the
+	// detectors.
 	for skip := s.events - offset; skip > 0; {
 		if s.skipBuf == nil {
 			s.skipBuf = make([]event.Event, 512)
@@ -227,6 +232,10 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 			sampledBlocks++
 		}
 		if n > 0 {
+			if err := s.check.CheckBlock(s.block, int(s.events)); err != nil {
+				s.failed = err
+				return added, replayed, err
+			}
 			if s.parked.Load() {
 				// The chunk carries events past the ack: wake the detectors.
 				if err := s.wake(s); err != nil {

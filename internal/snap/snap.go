@@ -29,7 +29,8 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 
 // Version is the current snapshot format version. Bump on any payload
 // layout change; Reader rejects mismatched versions with a DecodeError.
-// Version 5 adds each WCP lock log's settled run (offset, record count and
+// Version 6 adds the §2.1 checker's state (trace.Checker) to a session's
+// meta frame; version 5 adds each WCP lock log's settled run (offset, record count and
 // per-producer counts) and encodes each cursor as a record index and an
 // own-record count, without the compaction high-water word; version 4
 // keeps only the acquire's local clock in WCP queue records and drops the
@@ -37,7 +38,7 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 // encodes each variable's read and write times as cells (an epoch, or a
 // sparse clock in vector form) and has no epoch-engine layout; version 2
 // held them as full clocks with fast-path flags.
-const Version = 5
+const Version = 6
 
 // maxPayload bounds a single frame's payload so a corrupted length field
 // cannot drive a multi-gigabyte allocation. Detector snapshots for even
