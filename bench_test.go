@@ -376,6 +376,39 @@ func BenchmarkStreamingWCP(b *testing.B) {
 	reportEventsPerSec(b, tr.Len())
 }
 
+// BenchmarkShortSessionsWCP measures the detector side of many short
+// low-thread sessions: one wcp engine session per trace over six Table-1
+// traces at scale 0.2 (T 3–13, four of them dense), fed in 512-event
+// blocks that are built before the timer starts.
+func BenchmarkShortSessionsWCP(b *testing.B) {
+	type input struct {
+		tr     *trace.Trace
+		blocks []*trace.Block
+	}
+	var inputs []input
+	events := 0
+	for _, name := range []string{"ftpserver", "derby", "jigsaw", "xalan", "moldyn", "raytracer"} {
+		in := input{tr: benchTrace(b, name, 0.2)}
+		for at := 0; at < in.tr.Len(); at += 512 {
+			in.blocks = append(in.blocks, trace.BlockOf(in.tr.Events[at:min(at+512, in.tr.Len())]))
+		}
+		inputs = append(inputs, in)
+		events += in.tr.Len()
+	}
+	e := engine.MustNew("wcp", engine.Config{}).(engine.SessionEngine)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			s := e.NewSession(in.tr.NumThreads(), in.tr.NumLocks(), in.tr.NumVars())
+			for _, blk := range in.blocks {
+				s.ProcessBlock(blk)
+			}
+			s.Finish()
+		}
+	}
+	reportEventsPerSec(b, events)
+}
+
 // BenchmarkStreamingIngestWCP measures the full streaming-ingestion path:
 // binary blocks decoded straight into the WCP detector through one reused
 // buffer, the trace never materialized. With -benchmem, allocs/op here is

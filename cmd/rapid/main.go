@@ -213,15 +213,8 @@ func runBatch(paths []string, engines []repro.Engine) error {
 		fmt.Fprintf(&b, "=== %s (%v)\n", res.Name, res.Duration.Round(time.Millisecond))
 		fmt.Fprintf(&b, "trace: %+v\n", res.Stats)
 		fmt.Print(b.String())
-		// A streamed trace that fails to decode or validate fails each of
-		// its engines.
-		ok := true
 		for _, er := range res.Results {
 			printResult(res.Symbols, er)
-			ok = ok && er.Err == nil
-		}
-		if !ok {
-			failed++
 		}
 	}
 	fmt.Printf("batch: %d file(s), %d failed, %v total (%d worker(s))\n",

@@ -86,19 +86,17 @@ func wcDominated(w *vc.WC, floor vc.VC) bool {
 	return !w.Ready() || w.LeqVC(floor)
 }
 
-// refDominated reports whether the release time r holds is ⊑ the floor —
-// an absent one, or ⊥, trivially so. tmp is a scratch clock of the width.
-func (d *Detector) refDominated(r *relRef, g *csLog, floor, tmp vc.VC) bool {
-	return !r.present() || d.unpackRef(r, g, tmp).Leq(floor)
-}
-
-// unpackRef writes the release time r holds into tmp, a scratch clock of
-// the detector's width, and returns it.
-func (d *Detector) unpackRef(r *relRef, g *csLog, tmp vc.VC) vc.VC {
+// refDominated reports whether the release time r references is ⊑ the
+// floor — an absent one, or ⊥, trivially so. tmp is a scratch clock of the
+// detector's width.
+func (d *Detector) refDominated(r relRef, g *csLog, floor, tmp vc.VC) bool {
+	if int(r) < g.base {
+		return true
+	}
 	tmp.Zero()
-	w, lo, hi, mask := r.rel(g, len(d.threads), d.denseQ)
+	w, lo, hi, mask, _ := relAt(g.buf, int(r)-g.base+2, len(d.threads), d.denseQ)
 	unpackRel(tmp, w, lo, hi, mask, d.threads[0].p.ChunkShift())
-	return tmp
+	return tmp.Leq(floor)
 }
 
 // Compact retires dominated detector state. It is safe at any event
@@ -176,8 +174,7 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 			if c := &ls.cons[t]; c.idx < ls.log.settledN || c.off < end || !q.empty() {
 				drained = false
 			}
-			q.inl, q.ih = shrink(q.inl, q.ih), 0
-			q.refs, q.rh = shrink(q.refs, q.rh), 0
+			q.refs, q.head = shrink(q.refs, q.head), 0
 		}
 		ls.bytes += ownQBytes(q) - before
 	}
@@ -214,7 +211,7 @@ func (d *Detector) compactLock(ls *lockState, f *floors) bool {
 		ls.pl.Tighten()
 		return false
 	}
-	if !d.refDominated(&ls.hl, &ls.log, f.h, tmp) || !wcDominated(&ls.pl, f.ct) {
+	if !d.refDominated(ls.hl, &ls.log, f.h, tmp) || !wcDominated(&ls.pl, f.ct) {
 		ls.pl.Tighten()
 		return false
 	}
@@ -243,8 +240,7 @@ func (d *Detector) quiescePair(ls *lockState, pair *relPair, x int32, ctFloor, t
 		if !rt.a.present() {
 			continue
 		}
-		if d.refDominated(&rt.a, &ls.log, ctFloor, tmp) {
-			ls.bytes -= relTimesBytes(rt)
+		if d.refDominated(rt.a, &ls.log, ctFloor, tmp) {
 			*rt = relTimes{}
 			continue
 		}
@@ -301,31 +297,21 @@ func (d *Detector) StateBytes() int {
 
 // lockBytes counts a lock's share of StateBytes from scratch: its struct,
 // per-thread cursors, own-queue headers and join generations, the
-// capacities of its log and own-queue buffers, Pℓ, every inline
-// release time, and its rule-(a) index — dense tables whole, hashed ones
-// per entry. lockState.bytes holds the same sum, kept current.
+// capacities of its log and own-queue buffers, Pℓ, and its rule-(a) index
+// — dense tables whole, hashed ones per entry. lockState.bytes holds the
+// same sum, kept current.
 func (d *Detector) lockBytes(ls *lockState) int {
 	n := lockStateB + len(ls.cons)*consumerB + len(ls.own)*ownQB + len(ls.joinGen)*4
-	n += cap(ls.log.buf)*clockB + cap(ls.hl.inl)*clockB
+	n += cap(ls.log.buf) * clockB
 	if ls.pl.Ready() {
 		n += len(d.threads) * clockB
 	}
 	for t := range ls.own {
 		n += ownQBytes(&ls.own[t])
 	}
-	for x := range ls.acc.dense {
-		p := &ls.acc.dense[x]
-		n += relPairB + relTimesBytes(&p.r) + relTimesBytes(&p.w)
-	}
-	for _, p := range ls.acc.m {
-		n += relPairB + mapEntryB + relTimesBytes(&p.r) + relTimesBytes(&p.w)
-	}
+	n += len(ls.acc.dense)*relPairB + len(ls.acc.m)*(relPairB+mapEntryB)
 	return n
 }
 
-// ownQBytes returns the capacity of an own-queue's buffers in bytes.
-func ownQBytes(q *ownQ) int { return cap(q.inl)*clockB + cap(q.refs)*ownRefB }
-
-// relTimesBytes returns the capacity of a rule-(a) record's inline
-// release times in bytes.
-func relTimesBytes(rt *relTimes) int { return (cap(rt.a.inl) + cap(rt.b.inl)) * clockB }
+// ownQBytes returns the capacity of an own-queue's buffer in bytes.
+func ownQBytes(q *ownQ) int { return cap(q.refs) * ownRefB }

@@ -60,8 +60,8 @@
 //     dominate all earlier ones (see relTimes);
 //   - a release's H-time is written once, as its log record: Hℓ, the
 //     rule-(a) slots it updates and its own-queue entry hold the record's
-//     offset, and read its words in place (the dense layout, where a copy
-//     is as cheap, keeps copies). Log compaction, the only step that drops
+//     offset, and read its words in place, at every width and in both
+//     record layouts. Log compaction, the only step that drops
 //     a record, drops only records whose H-time every later reader has
 //     already absorbed along the lock chain, so a reference into the
 //     dropped range reads as ⊥ (see queue.go);
@@ -311,56 +311,52 @@ func (ts *threadState) openDepth(l event.LID) int {
 // access-side join reads the record's packed words in place.
 type relTimes struct {
 	ta, tb int32  // threads of the latest / second-latest distinct contributions
-	a, b   relRef // their H-times; !a.present() means no contributions yet
+	a, b   relRef // their records; !a.present() means no contributions yet
 	// gen bumps on every add; the per-thread join caches compare it to
 	// prove an earlier join of this record is still current.
 	gen uint32
 }
 
-// add records thread t's release, whose record sits at absolute log offset
-// off (0 for an inline copy of its H-time h), and returns the growth of the
-// record's storage in words.
-func (rt *relTimes) add(t, off int, h *vc.WC, dense bool) int {
+// add records thread t's release, whose record r holds its H-time.
+func (rt *relTimes) add(t int, r relRef) {
 	rt.gen++
 	if rt.a.present() && rt.ta != int32(t) {
 		// New latest contributor: the previous latest becomes the runner-up,
-		// dominating all older contributions; its slot takes the new time.
-		rt.a, rt.b = rt.b, rt.a
-		rt.tb = rt.ta
+		// dominating all older contributions.
+		rt.b, rt.tb = rt.a, rt.ta
 	}
-	rt.ta = int32(t)
-	if off == 0 && rt.a.set3(h.VC()) {
-		return 0
-	}
-	return rt.a.set(off, h, dense)
+	rt.a, rt.ta = r, int32(t)
 }
 
-// joinInto joins every thread's contribution except reader's into dst,
-// reporting whether dst changed. The join merges only the stored release
-// time's packed words, read in place from the log record g holds (nothing
-// once compaction dropped it) or from the inline copy. Width-3 clocks are
-// dense with a static window, so the width-3 unroll writes dst's storage
-// raw and saves a call to WC.JoinPacked, which does not inline.
-func (rt *relTimes) joinInto(dst *vc.WC, reader int, g *csLog, width int, dense bool) bool {
-	if rt == nil || !rt.a.present() {
+// from returns the contribution reader joins, which covers every thread's
+// but its own: the latest, or the runner-up when reader made the latest.
+// An absent one joins nothing.
+func (rt *relTimes) from(reader int) relRef {
+	if rt.ta == int32(reader) {
+		return rt.b
+	}
+	return rt.a
+}
+
+// joinRel joins the release time r references into dst, reporting whether
+// dst changed; a reference below the log's base joins nothing. Width-3
+// clocks are dense with a static window, so the width-3 unroll writes
+// dst's storage raw and saves a call to WC.JoinPacked, which does not
+// inline.
+func joinRel(dst *vc.WC, r relRef, g *csLog, width int, dense bool) bool {
+	p := int(r) - g.base
+	if p < 0 {
 		return false
 	}
-	src := &rt.a
-	if rt.ta == int32(reader) {
-		if !rt.b.present() {
-			return false
-		}
-		src = &rt.b
-	}
 	if dense {
-		// The dense layout keeps inline copies: the T words themselves.
-		if dv := dst.VC(); len(dv) == 3 {
-			return join3(dv, src.inl)
+		w := g.buf[p+2 : p+2+width]
+		if width == 3 {
+			return join3(dst.VC(), w)
 		}
-		return dst.JoinPacked(src.inl, 0, width, 0)
+		return dst.JoinPacked(w, 0, width, 0)
 	}
-	r, lo, hi, mask := src.rel(g, width, false)
-	return dst.JoinPacked(r, lo, hi, mask)
+	w, lo, hi, mask, _ := relAt(g.buf, p+2, width, false)
+	return dst.JoinPacked(w, lo, hi, mask)
 }
 
 // join3 joins the three words of r into dv, reporting whether dv changed.
@@ -462,8 +458,7 @@ func (ri *relIndex) getOrCreate(x event.VID, nvars int) (*relPair, int) {
 type lockState struct {
 	pl vc.WC // Pℓ
 	// hl is Hℓ: a reference to the lock's newest log record, whose H-time
-	// the last release published; an inline copy in the dense layout,
-	// without a log (width 1), and after a restore until the next release.
+	// the last release published.
 	hl relRef
 	// gen counts releases of ℓ; joinGen[t] is the value of gen when thread
 	// t last absorbed (or produced) Hℓ/Pℓ. Together they form the
@@ -733,17 +728,9 @@ func (d *Detector) acquire(t int, l event.LID) {
 	if ls.joinGen[t] != ls.gen {
 		ls.joinGen[t] = ls.gen
 		if ls.hl.present() {
-			// Line 1, read as relTimes.joinInto reads a contribution: in
-			// the dense layout Hℓ is an inline copy of the T words.
-			if hv := ts.h.VC(); !d.denseQ {
-				r, lo, hi, mask := ls.hl.rel(&ls.log, len(hv), false)
-				ts.h.JoinPacked(r, lo, hi, mask)
-			} else if len(hv) == 3 {
-				join3(hv, ls.hl.inl)
-			} else {
-				ts.h.JoinPacked(ls.hl.inl, 0, len(hv), 0)
-			}
-			if ts.p.Join(&ls.pl) { // Line 2
+			// Lines 1 and 2.
+			joinRel(&ts.h, ls.hl, &ls.log, len(d.threads), d.denseQ)
+			if ts.p.Join(&ls.pl) {
 				ts.effOK = false
 			}
 		}
@@ -831,25 +818,14 @@ func (d *Detector) release(t int, l event.LID) {
 			}
 			last = -1
 		}
-		// The own FIFO: its inline entries, then its references, which
-		// join nothing once compaction dropped their records.
-		for q := myOwn; q.ih < len(q.inl) && q.inl[q.ih] <= ts.p.Get(t); {
-			r, lo, hi, mask, next := relAt(q.inl, q.ih+1, width, dense)
-			if ts.p.JoinPacked(r, lo, hi, mask) {
+		// The own FIFO, whose entries join nothing once compaction dropped
+		// their records.
+		for q := myOwn; q.head < len(q.refs) && q.refs[q.head].nAcq <= ts.p.Get(t); {
+			if joinRel(&ts.p, q.refs[q.head].rel, g, width, dense) {
 				ts.effOK = false
 				pChanged = true
 			}
-			q.popInline(next)
-			d.queued--
-		}
-		for q := myOwn; q.ih == len(q.inl) && q.rh < len(q.refs) && q.refs[q.rh].nAcq <= ts.p.Get(t); {
-			if off := q.refs[q.rh].off; off >= g.base {
-				if r, lo, hi, mask, _ := relAt(g.buf, off-g.base+2, width, dense); ts.p.JoinPacked(r, lo, hi, mask) {
-					ts.effOK = false
-					pChanged = true
-				}
-			}
-			q.popRef()
+			q.pop()
 			d.queued--
 		}
 		if !pChanged {
@@ -859,21 +835,11 @@ func (d *Detector) release(t int, l event.LID) {
 
 	// Line 10, first half: the release's H-time is written once, as its
 	// record in the lock's log; Hℓ, the rule-(a) slots and the own-queue
-	// entry below refer to that record by its absolute offset ref. Without
-	// other threads (width 1) there is no log, and in the dense layout a
-	// copy of the T words costs no more than a reference and its
-	// bookkeeping: there ref stays 0, and each of them takes an inline
-	// copy.
-	ref := 0
-	if width > 1 {
-		c, n := cap(g.buf), 0
-		g.buf, n = pushRecord(g.buf, 2, &ts.h, dense)
-		g.buf[n], g.buf[n+1] = vc.Clock(t), entry.nAcq
-		ls.bytes += (cap(g.buf) - c) * clockB
-		if !dense {
-			ref = g.base + n
-		}
-	}
+	// entry below refer to that record by its absolute offset ref.
+	bc, at := cap(g.buf), 0
+	g.buf, at = pushRecord(g.buf, t, entry.nAcq, &ts.h, dense)
+	ls.bytes += (cap(g.buf) - bc) * clockB
+	ref := relRef(g.base + at)
 
 	// Lines 7–8: publish the HB time of this release for every variable
 	// accessed inside the critical section (rule (a) state), keyed by the
@@ -883,7 +849,8 @@ func (d *Detector) release(t int, l event.LID) {
 		// The dominant shape — a critical section reading and writing one
 		// variable — publishes both records through a single lookup.
 		pair, grown := ls.acc.getOrCreate(rl[0], nvars)
-		grown += (pair.r.add(t, ref, &ts.h, dense) + pair.w.add(t, ref, &ts.h, dense)) * clockB
+		pair.r.add(t, ref)
+		pair.w.add(t, ref)
 		ls.bytes += grown
 		b := varBit(rl[0])
 		ls.acc.rMask |= b
@@ -891,12 +858,14 @@ func (d *Detector) release(t int, l event.LID) {
 	} else {
 		for _, x := range rl {
 			pair, grown := ls.acc.getOrCreate(x, nvars)
-			ls.bytes += grown + pair.r.add(t, ref, &ts.h, dense)*clockB
+			pair.r.add(t, ref)
+			ls.bytes += grown
 			ls.acc.rMask |= varBit(x)
 		}
 		for _, x := range wl {
 			pair, grown := ls.acc.getOrCreate(x, nvars)
-			ls.bytes += grown + pair.w.add(t, ref, &ts.h, dense)*clockB
+			pair.w.add(t, ref)
+			ls.bytes += grown
 			ls.acc.wMask |= varBit(x)
 		}
 	}
@@ -917,29 +886,19 @@ func (d *Detector) release(t int, l event.LID) {
 	} else {
 		ls.pl.Copy(&ts.p)
 	}
-	if ref != 0 || !ls.hl.set3(ts.h.VC()) {
-		ls.bytes += ls.hl.set(ref, &ts.h, dense) * clockB
-	}
+	ls.hl = ref
 	ls.gen++
 	ls.joinGen[t] = ls.gen
 
 	// Line 10, second half (and the deferred Line 3): the record reaches
 	// every other thread's queue through the log, and this thread's
-	// same-thread rule-(b) queue as a reference.
-	if width > 1 {
-		// Pℓ is Pt now: settle the records every later drain will pop.
-		if g.settle(ls.cons, ts.p.VC(), width, dense) {
-			g.compact()
-		}
-		d.queued += width - 1 // the Relℓ(t') entries, t' ≠ t
+	// same-thread rule-(b) queue as a reference. Pℓ is Pt now: settle the
+	// records every later drain will pop.
+	if g.settle(ls.cons, ts.p.VC(), width, dense) {
+		g.compact()
 	}
-	if ref > 0 {
-		ls.bytes += myOwn.pushRef(entry.nAcq, ref)
-	} else {
-		n := cap(myOwn.inl)
-		myOwn.pushInline(entry.nAcq, &ts.h, dense)
-		ls.bytes += (cap(myOwn.inl) - n) * clockB
-	}
+	d.queued += width - 1 // the Relℓ(t') entries, t' ≠ t
+	ls.bytes += myOwn.push(entry.nAcq, ref)
 	d.queued++
 	if d.queued > d.res.QueueMaxTotal {
 		d.res.QueueMaxTotal = d.queued
@@ -982,7 +941,7 @@ func (d *Detector) read(t int, x event.VID) {
 						}
 						ts.cacheW, ts.cacheWGen = pair, pair.w.gen
 					}
-					if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
+					if joinRel(&ts.p, pair.w.from(t), &ls.log, width, dense) {
 						ts.effOK = false
 					}
 				}
@@ -1002,22 +961,22 @@ func (d *Detector) write(t int, x event.VID) {
 				if pair := ls.acc.get(x); pair != nil {
 					if d.accCache {
 						if !(pair == ts.cacheR && pair.r.gen == ts.cacheRGen) {
-							if pair.r.joinInto(&ts.p, t, &ls.log, width, dense) {
+							if joinRel(&ts.p, pair.r.from(t), &ls.log, width, dense) {
 								ts.effOK = false
 							}
 							ts.cacheR, ts.cacheRGen = pair, pair.r.gen
 						}
 						if !(pair == ts.cacheW && pair.w.gen == ts.cacheWGen) {
-							if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
+							if joinRel(&ts.p, pair.w.from(t), &ls.log, width, dense) {
 								ts.effOK = false
 							}
 							ts.cacheW, ts.cacheWGen = pair, pair.w.gen
 						}
 					} else {
-						if pair.r.joinInto(&ts.p, t, &ls.log, width, dense) {
+						if joinRel(&ts.p, pair.r.from(t), &ls.log, width, dense) {
 							ts.effOK = false
 						}
-						if pair.w.joinInto(&ts.p, t, &ls.log, width, dense) {
+						if joinRel(&ts.p, pair.w.from(t), &ls.log, width, dense) {
 							ts.effOK = false
 						}
 					}

@@ -17,12 +17,12 @@ import "repro/internal/vc"
 // other holder of that time refers to the record by its absolute offset
 // (relRef): Hℓ is the lock's newest record, a rule-(a) Lr/Lw slot names the
 // records of its two latest contributions, and an own-queue entry names its
-// release's record. A reference yields exactly the words a copy would hold
-// while the record is in the log, and ⊥ once compaction dropped it (below).
-// The dense layout is the exception: there a copy of the T words costs no
-// more than a reference and its bookkeeping (EXPERIMENTS.md, "one store of
-// release times"), so its holders keep inline copies, as they do without a
-// log at width 1.
+// release's record. A reference yields the record's words while the record
+// is in the log, and ⊥ once compaction dropped it (below). This holds at
+// every width and in both record layouts. At width 1 the log holds only
+// the thread's own records, and Pt stays ⊥: no record settles and no
+// own-queue entry drains, so the log and the own-queue grow by one record
+// and one entry per release.
 //
 // A record keeps one word of the acquire's C-time, not all T: the rule-(b)
 // head check acq ⊑ Ct reduces to nAcq ≤ Pt(producer) (see the package
@@ -89,19 +89,12 @@ const ringCompactAt = 4096
 // followed by relWords bucket-compressed words of the release H-time.
 const relHdr = 4
 
-// emptyRel is the ⊥ release time in the bucket-compressed form: no words,
-// an empty span and no dirty buckets.
-var emptyRel [relHdr]vc.Clock
-
 // csHdr is the header width of a windowed csLog record:
 //
 //	[producer, nAcq, relWords, relSpan, relMaskLo, relMaskHi, rel…]
 //
 // with stride csHdr+relWords. The fixed-stride layout is
-// [producer, nAcq, rel×T], stride 2+T. An inline own-queue entry, and an
-// own-queue entry in a snapshot, is either layout without the producer
-// word: [nAcq, relWords, relSpan, relMaskLo, relMaskHi, rel…] or
-// [nAcq, rel×T]. An inline rule-(a) or Hℓ time is the release part alone.
+// [producer, nAcq, rel×T], stride 2+T.
 const csHdr = 2 + relHdr
 
 // spanPackLimit bounds the clock widths whose spans pack into one word;
@@ -147,14 +140,13 @@ func growSlow(buf []vc.Clock, need int) []vc.Clock {
 	return g
 }
 
-// pushRecord appends lead free words for the caller (producer and nAcq in
-// a csLog, nAcq in an own-queue) and then the release H-time h — all width
-// words with dense, else bucket-compressed behind its relHdr header. Spans
-// that exceed the packSpan sentinel limit are widened to the full width
-// *before* packing, so the writer's mask-run walk clamps exactly as the
-// reader's will after unpackSpan returns the full span. It returns the
-// grown buffer and the offset of the appended words.
-func pushRecord(buf []vc.Clock, lead int, h *vc.WC, dense bool) ([]vc.Clock, int) {
+// pushRecord appends the record [producer, nAcq, h] — the release H-time
+// h as all width words with dense, else bucket-compressed behind its
+// relHdr header. Spans that exceed the packSpan sentinel limit are widened
+// to the full width *before* packing, so the writer's mask-run walk clamps
+// exactly as the reader's will after unpackSpan returns the full span. It
+// returns the grown buffer and the offset of the record.
+func pushRecord(buf []vc.Clock, producer int, nAcq vc.Clock, h *vc.WC, dense bool) ([]vc.Clock, int) {
 	var lo, hi, w int
 	if dense {
 		w = h.Width()
@@ -163,13 +155,14 @@ func pushRecord(buf []vc.Clock, lead int, h *vc.WC, dense bool) ([]vc.Clock, int
 		w = relHdr + vc.PackedWords(h.Mask(), h.ChunkShift(), lo, hi)
 	}
 	n := len(buf)
-	end := n + lead + w
+	end := n + 2 + w
 	if end <= cap(buf) {
 		buf = buf[:end:cap(buf)]
 	} else {
 		buf = growSlow(buf, end-n)
 	}
-	dst := buf[n+lead : end : end]
+	buf[n], buf[n+1] = vc.Clock(producer), nAcq
+	dst := buf[n+2 : end : end]
 	if dense {
 		if hv := h.VC(); len(hv) == 3 {
 			dst[0], dst[1], dst[2] = hv[0], hv[1], hv[2]
@@ -327,145 +320,45 @@ func (g *csLog) catchUp(c *consumer, t int) (last, pops int) {
 }
 
 // relRef is where a reader finds one release's H-time: the absolute offset
-// of the release's record in the lock's log (off > 0), ⊥ once compaction
-// dropped the record, or an inline copy in the record-tail form relAt reads
-// (off == 0, len(inl) > 0) — made when a snapshot restored the time, at
-// width 1, where there is no log, and in the dense layout, where a copy
-// costs no more than a reference. The zero value holds no time. An inline
-// copy keeps its storage when the reference moves on to a newer record, so
-// a restored slot allocates nothing when it becomes a copy again.
-type relRef struct {
-	off int
-	inl []vc.Clock
-}
+// of the release's record in the lock's log, 0 for none. A reference below
+// the log's base reads as ⊥ (see the file comment).
+type relRef int
 
-func (r *relRef) present() bool { return r.off > 0 || len(r.inl) > 0 }
+func (r relRef) present() bool { return r > 0 }
 
-// rel returns the referenced release time as packed words plus its window,
-// no words for a reference below the log's base. The dense layout holds
-// only inline copies (see release): the T clock words themselves, which the
-// hot paths read straight from inl.
-func (r *relRef) rel(g *csLog, width int, dense bool) ([]vc.Clock, int, int, uint64) {
-	buf, p := r.inl, 0
-	if r.off > 0 {
-		if r.off < g.base {
-			return nil, 0, 0, 0
-		}
-		buf, p = g.buf, r.off-g.base+2
-	}
-	w, lo, hi, mask, _ := relAt(buf, p, width, dense)
-	return w, lo, hi, mask
-}
-
-// set3 makes r an inline copy of the width-3 clock hv when r has room for
-// it, reporting whether it did: the tiny-T path, which inlines where set
-// and pushRecord do not.
-func (r *relRef) set3(hv vc.VC) bool {
-	if len(hv) != 3 || cap(r.inl) < 3 {
-		return false
-	}
-	a := r.inl[:3]
-	a[0], a[1], a[2] = hv[0], hv[1], hv[2]
-	r.off, r.inl = 0, a
-	return true
-}
-
-// set points r at the record at absolute offset off, or, with off == 0,
-// makes it an inline copy of h. It returns the growth of r's storage in
-// words.
-func (r *relRef) set(off int, h *vc.WC, dense bool) int {
-	r.off, r.inl = off, r.inl[:0]
-	if off > 0 {
-		return 0
-	}
-	c := cap(r.inl)
-	if dense {
-		// A dense record tail is the T words themselves.
-		r.inl = append(r.inl, h.VC()...)
-	} else {
-		r.inl, _ = pushRecord(r.inl, 0, h, false)
-	}
-	return cap(r.inl) - c
-}
-
-// ownRef is an own-queue entry that references its release's record.
+// ownRef is an own-queue entry: the acquire's local clock and a reference
+// to the release's record.
 type ownRef struct {
 	nAcq vc.Clock
-	off  int
+	rel  relRef
 }
 
 // ownQ is the FIFO of a thread's own completed critical sections on a lock,
-// for the same-thread instance of rule (b): each entry is the acquire's
-// local clock and the release's H-time. The oldest entries may be inline
-// records [nAcq, rel…] (inl, from head ih) — restored snapshot entries, or,
-// at width 1 and in the dense layout, every entry — and all later ones
-// reference the log (refs, from head rh). Inline entries always precede
-// referencing ones: a restored queue is all inline, and references are
-// only appended.
+// for the same-thread instance of rule (b), live from head on.
 type ownQ struct {
-	inl  []vc.Clock
-	ih   int
 	refs []ownRef
-	rh   int
+	head int
 }
 
-func (q *ownQ) empty() bool { return q.ih == len(q.inl) && q.rh == len(q.refs) }
+func (q *ownQ) empty() bool { return q.head == len(q.refs) }
 
-// popInline drops the front inline entry; next is the offset just past it
-// (relAt's end). A part drained empty rewinds in place, so a queue that
-// empties at every release never grows or copies.
-func (q *ownQ) popInline(next int) {
-	q.ih = next
-	if q.ih == len(q.inl) {
-		q.inl, q.ih = q.inl[:0], 0
-	} else if q.ih >= ringCompactAt {
-		q.inl, q.ih = rewind(q.inl, q.ih)
+// pop drops the front entry. A queue drained empty rewinds in place, so a
+// queue that empties at every release never grows or copies.
+func (q *ownQ) pop() {
+	q.head++
+	if q.head == len(q.refs) {
+		q.refs, q.head = q.refs[:0], 0
+	} else if q.head >= ringCompactAt {
+		q.refs, q.head = rewind(q.refs, q.head)
 	}
 }
 
-// popRef drops the front reference.
-func (q *ownQ) popRef() {
-	q.rh++
-	if q.rh == len(q.refs) {
-		q.refs, q.rh = q.refs[:0], 0
-	} else if q.rh >= ringCompactAt {
-		q.refs, q.rh = rewind(q.refs, q.rh)
-	}
-}
-
-// pushRef appends an entry referencing the record at absolute offset off,
-// and returns the growth of the queue's storage in bytes.
-func (q *ownQ) pushRef(nAcq vc.Clock, off int) int {
+// push appends an entry and returns the growth of the queue's storage in
+// bytes.
+func (q *ownQ) push(nAcq vc.Clock, r relRef) int {
 	c := cap(q.refs)
-	q.refs = append(q.refs, ownRef{nAcq, off})
+	q.refs = append(q.refs, ownRef{nAcq, r})
 	return (cap(q.refs) - c) * ownRefB
-}
-
-// pushInline appends an inline entry. Only a queue without references
-// takes one.
-func (q *ownQ) pushInline(nAcq vc.Clock, h *vc.WC, dense bool) {
-	var n int
-	q.inl, n = pushRecord(q.inl, 1, h, dense)
-	q.inl[n] = nAcq
-}
-
-// appendTo appends the queue's live entries to dst in the inline layout,
-// references resolved: the form a snapshot stores. A reference below the
-// log's base, whose release time reads as ⊥, goes out as the empty time.
-// Only the windowed layout has references.
-func (q *ownQ) appendTo(dst []vc.Clock, g *csLog, width int, dense bool) []vc.Clock {
-	dst = append(dst, q.inl[q.ih:]...)
-	for _, e := range q.refs[q.rh:] {
-		dst = append(dst, e.nAcq)
-		if e.off < g.base {
-			dst = append(dst, emptyRel[:]...)
-			continue
-		}
-		p := e.off - g.base + 2
-		_, _, _, _, end := relAt(g.buf, p, width, dense)
-		dst = append(dst, g.buf[p:end]...)
-	}
-	return dst
 }
 
 // rewind drops the consumed prefix [0, head) of a FIFO buffer whose head

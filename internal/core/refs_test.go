@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/vc"
@@ -24,7 +25,7 @@ type refTrace struct {
 
 // refTraces returns the traces whose references outlive their log
 // records, at a windowed (T = 12) width, padded with idle threads, and at
-// a fixed-stride (T = 4) width, where the holders keep copies instead:
+// a fixed-stride (T = 4) width:
 //
 //   - slot: a writes x and z under ℓ, b writes x under ℓ (which settles a's
 //     record), b and c then churn ℓ on y until its log has compacted the
@@ -75,12 +76,12 @@ func refTraces() map[string]refTrace {
 
 // TestRefTracesBelowBase pins what refTraces are for: before the final
 // critical sections, the lock's log has compacted at least three times,
-// and at the windowed width the references those sections read — z's Lw
+// and at both record layouts the references those sections read — z's Lw
 // slot, x's Lw slot and its runner-up, and a's own-queue entry — point
 // below the log's base, so they read as ⊥. TestAlgorithm1Oracle and
 // TestRefTracesRestoreEverywhere therefore run the ⊥ path, and show that
-// on the lock chain its joins had nothing to add. At the fixed-stride
-// width the holders keep copies.
+// on the lock chain its joins had nothing to add. Hℓ is the log's newest
+// record.
 func TestRefTracesBelowBase(t *testing.T) {
 	for name, rt := range refTraces() {
 		tr := rt.tr
@@ -93,27 +94,23 @@ func TestRefTracesBelowBase(t *testing.T) {
 		q := &ls.own[tr.Symbols.Thread("a")]
 		z := &ls.acc.get(tr.Symbols.Var("z")).w
 		x := &ls.acc.get(tr.Symbols.Var("x")).w
-		refs := map[string]*relRef{"z's Lw": &z.a, "x's Lw": &x.a, "x's Lw runner-up": &x.b}
-		if d.denseQ {
-			for what, r := range refs {
-				if r.off != 0 || !r.present() {
-					t.Errorf("%s: %s is not a copy (offset %d)", name, what, r.off)
-				}
-			}
-			if q.rh != len(q.refs) || q.ih == len(q.inl) {
-				t.Errorf("%s: a's own-queue entry is not a copy", name)
-			}
-			continue
-		}
+		refs := map[string]relRef{"z's Lw": z.a, "x's Lw": x.a, "x's Lw runner-up": x.b}
 		for what, r := range refs {
-			if r.off <= 0 || r.off >= ls.log.base {
-				t.Errorf("%s: %s references offset %d, want below the log's base %d", name, what, r.off, ls.log.base)
+			if r <= 0 || int(r) >= ls.log.base {
+				t.Errorf("%s: %s references offset %d, want below the log's base %d", name, what, r, ls.log.base)
 			}
 		}
-		if q.rh == len(q.refs) {
-			t.Errorf("%s: a's own-queue holds no reference", name)
-		} else if off := q.refs[q.rh].off; off >= ls.log.base {
-			t.Errorf("%s: a's own-queue entry references offset %d, want below the log's base %d", name, off, ls.log.base)
+		if q.empty() {
+			t.Errorf("%s: a's own-queue holds no entry", name)
+		} else if r := q.refs[q.head].rel; r <= 0 || int(r) >= ls.log.base {
+			t.Errorf("%s: a's own-queue entry references offset %d, want below the log's base %d", name, r, ls.log.base)
+		}
+		newest := 0
+		for off := 0; off < len(ls.log.buf); off += recLen(ls.log.buf, off, tr.NumThreads(), d.denseQ) {
+			newest = ls.log.base + off
+		}
+		if int(ls.hl) != newest {
+			t.Errorf("%s: Hℓ references offset %d, want the newest record's %d", name, ls.hl, newest)
 		}
 	}
 }
@@ -123,43 +120,64 @@ func TestRefTracesBelowBase(t *testing.T) {
 // restored copy: every event's C-time and H-time, the report and
 // QueueMaxTotal must equal the straight-through run's.
 func TestRefTracesRestoreEverywhere(t *testing.T) {
-	const block = 256
 	for name, rt := range refTraces() {
-		tr := rt.tr
-		straight := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{TrackPairs: true})
-		want := stepTimes(straight, tr, 0)
-		for at := block; at < tr.Len(); at += block {
-			d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{TrackPairs: true})
-			d.ProcessBlock(trace.BlockOf(tr.Events[:at]))
-			var buf bytes.Buffer
-			w := snap.NewWriter(&buf)
-			if err := d.EncodeSnapshot(w); err != nil {
-				t.Fatal(err)
+		restoreEverywhere(t, name, rt.tr)
+	}
+}
+
+// TestRestoreEverywhere is TestRefTracesRestoreEverywhere on two random
+// traces, at a fixed-stride (T = 2) and a windowed (T = 12) width, where
+// rule-(a) runner-ups still in the log add to their readers' Pt after a
+// restore.
+func TestRestoreEverywhere(t *testing.T) {
+	for _, cfg := range []gen.RandomConfig{
+		{Threads: 2, Locks: 1, Vars: 5, Events: 5664, Seed: 32, Locations: 8},
+		{Threads: 12, Locks: 4, Vars: 5, Events: 1415, Seed: 95, ForkJoin: true, Locations: 8},
+	} {
+		restoreEverywhere(t, fmt.Sprintf("random/T%d/seed%d", cfg.Threads, cfg.Seed), gen.Random(cfg))
+	}
+}
+
+// restoreEverywhere snapshots and restores a detector at every 256-event
+// block boundary of tr and requires the rest of the run on the restored
+// copy to match the straight-through run's times, report and
+// QueueMaxTotal.
+func restoreEverywhere(t *testing.T, name string, tr *trace.Trace) {
+	t.Helper()
+	const block = 256
+	straight := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{TrackPairs: true})
+	want := stepTimes(straight, tr, 0)
+	for at := block; at < tr.Len(); at += block {
+		d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{TrackPairs: true})
+		d.ProcessBlock(trace.BlockOf(tr.Events[:at]))
+		var buf bytes.Buffer
+		w := snap.NewWriter(&buf)
+		if err := d.EncodeSnapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := snap.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeSnapshot(rd)
+		if err != nil {
+			t.Fatalf("%s at %d: %v", name, at, err)
+		}
+		got := stepTimes(r, tr, at)
+		for i := range got {
+			if !got[i].Equal(want[at+i]) {
+				t.Fatalf("%s restored at %d: event %d (%s): %v, straight through %v",
+					name, at, at+i, tr.Describe(at+i), got[i], want[at+i])
 			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			rd, err := snap.NewReader(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := DecodeSnapshot(rd)
-			if err != nil {
-				t.Fatalf("%s at %d: %v", name, at, err)
-			}
-			got := stepTimes(r, tr, at)
-			for i := range got {
-				if !got[i].Equal(want[at+i]) {
-					t.Fatalf("%s restored at %d: event %d (%s): %v, straight through %v",
-						name, at, at+i, tr.Describe(at+i), got[i], want[at+i])
-				}
-			}
-			rr, sr := r.Result(), straight.Result()
-			if rr.QueueMaxTotal != sr.QueueMaxTotal || rr.RacyEvents != sr.RacyEvents ||
-				rr.Report.Format(tr.Symbols) != sr.Report.Format(tr.Symbols) {
-				t.Fatalf("%s restored at %d: QueueMaxTotal %d racy %d, straight through %d, %d",
-					name, at, rr.QueueMaxTotal, rr.RacyEvents, sr.QueueMaxTotal, sr.RacyEvents)
-			}
+		}
+		rr, sr := r.Result(), straight.Result()
+		if rr.QueueMaxTotal != sr.QueueMaxTotal || rr.RacyEvents != sr.RacyEvents ||
+			rr.Report.Format(tr.Symbols) != sr.Report.Format(tr.Symbols) {
+			t.Fatalf("%s restored at %d: QueueMaxTotal %d racy %d, straight through %d, %d",
+				name, at, rr.QueueMaxTotal, rr.RacyEvents, sr.QueueMaxTotal, sr.RacyEvents)
 		}
 	}
 }

@@ -83,17 +83,13 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		}
 	}
 
-	var sc encodeScratch
-	if len(d.threads) > 0 {
-		sc.tmp = vc.New(len(d.threads))
-	}
 	for _, ls := range d.locks {
 		if ls == nil {
 			w.Bool(false)
 			continue
 		}
 		w.Bool(true)
-		d.encodeLock(w, ls, &sc)
+		encodeLock(w, ls)
 	}
 
 	live := 0
@@ -152,14 +148,6 @@ func decodeVarSet(rd *snap.Reader, s *varSet, nvars int) error {
 	return nil
 }
 
-// encodeScratch is EncodeSnapshot's scratch storage: a clock of the
-// detector's width, into which referenced release times are unpacked, and
-// the words of one own-queue.
-type encodeScratch struct {
-	tmp   vc.VC
-	words []vc.Clock
-}
-
 // decodeReadyWC fills an already-initialized clock from a bare sparse
 // vector.
 func decodeReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
@@ -176,41 +164,39 @@ func decodeReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
 	return nil
 }
 
-// decodeRef restores a release time written as a bare sparse vector into
-// r, as an inline copy. h is a scratch clock of the detector's width.
-func (d *Detector) decodeRef(rd *snap.Reader, r *relRef, h *vc.WC, tmp vc.VC) error {
-	if err := decodeReadyWC(rd, h, tmp); err != nil {
-		return err
+// inLog is the snapshot form of a reference: its record's offset in the
+// encoded log plus one, or 0 for a record compaction dropped.
+func inLog(r relRef, g *csLog) uint64 {
+	if int(r) < g.base {
+		return 0
 	}
-	r.set(0, h, d.denseQ)
-	return nil
+	return uint64(int(r) - g.base + 1)
 }
 
-// encodeRelTimes writes a rule-(a) record, each release time in full
-// whether it is referenced or inline.
-func (d *Detector) encodeRelTimes(w *snap.Writer, rt *relTimes, g *csLog, tmp vc.VC) {
-	// !a.present() means semantically absent (never contributed, or
-	// quiesced by compaction): encoded as such, so the record's residual
-	// generation counter is canonically dropped.
-	if !rt.a.present() {
+// encodeRelTimes writes a rule-(a) record, each contribution as the offset
+// of its record. A contribution whose record is gone joins nothing and is
+// written as no contribution: with the latest one gone, so is the older
+// runner-up, and the record is written as empty.
+func encodeRelTimes(w *snap.Writer, rt *relTimes, g *csLog) {
+	a, b := inLog(rt.a, g), inLog(rt.b, g)
+	switch {
+	case a == 0:
 		w.Byte(0)
 		return
-	}
-	if rt.b.present() {
-		w.Byte(2)
-	} else {
+	case b == 0:
 		w.Byte(1)
+	default:
+		w.Byte(2)
 	}
 	w.Int(int(rt.ta))
-	w.Sparse(d.unpackRef(&rt.a, g, tmp))
-	if rt.b.present() {
+	w.Uvarint(a)
+	if b != 0 {
 		w.Int(int(rt.tb))
-		w.Sparse(d.unpackRef(&rt.b, g, tmp))
+		w.Uvarint(b)
 	}
 }
 
-func (d *Detector) decodeRelTimes(rd *snap.Reader, rt *relTimes, h *vc.WC, tmp vc.VC) error {
-	width := len(d.threads)
+func (d *Detector) decodeRelTimes(rd *snap.Reader, rt *relTimes, g *csLog, starts []int) error {
 	kind, err := rd.Byte()
 	if err != nil {
 		return err
@@ -221,28 +207,15 @@ func (d *Detector) decodeRelTimes(rd *snap.Reader, rt *relTimes, h *vc.WC, tmp v
 	if kind > 2 {
 		return &snap.DecodeError{Reason: "bad relTimes kind"}
 	}
-	ta, err := rd.I32()
-	if err != nil {
-		return err
-	}
-	if int(ta) < 0 || int(ta) >= width {
-		return &snap.DecodeError{Reason: "relTimes thread out of range"}
-	}
-	rt.ta = ta
-	if err := d.decodeRef(rd, &rt.a, h, tmp); err != nil {
+	if rt.ta, rt.a, err = d.decodeContribution(rd, g, starts); err != nil {
 		return err
 	}
 	if kind == 2 {
-		tb, err := rd.I32()
-		if err != nil {
+		if rt.tb, rt.b, err = d.decodeContribution(rd, g, starts); err != nil {
 			return err
 		}
-		if int(tb) < 0 || int(tb) >= width || tb == ta {
-			return &snap.DecodeError{Reason: "relTimes runner-up thread invalid"}
-		}
-		rt.tb = tb
-		if err := d.decodeRef(rd, &rt.b, h, tmp); err != nil {
-			return err
+		if rt.tb == rt.ta || rt.b >= rt.a {
+			return &snap.DecodeError{Reason: "relTimes runner-up invalid"}
 		}
 	}
 	// Restore with a live generation; every join cache restarts empty, so
@@ -252,15 +225,49 @@ func (d *Detector) decodeRelTimes(rd *snap.Reader, rt *relTimes, h *vc.WC, tmp v
 	return nil
 }
 
-// encodeLock writes a lock's state. Every release time goes out in full,
-// whether the lock holds it as a reference into its log or inline, and a
-// reference below the log's base as the empty time it reads as: Hℓ and the
-// rule-(a) times as sparse clocks, own-queue entries as inline records.
-func (d *Detector) encodeLock(w *snap.Writer, ls *lockState, sc *encodeScratch) {
+// decodeContribution reads one rule-(a) contribution: its thread and the
+// offset of that thread's release record.
+func (d *Detector) decodeContribution(rd *snap.Reader, g *csLog, starts []int) (int32, relRef, error) {
+	t, err := rd.I32()
+	if err != nil {
+		return 0, 0, err
+	}
+	if int(t) < 0 || int(t) >= len(d.threads) {
+		return 0, 0, &snap.DecodeError{Reason: "relTimes thread out of range"}
+	}
+	r, err := recordRef(rd, g, starts, t)
+	if err == nil && r == 0 {
+		err = &snap.DecodeError{Reason: "rule-(a) contribution without a record"}
+	}
+	return t, r, err
+}
+
+// recordRef reads a reference written by inLog into the restored log g,
+// whose record offsets (followed by len(g.buf)) are starts: 0 for a record
+// compaction dropped, or a record by producer.
+func recordRef(rd *snap.Reader, g *csLog, starts []int, producer int32) (relRef, error) {
+	c, err := rd.Uvarint()
+	if err != nil || c == 0 {
+		return 0, err
+	}
+	p := int(min(c-1, uint64(len(g.buf))))
+	if _, ok := slices.BinarySearch(starts[:len(starts)-1], p); !ok {
+		return 0, &snap.DecodeError{Reason: "reference off a record start or past the log"}
+	}
+	if g.buf[p] != producer {
+		return 0, &snap.DecodeError{Reason: "reference to another thread's record"}
+	}
+	return relRef(g.base + p), nil
+}
+
+// encodeLock writes a lock's state. Every holder of a release time goes out
+// as the offset of its record (see inLog): Hℓ as nothing, since it is the
+// log's newest record, the own-queue entries and the rule-(a)
+// contributions.
+func encodeLock(w *snap.Writer, ls *lockState) {
 	g := &ls.log
 	w.Bool(ls.hl.present())
 	if ls.hl.present() {
-		w.Sparse(d.unpackRef(&ls.hl, g, sc.tmp))
 		w.Sparse(ls.pl.VC())
 	}
 	// The log goes out as its buffered words with offsets relative to its
@@ -278,8 +285,12 @@ func (d *Detector) encodeLock(w *snap.Writer, ls *lockState, sc *encodeScratch) 
 		w.Uvarint(uint64(ls.cons[t].own))
 	}
 	for t := range ls.own {
-		sc.words = ls.own[t].appendTo(sc.words[:0], g, len(d.threads), d.denseQ)
-		w.I32s(sc.words)
+		q := &ls.own[t]
+		w.Uvarint(uint64(len(q.refs) - q.head))
+		for _, e := range q.refs[q.head:] {
+			w.Int(int(e.nAcq))
+			w.Uvarint(inLog(e.rel, g))
+		}
 	}
 	// Rule-(a) records, sorted by variable for a canonical byte stream.
 	type accEnt struct {
@@ -287,15 +298,18 @@ func (d *Detector) encodeLock(w *snap.Writer, ls *lockState, sc *encodeScratch) 
 		pair *relPair
 	}
 	var ents []accEnt
+	// A pair whose latest contributions' records are both gone is written
+	// as absent (see encodeRelTimes).
+	live := func(p *relPair) bool { return inLog(p.r.a, g) != 0 || inLog(p.w.a, g) != 0 }
 	if ls.acc.dense != nil {
 		for x := range ls.acc.dense {
-			if p := &ls.acc.dense[x]; p.r.a.present() || p.w.a.present() {
+			if p := &ls.acc.dense[x]; live(p) {
 				ents = append(ents, accEnt{event.VID(x), p})
 			}
 		}
 	} else {
 		for x, p := range ls.acc.m {
-			if p.r.a.present() || p.w.a.present() {
+			if live(p) {
 				ents = append(ents, accEnt{x, p})
 			}
 		}
@@ -306,25 +320,21 @@ func (d *Detector) encodeLock(w *snap.Writer, ls *lockState, sc *encodeScratch) 
 	for _, e := range ents {
 		w.Uvarint(uint64(e.x - prev))
 		prev = e.x
-		d.encodeRelTimes(w, &e.pair.r, g, sc.tmp)
-		d.encodeRelTimes(w, &e.pair.w, g, sc.tmp)
+		encodeRelTimes(w, &e.pair.r, g)
+		encodeRelTimes(w, &e.pair.w, g)
 	}
 }
 
-// decodeLock restores a lock written by encodeLock. Every release time
-// outside the log comes back as an inline copy, so the restored lock holds
-// no references until its next release; h is a scratch clock of the
-// detector's width.
-func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, h *vc.WC, tmp vc.VC) error {
+// decodeLock restores a lock written by encodeLock, every holder a
+// reference into the restored log; tmp is a scratch clock of the detector's
+// width.
+func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	width := len(d.threads)
 	ok, err := rd.Bool()
 	if err != nil {
 		return err
 	}
 	if ok {
-		if err := d.decodeRef(rd, &ls.hl, h, tmp); err != nil {
-			return err
-		}
 		ls.pl.Init(width)
 		if err := decodeReadyWC(rd, &ls.pl, tmp); err != nil {
 			return err
@@ -334,19 +344,41 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, h *vc.WC, tmp vc.V
 		// re-joins at each thread's next acquire).
 		ls.gen = 1
 	}
-	if err := d.decodeLog(rd, ls); err != nil {
+	starts, err := d.decodeLog(rd, ls)
+	if err != nil {
 		return err
 	}
+	g := &ls.log
+	if ok != (len(g.buf) > 0) {
+		return &snap.DecodeError{Reason: "Hℓ without a log record, or a log without Hℓ"}
+	}
+	if ok {
+		ls.hl = relRef(g.base + starts[len(starts)-2])
+	}
 	for t := range ls.own {
-		buf, err := rd.I32s(maxSnapWords)
+		q := &ls.own[t]
+		n, err := rd.Count(rd.Remaining() / 2)
 		if err != nil {
 			return err
 		}
-		if err := d.checkOwnQ(buf); err != nil {
-			return err
-		}
-		if len(buf) > 0 {
-			ls.own[t].inl = buf
+		for i := 0; i < n; i++ {
+			nAcq, err := rd.I32()
+			if err != nil {
+				return err
+			}
+			r, err := recordRef(rd, g, starts, int32(t))
+			if err != nil {
+				return err
+			}
+			if r.present() && g.buf[int(r)-g.base+1] != nAcq {
+				return &snap.DecodeError{Reason: "own-queue entry's nAcq differs from its record's"}
+			}
+			// Entries follow their releases: dropped records first, then
+			// records in log order.
+			if i > 0 && q.refs[i-1].rel.present() && r <= q.refs[i-1].rel {
+				return &snap.DecodeError{Reason: "own-queue entries out of log order"}
+			}
+			q.refs = append(q.refs, ownRef{nAcq, r})
 		}
 	}
 	n, err := rd.Count(len(d.vars))
@@ -371,10 +403,10 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, h *vc.WC, tmp vc.V
 			return &snap.DecodeError{Reason: "acc variable out of range"}
 		}
 		pair, _ := ls.acc.getOrCreate(x, d.denseVars)
-		if err := d.decodeRelTimes(rd, &pair.r, h, tmp); err != nil {
+		if err := d.decodeRelTimes(rd, &pair.r, g, starts); err != nil {
 			return err
 		}
-		if err := d.decodeRelTimes(rd, &pair.w, h, tmp); err != nil {
+		if err := d.decodeRelTimes(rd, &pair.w, g, starts); err != nil {
 			return err
 		}
 		if !pair.r.a.present() && !pair.w.a.present() {
@@ -398,38 +430,39 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, h *vc.WC, tmp vc.V
 // every record as the drain will (see queue.go for the two layouts) and
 // rejects any log the encoder could not have written.
 
-// decodeLog restores a lock's csLog and cursors (see encodeLock). Beyond
-// the record walk it checks what catchUp and the drain rely on: the settled
+// decodeLog restores a lock's csLog and cursors (see encodeLock) and
+// returns the offset of every record, followed by len(buf). Beyond the
+// record walk it checks what catchUp and the drain rely on: the settled
 // run ends on a record boundary, its kept record exists exactly when it is
 // nonempty, the producers' shares sum to its count, and every cursor's
 // counts fit the run — behind it, no more own or foreign records than the
 // run holds; at or past it, exactly the own records it passed.
-func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
+func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) ([]int, error) {
 	buf, err := rd.I32s(maxSnapWords)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(buf) == 0 {
 		buf = nil
 	}
 	starts, err := d.logRecords(buf)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	off, err := rd.Uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	k, ok := slices.BinarySearch(starts, int(min(off, uint64(len(buf)+1))))
 	if !ok {
-		return &snap.DecodeError{Reason: "settled offset off a record boundary or outside the log"}
+		return nil, &snap.DecodeError{Reason: "settled offset off a record boundary or outside the log"}
 	}
 	n, err := rd.Count(max(d.res.Events, 0))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if (k == 0) != (n == 0) {
-		return &snap.DecodeError{Reason: "settled count without kept records"}
+		return nil, &snap.DecodeError{Reason: "settled count without kept records"}
 	}
 	// The restored log's absolute offsets start where a new log's do.
 	g := &ls.log
@@ -443,12 +476,12 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 	for u := range ls.cons {
 		c := &ls.cons[u]
 		if c.settled, err = rd.Count(n); err != nil {
-			return err
+			return nil, err
 		}
 		sum += c.settled
 	}
 	if sum != n {
-		return &snap.DecodeError{Reason: "per-producer settled counts do not sum to the settled count"}
+		return nil, &snap.DecodeError{Reason: "per-producer settled counts do not sum to the settled count"}
 	}
 	tail := len(starts) - 1 - k
 	type tailCursor struct{ pos, t int }
@@ -456,15 +489,15 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 	for t := range ls.cons {
 		c := &ls.cons[t]
 		if c.idx, err = rd.Count(n + tail); err != nil {
-			return err
+			return nil, err
 		}
 		if c.own, err = rd.Count(c.idx); err != nil {
-			return err
+			return nil, err
 		}
 		if c.idx >= n {
 			at = append(at, tailCursor{c.idx - n, t})
 		} else if c.own > c.settled || c.idx-c.own > n-c.settled {
-			return &snap.DecodeError{Reason: "consumer counts past the settled run"}
+			return nil, &snap.DecodeError{Reason: "consumer counts past the settled run"}
 		}
 	}
 	// Cursors in the tail: one sweep over its records, in cursor order,
@@ -478,11 +511,11 @@ func (d *Detector) decodeLog(rd *snap.Reader, ls *lockState) error {
 		}
 		c := &ls.cons[a.t]
 		if c.own != c.settled+seen[a.t] {
-			return &snap.DecodeError{Reason: "consumer own count disagrees with the log"}
+			return nil, &snap.DecodeError{Reason: "consumer own count disagrees with the log"}
 		}
 		c.off = g.base + starts[k+a.pos]
 	}
-	return nil
+	return starts, nil
 }
 
 // logRecords checks a lock's csLog buffer and returns the offset of every
@@ -501,20 +534,8 @@ func (d *Detector) logRecords(buf []vc.Clock) ([]int, error) {
 	return append(starts, len(buf)), nil
 }
 
-// checkOwnQ checks the records of one thread's decoded ownQ buffer.
-func (d *Detector) checkOwnQ(buf []vc.Clock) error {
-	for off := 0; off < len(buf); {
-		end, ok := d.relEnd(buf, off+1)
-		if !ok {
-			return &snap.DecodeError{Reason: "malformed own-queue record"}
-		}
-		off = end
-	}
-	return nil
-}
-
 // relEnd returns the offset just past the release time stored at buf[p:],
-// the record tail after nAcq, as relAt will read it. It reports false when
+// the record's tail after nAcq, as relAt will read it. It reports false when
 // the tail runs past buf or its header's word count is not exactly the
 // packed width of its span and mask, with the span inside the clock width.
 func (d *Detector) relEnd(buf []vc.Clock, p int) (int, bool) {
@@ -591,7 +612,6 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 	}
 	d := NewDetector(threads, locks, vars, opts)
 	tmp := vc.New(threads)
-	h := vc.NewWC(threads)
 
 	if d.res.Events, err = rd.Int(); err != nil {
 		return nil, err
@@ -683,7 +703,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 			continue
 		}
 		ls := d.lock(event.LID(l))
-		if err := d.decodeLock(rd, ls, &h, tmp); err != nil {
+		if err := d.decodeLock(rd, ls, tmp); err != nil {
 			return nil, err
 		}
 	}

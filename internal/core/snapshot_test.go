@@ -188,16 +188,159 @@ func extremeSettled(ls *lockState, sign int) *consumer {
 	return m
 }
 
-// TestDecodeQueueMutations mutates the csLog and ownQ words of live T=3
+// holderLock returns a lock of d with an own-queue entry and a rule-(a)
+// contribution whose records are both in the lock's log, with the entry's
+// thread and the contribution.
+func holderLock(t *testing.T, d *Detector) (*lockState, int, *ownRef, *relTimes) {
+	t.Helper()
+	for _, ls := range d.locks {
+		if ls == nil {
+			continue
+		}
+		var rt *relTimes
+		for x := range ls.acc.dense {
+			if p := &ls.acc.dense[x]; int(p.w.a) >= ls.log.base {
+				rt = &p.w
+			}
+		}
+		for th := range ls.own {
+			q := &ls.own[th]
+			for i := q.head; i < len(q.refs) && rt != nil; i++ {
+				if int(q.refs[i].rel) >= ls.log.base {
+					return ls, th, &q.refs[i], rt
+				}
+			}
+		}
+	}
+	t.Fatal("no lock has an own entry and a rule-(a) contribution in its log")
+	return nil, 0, nil, nil
+}
+
+// recordNotBy returns the offset of a record in ls's log whose producer is
+// not u.
+func recordNotBy(t *testing.T, d *Detector, ls *lockState, u int) relRef {
+	t.Helper()
+	g := &ls.log
+	for off := 0; off < len(g.buf); off += recLen(g.buf, off, len(d.threads), d.denseQ) {
+		if int(g.buf[off]) != u {
+			return relRef(g.base + off)
+		}
+	}
+	t.Fatalf("every record is thread %d's", u)
+	return 0
+}
+
+// holderTampers are the holder states decode must reject.
+var holderTampers = []struct {
+	name   string
+	tamper func(t *testing.T, d *Detector)
+}{
+	{"own entry off a record start", func(t *testing.T, d *Detector) {
+		_, _, e, _ := holderLock(t, d)
+		e.rel++
+	}},
+	{"own entry past the log", func(t *testing.T, d *Detector) {
+		ls, _, e, _ := holderLock(t, d)
+		e.rel = relRef(ls.log.base + len(ls.log.buf))
+	}},
+	{"own entry naming another thread's record", func(t *testing.T, d *Detector) {
+		// The queue's only entry, with the record's own nAcq.
+		ls, th, _, _ := holderLock(t, d)
+		r := recordNotBy(t, d, ls, th)
+		ls.own[th] = ownQ{refs: []ownRef{{ls.log.buf[int(r)-ls.log.base+1], r}}}
+	}},
+	{"own entry with a different nAcq", func(t *testing.T, d *Detector) {
+		_, _, e, _ := holderLock(t, d)
+		e.nAcq++
+	}},
+	{"rule-(a) contribution off a record start", func(t *testing.T, d *Detector) {
+		_, _, _, rt := holderLock(t, d)
+		rt.a++
+	}},
+	{"rule-(a) contribution naming another thread's record", func(t *testing.T, d *Detector) {
+		// Without a runner-up, which must precede it.
+		ls, _, _, rt := holderLock(t, d)
+		rt.a, rt.b = recordNotBy(t, d, ls, int(rt.ta)), 0
+	}},
+	{"Hℓ on an empty log", func(t *testing.T, d *Detector) {
+		ls, _, _, _ := holderLock(t, d)
+		ls.log = newCSLog()
+		for th := range ls.cons {
+			ls.cons[th] = consumer{off: ls.log.base}
+			ls.own[th] = ownQ{}
+		}
+		ls.acc = relIndex{}
+	}},
+}
+
+// mutateHolder points one holder of ls at an offset around its log's
+// records, changes an own entry's nAcq or a contribution's thread, or drops
+// Hℓ.
+func mutateHolder(rng *rand.Rand, ls *lockState, threads int, special []vc.Clock) {
+	off := func() relRef {
+		if rng.Intn(4) == 0 {
+			return relRef(special[rng.Intn(len(special))])
+		}
+		return relRef(ls.log.base + rng.Intn(len(ls.log.buf)+3) - 1)
+	}
+	switch rng.Intn(4) {
+	case 0:
+		if q := &ls.own[rng.Intn(threads)]; !q.empty() {
+			e := &q.refs[q.head+rng.Intn(len(q.refs)-q.head)]
+			if rng.Intn(2) == 0 {
+				e.rel = off()
+			} else {
+				e.nAcq = special[rng.Intn(len(special))]
+			}
+		}
+	case 1, 2:
+		for x := range ls.acc.dense {
+			rt := &ls.acc.dense[x].r
+			if rng.Intn(2) == 0 {
+				rt = &ls.acc.dense[x].w
+			}
+			if !rt.a.present() || rng.Intn(3) > 0 {
+				continue
+			}
+			switch rng.Intn(4) {
+			case 0:
+				rt.a = off()
+			case 1:
+				rt.b = off()
+			case 2:
+				rt.ta = int32(rng.Intn(threads+2) - 1)
+			default:
+				rt.tb = int32(rng.Intn(threads+2) - 1)
+			}
+			return
+		}
+	default:
+		ls.hl = 0
+	}
+}
+
+// TestDecodeQueueMutations mutates the csLog words of live T=3
 // (fixed-stride) and T=16 (windowed) detectors — overwritten words,
-// dropped and appended tails — and their settled runs and cursors. Each
-// settledTampers state must be rejected with a *snap.DecodeError. Beyond
-// those, decode must reject a mutation with a *snap.DecodeError or accept
-// it, and an accepted detector must survive an acquire/release round by
-// every thread on every lock.
+// dropped and appended tails — their settled runs and cursors, and the
+// holders that reference the log: own-queue entries, rule-(a)
+// contributions and Hℓ. Each settledTampers and holderTampers state must
+// be rejected with a *snap.DecodeError. Beyond those, decode must reject a
+// mutation with a *snap.DecodeError or accept it, and an accepted detector
+// must survive an acquire/release round by every thread on every lock.
 func TestDecodeQueueMutations(t *testing.T) {
 	for _, threads := range []int{3, 16} {
 		live := liveDetector(t, threads)
+		for _, tc := range holderTampers {
+			d, err := roundTrip(t, live)
+			if err != nil {
+				t.Fatalf("T=%d: live snapshot rejected: %v", threads, err)
+			}
+			tc.tamper(t, d)
+			var de *snap.DecodeError
+			if _, err := roundTrip(t, d); !errors.As(err, &de) {
+				t.Fatalf("T=%d: %s: decoded with err=%v, want *snap.DecodeError", threads, tc.name, err)
+			}
+		}
 		for _, tc := range settledTampers {
 			d, err := roundTrip(t, live)
 			if err != nil {
@@ -227,14 +370,8 @@ func TestDecodeQueueMutations(t *testing.T) {
 				continue
 			}
 			buf := &ls.log.buf
-			if k := rng.Intn(threads + 1); k < threads {
-				// A restored own-queue holds inline entries only.
-				q := &ls.own[k]
-				q.inl = q.inl[q.ih:]
-				q.ih = 0
-				buf = &q.inl
-			}
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				// A settled-run or cursor field instead of words: nudged,
 				// or set to a special value; the word mutations below then
 				// hit a scratch buffer.
@@ -248,6 +385,10 @@ func TestDecodeQueueMutations(t *testing.T) {
 						*f = int(special[rng.Intn(len(special))])
 					}
 				}
+				buf = new([]vc.Clock)
+			case 1:
+				// A holder instead of words.
+				mutateHolder(rng, ls, threads, special)
 				buf = new([]vc.Clock)
 			}
 			for n := 1 + rng.Intn(3); n > 0; n-- {

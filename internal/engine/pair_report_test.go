@@ -15,6 +15,7 @@ import (
 	"repro/internal/race"
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/traceio"
 )
 
 // pairOrder renders a report's pairs in Pairs() order with their counts.
@@ -119,16 +120,12 @@ func TestManyLocationsOneVariable(t *testing.T) {
 //   - As sessions over the blocks, wcp and hb reproduce the closure
 //     reference's whole pair report.
 func FuzzEnginesAgainstClosure(f *testing.F) {
-	f.Add(uint8(3), uint8(2), uint8(3), uint8(0), false, uint8(80), int64(1), uint8(7), uint8(2), uint8(5))
-	f.Add(uint8(5), uint8(3), uint8(2), uint8(3), true, uint8(140), int64(2), uint8(16), uint8(3), uint8(1))
-	f.Add(uint8(9), uint8(2), uint8(2), uint8(4), true, uint8(120), int64(3), uint8(5), uint8(9), uint8(4))
-	f.Add(uint8(12), uint8(1), uint8(1), uint8(2), false, uint8(149), int64(4), uint8(3), uint8(0), uint8(0))
+	for _, s := range closureSeeds {
+		f.Add(s.threads, s.locks, s.vars, s.locs, s.forkJoin, s.events, s.seed, s.block, s.snapAt, s.compactAt)
+	}
 	f.Fuzz(func(t *testing.T, threads, locks, vars, locs uint8, forkJoin bool, events uint8,
 		seed int64, block, snapAt, compactAt uint8) {
-		cfg := gen.RandomConfig{
-			Threads: 2 + int(threads%11), Locks: int(locks % 4), Vars: 1 + int(vars%4),
-			Locations: int(locs % 6), ForkJoin: forkJoin, Events: 1 + int(events%150), Seed: seed,
-		}
+		cfg := closureConfig(threads, locks, vars, locs, forkJoin, events, seed)
 		tr := gen.Random(cfg)
 		wcpRef, hbRef := closure.WCPReference(tr), closure.HBReference(tr)
 
@@ -145,17 +142,77 @@ func FuzzEnginesAgainstClosure(f *testing.F) {
 			}
 		}
 
-		bs := 1 + int(block%24)
-		for _, name := range sessionEngineNames {
-			ref := wcpRef
-			if strings.HasPrefix(name, "hb") {
-				ref = hbRef
-			}
-			res := runFuzzSession(t, name, tr, bs, int(snapAt%12), int(compactAt%12))
-			if err := ref.Check(res.RacyEvents, res.FirstRace, res.Report); err != nil {
-				t.Fatalf("%+v: %s (block %d): %v", cfg, name, bs, err)
-			}
+		checkSessions(t, fmt.Sprintf("%+v", cfg), tr, wcpRef, hbRef, block, snapAt, compactAt)
+	})
+}
+
+// closureSeed is one seed input of FuzzEnginesAgainstClosure.
+type closureSeed struct {
+	threads, locks, vars, locs uint8
+	forkJoin                   bool
+	events                     uint8
+	seed                       int64
+	block, snapAt, compactAt   uint8
+}
+
+var closureSeeds = []closureSeed{
+	{3, 2, 3, 0, false, 80, 1, 7, 2, 5},
+	{5, 3, 2, 3, true, 140, 2, 16, 3, 1},
+	{9, 2, 2, 4, true, 120, 3, 5, 9, 4},
+	{12, 1, 1, 2, false, 149, 4, 3, 0, 0},
+}
+
+// closureConfig maps FuzzEnginesAgainstClosure's shape inputs to a small
+// gen.Random configuration: T 2–12, at most 150 events.
+func closureConfig(threads, locks, vars, locs uint8, forkJoin bool, events uint8, seed int64) gen.RandomConfig {
+	return gen.RandomConfig{
+		Threads: 2 + int(threads%11), Locks: int(locks % 4), Vars: 1 + int(vars%4),
+		Locations: int(locs % 6), ForkJoin: forkJoin, Events: 1 + int(events%150), Seed: seed,
+	}
+}
+
+// checkSessions streams tr through a session of every engine, in blocks of
+// 1 + block%24 events, compacting after block compactAt%12 and restoring
+// from a snapshot after block snapAt%12, and requires each report to match
+// its closure reference.
+func checkSessions(t *testing.T, what string, tr *trace.Trace, wcpRef, hbRef *closure.Reference, block, snapAt, compactAt uint8) {
+	t.Helper()
+	bs := 1 + int(block%24)
+	for _, name := range sessionEngineNames {
+		ref := wcpRef
+		if strings.HasPrefix(name, "hb") {
+			ref = hbRef
 		}
+		res := runFuzzSession(t, name, tr, bs, int(snapAt%12), int(compactAt%12))
+		if err := ref.Check(res.RacyEvents, res.FirstRace, res.Report); err != nil {
+			t.Fatalf("%s: %s (block %d): %v", what, name, bs, err)
+		}
+	}
+}
+
+// FuzzDecodedTracesAgainstClosure runs the detectors from bytes to
+// reports: an input decodes with traceio.ReadBinary, and a trace that
+// trace.Validate accepts, of at most 150 events and 12 threads, streams
+// through wcp and hb sessions as in FuzzEnginesAgainstClosure, with the
+// block size, compaction point and snapshot point drawn from the input.
+// Both reports must match the closure reference's. The seeds are the
+// binary encodings of FuzzEnginesAgainstClosure's seed traces.
+func FuzzDecodedTracesAgainstClosure(f *testing.F) {
+	for _, s := range closureSeeds {
+		var buf bytes.Buffer
+		tr := gen.Random(closureConfig(s.threads, s.locks, s.vars, s.locs, s.forkJoin, s.events, s.seed))
+		if err := traceio.WriteBinary(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), s.block, s.snapAt, s.compactAt)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, block, snapAt, compactAt uint8) {
+		tr, err := traceio.ReadBinary(bytes.NewReader(data))
+		if err != nil || trace.Validate(tr) != nil || tr.Len() > 150 || tr.NumThreads() > 12 {
+			return
+		}
+		checkSessions(t, fmt.Sprintf("%d-byte input", len(data)), tr,
+			closure.WCPReference(tr), closure.HBReference(tr), block, snapAt, compactAt)
 	})
 }
 

@@ -122,8 +122,8 @@ func TraceSource(name string, tr *trace.Trace) Source {
 }
 
 // CorpusResult is the analysis of one corpus entry: the per-engine results
-// in engine order, or Err when the source failed to load or to validate
-// (or the run was canceled before this entry started).
+// in engine order, or Err, and no results, when the source failed to load,
+// decode or validate, or the run was canceled before the entry finished.
 type CorpusResult struct {
 	// Index is the entry's position in the input corpus; results stream in
 	// completion order, so consumers needing input order reorder by Index.
@@ -139,7 +139,8 @@ type CorpusResult struct {
 	Results []*Result
 	// Duration is the wall-clock time for this entry: load + all engines.
 	Duration time.Duration
-	// Err is the load error or §2.1 violation (a *trace.ValidationError),
+	// Err is the load or decode error (a streamed entry's
+	// *traceio.DecodeError), the §2.1 violation (a *trace.ValidationError),
 	// or the context error for canceled entries.
 	Err error
 }
@@ -203,8 +204,8 @@ func analyzeSource(ctx context.Context, i int, src Source, engines []Engine) Cor
 	res.Results = make([]*Result, len(engines))
 	for j, e := range engines {
 		if err := ctx.Err(); err != nil {
-			res.Results[j] = errResult(e, err)
-			continue
+			res.Results, res.Err = nil, err
+			break
 		}
 		res.Results[j] = e.Analyze(tr)
 	}
@@ -233,19 +234,15 @@ func analyzeSourceStreaming(ctx context.Context, src Source, engines []Engine, r
 	for j, e := range engines {
 		sessions[j] = e.(StreamAnalyzer).NewSession(dims.Threads, dims.Locks, dims.Vars)
 	}
-	err = drive(ctx, st, sessions)
+	if res.Err = drive(ctx, st, sessions); res.Err != nil {
+		return true
+	}
 	res.Results = make([]*Result, len(engines))
 	for j, s := range sessions {
-		if err != nil {
-			res.Results[j] = errResult(engines[j], err)
-		} else {
-			res.Results[j] = s.Finish()
-		}
+		res.Results[j] = s.Finish()
 	}
-	if err == nil {
-		// The stream is fully drained: its tally is the whole trace.
-		res.Stats, res.Symbols = st.Stats(), st.Symbols()
-	}
+	// The stream is fully drained: its tally is the whole trace.
+	res.Stats, res.Symbols = st.Stats(), st.Symbols()
 	return true
 }
 

@@ -263,7 +263,9 @@ func TestSoakBoundedMemory(t *testing.T) {
 	// on the thread-scaling shapes a compacted session's state does not
 	// grow with its length: pools at T=256 (SOAK_EVENTS=1000000 streams
 	// 400k and 1.6M events), where 247 of the 255 workers never take a
-	// given pool's lock, and hotlock at T=1024 over 30k and 120k events.
+	// given pool's lock, hotlock at T=1024 over 30k and 120k events, and
+	// pools at T=8 (two pools of 4 threads and 4 variables, same lengths
+	// as T=256), whose detector takes the fixed-stride record layout.
 	n := soakEvents(t, 1<<20) * 2 / 5
 	for _, tc := range []struct {
 		shape       string
@@ -272,6 +274,7 @@ func TestSoakBoundedMemory(t *testing.T) {
 	}{
 		{"pools-T256", scalingWorkload{threads: 256, poolSize: 8, poolVars: 4}, n, 4 * n},
 		{"hotlock-T1024", scalingWorkload{threads: 1024, poolSize: 1023, poolVars: 1}, 30_000, 120_000},
+		{"pools-T8", scalingWorkload{threads: 8, poolSize: 4, poolVars: 4}, n, 4 * n},
 	} {
 		tc := tc
 		t.Run(tc.shape+"/wcp", func(t *testing.T) {

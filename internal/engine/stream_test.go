@@ -129,9 +129,10 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 
 // TestAnalyzeCorpusDecodeError feeds corrupt binary traces to the streamed
 // corpus runner: a body truncated halfway, and one whose event several
-// blocks in has an invalid kind byte. Every engine must report the same
-// *traceio.DecodeError, at the same offset, as a lone AnalyzeStream of that
-// engine on that input, and no goroutine may be left behind.
+// blocks in has an invalid kind byte. The entry's Err must be the same
+// *traceio.DecodeError, at the same offset and event, as a lone
+// AnalyzeStream of each engine on that input gives, the entry must carry no
+// per-engine results, and no goroutine may be left behind.
 func TestAnalyzeCorpusDecodeError(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Seed: 9, Events: 5 * traceio.DefaultBlockSize, Threads: 4, Locks: 3, Vars: 8})
 	full := binaryTrace(t, tr)
@@ -168,15 +169,16 @@ func TestAnalyzeCorpusDecodeError(t *testing.T) {
 			}
 			src := Source{Name: in.name, Open: open}
 			for res := range AnalyzeCorpus(context.Background(), []Source{src}, engines, 1) {
-				if res.Err != nil {
-					t.Fatalf("entry error %v, want per-engine decode errors", res.Err)
+				var got *traceio.DecodeError
+				if !errors.As(res.Err, &got) {
+					t.Fatalf("entry error %v, want a *traceio.DecodeError", res.Err)
 				}
-				for j, r := range res.Results {
-					var got *traceio.DecodeError
-					if !errors.As(r.Err, &got) {
-						t.Errorf("%s: error %v, want a *traceio.DecodeError", r.Engine, r.Err)
-					} else if got.Offset != want[j].Offset || got.Event != want[j].Event {
-						t.Errorf("%s: %v, lone AnalyzeStream gave %v", r.Engine, got, want[j])
+				if len(res.Results) != 0 {
+					t.Errorf("%d per-engine results beside the entry error", len(res.Results))
+				}
+				for j, e := range engines {
+					if got.Offset != want[j].Offset || got.Event != want[j].Event {
+						t.Errorf("%v, lone AnalyzeStream of %s gave %v", got, e.Name(), want[j])
 					}
 				}
 			}
@@ -346,8 +348,8 @@ func (c *eventCounter) ProcessBlock(b *trace.Block) { c.n += b.Len() }
 
 // TestIllFormedRejected drives every tracetest shape through the corpus
 // runner, loaded and streamed, and through drive: each names the shape's
-// offending event — the loaded entry as its Err, the streamed one as every
-// engine's — and no processor sees the block that holds it.
+// offending event — either entry as its Err, with no per-engine results —
+// and no processor sees the block that holds it.
 func TestIllFormedRejected(t *testing.T) {
 	engines := streamingEngines()
 	for _, s := range tracetest.IllFormedTraces() {
@@ -355,20 +357,11 @@ func TestIllFormedRejected(t *testing.T) {
 		open := func() (*traceio.Stream, error) { return traceio.OpenStream(bytes.NewReader(data)) }
 		loaded, streamed := TraceSource(s.Name, s.Trace), Source{Name: s.Name, Open: open}
 		for res := range AnalyzeCorpus(context.Background(), []Source{loaded, streamed}, engines, 1) {
-			errs := []error{res.Err}
-			if res.Index == 1 {
-				if res.Err != nil || len(res.Results) != len(engines) {
-					t.Fatalf("%s, streamed: entry error %v with %d results, want per-engine errors", s.Name, res.Err, len(res.Results))
-				}
-				errs = errs[:0]
-				for _, r := range res.Results {
-					errs = append(errs, r.Err)
-				}
+			if len(res.Results) != 0 {
+				t.Errorf("%s, entry %d: %d per-engine results beside the entry error", s.Name, res.Index, len(res.Results))
 			}
-			for _, err := range errs {
-				if got := errIndex(err); got != s.Index {
-					t.Errorf("%s, entry %d: %v names event %d, want %d", s.Name, res.Index, err, got, s.Index)
-				}
+			if got := errIndex(res.Err); got != s.Index {
+				t.Errorf("%s, entry %d: %v names event %d, want %d", s.Name, res.Index, res.Err, got, s.Index)
 			}
 		}
 		st, err := open()

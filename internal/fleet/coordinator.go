@@ -85,12 +85,6 @@ type CoordinatorConfig struct {
 	// rebalancing is held off, and /healthz reports "recovering". Defaults
 	// to 2x HeartbeatTimeout.
 	RecoveryGrace time.Duration
-	// FinishedTTL bounds how long a cached finish reply is retained for
-	// replayed finishes. Defaults to 10 minutes.
-	FinishedTTL time.Duration
-	// FinishedMax caps the finish-reply cache entry count. Defaults to
-	// 4096.
-	FinishedMax int
 }
 
 func (c *CoordinatorConfig) fill() {
@@ -120,12 +114,6 @@ func (c *CoordinatorConfig) fill() {
 	}
 	if c.RecoveryGrace <= 0 {
 		c.RecoveryGrace = 2 * c.HeartbeatTimeout
-	}
-	if c.FinishedTTL <= 0 {
-		c.FinishedTTL = 10 * time.Minute
-	}
-	if c.FinishedMax <= 0 {
-		c.FinishedMax = finishedCacheCap
 	}
 }
 
@@ -161,8 +149,8 @@ type Coordinator struct {
 
 	// finished caches proxied finish responses so a replayed finish for a
 	// session whose placement is gone still gets the identical report.
-	// Bounded by FinishedMax entries and FinishedTTL age (entries land in
-	// time order, so expiry walks finOrder from the front).
+	// Bounded by finishedCacheCap entries and finishedTTL age (entries land
+	// in time order, so expiry walks finOrder from the front).
 	finMu    sync.Mutex
 	finished map[string]finishedEntry
 	finOrder []string
@@ -833,7 +821,12 @@ func (c *Coordinator) handleSessionSnapshot(w http.ResponseWriter, r *http.Reque
 
 // --- finish idempotency cache ---
 
-const finishedCacheCap = 4096
+// The finish-reply cache keeps at most finishedCacheCap entries, each for
+// at most finishedTTL.
+const (
+	finishedCacheCap = 4096
+	finishedTTL      = 10 * time.Minute
+)
 
 func (c *Coordinator) rememberFinished(id string, body []byte) {
 	c.finMu.Lock()
@@ -842,7 +835,7 @@ func (c *Coordinator) rememberFinished(id string, body []byte) {
 		c.finOrder = append(c.finOrder, id)
 	}
 	c.finished[id] = finishedEntry{body: body, at: time.Now()}
-	for len(c.finOrder) > c.cfg.FinishedMax {
+	for len(c.finOrder) > finishedCacheCap {
 		delete(c.finished, c.finOrder[0])
 		c.finOrder = c.finOrder[1:]
 		c.finEvictions.Add(1)
@@ -856,11 +849,11 @@ func (c *Coordinator) recallFinished(id string) ([]byte, bool) {
 	return e.body, ok
 }
 
-// expireFinished drops cached finish replies older than FinishedTTL.
+// expireFinished drops cached finish replies older than finishedTTL at now.
 // Entries land in time order, so the scan stops at the first fresh one.
 // Called from the monitor loop.
-func (c *Coordinator) expireFinished() {
-	cutoff := time.Now().Add(-c.cfg.FinishedTTL)
+func (c *Coordinator) expireFinished(now time.Time) {
+	cutoff := now.Add(-finishedTTL)
 	c.finMu.Lock()
 	defer c.finMu.Unlock()
 	for len(c.finOrder) > 0 {

@@ -286,7 +286,7 @@ func (c *Coordinator) monitorLoop() {
 			return
 		case <-t.C:
 			c.sweep()
-			c.expireFinished()
+			c.expireFinished(time.Now())
 		}
 	}
 }

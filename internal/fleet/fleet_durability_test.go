@@ -580,8 +580,6 @@ func TestCoordinatorFinishedCacheBounds(t *testing.T) {
 	co := NewCoordinator(CoordinatorConfig{
 		HeartbeatTimeout: time.Hour,
 		PullEvery:        -1,
-		FinishedMax:      3,
-		FinishedTTL:      50 * time.Millisecond,
 		Logger:           testLogger(t),
 	})
 	defer func() {
@@ -589,29 +587,33 @@ func TestCoordinatorFinishedCacheBounds(t *testing.T) {
 		defer cancel()
 		co.Close(ctx)
 	}()
-	for i := 0; i < 5; i++ {
+	const n = finishedCacheCap + 2
+	for i := 0; i < n; i++ {
 		co.rememberFinished(fmt.Sprintf("s%d", i), []byte(fmt.Sprintf("reply-%d", i)))
 	}
 	for _, gone := range []string{"s0", "s1"} {
 		if _, ok := co.recallFinished(gone); ok {
-			t.Errorf("entry %s survived past FinishedMax=3", gone)
+			t.Errorf("entry %s survived past the cap of %d", gone, finishedCacheCap)
 		}
 	}
-	for _, kept := range []string{"s2", "s3", "s4"} {
+	for _, kept := range []string{"s2", "s3", fmt.Sprintf("s%d", n-1)} {
 		if _, ok := co.recallFinished(kept); !ok {
-			t.Errorf("entry %s evicted while within FinishedMax", kept)
+			t.Errorf("entry %s evicted while within the cap", kept)
 		}
 	}
 	if got := co.finEvictions.Value(); got != 2 {
 		t.Errorf("capacity evictions = %d, want 2", got)
 	}
-	time.Sleep(60 * time.Millisecond)
-	co.expireFinished()
-	if _, ok := co.recallFinished("s4"); ok {
-		t.Error("entry s4 survived past FinishedTTL")
+	co.expireFinished(time.Now().Add(finishedTTL / 2))
+	if got := co.finEvictions.Value(); got != 2 {
+		t.Errorf("evictions within the TTL = %d, want 2", got)
 	}
-	if got := co.finEvictions.Value(); got != 5 {
-		t.Errorf("total evictions = %d, want 5 (2 capacity + 3 TTL)", got)
+	co.expireFinished(time.Now().Add(finishedTTL + time.Second))
+	if _, ok := co.recallFinished(fmt.Sprintf("s%d", n-1)); ok {
+		t.Error("the newest entry survived past the TTL")
+	}
+	if got := co.finEvictions.Value(); got != n {
+		t.Errorf("total evictions = %d, want %d (2 capacity + %d TTL)", got, n, finishedCacheCap)
 	}
 }
 

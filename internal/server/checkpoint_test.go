@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/traceio"
 )
@@ -236,9 +237,10 @@ func TestSnapshotMigration(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointsAreSkipped ensures a torn or garbage checkpoint
-// cannot keep the server from starting: the bad file is ignored (and
-// healthy ones around it still restore).
+// TestCorruptCheckpointsAreSkipped ensures a torn or garbage checkpoint,
+// or one written in the previous snapshot format version, cannot keep the
+// server from starting: the bad file is ignored (and healthy ones around
+// it still restore).
 func TestCorruptCheckpointsAreSkipped(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Seed: 3, Events: 8000, Threads: 3, Locks: 2, Vars: 4})
 	dir := t.TempDir()
@@ -262,6 +264,11 @@ func TestCorruptCheckpointsAreSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "junk0000.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Clone(good)
+	stale[4] = snap.Version - 1 // the first frame's version byte
+	if err := os.WriteFile(filepath.Join(dir, "stale000.ckpt"), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -29,6 +29,9 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 
 // Version is the current snapshot format version. Bump on any payload
 // layout change; Reader rejects mismatched versions with a DecodeError.
+// Version 7 writes each WCP lock's holders of release times (Hℓ, the
+// own-queue entries, the rule-(a) contributions) as offsets into the
+// lock's encoded log instead of full clocks and inline records.
 // Version 6 adds the §2.1 checker's state (trace.Checker) to a session's
 // meta frame; version 5 adds each WCP lock log's settled run (offset, record count and
 // per-producer counts) and encodes each cursor as a record index and an
@@ -38,7 +41,7 @@ var magic = [4]byte{'r', 'p', 's', 'n'}
 // encodes each variable's read and write times as cells (an epoch, or a
 // sparse clock in vector form) and has no epoch-engine layout; version 2
 // held them as full clocks with fast-path flags.
-const Version = 6
+const Version = 7
 
 // maxPayload bounds a single frame's payload so a corrupted length field
 // cannot drive a multi-gigabyte allocation. Detector snapshots for even
