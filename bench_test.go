@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/event"
 	"repro/internal/gen"
 	"repro/internal/hb"
 	"repro/internal/predict"
@@ -366,12 +365,11 @@ func BenchmarkEngineFanout(b *testing.B) {
 // detector without whole-trace materialization overheads.
 func BenchmarkStreamingWCP(b *testing.B) {
 	tr := benchTrace(b, "xalan", table1Scale)
+	soa := tr.SoA()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), core.Options{})
-		for _, e := range tr.Events {
-			d.Process(e)
-		}
+		d.ProcessBlock(soa)
 	}
 	reportEventsPerSec(b, tr.Len())
 }
@@ -435,12 +433,10 @@ func BenchmarkStreamingIngestWCP(b *testing.B) {
 			b.Fatal("binary stream must declare dims")
 		}
 		d := core.NewDetector(dims.Threads, dims.Locks, dims.Vars, core.Options{})
-		buf := make([]event.Event, traceio.DefaultBlockSize)
+		block := trace.NewBlock(traceio.DefaultBlockSize)
 		for {
-			n, err := st.NextBlock(buf)
-			for _, e := range buf[:n] {
-				d.Process(e)
-			}
+			_, err := st.NextBlockSoA(block)
+			d.ProcessBlock(block)
 			if err == io.EOF {
 				break
 			}

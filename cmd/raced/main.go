@@ -11,11 +11,11 @@
 // Endpoints:
 //
 //	POST   /sessions?engines=...   open a session (body: binary trace header)
-//	POST   /sessions/{id}/chunks   stream event-body chunks
+//	POST   /sessions/{id}/chunks   stream event-body chunks (each declares
+//	                               its first event's index in X-Raced-Offset)
 //	POST   /sessions/{id}/finish   seal the session, get the reports
 //	DELETE /sessions/{id}          abort without reporting
 //	GET    /sessions[/{id}]        session status
-//	POST   /analyze?engines=...    one-shot whole-trace analysis (any format)
 //	POST   /checkpoint             checkpoint all sessions + reports now
 //	GET    /sessions/{id}/snapshot serialized session state (migration handoff)
 //	POST   /sessions/restore       accept a serialized session (body: snapshot)
@@ -46,6 +46,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -74,14 +75,12 @@ func deriveAdvertise(addr string) string {
 
 var (
 	addr         = flag.String("addr", ":7477", "listen address")
-	engines      = flag.String("engines", "wcp", "default engines for sessions and /analyze (comma-separated)")
+	engines      = flag.String("engines", "wcp", "default engines for sessions (comma-separated; streaming engines: wcp, hb)")
 	workers      = flag.Int("workers", 0, "concurrent analysis tasks (0 = GOMAXPROCS)")
 	queue        = flag.Int("queue", 0, "pending-task queue capacity (0 = 4x workers)")
 	maxBody      = flag.Int64("max-body", 32<<20, "max request body bytes")
 	maxSessions  = flag.Int("max-sessions", 1024, "max concurrently-open sessions")
 	idle         = flag.Duration("idle", 5*time.Minute, "evict sessions idle this long (<0 disables)")
-	window       = flag.Int("window", 0, "window size for the cp/predict engines on /analyze")
-	budget       = flag.Int("budget", 0, "per-window search budget for the predict engine")
 	drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight work at shutdown")
 
 	checkpointDir   = flag.String("checkpoint-dir", "", "directory for session/report checkpoints; enables crash recovery and graceful restarts")
@@ -203,8 +202,12 @@ func run(logger *slog.Logger) error {
 	names := strings.Split(*engines, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
-		if _, err := engine.New(names[i], engine.Config{}); err != nil {
+		e, err := engine.New(names[i], engine.Config{})
+		if err != nil {
 			return err
+		}
+		if _, ok := e.(engine.SessionEngine); !ok {
+			return fmt.Errorf("engine %q cannot run as a streaming session (streaming engines: wcp, hb)", names[i])
 		}
 	}
 
@@ -222,7 +225,6 @@ func run(logger *slog.Logger) error {
 
 	cfg := server.Config{
 		DefaultEngines: names,
-		Engine:         engine.Config{Window: *window, Budget: *budget},
 		Workers:        *workers,
 		QueueCap:       *queue,
 		MaxBodyBytes:   *maxBody,

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/traceio"
 )
@@ -38,7 +39,7 @@ var (
 	vars    = flag.Int("vars", 5, "variable pool size")
 	seed    = flag.Int64("seed", 42, "generator seed")
 	chunks  = flag.Int("chunks", 8, "number of chunk requests to split the body into")
-	dump    = flag.String("dump", "", "instead of talking to a daemon, write header.bin and chunkN.bin to this directory (for the README curl walkthrough)")
+	dump    = flag.String("dump", "", "instead of talking to a daemon, write header.bin and chunkN.bin to this directory and print each chunk's X-Raced-Offset (for the README curl walkthrough)")
 
 	stopAfter = flag.Int("stop-after", 0, "stop streaming after this many events without finishing, print the session id, and exit (pair with -resume)")
 	resume    = flag.String("resume", "", "resume streaming an open session by id: the trace is regenerated from the same flags and replayed from the daemon-acknowledged offset")
@@ -181,9 +182,13 @@ func run() error {
 
 // dumpParts writes the generated trace as the wire pieces of a session —
 // header.bin plus -chunks event-body files — so the README's curl
-// walkthrough has real files to POST.
+// walkthrough has real files to POST. Each chunk is printed with the
+// index of its first event, the X-Raced-Offset it must be sent with.
 func dumpParts(tr *trace.Trace) error {
-	writePart := func(name string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(*dump, 0o755); err != nil {
+		return err
+	}
+	writePart := func(name, note string, write func(io.Writer) error) error {
 		f, err := os.Create(filepath.Join(*dump, name))
 		if err != nil {
 			return err
@@ -195,10 +200,10 @@ func dumpParts(tr *trace.Trace) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", filepath.Join(*dump, name))
+		fmt.Printf("wrote %s%s\n", filepath.Join(*dump, name), note)
 		return nil
 	}
-	if err := writePart("header.bin", func(w io.Writer) error {
+	if err := writePart("header.bin", "", func(w io.Writer) error {
 		return traceio.WriteHeader(w, tr.Symbols, 0)
 	}); err != nil {
 		return err
@@ -207,7 +212,8 @@ func dumpParts(tr *trace.Trace) error {
 	for i, n := 0, 1; i < len(tr.Events); i, n = i+per, n+1 {
 		end := min(i+per, len(tr.Events))
 		events := tr.Events[i:end]
-		if err := writePart(fmt.Sprintf("chunk%d.bin", n), func(w io.Writer) error {
+		note := fmt.Sprintf(" (%s: %d)", obs.HeaderOffset, i)
+		if err := writePart(fmt.Sprintf("chunk%d.bin", n), note, func(w io.Writer) error {
 			return traceio.EncodeEvents(w, events)
 		}); err != nil {
 			return err

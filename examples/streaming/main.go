@@ -8,7 +8,7 @@
 // sized up front and memory stays constant no matter how long the trace is
 // — the property that lets the paper's tool process hundreds of millions of
 // events without windowing. (Text logs don't declare their universe; for
-// them a cheap counting pass with NewTraceScanner provides it.)
+// them a first pass over OpenTraceStream's blocks provides it.)
 //
 // Run with: go run ./examples/streaming
 package main
@@ -54,16 +54,14 @@ func main() {
 	fmt.Printf("header: %d events, %d threads, %d locks, %d variables\n",
 		dims.Events, dims.Threads, dims.Locks, dims.Vars)
 
-	// Decode block by block straight into the detector, reusing one buffer.
+	// Decode block by block straight into the detector, reusing one block.
 	det := repro.NewWCPDetector(dims.Threads, dims.Locks, dims.Vars,
 		repro.WCPOptions{TrackPairs: true})
-	buf := make([]repro.TraceEvent, repro.DefaultStreamBlockSize)
+	block := repro.NewTraceBlock(repro.DefaultStreamBlockSize)
 	processed := 0
 	for {
-		n, err := st.NextBlock(buf)
-		for _, e := range buf[:n] {
-			det.Process(e)
-		}
+		n, err := st.NextBlockSoA(block)
+		det.ProcessBlock(block)
 		processed += n
 		if n > 0 {
 			r := det.Result()

@@ -234,7 +234,7 @@ func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error
 	// The checksum lets the server reject a header corrupted in transit
 	// before it sizes detectors from garbage symbol tables.
 	crcHdr := map[string]string{
-		"X-Raced-Crc32": strconv.FormatUint(uint64(crc32.ChecksumIEEE(hdr)), 10),
+		obs.HeaderCRC: strconv.FormatUint(uint64(crc32.ChecksumIEEE(hdr)), 10),
 	}
 	var created struct {
 		ID string `json:"id"`
@@ -342,8 +342,8 @@ func (s *Session) sendChunk(ctx context.Context, offset uint64, events []event.E
 	io.WriteString(sum, ":")
 	sum.Write(body)
 	hdr := map[string]string{
-		"X-Raced-Offset": off,
-		"X-Raced-Crc32":  strconv.FormatUint(uint64(sum.Sum32()), 10),
+		obs.HeaderOffset: off,
+		obs.HeaderCRC:    strconv.FormatUint(uint64(sum.Sum32()), 10),
 	}
 	var ack struct {
 		Events   uint64 `json:"events"`
@@ -429,7 +429,7 @@ var ErrRewound = errors.New("session rewound to an older checkpoint")
 func (s *Session) Finish(ctx context.Context) (*FinishResult, error) {
 	var res FinishResult
 	err := s.retry(ctx, "finish", func(attempt int) (int, error) {
-		hdr := map[string]string{"X-Raced-Offset": strconv.FormatUint(s.acked, 10)}
+		hdr := map[string]string{obs.HeaderOffset: strconv.FormatUint(s.acked, 10)}
 		status, rerr := s.roundTrip(ctx, "POST", s.base()+"/sessions/"+s.id+"/finish", nil, hdr, &res)
 		if status == http.StatusConflict {
 			var ae *apiError
@@ -589,7 +589,7 @@ func (s *Session) roundTrip(ctx context.Context, method, url string, body []byte
 		// adopt it so the chunk hot path can skip the proxy hop. Workers
 		// themselves never send the header, so a direct response leaves the
 		// pin alone.
-		if v := resp.Header.Get("X-Raced-Worker"); v != "" && v != s.workerURL {
+		if v := resp.Header.Get(obs.HeaderWorker); v != "" && v != s.workerURL {
 			s.cfg.Logf("raced client: session %s pinned to worker %s", s.id, v)
 			s.workerURL = v
 		}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/event"
+	"repro/internal/obs"
 )
 
 const chunkEvents = 10
@@ -49,7 +50,7 @@ func (d *daemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d.resyncs++
 		fmt.Fprintf(w, `{"id":"s1","events":%d}`, d.acked)
 	case "POST /sessions/s1/chunks":
-		off, _ := strconv.ParseUint(r.Header.Get("X-Raced-Offset"), 10, 64)
+		off, _ := strconv.ParseUint(r.Header.Get(obs.HeaderOffset), 10, 64)
 		d.offsets = append(d.offsets, off)
 		status := http.StatusOK
 		if len(d.reply) > 0 {

@@ -39,9 +39,7 @@ func TestWCPSteadyStateAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), tc.opts)
 			perEvent := allocsPerEvent(tr, func(tr *trace.Trace) {
-				for _, e := range tr.Events {
-					d.Process(e)
-				}
+				d.ProcessBlock(tr.SoA())
 			})
 			if perEvent > steadyStateLimit {
 				t.Errorf("steady-state WCP (%s) allocates %.4f allocs/event, want < %v", tc.name, perEvent, steadyStateLimit)
@@ -87,11 +85,8 @@ func TestWCPQueueStorageSteadyState(t *testing.T) {
 	bench, _ := gen.ByName("montecarlo")
 	tr := bench.Generate(0.25)
 	d := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), core.Options{})
-	feed := func() {
-		for _, e := range tr.Events {
-			d.Process(e)
-		}
-	}
+	soa := tr.SoA()
+	feed := func() { d.ProcessBlock(soa) }
 	feed() // warm up queues, rings and per-lock state
 	feed()
 	if avg := testing.AllocsPerRun(3, feed); avg != 0 {

@@ -54,7 +54,7 @@ func TestWxReArms(t *testing.T) {
 			i := 0
 			for _, c := range tc.checks {
 				for ; i <= c.at; i++ {
-					d.Process(tr.Events[i])
+					d.ProcessBlock(trace.BlockOf(tr.Events[i : i+1]))
 				}
 				e := tr.Events[c.at]
 				ts := &d.threads[e.Thread]

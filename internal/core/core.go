@@ -513,8 +513,8 @@ type varState struct {
 }
 
 // Detector is the streaming WCP race detector. Create it with NewDetector,
-// feed events in trace order with Process (or whole SoA blocks with
-// ProcessBlock), then read the Result.
+// feed the trace's events in order as SoA blocks with ProcessBlock, then
+// read the Result.
 type Detector struct {
 	opts    Options
 	threads []threadState
@@ -619,13 +619,6 @@ func (d *Detector) effectiveTime(t int) *vc.WC {
 		ts.effOK = true
 	}
 	return &ts.eff
-}
-
-// Process feeds the next event of the trace to the detector.
-func (d *Detector) Process(e event.Event) {
-	i := d.res.Events
-	d.res.Events++
-	d.stepAt(i, e.Kind, int(e.Thread), e.Obj, e.Loc)
 }
 
 // ProcessBlock feeds a structure-of-arrays block of events to the detector,
@@ -1169,7 +1162,7 @@ func (d *Detector) raceCtx(t int, x event.VID) race.Ctx {
 }
 
 // Result returns the analysis outcome accumulated so far. The returned
-// value shares state with the detector; read it after the last Process.
+// value shares state with the detector; read it after the last ProcessBlock.
 func (d *Detector) Result() *Result { return &d.res }
 
 // Detect runs the WCP detector over a whole trace with pair tracking.

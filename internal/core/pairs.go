@@ -47,7 +47,8 @@ func FindRacePairs(tr *trace.Trace) []EventPair {
 	byVar := make(map[event.VID][]int) // variable -> indices into flaggedEvents
 	for i, e := range tr.Events {
 		before := d.res.RacyEvents
-		d.Process(e)
+		d.res.Events = i + 1
+		d.stepAt(i, e.Kind, int(e.Thread), e.Obj, e.Loc)
 		if d.res.RacyEvents > before {
 			byVar[e.Var()] = append(byVar[e.Var()], len(flaggedEvents))
 			flaggedEvents = append(flaggedEvents, flagged{
@@ -66,7 +67,8 @@ func FindRacePairs(tr *trace.Trace) []EventPair {
 	d2 := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{})
 	var pairs []EventPair
 	for i, e := range tr.Events {
-		d2.Process(e)
+		d2.res.Events = i + 1
+		d2.stepAt(i, e.Kind, int(e.Thread), e.Obj, e.Loc)
 		if !e.Kind.IsAccess() {
 			continue
 		}

@@ -182,13 +182,13 @@ func restoreEverywhere(t *testing.T, name string, tr *trace.Trace) {
 	}
 }
 
-// stepTimes feeds tr's events from index from on to d one at a time and
-// returns, per event, its C-time and H-time side by side.
+// stepTimes feeds tr's events from index from on to d as one-event blocks
+// and returns, per event, its C-time and H-time side by side.
 func stepTimes(d *Detector, tr *trace.Trace, from int) []vc.VC {
 	var out []vc.VC
-	for _, e := range tr.Events[from:] {
-		d.Process(e)
-		t := int(e.Thread)
+	for i := from; i < len(tr.Events); i++ {
+		d.ProcessBlock(trace.BlockOf(tr.Events[i : i+1]))
+		t := int(tr.Events[i].Thread)
 		out = append(out, append(d.effectiveTime(t).Clone(), d.threads[t].h.Clone()...))
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/gen"
 	"repro/internal/snap"
+	"repro/internal/trace"
 	"repro/internal/vc"
 )
 
@@ -419,8 +420,10 @@ func TestDecodeQueueMutations(t *testing.T) {
 			accepted++
 			for l := range got.locks {
 				for th := 0; th < threads; th++ {
-					got.Process(event.Event{Kind: event.Acquire, Thread: event.TID(th), Obj: int32(l)})
-					got.Process(event.Event{Kind: event.Release, Thread: event.TID(th), Obj: int32(l)})
+					got.ProcessBlock(trace.BlockOf([]event.Event{
+						{Kind: event.Acquire, Thread: event.TID(th), Obj: int32(l)},
+						{Kind: event.Release, Thread: event.TID(th), Obj: int32(l)},
+					}))
 				}
 			}
 		}

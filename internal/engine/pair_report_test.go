@@ -216,15 +216,16 @@ func FuzzDecodedTracesAgainstClosure(f *testing.F) {
 	})
 }
 
-// steppedRacy feeds tr event by event to wcp and hb detectors, tracking
-// pairs or not, and returns the events each flags.
+// steppedRacy feeds tr as one-event blocks to wcp and hb detectors,
+// tracking pairs or not, and returns the events each flags.
 func steppedRacy(tr *trace.Trace, pairs bool) (wcp, hbRacy []int) {
 	cd := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), core.Options{TrackPairs: pairs})
 	hd := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), hb.Options{TrackPairs: pairs})
-	for i, e := range tr.Events {
+	for i := range tr.Events {
 		cBefore, hBefore := cd.Result().RacyEvents, hd.Result().RacyEvents
-		cd.Process(e)
-		hd.Process(e)
+		one := trace.BlockOf(tr.Events[i : i+1])
+		cd.ProcessBlock(one)
+		hd.ProcessBlock(one)
 		if cd.Result().RacyEvents > cBefore {
 			wcp = append(wcp, i)
 		}

@@ -99,8 +99,8 @@ func resultsEqual(a, b *Result) bool {
 // event-slice path.
 //
 // For the streaming detectors (wcp, hb), with and without pairs, the legacy
-// path is the per-event Process loop over tr.Events, compared against the
-// block path the engines now use. For the windowed/materialized baselines
+// path feeds tr.Events as one-event blocks, compared against the
+// whole-trace block the engines use. For the windowed/materialized baselines
 // (cp, predict, lockset) the SoA cursor is their ingestion path; the legacy
 // comparison analyzes a second trace whose event slice is materialized from
 // the SoA view, so any divergence between the two representations would
@@ -108,11 +108,11 @@ func resultsEqual(a, b *Result) bool {
 func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 	engines := All(Config{Window: 120, Budget: 3000})
 	for ti, tr := range soaShapes(t) {
-		// Detector-level equivalence: Process-per-event vs ProcessBlock.
+		// Detector-level equivalence: one-event blocks vs the whole-trace block.
 		for _, opts := range []core.Options{{TrackPairs: true}, {}} {
 			legacy := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
-			for _, e := range tr.Events {
-				legacy.Process(e)
+			for i := range tr.Events {
+				legacy.ProcessBlock(trace.BlockOf(tr.Events[i : i+1]))
 			}
 			soa := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 			soa.ProcessBlock(tr.SoA())
@@ -126,8 +126,8 @@ func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 		}
 		for _, opts := range []hb.Options{{TrackPairs: true}, {}} {
 			legacy := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
-			for _, e := range tr.Events {
-				legacy.Process(e)
+			for i := range tr.Events {
+				legacy.ProcessBlock(trace.BlockOf(tr.Events[i : i+1]))
 			}
 			soa := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 			soa.ProcessBlock(tr.SoA())

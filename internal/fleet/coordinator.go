@@ -17,25 +17,6 @@ import (
 	"repro/internal/obs"
 )
 
-// HeaderWorker is set on coordinator-proxied responses and names the worker
-// currently owning the session, so placement-following clients can send
-// their chunk hot path straight to the worker and re-resolve through the
-// coordinator when the placement moves.
-const HeaderWorker = "X-Raced-Worker"
-
-// HeaderSessionID lets the coordinator choose the session id on a proxied
-// create, which is what makes ring placement deterministic: the id is
-// hashed before any worker is contacted.
-const HeaderSessionID = "X-Raced-Session-Id"
-
-// HeaderEpoch carries the coordinator's fencing epoch on every
-// worker-bound request and on register/heartbeat replies. Workers retain
-// the highest epoch they have seen and answer 412 Precondition Failed to
-// anything lower, so a superseded ("zombie") coordinator can never
-// double-place a session or roll a placement back. Must match the
-// server-side constant of the same value.
-const HeaderEpoch = "X-Raced-Epoch"
-
 // CoordinatorConfig parameterizes a Coordinator. The zero value picks
 // usable defaults.
 type CoordinatorConfig struct {
@@ -342,11 +323,15 @@ type proxyResult struct {
 // forward issues one request to a worker and buffers the response. hdr
 // entries are set verbatim on the outgoing request. Every request is
 // stamped with the coordinator's fencing epoch; a worker holding a higher
-// fence answers 412, which marks this coordinator superseded. A transient
-// dial failure gets one jittered retry before the error is surfaced (and
-// counted as a strike by the caller) — the whole session protocol is
-// idempotent, so a duplicate of a request whose response was lost is
-// harmless.
+// fence answers 412, which marks this coordinator superseded. A transport
+// failure gets one jittered retry before the error is surfaced (and
+// counted as a strike by the caller). The worker may have applied the
+// first attempt and only its reply been lost. A retried chunk is then a
+// replay, not a second append: every chunk declares its absolute offset
+// (obs.HeaderOffset), and the worker drops the events it has already
+// acknowledged. A retried finish gets the worker's cached reply. A retried
+// create is not covered: it meets the session its first attempt opened
+// and is answered 409.
 func (c *Coordinator) forward(ctx context.Context, method, url string, body []byte, hdr map[string]string) (*proxyResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProxyTimeout)
 	defer cancel()
@@ -365,7 +350,7 @@ func (c *Coordinator) forward(ctx context.Context, method, url string, body []by
 				req.Header.Set(k, v)
 			}
 		}
-		req.Header.Set(HeaderEpoch, epoch)
+		req.Header.Set(obs.HeaderEpoch, epoch)
 		t0 := time.Now()
 		resp, err := c.cfg.HTTPClient.Do(req)
 		if err != nil {
@@ -406,7 +391,7 @@ func (c *Coordinator) noteFenced(url string, pr *proxyResult) {
 	c.epochRejects.Add(1)
 	if !c.fenced.Swap(true) {
 		c.cfg.Logger.Error("fenced: a worker holds a higher coordinator epoch; this coordinator is superseded",
-			"worker_url", url, "our_epoch", c.epoch.Load(), "worker_fence", pr.header.Get(HeaderEpoch))
+			"worker_url", url, "our_epoch", c.epoch.Load(), "worker_fence", pr.header.Get(obs.HeaderEpoch))
 	}
 }
 
@@ -424,7 +409,7 @@ func (c *Coordinator) writeProxied(w http.ResponseWriter, pr *proxyResult, worke
 	}
 	if workerName != "" {
 		if url := c.workerURL(workerName); url != "" {
-			w.Header().Set(HeaderWorker, url)
+			w.Header().Set(obs.HeaderWorker, url)
 		}
 	}
 	w.WriteHeader(pr.status)
@@ -585,10 +570,10 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 		}
 		t0 := time.Now()
 		pr, err := c.forward(r.Context(), "POST", target, body, map[string]string{
-			HeaderSessionID: id,
-			obs.HeaderTrace: traceID,
-			"Content-Type":  r.Header.Get("Content-Type"),
-			"X-Raced-Crc32": r.Header.Get("X-Raced-Crc32"),
+			obs.HeaderSessionID: id,
+			obs.HeaderTrace:     traceID,
+			"Content-Type":      r.Header.Get("Content-Type"),
+			obs.HeaderCRC:       r.Header.Get(obs.HeaderCRC),
 		})
 		if err != nil {
 			c.noteProxyFailure(name, err)
@@ -654,8 +639,8 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 	pr, err := c.forward(r.Context(), "POST", url+"/sessions/"+id+"/chunks", body, map[string]string{
 		obs.HeaderTrace:  traceID,
 		"Content-Type":   r.Header.Get("Content-Type"),
-		"X-Raced-Offset": r.Header.Get("X-Raced-Offset"),
-		"X-Raced-Crc32":  r.Header.Get("X-Raced-Crc32"),
+		obs.HeaderOffset: r.Header.Get(obs.HeaderOffset),
+		obs.HeaderCRC:    r.Header.Get(obs.HeaderCRC),
 	})
 	if err != nil {
 		c.noteProxyFailure(name, err)
@@ -691,7 +676,7 @@ func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	pr, err := c.forward(r.Context(), "POST", url+"/sessions/"+id+"/finish", nil, map[string]string{
 		obs.HeaderTrace:  traceID,
-		"X-Raced-Offset": r.Header.Get("X-Raced-Offset"),
+		obs.HeaderOffset: r.Header.Get(obs.HeaderOffset),
 	})
 	if err != nil {
 		c.noteProxyFailure(name, err)
@@ -730,7 +715,7 @@ func (c *Coordinator) finishUnplaced(w http.ResponseWriter, r *http.Request, id 
 	}
 	hdr := map[string]string{
 		obs.HeaderTrace:  obs.TraceIDFrom(r),
-		"X-Raced-Offset": r.Header.Get("X-Raced-Offset"),
+		obs.HeaderOffset: r.Header.Get(obs.HeaderOffset),
 	}
 	for _, wk := range c.liveWorkers() {
 		pr, err := c.forward(r.Context(), "POST", wk.url+"/sessions/"+id+"/finish", nil, hdr)

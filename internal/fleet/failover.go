@@ -166,9 +166,9 @@ func (c *Coordinator) runMove(m moveSpec) {
 		}
 		t0 := time.Now()
 		pr, err := c.forward(ctx, "POST", url, header, map[string]string{
-			HeaderSessionID: m.id,
-			obs.HeaderTrace: traceID,
-			"Content-Type":  "application/octet-stream",
+			obs.HeaderSessionID: m.id,
+			obs.HeaderTrace:     traceID,
+			"Content-Type":      "application/octet-stream",
 		})
 		switch {
 		case err == nil && (pr.status == http.StatusCreated || pr.status == http.StatusConflict):

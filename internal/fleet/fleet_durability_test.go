@@ -30,6 +30,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/traceio"
 )
 
 // chunkAckClock wraps a client transport and stamps the first chunk the
@@ -497,7 +498,7 @@ func TestFleetFinishReplayAfterRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				req.Header.Set("X-Raced-Offset", strconv.FormatUint(s.Acked(), 10))
+				req.Header.Set(obs.HeaderOffset, strconv.FormatUint(s.Acked(), 10))
 				resp, err := hc.Do(req)
 				if err != nil {
 					t.Fatalf("finish via %s: %v", base, err)
@@ -668,6 +669,96 @@ func TestCoordinatorForwardRetry(t *testing.T) {
 	}
 	if got := co.forwardRetries.Value(); got != 1 {
 		t.Errorf("forward retries = %d, want exactly 1", got)
+	}
+}
+
+// loseFirstChunkReply runs a worker's first chunk request to completion on
+// the real handler, then closes the connection without a response: the
+// worker has applied (or refused) the chunk, but its reply is lost.
+func loseFirstChunkReply(h http.Handler) http.Handler {
+	var lost atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/chunks") || lost.Swap(true) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		h.ServeHTTP(httptest.NewRecorder(), r)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			panic(err)
+		}
+		conn.Close()
+	})
+}
+
+// TestFleetLostChunkReplyAppliedOnce: the coordinator's forward retries a
+// chunk whose reply was lost after the worker applied it. A chunk carries
+// its offset, so the retry is a replay: the ack is the chunk's events, the
+// worker counts them replayed, and the report is byte-identical to a batch
+// run. A chunk without an offset is refused with a 400 on both attempts,
+// so nothing is applied twice.
+func TestFleetLostChunkReplyAppliedOnce(t *testing.T) {
+	tr := fleetTrace(3)
+	engines := []string{"wcp", "hb"}
+	body := traceio.AppendEvents(nil, tr.Events)
+	n := uint64(len(tr.Events))
+	for _, withOffset := range []bool{true, false} {
+		t.Run(fmt.Sprintf("offset=%v", withOffset), func(t *testing.T) {
+			f := startTestFleetOpts(t, fleetOpts{workers: 1, wrapWorker: loseFirstChunkReply})
+			defer f.stop()
+			s, err := client.Open(context.Background(), fleetClientConfig(f.url, false), tr.Symbols)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			post := func(path string, hdr map[string]string, body []byte) (int, []byte) {
+				req, err := http.NewRequest("POST", f.url+"/sessions/"+s.ID()+path, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range hdr {
+					req.Header.Set(k, v)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				raw, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, raw
+			}
+			offset := map[string]string{obs.HeaderOffset: "0"}
+			var ack struct{ Events, Replayed uint64 }
+			if withOffset {
+				status, raw := post("/chunks", offset, body)
+				if status != http.StatusOK || json.Unmarshal(raw, &ack) != nil || ack.Events != n || ack.Replayed != n {
+					t.Fatalf("chunk with a lost reply: %d %s, want 200 acking %d events, all replayed", status, raw, n)
+				}
+				if got := workerCounter(t, f.workers[0].url, "raced_events_replayed_total"); got != float64(n) {
+					t.Errorf("worker replayed %v events, want %d", got, n)
+				}
+			} else {
+				status, raw := post("/chunks", nil, body)
+				if status != http.StatusBadRequest || !strings.Contains(string(raw), obs.HeaderOffset) {
+					t.Fatalf("chunk without an offset: %d %s, want 400 naming %s", status, raw, obs.HeaderOffset)
+				}
+				status, raw = post("/chunks", offset, body)
+				if status != http.StatusOK || json.Unmarshal(raw, &ack) != nil || ack.Events != n || ack.Replayed != 0 {
+					t.Fatalf("chunk after the refused one: %d %s, want 200 acking %d new events", status, raw, n)
+				}
+			}
+			if got := f.co.forwardRetries.Value(); got != 1 {
+				t.Errorf("forward retries = %d, want 1 (the lost reply)", got)
+			}
+			status, raw := post("/finish", nil, nil)
+			var fin client.FinishResult
+			if status != http.StatusOK || json.Unmarshal(raw, &fin) != nil {
+				t.Fatalf("finish: %d %s", status, raw)
+			}
+			verifyFinish(t, "lost chunk reply", engines, tr, &fin)
+		})
 	}
 }
 

@@ -79,6 +79,8 @@ type testFleet struct {
 	defaults bool
 	// workerCfg, when set, adjusts each worker's server config.
 	workerCfg func(*server.Config)
+	// wrapWorker, when set, wraps each worker's HTTP handler.
+	wrapWorker func(http.Handler) http.Handler
 
 	standby     *Coordinator
 	standbyURL  string
@@ -102,6 +104,7 @@ type fleetOpts struct {
 	leaseTimeout time.Duration // 0 uses the coordinator default
 	defaults     bool          // production timings everywhere (overrides the above)
 	workerCfg    func(*server.Config)
+	wrapWorker   func(http.Handler) http.Handler
 }
 
 // startTestFleet brings up a coordinator plus n workers and waits until all
@@ -140,6 +143,7 @@ func startTestFleetOpts(t *testing.T, opts fleetOpts) *testFleet {
 		t: t, co: co, url: "http://" + ln.Addr().String(),
 		coAddr: ln.Addr().String(), coCfg: cfg, hs: hs,
 		gated: opts.gated, defaults: opts.defaults, workerCfg: opts.workerCfg,
+		wrapWorker: opts.wrapWorker,
 	}
 	if opts.standby {
 		sbCfg := cfg
@@ -234,7 +238,11 @@ func (f *testFleet) addWorker() *testWorker {
 		gate = &faultinject.PartitionGate{}
 		wrapped = gate.WrapListener(ln)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	h := srv.Handler()
+	if f.wrapWorker != nil {
+		h = f.wrapWorker(h)
+	}
+	hs := &http.Server{Handler: h}
 	go hs.Serve(wrapped)
 	tw := &testWorker{
 		name: name,
@@ -591,7 +599,7 @@ func TestFleetRetryAfterPropagation(t *testing.T) {
 	// with its own Retry-After.
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		obs.WriteJSON(w, http.StatusCreated, map[string]string{"id": r.Header.Get(HeaderSessionID)})
+		obs.WriteJSON(w, http.StatusCreated, map[string]string{"id": r.Header.Get(obs.HeaderSessionID)})
 	})
 	mux.HandleFunc("POST /sessions/{id}/chunks", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "17")
@@ -627,8 +635,8 @@ func TestFleetRetryAfterPropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated || created.ID == "" {
 		t.Fatalf("create via stub: status %d id %q", resp.StatusCode, created.ID)
 	}
-	if got := resp.Header.Get(HeaderWorker); got != "http://"+wln.Addr().String() {
-		t.Errorf("create response %s = %q, want the stub's URL", HeaderWorker, got)
+	if got := resp.Header.Get(obs.HeaderWorker); got != "http://"+wln.Addr().String() {
+		t.Errorf("create response %s = %q, want the stub's URL", obs.HeaderWorker, got)
 	}
 
 	resp, err = http.Post(coURL+"/sessions/"+created.ID+"/chunks", "application/octet-stream", strings.NewReader("x"))

@@ -54,11 +54,7 @@ func TestHBSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), tc.opts)
-			feed := func(tr *trace.Trace) {
-				for _, e := range tr.Events {
-					d.Process(e)
-				}
-			}
+			feed := func(tr *trace.Trace) { d.ProcessBlock(tr.SoA()) }
 			feed(tr) // warm-up beyond AllocsPerRun's own
 			perEvent := testing.AllocsPerRun(3, func() { feed(tr) }) / float64(tr.Len())
 			if perEvent > limit {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vc"
 )
 
-// stepper feeds a built trace to a fresh detector one event at a time, so
+// stepper feeds a built trace to a fresh detector as one-event blocks, so
 // a test can inspect the per-variable cells between events.
 type stepper struct {
 	t  *testing.T
@@ -25,7 +25,7 @@ func newStepper(t *testing.T, b *trace.Builder) *stepper {
 // to processes events up to and including index i.
 func (s *stepper) to(i int) {
 	for ; s.i <= i; s.i++ {
-		s.d.Process(s.tr.Events[s.i])
+		s.d.ProcessBlock(trace.BlockOf(s.tr.Events[s.i : s.i+1]))
 	}
 }
 

@@ -9,9 +9,10 @@
 //
 // The detector is streaming, mirroring the WCP detector in internal/core:
 // create it with NewDetector (dimensions known up front, e.g. from a binary
-// trace header), feed events in trace order with Process, then read the
-// Result. Per-thread clocks live in one contiguous bank, so steady-state
-// processing performs near-zero heap allocations per event.
+// trace header), feed the trace's events in order as SoA blocks with
+// ProcessBlock, then read the Result. Per-thread clocks live in one
+// contiguous bank, so steady-state processing performs near-zero heap
+// allocations per event.
 //
 // Each variable's read and write times Rx and Wx are the adaptive cells
 // the WCP detector uses (race.Cell): one epoch while the accesses stay
@@ -125,13 +126,6 @@ func (d *Detector) flag(i int) {
 	if d.res.FirstRace < 0 {
 		d.res.FirstRace = i
 	}
-}
-
-// Process feeds the next event of the trace to the detector.
-func (d *Detector) Process(e event.Event) {
-	i := d.res.Events
-	d.res.Events++
-	d.stepAt(i, e.Kind, int(e.Thread), e.Obj, e.Loc)
 }
 
 // ProcessBlock feeds a structure-of-arrays block of events to the detector,
@@ -262,7 +256,7 @@ func (d *Detector) recordCell(c *race.Cell, i, t int, dominated bool) {
 }
 
 // Result returns the analysis outcome accumulated so far. The returned
-// value shares state with the detector; read it after the last Process.
+// value shares state with the detector; read it after the last ProcessBlock.
 func (d *Detector) Result() *Result { return &d.res }
 
 // Detect runs the full-vector-clock HB race detector over tr with race-pair

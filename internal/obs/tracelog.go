@@ -11,11 +11,44 @@ import (
 	"time"
 )
 
-// HeaderTrace carries the request trace id end-to-end: minted by the
-// client, forwarded verbatim by the coordinator, recorded by workers, and
-// re-attached on failover restores so one id follows a session across
-// worker deaths.
-const HeaderTrace = "X-Raced-Trace"
+// The session protocol's request and response headers, shared by the
+// server, the fleet coordinator and the client.
+const (
+	// HeaderTrace carries the request trace id end-to-end: minted by the
+	// client, forwarded verbatim by the coordinator, recorded by workers,
+	// and re-attached on failover restores so one id follows a session
+	// across worker deaths.
+	HeaderTrace = "X-Raced-Trace"
+	// HeaderOffset carries, on a chunk, the absolute index of its first
+	// event within the session's trace; every chunk must declare it, so a
+	// resent chunk replays instead of appending. On a finish it carries the
+	// client's acknowledged count, making the finish a commit barrier.
+	HeaderOffset = "X-Raced-Offset"
+	// HeaderCRC carries a decimal CRC32 (IEEE). On a chunk it covers
+	// "<offset>:<body>", binding the offset into the checksum so that a
+	// corrupted offset header can never misalign the replay: the server
+	// recomputes with the offset it parsed, and any disagreement is a 422.
+	// On a session create it covers the bare header bytes.
+	HeaderCRC = "X-Raced-Crc32"
+	// HeaderSessionID, on POST /sessions, names the session to create
+	// instead of letting the server mint an id. A fleet coordinator uses it
+	// so consistent-hash placement can be decided from the id before any
+	// worker is contacted, and so a failed-over session can be re-created
+	// elsewhere under its original identity.
+	HeaderSessionID = "X-Raced-Session-Id"
+	// HeaderEpoch carries the coordinator's fencing epoch on every
+	// worker-bound request and on register/heartbeat replies. Workers keep
+	// the highest epoch they have seen and answer 412 to anything lower, so
+	// a superseded ("zombie") coordinator can never place, feed or finish a
+	// session. Requests without the header (direct single-node clients)
+	// are never fenced.
+	HeaderEpoch = "X-Raced-Epoch"
+	// HeaderWorker is set on coordinator-proxied responses and names the
+	// worker currently owning the session, so placement-following clients
+	// can send their chunk hot path straight to the worker and re-resolve
+	// through the coordinator when the placement moves.
+	HeaderWorker = "X-Raced-Worker"
+)
 
 // Span is one timed operation attributed to a trace and/or session. Spans
 // live in a bounded ring (TraceLog) and are served by the /debug/trace and

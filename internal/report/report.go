@@ -41,8 +41,8 @@ type Entry struct {
 	Fingerprint
 	// Count is the total number of racy event pairs folded into this class.
 	Count int64 `json:"count"`
-	// Traces is the number of distinct ingestions (sessions or one-shot
-	// analyses) that reported the class.
+	// Traces is the number of distinct sources (sessions, or traces of a
+	// batch run) that reported the class.
 	Traces int64 `json:"traces"`
 	// MaxDistance is the largest race distance observed (§4.3).
 	MaxDistance int `json:"max_distance"`

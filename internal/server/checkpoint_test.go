@@ -59,7 +59,7 @@ func (tc *testClient) streamRange(id string, tr *trace.Trace, from, to int) {
 	if err := traceio.EncodeEvents(&body, tr.Events[from:to]); err != nil {
 		tc.t.Fatal(err)
 	}
-	resp, raw := tc.do("POST", "/sessions/"+id+"/chunks", &body)
+	resp, raw := tc.sendChunkAt(id, uint64(from), body.Bytes())
 	if resp.StatusCode != http.StatusOK {
 		tc.t.Fatalf("chunk [%d:%d]: %d %s", from, to, resp.StatusCode, raw)
 	}

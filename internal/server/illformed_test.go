@@ -16,11 +16,10 @@ import (
 )
 
 // TestIllFormedRejected streams every tracetest shape into a raced session
-// — its well-formed prefix in one chunk, the rest in the next — and posts
-// it whole to /analyze. The chunk holding the violation and every later
-// chunk answer 400 with the offending event's index, GET /sessions/{id}
-// shows the failure with no event past the prefix analyzed, and /analyze
-// answers 400 with the same index.
+// — its well-formed prefix in one chunk, the rest in the next. The chunk
+// holding the violation and every later chunk answer 400 with the
+// offending event's index, and GET /sessions/{id} shows the failure with
+// no event past the prefix analyzed.
 func TestIllFormedRejected(t *testing.T) {
 	_, tc := newTestServer(t, Config{})
 	requireIndex := func(what string, want int, resp *http.Response, raw []byte) {
@@ -34,12 +33,12 @@ func TestIllFormedRejected(t *testing.T) {
 		tr := s.Trace
 		id := tc.createSession(tr, "wcp,hb")
 		if s.Index > 0 {
-			tc.sendChunkBytes(id, encodeEvents(t, tr.Events[:s.Index]))
+			tc.sendChunkBytes(id, 0, encodeEvents(t, tr.Events[:s.Index]))
 		}
 		rest := encodeEvents(t, tr.Events[s.Index:])
-		resp, raw := tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(rest))
+		resp, raw := tc.sendChunkAt(id, uint64(s.Index), rest)
 		requireIndex(s.Name+", offending chunk", s.Index, resp, raw)
-		resp, raw = tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(rest))
+		resp, raw = tc.sendChunkAt(id, uint64(s.Index), rest)
 		requireIndex(s.Name+", later chunk", s.Index, resp, raw)
 
 		resp, raw = tc.do("GET", "/sessions/"+id, nil)
@@ -50,13 +49,6 @@ func TestIllFormedRejected(t *testing.T) {
 		if st.Failed == "" || st.Events != uint64(s.Index) {
 			t.Errorf("%s: status shows failure %q at %d events, want the violation after %d", s.Name, st.Failed, st.Events, s.Index)
 		}
-
-		var whole bytes.Buffer
-		if err := traceio.WriteBinary(&whole, tr); err != nil {
-			t.Fatal(err)
-		}
-		resp, raw = tc.do("POST", "/analyze?engines=wcp,hb,lockset", &whole)
-		requireIndex(s.Name+", /analyze", s.Index, resp, raw)
 	}
 }
 
@@ -78,7 +70,7 @@ func TestRestoredSessionKeepsTheContract(t *testing.T) {
 		engines[i] = engine.MustNew(name, engine.Config{}).(engine.SessionEngine).NewSession(tr.NumThreads(), tr.NumLocks(), tr.NumVars())
 	}
 	sess := newSession("contract", traceio.Header{Syms: tr.Symbols}, []string{"wcp", "hb"}, engines, time.Now())
-	if _, _, err := sess.ingest(bytes.NewReader(encodeEvents(t, tr.Events[:before])), 0, true, "", time.Now()); err != nil {
+	if _, _, err := sess.ingest(bytes.NewReader(encodeEvents(t, tr.Events[:before])), 0, "", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	var snapshot bytes.Buffer
@@ -97,7 +89,7 @@ func TestRestoredSessionKeepsTheContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = r.ingest(bytes.NewReader(encodeEvents(t, tc.next)), before, true, "", time.Now())
+		_, _, err = r.ingest(bytes.NewReader(encodeEvents(t, tc.next)), before, "", time.Now())
 		var ve *trace.ValidationError
 		switch {
 		case tc.violation < 0 && err != nil:

@@ -99,7 +99,6 @@ func (s *Server) registerMetrics() {
 	reg := s.obs.reg
 	s.eventsIngested = reg.Counter("raced_events_ingested_total", "Events decoded and analyzed across all sessions.")
 	s.chunksIngested = reg.Counter("raced_chunks_total", "Chunks accepted and analyzed.")
-	s.analyses = reg.Counter("raced_analyses_total", "One-shot /analyze requests served.")
 	s.sessionsCreated = reg.Counter("raced_sessions_created_total", "Sessions opened (including restores).")
 	s.sessionsFinished = reg.Counter("raced_sessions_finished_total", "Sessions sealed via finish.")
 	s.sessionsEvicted = reg.Counter("raced_sessions_evicted_total", "Idle sessions evicted by the janitor.")

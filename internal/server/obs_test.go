@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,30 +120,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// doTraced issues a request carrying an X-Raced-Trace header.
-func (tc *testClient) doTraced(method, path, traceID string, body *bytes.Buffer) (*http.Response, []byte) {
-	tc.t.Helper()
-	var rd io.Reader
-	if body != nil {
-		rd = body
-	}
-	req, err := http.NewRequest(method, tc.base+path, rd)
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	req.Header.Set(obs.HeaderTrace, traceID)
-	resp, err := tc.c.Do(req)
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	return resp, raw
-}
-
 // TestDebugTraceEndpoints: a traced session leaves create/chunk/finish
 // spans retrievable both by trace id and by session id.
 func TestDebugTraceEndpoints(t *testing.T) {
@@ -156,7 +131,8 @@ func TestDebugTraceEndpoints(t *testing.T) {
 	if err := traceio.WriteHeader(&hdr, tr.Symbols, 0); err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := tc.doTraced("POST", "/sessions?engines=wcp", traceID, &hdr)
+	traced := map[string]string{obs.HeaderTrace: traceID}
+	resp, raw := tc.doWith("POST", "/sessions?engines=wcp", traced, &hdr)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d %s", resp.StatusCode, raw)
 	}
@@ -170,10 +146,11 @@ func TestDebugTraceEndpoints(t *testing.T) {
 	if err := traceio.EncodeEvents(&body, tr.Events); err != nil {
 		t.Fatal(err)
 	}
-	if resp, raw := tc.doTraced("POST", "/sessions/"+created.ID+"/chunks", traceID, &body); resp.StatusCode != http.StatusOK {
+	chunkHdr := map[string]string{obs.HeaderTrace: traceID, obs.HeaderOffset: "0"}
+	if resp, raw := tc.doWith("POST", "/sessions/"+created.ID+"/chunks", chunkHdr, &body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chunk: %d %s", resp.StatusCode, raw)
 	}
-	if resp, raw := tc.doTraced("POST", "/sessions/"+created.ID+"/finish", traceID, nil); resp.StatusCode != http.StatusOK {
+	if resp, raw := tc.doWith("POST", "/sessions/"+created.ID+"/finish", traced, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("finish: %d %s", resp.StatusCode, raw)
 	}
 
@@ -250,7 +227,7 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	raw := body.Bytes()
 	ingest := func() {
-		if _, _, err := sess.ingest(bytes.NewReader(raw), 0, false, "", time.Now()); err != nil {
+		if _, _, err := sess.ingest(bytes.NewReader(raw), sess.status().Events, "", time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +258,7 @@ func TestSampledStageTimingSamplesDataBlocks(t *testing.T) {
 	}
 	for off := 0; off < len(tr.Events); off += chunkEvents {
 		body := traceio.AppendEvents(nil, tr.Events[off:off+chunkEvents])
-		if _, _, err := sess.ingest(bytes.NewReader(body), uint64(off), true, "", time.Now()); err != nil {
+		if _, _, err := sess.ingest(bytes.NewReader(body), uint64(off), "", time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +330,7 @@ func BenchmarkIngestObs(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sess.ingest(bytes.NewReader(raw), 0, false, "", time.Now()); err != nil {
+				if _, _, err := sess.ingest(bytes.NewReader(raw), sess.status().Events, "", time.Now()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/traceio"
 )
 
@@ -138,7 +139,7 @@ func TestDiskParkedSessionStaysOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(HeaderSessionID, idA)
+	req.Header.Set(obs.HeaderSessionID, idA)
 	resp, err := tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -17,21 +17,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/traceio"
 )
 
-// chunkCRC computes the checksum the resilient protocol expects: over
-// "<offset>:<body>" when the offset header rides along, over the bare body
-// otherwise. Mirrors internal/client.
-func chunkCRC(offset uint64, hasOffset bool, body []byte) string {
-	h := crc32.NewIEEE()
-	if hasOffset {
-		h.Write([]byte(strconv.FormatUint(offset, 10)))
-		h.Write([]byte{':'})
-	}
-	h.Write(body)
-	return strconv.FormatUint(uint64(h.Sum32()), 10)
+// chunkCRC computes the checksum a chunk carries: over "<offset>:<body>".
+// Mirrors internal/client.
+func chunkCRC(offset uint64, body []byte) string {
+	return strconv.FormatUint(uint64(crc32.ChecksumIEEE(fmt.Appendf(nil, "%d:%s", offset, body))), 10)
 }
 
 func encodeEvents(t testing.TB, events []event.Event) []byte {
@@ -47,22 +41,10 @@ func encodeEvents(t testing.TB, events []event.Event) []byte {
 // checksum — the full resilient-protocol request shape.
 func (tc *testClient) sendChunkAt(id string, offset uint64, body []byte) (*http.Response, []byte) {
 	tc.t.Helper()
-	req, err := http.NewRequest("POST", tc.base+"/sessions/"+id+"/chunks", bytes.NewReader(body))
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	req.Header.Set(HeaderChunkOffset, strconv.FormatUint(offset, 10))
-	req.Header.Set(HeaderChunkCRC, chunkCRC(offset, true, body))
-	resp, err := tc.c.Do(req)
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw bytes.Buffer
-	if _, err := raw.ReadFrom(resp.Body); err != nil {
-		tc.t.Fatal(err)
-	}
-	return resp, raw.Bytes()
+	return tc.doWith("POST", "/sessions/"+id+"/chunks", map[string]string{
+		obs.HeaderOffset: strconv.FormatUint(offset, 10),
+		obs.HeaderCRC:    chunkCRC(offset, body),
+	}, bytes.NewReader(body))
 }
 
 type chunkResp struct {
@@ -84,7 +66,9 @@ func decodeChunkResp(t *testing.T, raw []byte) chunkResp {
 // TestChunkReplayIsNoOp: a double-submitted chunk (exact resend) and a
 // half-overlapping resend are both deduplicated server-side — the already
 // acknowledged prefix is skipped, only genuinely new events reach the
-// detectors, and the final report is byte-identical to a clean run.
+// detectors, and the final report is byte-identical to a clean run. A
+// second input replays a prefix longer than a decode block, so the drop
+// crosses a block boundary and then splits a block partway through.
 func TestChunkReplayIsNoOp(t *testing.T) {
 	s, tc := newTestServer(t, Config{Workers: 2, QueueCap: 64})
 	tr := gen.Random(gen.RandomConfig{Seed: 11, Events: 2000, Threads: 3, Locks: 2, Vars: 4})
@@ -133,6 +117,33 @@ func TestChunkReplayIsNoOp(t *testing.T) {
 		t.Errorf("report after replayed chunks differs from batch analysis:\n%s\n--- want ---\n%s",
 			got.Results[0].Report, want.Report.Format(tr.Symbols))
 	}
+
+	// Ack 12,000 events, then resend [0, 18,000): the first decode block
+	// (traceio.DefaultBlockSize = 8,192 events) is dropped whole and the
+	// second is split at the ack.
+	long := gen.Random(gen.RandomConfig{Seed: 21, Events: 20000, Threads: 4, Locks: 3, Vars: 5})
+	id = tc.createSession(long, "wcp,hb")
+	tc.sendChunkBytes(id, 0, encodeEvents(t, long.Events[:12000]))
+	before := s.eventsReplayed.Value()
+	resp, raw = tc.sendChunkAt(id, 0, encodeEvents(t, long.Events[:18000]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("long resend: %d %s", resp.StatusCode, raw)
+	}
+	if cr := decodeChunkResp(t, raw); cr.Events != 18000 || cr.Replayed != 12000 {
+		t.Fatalf("long resend acked events=%d replayed=%d, want 18000/12000", cr.Events, cr.Replayed)
+	}
+	if got := s.eventsReplayed.Value() - before; got != 12000 {
+		t.Errorf("eventsReplayed grew by %d, want 12000", got)
+	}
+	tc.sendChunkBytes(id, 18000, encodeEvents(t, long.Events[18000:]))
+	fin := tc.finish(id)
+	for i, name := range []string{"wcp", "hb"} {
+		want := engine.MustNew(name, engine.Config{}).Analyze(long).Report.Format(long.Symbols)
+		if fin.Results[i].Report != want {
+			t.Errorf("%s report after a replay across blocks differs from batch analysis:\n%s\n--- want ---\n%s",
+				name, fin.Results[i].Report, want)
+		}
+	}
 }
 
 // TestChunkGapRejected: a chunk whose offset is ahead of the acknowledged
@@ -172,6 +183,44 @@ func TestChunkGapRejected(t *testing.T) {
 	}
 }
 
+// TestChunkRequiresOffset: a chunk whose offset header is missing or
+// malformed is a 400 naming the header, refused before its body is
+// decoded. The session's ack, checker and detectors stay as they were and
+// it is not failed: the next chunk with an offset lands, and the report is
+// byte-identical to a clean run.
+func TestChunkRequiresOffset(t *testing.T) {
+	_, tc := newTestServer(t, Config{})
+	tr := gen.Random(gen.RandomConfig{Seed: 16, Events: 600, Threads: 3, Locks: 2, Vars: 4})
+	id := tc.createSession(tr, "wcp,hb")
+	tc.sendChunkBytes(id, 0, encodeEvents(t, tr.Events[:300]))
+	rest := encodeEvents(t, tr.Events[300:])
+	for _, offset := range []string{"", "abc", "-300", "300.0"} {
+		hdr := map[string]string{}
+		if offset != "" {
+			hdr[obs.HeaderOffset] = offset
+		}
+		resp, raw := tc.doWith("POST", "/sessions/"+id+"/chunks", hdr, bytes.NewReader(rest))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), obs.HeaderOffset) {
+			t.Fatalf("offset %q: %d %s, want 400 naming %s", offset, resp.StatusCode, raw, obs.HeaderOffset)
+		}
+	}
+	resp, raw := tc.do("GET", "/sessions/"+id, nil)
+	var st sessionStatus
+	if err := json.Unmarshal(raw, &st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: %d %s", resp.StatusCode, raw)
+	}
+	if st.Events != 300 || st.Chunks != 1 || st.Failed != "" {
+		t.Fatalf("after refused chunks: %d events, %d chunks, failed %q; want 300, 1, not failed", st.Events, st.Chunks, st.Failed)
+	}
+	tc.sendChunkBytes(id, 300, rest)
+	fin := tc.finish(id)
+	for i, name := range []string{"wcp", "hb"} {
+		if want := engine.MustNew(name, engine.Config{}).Analyze(tr).Report.Format(tr.Symbols); fin.Results[i].Report != want {
+			t.Errorf("%s report differs from batch analysis:\n%s\n--- want ---\n%s", name, fin.Results[i].Report, want)
+		}
+	}
+}
+
 // TestChunkCRCMismatch: a corrupted body, and a checksum that disagrees
 // with the offset header it rode in with, are both 422s that leave the
 // session untouched; the clean resend then lands.
@@ -185,8 +234,8 @@ func TestChunkCRCMismatch(t *testing.T) {
 	bad := append([]byte(nil), body...)
 	bad[len(bad)/2] ^= 0x10
 	req, _ := http.NewRequest("POST", tc.base+"/sessions/"+id+"/chunks", bytes.NewReader(bad))
-	req.Header.Set(HeaderChunkOffset, "0")
-	req.Header.Set(HeaderChunkCRC, chunkCRC(0, true, body))
+	req.Header.Set(obs.HeaderOffset, "0")
+	req.Header.Set(obs.HeaderCRC, chunkCRC(0, body))
 	resp, err := tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +249,8 @@ func TestChunkCRCMismatch(t *testing.T) {
 	// was computed over — a flipped offset digit must not misalign the
 	// replay-skip, so the binding check rejects it.
 	req, _ = http.NewRequest("POST", tc.base+"/sessions/"+id+"/chunks", bytes.NewReader(body))
-	req.Header.Set(HeaderChunkOffset, "0")
-	req.Header.Set(HeaderChunkCRC, chunkCRC(10, true, body))
+	req.Header.Set(obs.HeaderOffset, "0")
+	req.Header.Set(obs.HeaderCRC, chunkCRC(10, body))
 	resp, err = tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +290,7 @@ func TestCreateSessionCRCMismatch(t *testing.T) {
 	bad[len(bad)-1] ^= 0x01
 
 	req, _ := http.NewRequest("POST", tc.base+"/sessions?engines=wcp", bytes.NewReader(bad))
-	req.Header.Set(HeaderChunkCRC, chunkCRC(0, false, good))
+	req.Header.Set(obs.HeaderCRC, strconv.FormatUint(uint64(crc32.ChecksumIEEE(good)), 10))
 	resp, err := tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +301,7 @@ func TestCreateSessionCRCMismatch(t *testing.T) {
 	}
 
 	req, _ = http.NewRequest("POST", tc.base+"/sessions?engines=wcp", bytes.NewReader(good))
-	req.Header.Set(HeaderChunkCRC, chunkCRC(0, false, good))
+	req.Header.Set(obs.HeaderCRC, strconv.FormatUint(uint64(crc32.ChecksumIEEE(good)), 10))
 	resp, err = tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +333,8 @@ func TestDroppedConnMidChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "POST /sessions/%s/chunks HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n",
-		id, host, len(partial))
+	fmt.Fprintf(conn, "POST /sessions/%s/chunks HTTP/1.1\r\nHost: %s\r\n%s: %d\r\nContent-Length: %d\r\n\r\n",
+		id, host, obs.HeaderOffset, cut, len(partial))
 	if _, err := conn.Write(partial[:len(partial)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +415,7 @@ func TestRetryAfterDerivedFromQueueDepth(t *testing.T) {
 	}
 
 	body := encodeEvents(t, tr.Events)
-	resp, raw := tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(body))
+	resp, raw := tc.sendChunkAt(id, 0, body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("chunk under saturation: %d %s, want 429", resp.StatusCode, raw)
 	}
@@ -378,7 +427,7 @@ func TestRetryAfterDerivedFromQueueDepth(t *testing.T) {
 	close(fills)
 	close(gate)
 	pinned.Wait()
-	tc.sendChunkBytes(id, body)
+	tc.sendChunkBytes(id, 0, body)
 	tc.finish(id)
 }
 

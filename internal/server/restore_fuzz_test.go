@@ -46,7 +46,7 @@ func FuzzRestoreContinue(f *testing.F) {
 		f.Add(append(buf.Bytes(), next...))
 	}
 	for at := 0; at < tr.Len(); at += block {
-		if _, _, err := sess.ingest(bytes.NewReader(body(at)), uint64(at), true, "", time.Now()); err != nil {
+		if _, _, err := sess.ingest(bytes.NewReader(body(at)), uint64(at), "", time.Now()); err != nil {
 			f.Fatal(err)
 		}
 		next := body(min(at+block, tr.Len()))

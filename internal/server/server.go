@@ -38,55 +38,19 @@ import (
 	"repro/internal/traceio"
 )
 
-// Resilient-chunk protocol headers. A client that declares its chunk's
-// absolute event offset gets idempotent, exactly-once analysis (replays of
-// acknowledged events are skipped); a client that declares a CRC32 gets
-// end-to-end integrity — a request corrupted in transit is rejected with
-// 422 before it can touch detector state, and the client simply resends
-// it. Clients using neither header get the legacy
-// append-exactly-once-or-bust behavior.
-const (
-	// HeaderChunkOffset carries the absolute index of the chunk's first
-	// event within the session's trace.
-	HeaderChunkOffset = "X-Raced-Offset"
-	// HeaderChunkCRC carries a decimal CRC32 (IEEE). It covers
-	// "<offset>:<body>" when HeaderChunkOffset is present and the bare body
-	// otherwise — binding the offset into the checksum means a corrupted
-	// offset header can never misalign the replay-skip logic: the server
-	// recomputes with the offset it parsed, and any disagreement is a 422.
-	HeaderChunkCRC = "X-Raced-Crc32"
-	// HeaderSessionID, on POST /sessions, names the session to create
-	// instead of letting the server mint an id. A fleet coordinator uses it
-	// so consistent-hash placement can be decided from the id before any
-	// worker is contacted, and so a failed-over session can be re-created
-	// elsewhere under its original identity.
-	HeaderSessionID = "X-Raced-Session-Id"
-	// HeaderEpoch carries the coordinator's fencing epoch on proxied
-	// mutating requests. The server keeps the maximum epoch it has ever
-	// seen (heartbeat acks raise it too, via NoteCoordinatorEpoch) and
-	// answers anything lower with 412: a superseded coordinator — a
-	// "zombie" primary whose standby already took over — can never place,
-	// feed, or finish a session here. Requests without the header (direct
-	// single-node clients) are never fenced.
-	HeaderEpoch = "X-Raced-Epoch"
-)
-
-// checkCRC verifies the declared checksum, when present, against the
-// request's effective offset and body. A non-nil error is the 422 message.
-func checkCRC(r *http.Request, body []byte, offset uint64, hasOffset bool) error {
-	v := r.Header.Get(HeaderChunkCRC)
+// checkCRC verifies the declared checksum (obs.HeaderCRC), when present,
+// against prefix followed by body. A non-nil error is the 422 message.
+func checkCRC(r *http.Request, prefix string, body []byte) error {
+	v := r.Header.Get(obs.HeaderCRC)
 	if v == "" {
 		return nil
 	}
 	want, err := strconv.ParseUint(v, 10, 32)
 	if err != nil {
-		return fmt.Errorf("bad %s header %q", HeaderChunkCRC, v)
+		return fmt.Errorf("bad %s header %q", obs.HeaderCRC, v)
 	}
 	h := crc32.NewIEEE()
-	if hasOffset {
-		io.WriteString(h, strconv.FormatUint(offset, 10))
-		io.WriteString(h, ":")
-	}
+	io.WriteString(h, prefix)
 	h.Write(body)
 	if got := h.Sum32(); got != uint32(want) {
 		return fmt.Errorf("integrity check failed: computed crc32 %d, header declares %d — resend the request", got, want)
@@ -99,8 +63,6 @@ type Config struct {
 	// DefaultEngines are the engines a session runs when the request names
 	// none. Defaults to ["wcp"].
 	DefaultEngines []string
-	// Engine carries the windowed-engine knobs for POST /analyze.
-	Engine engine.Config
 	// Workers and QueueCap size the admission scheduler (see sched.Config).
 	Workers  int
 	QueueCap int
@@ -252,7 +214,6 @@ type Server struct {
 	sessionsCreated  *obs.Counter
 	sessionsFinished *obs.Counter
 	sessionsEvicted  *obs.Counter
-	analyses         *obs.Counter
 	shed             *obs.Counter
 	chunksReplayed   *obs.Counter
 	eventsReplayed   *obs.Counter
@@ -300,7 +261,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /sessions/{id}/chunks", s.handleChunk)
 	s.mux.HandleFunc("POST /sessions/{id}/finish", s.handleFinish)
 	s.mux.HandleFunc("DELETE /sessions/{id}", s.handleAbort)
-	s.mux.HandleFunc("POST /analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /sessions/{id}/snapshot", s.handleSessionSnapshot)
 	s.mux.HandleFunc("POST /sessions/restore", s.handleSessionRestore)
@@ -583,15 +543,15 @@ func (s *Server) NoteCoordinatorEpoch(e uint64) {
 // CoordinatorEpoch reports the highest coordinator epoch seen.
 func (s *Server) CoordinatorEpoch() uint64 { return s.coordEpoch.Load() }
 
-// refuseFenced rejects a mutating request stamped (via HeaderEpoch) with a
-// coordinator epoch below the fence. 412 is deliberate: the fleet client
-// treats it as retryable, so a client talking through a zombie coordinator
-// rotates to the live one instead of giving up; the zombie itself fences
-// on seeing it. The current fence rides back in the response header. An
-// absent or malformed header passes — direct clients are never fenced —
-// and a higher epoch advances the fence right here.
+// refuseFenced rejects a mutating request stamped (via obs.HeaderEpoch)
+// with a coordinator epoch below the fence. 412 is deliberate: the fleet
+// client treats it as retryable, so a client talking through a zombie
+// coordinator rotates to the live one instead of giving up; the zombie
+// itself fences on seeing it. The current fence rides back in the response
+// header. An absent or malformed header passes — direct clients are never
+// fenced — and a higher epoch advances the fence right here.
 func (s *Server) refuseFenced(w http.ResponseWriter, r *http.Request) bool {
-	v := r.Header.Get(HeaderEpoch)
+	v := r.Header.Get(obs.HeaderEpoch)
 	if v == "" {
 		return false
 	}
@@ -601,7 +561,7 @@ func (s *Server) refuseFenced(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if cur := s.coordEpoch.Load(); e < cur {
 		s.epochRejects.Add(1)
-		w.Header().Set(HeaderEpoch, strconv.FormatUint(cur, 10))
+		w.Header().Set(obs.HeaderEpoch, strconv.FormatUint(cur, 10))
 		obs.WriteError(w, http.StatusPreconditionFailed,
 			"coordinator epoch %d is fenced (worker has seen %d)", e, cur)
 		return true
@@ -689,7 +649,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	names := s.engineNames(r)
 	makers := make([]engine.SessionEngine, len(names))
 	for i, name := range names {
-		e, err := engine.New(name, s.cfg.Engine)
+		e, err := engine.New(name, engine.Config{})
 		if err != nil {
 			obs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -703,7 +663,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		makers[i] = se
 	}
 
-	// Buffer the header body so an optional HeaderChunkCRC can vouch for it
+	// Buffer the header body so an optional obs.HeaderCRC can vouch for it
 	// before it shapes detector allocation: a bit flipped inside a symbol
 	// name would otherwise decode cleanly and silently skew every report.
 	s.setIngestDeadline(w)
@@ -712,7 +672,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusBadRequest, "reading session header: %v", err)
 		return
 	}
-	if cerr := checkCRC(r, hdrBody, 0, false); cerr != nil {
+	if cerr := checkCRC(r, "", hdrBody); cerr != nil {
 		s.integrityRejects.Add(1)
 		obs.WriteError(w, http.StatusUnprocessableEntity, "session header %v", cerr)
 		return
@@ -750,11 +710,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// Detector allocation (the expensive part) happens outside the sessions
 	// mutex; the limit is re-checked at insertion, so it stays strict.
-	id := r.Header.Get(HeaderSessionID)
+	id := r.Header.Get(obs.HeaderSessionID)
 	if id != "" {
 		if !obs.ValidID(id) {
 			obs.WriteError(w, http.StatusBadRequest,
-				"bad %s %q: 1-64 characters of [a-zA-Z0-9_-]", HeaderSessionID, id)
+				"bad %s %q: 1-64 characters of [a-zA-Z0-9_-]", obs.HeaderSessionID, id)
 			return
 		}
 	} else {
@@ -798,10 +758,12 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 // holds a scheduler slot while the chunk is decoded and analyzed, so a
 // saturated service pushes back here with 429.
 //
-// The whole body is buffered before any detector sees it: a connection
-// dropped mid-chunk costs nothing — the session stays at its last
-// acknowledged event and the client's resend (with HeaderChunkOffset)
-// replays the prefix idempotently. A HeaderChunkCRC mismatch rejects the
+// Every chunk declares the absolute index of its first event
+// (obs.HeaderOffset); a chunk without a valid one is a 400 before its body
+// is read, and the session is untouched. The whole body is buffered before
+// any detector sees it: a connection dropped mid-chunk costs nothing — the
+// session stays at its last acknowledged event and the client's resend
+// replays the prefix idempotently. An obs.HeaderCRC mismatch rejects the
 // chunk with 422 before ingestion, so a body corrupted in transit can never
 // poison detector state; the client just resends.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
@@ -818,15 +780,12 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var offset uint64
-	var hasOffset bool
-	if v := r.Header.Get(HeaderChunkOffset); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			obs.WriteError(w, http.StatusBadRequest, "bad %s header %q", HeaderChunkOffset, v)
-			return
-		}
-		offset, hasOffset = n, true
+	v := r.Header.Get(obs.HeaderOffset)
+	offset, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		obs.WriteError(w, http.StatusBadRequest,
+			"missing or bad %s header %q: a chunk must declare the index of its first event", obs.HeaderOffset, v)
+		return
 	}
 
 	s.setIngestDeadline(w)
@@ -835,7 +794,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusBadRequest, "reading chunk body: %v", err)
 		return
 	}
-	if cerr := checkCRC(r, body, offset, hasOffset); cerr != nil {
+	if cerr := checkCRC(r, strconv.FormatUint(offset, 10)+":", body); cerr != nil {
 		s.integrityRejects.Add(1)
 		obs.WriteError(w, http.StatusUnprocessableEntity, "chunk %v", cerr)
 		return
@@ -848,7 +807,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	var wait time.Duration
 	if err := s.sched.Do(r.Context(), id, func() {
 		wait = time.Since(tSub)
-		added, replayed, ingestErr = sess.ingest(bytes.NewReader(body), offset, hasOffset, traceID, time.Now())
+		added, replayed, ingestErr = sess.ingest(bytes.NewReader(body), offset, traceID, time.Now())
 		s.noteSessionState(sess)
 	}); err != nil {
 		s.shedOrFail(w, err)
@@ -920,10 +879,10 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	// rejection, so the client replays the lost tail instead of silently
 	// sealing a truncated session.
 	wantOffset := int64(-1)
-	if v := r.Header.Get("X-Raced-Offset"); v != "" {
+	if v := r.Header.Get(obs.HeaderOffset); v != "" {
 		n, perr := strconv.ParseUint(v, 10, 63)
 		if perr != nil {
-			obs.WriteError(w, http.StatusBadRequest, "bad X-Raced-Offset %q", v)
+			obs.WriteError(w, http.StatusBadRequest, "bad %s %q", obs.HeaderOffset, v)
 			return
 		}
 		wantOffset = int64(n)
@@ -1034,57 +993,6 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Created.Before(out[j].Created) })
 	obs.WriteJSON(w, http.StatusOK, map[string]any{"sessions": out})
-}
-
-// --- one-shot analysis ---
-
-// handleAnalyze runs engines over a complete trace body (text or binary,
-// auto-detected) in one request. The trace is materialized — unlike
-// sessions this path supports the windowed/lockset engines too — and the
-// reports are folded into the dedup store like a one-chunk session.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	names := s.engineNames(r)
-	engines := make([]engine.Engine, len(names))
-	for i, name := range names {
-		e, err := engine.New(name, s.cfg.Engine)
-		if err != nil {
-			obs.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		engines[i] = e
-	}
-	tr, err := traceio.ReadAuto(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil {
-		err = trace.Validate(tr)
-	}
-	if err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	id := "analyze-" + obs.NewID()
-	var results []*engine.Result
-	if err := s.sched.Do(r.Context(), id, func() {
-		results = make([]*engine.Result, len(engines))
-		now := time.Now()
-		for i, e := range engines {
-			results[i] = e.Analyze(tr)
-			s.store.AddReport(results[i].Engine, id, results[i].Report, tr.Symbols, now)
-		}
-	}); err != nil {
-		s.shedOrFail(w, err)
-		return
-	}
-	s.analyses.Add(1)
-	s.eventsIngested.Add(uint64(len(tr.Events)))
-	resp := sessionFinished{ID: id, Events: uint64(len(tr.Events)), Results: make([]engineResult, len(results))}
-	h := traceio.Header{Syms: tr.Symbols}
-	for i, res := range results {
-		resp.Results[i] = renderResult(res, len(tr.Events), h)
-	}
-	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- reports, health, metrics ---

@@ -28,9 +28,18 @@ type testClient struct {
 
 func (tc *testClient) do(method, path string, body io.Reader) (*http.Response, []byte) {
 	tc.t.Helper()
+	return tc.doWith(method, path, nil, body)
+}
+
+// doWith issues a request carrying the given headers.
+func (tc *testClient) doWith(method, path string, hdr map[string]string, body io.Reader) (*http.Response, []byte) {
+	tc.t.Helper()
 	req, err := http.NewRequest(method, tc.base+path, body)
 	if err != nil {
 		tc.t.Fatal(err)
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
 	}
 	resp, err := tc.c.Do(req)
 	if err != nil {
@@ -77,7 +86,7 @@ func (tc *testClient) stream(id string, tr *trace.Trace, nchunks int) {
 		if err := traceio.EncodeEvents(&body, tr.Events[i:end]); err != nil {
 			tc.t.Fatal(err)
 		}
-		resp, raw := tc.do("POST", "/sessions/"+id+"/chunks", &body)
+		resp, raw := tc.sendChunkAt(id, uint64(i), body.Bytes())
 		if resp.StatusCode != http.StatusOK {
 			tc.t.Fatalf("chunk [%d:%d]: %d %s", i, end, resp.StatusCode, raw)
 		}
@@ -228,7 +237,7 @@ func TestSaturationSheds(t *testing.T) {
 	if err := traceio.EncodeEvents(&body, tr.Events); err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(body.Bytes()))
+	resp, raw := tc.sendChunkAt(id, 0, body.Bytes())
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("chunk under saturation: %d %s, want 429", resp.StatusCode, raw)
 	}
@@ -243,16 +252,16 @@ func TestSaturationSheds(t *testing.T) {
 	close(fills)
 	close(gate)
 	pinned.Wait()
-	tc.sendChunkBytes(id, body.Bytes())
+	tc.sendChunkBytes(id, 0, body.Bytes())
 	got := tc.finish(id)
 	if got.Events != uint64(len(tr.Events)) {
 		t.Errorf("after recovery session saw %d events, want %d", got.Events, len(tr.Events))
 	}
 }
 
-func (tc *testClient) sendChunkBytes(id string, raw []byte) {
+func (tc *testClient) sendChunkBytes(id string, offset uint64, raw []byte) {
 	tc.t.Helper()
-	resp, body := tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(raw))
+	resp, body := tc.sendChunkAt(id, offset, raw)
 	if resp.StatusCode != http.StatusOK {
 		tc.t.Fatalf("chunk: %d %s", resp.StatusCode, body)
 	}
@@ -270,13 +279,13 @@ func TestChunkDecodeError(t *testing.T) {
 	if err := traceio.EncodeEvents(&ok, tr.Events[:100]); err != nil {
 		t.Fatal(err)
 	}
-	tc.sendChunkBytes(id, ok.Bytes())
+	tc.sendChunkBytes(id, 0, ok.Bytes())
 
 	var bad bytes.Buffer
 	if err := traceio.EncodeEvents(&bad, tr.Events[100:200]); err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(bad.Bytes()[:bad.Len()-1]))
+	resp, raw := tc.sendChunkAt(id, 100, bad.Bytes()[:bad.Len()-1])
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated chunk: %d %s, want 400", resp.StatusCode, raw)
 	}
@@ -291,7 +300,7 @@ func TestChunkDecodeError(t *testing.T) {
 		t.Errorf("decode error names event %d, want an absolute index in [100, 200)", e.Event)
 	}
 	// The session is poisoned: further chunks are rejected.
-	resp, raw = tc.do("POST", "/sessions/"+id+"/chunks", bytes.NewReader(ok.Bytes()))
+	resp, raw = tc.sendChunkAt(id, 100, encodeEvents(t, tr.Events[100:200]))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("chunk after poison: %d %s, want 400", resp.StatusCode, raw)
 	}
@@ -315,62 +324,29 @@ func TestRetiredEpochEngines(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOneShot: POST /analyze runs any engine (streaming or not)
-// over a whole trace body and matches the batch path.
-func TestAnalyzeOneShot(t *testing.T) {
-	_, tc := newTestServer(t, Config{})
-	tr := gen.Random(gen.RandomConfig{Seed: 13, Events: 5000, Threads: 4, Locks: 2, Vars: 4})
-	var body bytes.Buffer
-	if err := traceio.WriteBinary(&body, tr); err != nil {
-		t.Fatal(err)
-	}
-	resp, raw := tc.do("POST", "/analyze?engines=wcp,lockset", &body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: %d %s", resp.StatusCode, raw)
-	}
-	var out sessionFinished
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	want := engine.MustNew("wcp", engine.Config{}).Analyze(tr)
-	if out.Results[0].RacyEvents != want.RacyEvents || out.Results[0].Report != want.Report.Format(tr.Symbols) {
-		t.Errorf("analyze wcp result differs from batch")
-	}
-	if out.Results[1].Engine != "lockset" {
-		t.Errorf("second result = %q, want lockset", out.Results[1].Engine)
-	}
-
-	// Text format works too.
-	var text bytes.Buffer
-	if err := traceio.WriteText(&text, tr); err != nil {
-		t.Fatal(err)
-	}
-	resp, raw = tc.do("POST", "/analyze", &text)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("text analyze: %d %s", resp.StatusCode, raw)
-	}
-}
-
-// TestAnalyzeDuplicateSymbolNames: a binary trace whose header names
-// thread "t0" twice and whose event runs on thread 1 is analyzed, not a
+// TestAnalyzeDuplicateSymbolNames: a session whose header names thread
+// "t0" twice and whose event runs on thread 1 is analyzed, not a
 // scheduler-worker panic that takes the daemon down. Binary symbol tables
 // are positional, so the detector is sized for both threads.
 func TestAnalyzeDuplicateSymbolNames(t *testing.T) {
 	_, tc := newTestServer(t, Config{})
-	raw := "WCPT\x01" + // magic, version
+	header := "WCPT\x01" + // magic, version
 		"\x02\x00\x01\x00" + // 2 threads, 0 locks, 1 var, 0 locations
 		"\x02t0\x02t0\x01x" + // thread names t0, t0; variable x
-		"\x02" + // 2 events
-		"\x03\x00\x00\x00" + // t0 (index 0): w(x)
+		"\x00" // event count, unused by sessions
+	body := "\x03\x00\x00\x00" + // t0 (index 0): w(x)
 		"\x03\x01\x00\x00" // t0 (index 1): w(x)
-	resp, body := tc.do("POST", "/analyze?engines=wcp,hb", strings.NewReader(raw))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: %d %s", resp.StatusCode, body)
+	resp, raw := tc.do("POST", "/sessions?engines=wcp,hb", strings.NewReader(header))
+	var created struct {
+		ID string `json:"id"`
 	}
-	var out sessionFinished
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusCreated || json.Unmarshal(raw, &created) != nil {
+		t.Fatalf("create: %d %s", resp.StatusCode, raw)
 	}
+	if resp, raw := tc.sendChunkAt(created.ID, 0, []byte(body)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunk: %d %s", resp.StatusCode, raw)
+	}
+	out := tc.finish(created.ID)
 	if out.Events != 2 {
 		t.Errorf("analyzed %d events, want 2", out.Events)
 	}

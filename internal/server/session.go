@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -57,7 +56,6 @@ type session struct {
 	engines    []engine.Session // nil while parked
 	check      *trace.Checker   // §2.1 state of the ingested events, kept while parked
 	block      *trace.Block     // decode scratch, allocated by the first chunk
-	skipBuf    []event.Event    // scratch for replay-skip decoding, grown on demand
 	events     uint64
 	chunks     int
 	blocks     uint64 // decoded data blocks, drives stage-timing sampling
@@ -107,21 +105,22 @@ func (s *session) trace(reqID string) string {
 	return s.traceID
 }
 
-// ingest decodes one chunk body into every engine session. It returns the
-// number of events the chunk added. Each decoded block passes the
-// session's §2.1 checker before any detector sees it. A decode error or a
-// violation (*trace.ValidationError) is latched — the session's analysis
-// is no longer trustworthy past it — and further chunks are rejected; the
-// block that holds it reaches no detector.
+// ingest decodes one chunk body, whose first event has absolute index
+// offset, into every engine session. It returns the number of events the
+// chunk added. Each decoded block passes the session's §2.1 checker before
+// any detector sees it. A decode error or a violation
+// (*trace.ValidationError) is latched — the session's analysis is no
+// longer trustworthy past it — and further chunks are rejected; the block
+// that holds it reaches no detector.
 //
-// When the chunk declares its absolute offset (hasOffset), ingestion is
-// idempotent: events the session has already acknowledged are decoded and
-// discarded instead of re-analyzed, so a client that retries a chunk after
-// a lost response — or resends a chunk the server half-ingested before a
-// dropped connection — converges on exactly-once analysis. replayed counts
-// the skipped events. An offset beyond the acknowledged count is a gap
-// (*gapError): the client must rewind, never the server guess.
-func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID string, now time.Time) (added, replayed uint64, err error) {
+// Ingestion is idempotent: events the session has already acknowledged
+// are decoded and dropped from their blocks instead of re-analyzed, so a
+// client that retries a chunk after a lost response — or resends a chunk
+// the server half-ingested before a dropped connection — converges on
+// exactly-once analysis. replayed counts the dropped events. An offset
+// beyond the acknowledged count is a gap (*gapError): the client must
+// rewind, never the server guess.
+func (s *session) ingest(body io.Reader, offset uint64, traceID string, now time.Time) (added, replayed uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastActive = now
@@ -175,36 +174,14 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 			}
 		}()
 	}
-	if !hasOffset {
-		offset = s.events // legacy append-mode chunk: starts at the ack
-	}
 	if offset > s.events {
 		return 0, 0, &gapError{offset: offset, acked: s.events}
 	}
 	st := traceio.NewEventStream(body, s.header, offset)
-	// Replay skip: decode the already-analyzed prefix, which the checker
-	// accepted the first time, without feeding the checker or the
-	// detectors.
-	for skip := s.events - offset; skip > 0; {
-		if s.skipBuf == nil {
-			s.skipBuf = make([]event.Event, 512)
-		}
-		buf := s.skipBuf
-		if uint64(len(buf)) > skip {
-			buf = buf[:skip]
-		}
-		n, err := st.NextBlock(buf)
-		skip -= uint64(n)
-		replayed += uint64(n)
-		if err == io.EOF {
-			s.chunks++
-			return 0, replayed, nil // chunk lies entirely behind the ack
-		}
-		if err != nil {
-			s.failed = err
-			return 0, replayed, err
-		}
-	}
+	// The already-acknowledged prefix, which the checker accepted the first
+	// time, is dropped from the front of the blocks that hold it before
+	// the checker or any detector sees them.
+	skip := s.events - offset
 	if s.engObs != nil {
 		// CPU profiles attribute engine work to session and engine via
 		// goroutine labels; drop them when this worker goroutine moves on.
@@ -213,17 +190,34 @@ func (s *session) ingest(body io.Reader, offset uint64, hasOffset bool, traceID 
 	if s.block == nil {
 		s.block = trace.NewBlock(traceio.DefaultBlockSize)
 	}
+	if s.parked.Load() {
+		// A chunk wholly behind the ack leaves the session parked, and a
+		// parked session holds no decode scratch.
+		defer func() {
+			if s.parked.Load() {
+				s.block = nil
+			}
+		}()
+	}
 	for {
 		// Only data blocks count toward the sampling period: a chunk is
 		// typically one data call plus an end-of-body call, and counting
 		// both would, at an even period, sample nothing but end-of-body
-		// peeks. A sampled call that finds the body's end is dropped.
+		// peeks. A sampled call that finds the body's end, or only
+		// replayed events, is dropped.
 		sampled := o != nil && o.sampleNs != 0 && (s.blocks+1)%o.sampleNs == 0
 		var t0 time.Time
 		if sampled {
 			t0 = time.Now()
 		}
 		n, derr := st.NextBlockSoA(s.block)
+		if skip > 0 && n > 0 {
+			k := int(min(skip, uint64(n)))
+			s.block.DropFront(k)
+			skip -= uint64(k)
+			replayed += uint64(k)
+			n -= k
+		}
 		sampled = sampled && n > 0
 		if sampled {
 			d := time.Since(t0)
@@ -375,7 +369,7 @@ func (s *session) cachedState() int64 {
 func (s *session) park(frames []byte, ckpt string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.engines, s.block, s.skipBuf = nil, nil, nil
+	s.engines, s.block = nil, nil
 	s.frames, s.ckpt = frames, ckpt
 	s.parked.Store(true)
 }

@@ -64,6 +64,15 @@ func (b *Block) Reset() {
 	b.Locs = b.Locs[:0]
 }
 
+// DropFront removes the block's first k events, keeping its capacity.
+func (b *Block) DropFront(k int) {
+	n := copy(b.Kinds, b.Kinds[k:])
+	copy(b.Threads, b.Threads[k:])
+	copy(b.Objs, b.Objs[k:])
+	copy(b.Locs, b.Locs[k:])
+	b.Kinds, b.Threads, b.Objs, b.Locs = b.Kinds[:n], b.Threads[:n], b.Objs[:n], b.Locs[:n]
+}
+
 // Append adds one event to the block.
 func (b *Block) Append(e event.Event) {
 	b.AppendFields(e.Kind, e.Thread, e.Obj, e.Loc)

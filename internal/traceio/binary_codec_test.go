@@ -77,12 +77,6 @@ func TestDuplicateSymbolNamesKeepTheirIndices(t *testing.T) {
 	}
 	checkSameTrace(t, "OpenStream+NextBlockSoA", st.Symbols(), drainSoA(t, st, 3).Events(), want)
 
-	st, err = OpenStream(bytes.NewReader(full.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameTrace(t, "OpenStream+NextBlock", st.Symbols(), collect(t, st, 3), want)
-
 	h, err := ReadHeader(&hdr)
 	if err != nil {
 		t.Fatal(err)

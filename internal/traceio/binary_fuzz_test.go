@@ -13,8 +13,8 @@ import (
 )
 
 // FuzzBinaryDecode throws arbitrary bytes at every binary decode path —
-// ReadBinary, OpenStream with NextBlockSoA and with NextBlock, and
-// ReadHeader with NewEventStream — and checks the ingestion contract:
+// ReadBinary, OpenStream with NextBlockSoA, and ReadHeader with
+// NewEventStream — and checks the ingestion contract:
 // every failure is a typed *DecodeError, every decoded operand is in range
 // of the trace's own symbol tables, the streaming paths agree with the
 // batch decode event by event and on where the input goes bad, and a
@@ -57,43 +57,35 @@ func FuzzBinaryDecode(f *testing.F) {
 			return // OpenStream reads it as text
 		}
 
-		// Streaming with a declared count, through both block readers, at
-		// block sizes that split the body unevenly. prefix keeps what the
-		// streams decoded, all of the trace or what precedes the failure.
-		var prefix []event.Event
-		for _, soa := range []bool{true, false} {
-			st, serr := OpenStream(bytes.NewReader(data))
-			if serr != nil {
-				sameDecodeError(t, "OpenStream", serr, batchErr)
-				if batchErr.Event != -1 {
-					t.Fatalf("OpenStream failed in the header, ReadBinary at event %d", batchErr.Event)
-				}
-				continue
-			}
-			events, end := drainStream(st, soa, 7)
-			checkOperands(t, st.Symbols(), events)
-			prefix = events
-			if err == nil {
-				if end != io.EOF || !slices.Equal(events, tr.Events) || !sameTables(st.Symbols(), tr.Symbols) {
-					t.Fatalf("stream (soa=%v) ended with %v after %d events; ReadBinary decoded %d", soa, end, len(events), len(tr.Events))
-				}
-				continue
-			}
-			sameDecodeError(t, "stream", end, batchErr)
-			if int64(len(events)) != batchErr.Event {
-				t.Fatalf("stream decoded %d events before failing, ReadBinary failed at event %d", len(events), batchErr.Event)
-			}
-		}
-
-		// A standalone header, then the rest as an open-ended event body.
+		// Streaming with a declared count, at a block size that splits the
+		// body unevenly. prefix keeps what the stream decoded, all of the
+		// trace or what precedes the failure.
 		st, serr := OpenStream(bytes.NewReader(data))
 		if serr != nil {
+			sameDecodeError(t, "OpenStream", serr, batchErr)
+			if batchErr.Event != -1 {
+				t.Fatalf("OpenStream failed in the header, ReadBinary at event %d", batchErr.Event)
+			}
 			if _, herr := ReadHeader(bytes.NewReader(data)); herr == nil {
 				t.Fatal("ReadHeader accepted a header OpenStream rejected")
 			}
 			return
 		}
 		hdrLen := st.bin.offset()
+		prefix, end := drainStream(st, 7)
+		checkOperands(t, st.Symbols(), prefix)
+		if err == nil {
+			if end != io.EOF || !slices.Equal(prefix, tr.Events) || !sameTables(st.Symbols(), tr.Symbols) {
+				t.Fatalf("stream ended with %v after %d events; ReadBinary decoded %d", end, len(prefix), len(tr.Events))
+			}
+		} else {
+			sameDecodeError(t, "stream", end, batchErr)
+			if int64(len(prefix)) != batchErr.Event {
+				t.Fatalf("stream decoded %d events before failing, ReadBinary failed at event %d", len(prefix), batchErr.Event)
+			}
+		}
+
+		// A standalone header, then the rest as an open-ended event body.
 		h, herr := ReadHeader(bytes.NewReader(data[:hdrLen]))
 		if herr != nil {
 			t.Fatalf("ReadHeader on the %d header bytes OpenStream consumed: %v", hdrLen, herr)
@@ -101,7 +93,7 @@ func FuzzBinaryDecode(f *testing.F) {
 		if !sameTables(h.Syms, st.Symbols()) {
 			t.Fatal("ReadHeader and OpenStream decoded different symbol tables")
 		}
-		events, end := drainStream(NewEventStream(bytes.NewReader(data[hdrLen:]), h, 0), true, 5)
+		events, end := drainStream(NewEventStream(bytes.NewReader(data[hdrLen:]), h, 0), 5)
 		checkOperands(t, h.Syms, events)
 		if end != io.EOF {
 			var de *DecodeError
@@ -110,7 +102,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 		}
 		// The open-ended body ignores the declared count, so it agrees with
-		// the counted streams up to where those stopped.
+		// the counted stream up to where that stopped.
 		if n := min(len(events), len(prefix)); !slices.Equal(events[:n], prefix[:n]) {
 			t.Fatal("event stream and OpenStream decoded different events")
 		}
@@ -141,23 +133,15 @@ func FuzzBinaryDecode(f *testing.F) {
 	})
 }
 
-// drainStream decodes st to its end through NextBlockSoA (soa) or
-// NextBlock with blocks of size n, returning the events and the error that
-// ended the stream.
-func drainStream(st *Stream, soa bool, n int) ([]event.Event, error) {
+// drainStream decodes st to its end through NextBlockSoA with blocks of
+// size n, returning the events and the error that ended the stream.
+func drainStream(st *Stream, n int) ([]event.Event, error) {
 	var all []event.Event
-	block, buf := trace.NewBlock(n), make([]event.Event, n)
+	block := trace.NewBlock(n)
 	for {
-		var k int
-		var err error
-		if soa {
-			k, err = st.NextBlockSoA(block)
-			for i := 0; i < k; i++ {
-				all = append(all, block.At(i))
-			}
-		} else {
-			k, err = st.NextBlock(buf)
-			all = append(all, buf[:k]...)
+		k, err := st.NextBlockSoA(block)
+		for i := 0; i < k; i++ {
+			all = append(all, block.At(i))
 		}
 		if err != nil {
 			return all, err

@@ -71,11 +71,11 @@ func TestTruncatedBinaryBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]event.Event, 64)
+	buf := trace.NewBlock(64)
 	decoded := 0
 	var de *DecodeError
 	for {
-		n, err := s.NextBlock(buf)
+		n, err := s.NextBlockSoA(buf)
 		decoded += n
 		if err == nil {
 			continue
@@ -101,7 +101,7 @@ func TestTruncatedBinaryBlock(t *testing.T) {
 		t.Errorf("decoded %d events from a truncated body of %d", decoded, len(tr.Events))
 	}
 	// The error is latched.
-	if _, err := s.NextBlock(buf); !errors.As(err, new(*DecodeError)) {
+	if _, err := s.NextBlockSoA(buf); !errors.As(err, new(*DecodeError)) {
 		t.Errorf("latched error = %v, want the DecodeError again", err)
 	}
 }
@@ -121,9 +121,9 @@ func TestDecodeErrorCarriesFilePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	buf := make([]event.Event, 64)
+	buf := trace.NewBlock(64)
 	for {
-		_, err := s.NextBlock(buf)
+		_, err := s.NextBlockSoA(buf)
 		if err == nil {
 			continue
 		}

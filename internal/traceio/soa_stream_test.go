@@ -29,10 +29,10 @@ func drainSoA(t *testing.T, st *Stream, blockSize int) *trace.Block {
 	}
 }
 
-// TestNextBlockSoAMatchesNextBlock checks the SoA block decoder yields the
-// exact event sequence of the event-slice decoder, for both formats and for
+// TestNextBlockSoAMatchesTrace checks the SoA block decoder yields the
+// exact event sequence of the encoded trace, for both formats and for
 // block sizes that do and do not divide the trace length.
-func TestNextBlockSoAMatchesNextBlock(t *testing.T) {
+func TestNextBlockSoAMatchesTrace(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Threads: 4, Locks: 3, Vars: 5, Events: 700, Seed: 3})
 	for _, write := range []struct {
 		name string
@@ -68,23 +68,25 @@ func TestNextBlockSoAMatchesNextBlock(t *testing.T) {
 	}
 }
 
-// TestNextBlockSoAZeroCapacity checks a zero-capacity block is rejected
-// without latching the stream into an error state.
+// TestNextBlockSoAZeroCapacity checks a zero-capacity block is rejected,
+// in either format, without latching the stream into an error state.
 func TestNextBlockSoAZeroCapacity(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Threads: 2, Vars: 2, Events: 10, Seed: 4})
-	var raw bytes.Buffer
-	if err := WriteBinary(&raw, tr); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStream(bytes.NewReader(raw.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.NextBlockSoA(trace.NewBlock(0)); err == nil || err == io.EOF {
-		t.Fatalf("zero-capacity block: err = %v, want a real error", err)
-	}
-	if got := drainSoA(t, st, 16); got.Len() != tr.Len() {
-		t.Fatalf("stream unusable after zero-capacity call: decoded %d of %d", got.Len(), tr.Len())
+	for _, encode := range []func(io.Writer, *trace.Trace) error{WriteBinary, WriteText} {
+		var raw bytes.Buffer
+		if err := encode(&raw, tr); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStream(bytes.NewReader(raw.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.NextBlockSoA(trace.NewBlock(0)); err == nil || err == io.EOF {
+			t.Fatalf("zero-capacity block: err = %v, want a real error", err)
+		}
+		if got := drainSoA(t, st, 16); got.Len() != tr.Len() {
+			t.Fatalf("stream unusable after zero-capacity call: decoded %d of %d", got.Len(), tr.Len())
+		}
 	}
 }
 

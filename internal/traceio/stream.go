@@ -24,18 +24,6 @@ type Dims struct {
 	Events                     int
 }
 
-// BlockReader yields successive blocks of trace events into a caller-owned
-// buffer, the streaming-ingestion contract of this package: the caller
-// reuses one buffer for the whole scan, so decoding a trace of any length
-// allocates O(block), not O(trace).
-type BlockReader interface {
-	// NextBlock fills buf with the next events of the trace, returning how
-	// many were decoded. It returns n > 0 with a nil error until the trace
-	// is exhausted, then 0 with io.EOF. Any other error is a decode error;
-	// buf contents beyond n are unspecified.
-	NextBlock(buf []event.Event) (n int, err error)
-}
-
 // Stream decodes a trace incrementally, block by block, without ever
 // materializing the whole event sequence. Binary streams carry their full
 // symbol universe and event count in the header, so Dims reports complete
@@ -191,62 +179,6 @@ func (s *Stream) Stats() trace.Stats {
 	}
 }
 
-// NextBlock implements BlockReader.
-func (s *Stream) NextBlock(buf []event.Event) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	if len(buf) == 0 {
-		// Not latched into s.err: an empty buffer is a caller bug, not a
-		// stream state, and must not read as end-of-trace.
-		return 0, fmt.Errorf("traceio: NextBlock requires a non-empty buffer")
-	}
-	var n int
-	if s.binary {
-		limit := len(buf)
-		if !s.unbounded && uint64(limit) > s.remaining {
-			limit = int(s.remaining)
-		}
-		for n < limit {
-			if s.unbounded && s.atBodyEnd() {
-				break
-			}
-			e, err := s.bin.decodeEvent(&s.counts, s.decoded)
-			if err != nil {
-				s.err = notePath(err, s.path)
-				return n, s.err
-			}
-			buf[n] = e
-			n++
-			s.tallyEvent(e)
-		}
-		if !s.unbounded {
-			s.remaining -= uint64(n)
-		}
-		if n == 0 {
-			s.err = io.EOF
-			return 0, io.EOF
-		}
-		return n, nil
-	}
-	for n < len(buf) {
-		e, ok := s.scanTextEvent()
-		if !ok {
-			break
-		}
-		buf[n] = e
-		n++
-	}
-	if s.err != nil {
-		return n, s.err // decode error: the partial block plus the error
-	}
-	if n == 0 {
-		s.err = s.endOfText()
-		return 0, s.err
-	}
-	return n, nil
-}
-
 // scanTextEvent decodes the next event of a text stream, skipping blank and
 // comment lines (consuming the pre-sizing header comments). It reports
 // ok=false at end of input or on error; a parse error is latched into s.err,
@@ -290,9 +222,11 @@ func (s *Stream) endOfText() error {
 // NextBlockSoA fills b — reset first, then appended up to its capacity —
 // with the next events of the trace in structure-of-arrays form, the layout
 // the detectors' block loops consume directly. Binary bodies decode straight
-// into the block's field slices with no intermediate event slice. The
-// return contract matches NextBlock: n > 0 with a nil error until the trace
-// is exhausted, then 0 with io.EOF.
+// into the block's field slices with no intermediate event slice. It
+// returns n > 0 with a nil error until the trace is exhausted, then 0 with
+// io.EOF. Any other error is a decode error, returned with the events
+// decoded before it. The caller reuses one block for the whole scan, so
+// decoding a trace of any length allocates O(block), not O(trace).
 func (s *Stream) NextBlockSoA(b *trace.Block) (int, error) {
 	if s.err != nil {
 		return 0, s.err

@@ -12,24 +12,6 @@ import (
 	"repro/internal/trace"
 )
 
-// collect drains a stream through NextBlock with a small buffer, exercising
-// block boundaries.
-func collect(t *testing.T, s *Stream, blockSize int) []event.Event {
-	t.Helper()
-	var all []event.Event
-	buf := make([]event.Event, blockSize)
-	for {
-		n, err := s.NextBlock(buf)
-		all = append(all, buf[:n]...)
-		if err == io.EOF {
-			return all
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func streamRoundTrip(t *testing.T, encode func(io.Writer, *trace.Trace) error) {
 	t.Helper()
 	tr := gen.Random(gen.RandomConfig{Seed: 7, Events: 1000, Threads: 4, Locks: 3, Vars: 8})
@@ -41,7 +23,7 @@ func streamRoundTrip(t *testing.T, encode func(io.Writer, *trace.Trace) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, s, 64)
+	got := drainSoA(t, s, 64).Events()
 	if len(got) != len(tr.Events) {
 		t.Fatalf("streamed %d events, want %d", len(got), len(tr.Events))
 	}
@@ -58,8 +40,8 @@ func streamRoundTrip(t *testing.T, encode func(io.Writer, *trace.Trace) error) {
 			s.Symbols().NumThreads(), s.Symbols().NumVars(), tr.NumThreads(), tr.NumVars())
 	}
 	// A drained stream keeps reporting EOF.
-	if n, err := s.NextBlock(make([]event.Event, 4)); n != 0 || err != io.EOF {
-		t.Errorf("NextBlock after EOF = %d, %v", n, err)
+	if n, err := s.NextBlockSoA(trace.NewBlock(4)); n != 0 || err != io.EOF {
+		t.Errorf("NextBlockSoA after EOF = %d, %v", n, err)
 	}
 }
 
@@ -96,7 +78,7 @@ func TestStreamTextEventsHeader(t *testing.T) {
 	if dims, known := s.Dims(); known || dims.Events != -1 {
 		t.Fatalf("pre-scan dims = %+v known=%v, want events=-1 known=false", dims, known)
 	}
-	got := collect(t, s, 16)
+	got := drainSoA(t, s, 16).Events()
 	if len(got) != 2 {
 		t.Fatalf("streamed %d events, want 2", len(got))
 	}
@@ -110,40 +92,18 @@ func TestStreamTextParseError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]event.Event, 8)
-	n, err := s.NextBlock(buf)
+	buf := trace.NewBlock(8)
+	n, err := s.NextBlockSoA(buf)
 	var perr *ParseError
 	if n != 1 || err == nil {
-		t.Fatalf("NextBlock = %d, %v; want 1 good event and an error", n, err)
+		t.Fatalf("NextBlockSoA = %d, %v; want 1 good event and an error", n, err)
 	}
 	if ok := errors.As(err, &perr); !ok || perr.Line != 2 {
 		t.Fatalf("error = %v, want ParseError at line 2", err)
 	}
 	// The error is sticky.
-	if _, err2 := s.NextBlock(buf); err2 != err {
-		t.Errorf("second NextBlock error = %v, want the same sticky error", err2)
-	}
-}
-
-// TestNextBlockEmptyBuffer pins that a zero-length buffer is rejected
-// without latching end-of-stream: the remaining events stay readable.
-func TestNextBlockEmptyBuffer(t *testing.T) {
-	tr := gen.Random(gen.RandomConfig{Seed: 2, Events: 50, Threads: 2, Locks: 1, Vars: 3})
-	for _, encode := range []func(io.Writer, *trace.Trace) error{WriteBinary, WriteText} {
-		var buf bytes.Buffer
-		if err := encode(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenStream(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := s.NextBlock(nil); n != 0 || err == nil || err == io.EOF {
-			t.Fatalf("NextBlock(nil) = %d, %v; want 0 and a non-EOF error", n, err)
-		}
-		if got := collect(t, s, 16); len(got) != tr.Len() {
-			t.Fatalf("after empty-buffer call, streamed %d events, want %d", len(got), tr.Len())
-		}
+	if _, err2 := s.NextBlockSoA(buf); err2 != err {
+		t.Errorf("second NextBlockSoA error = %v, want the same sticky error", err2)
 	}
 }
 

@@ -5,9 +5,10 @@
 //     "thread|op(operand)|location", e.g. "t1|acq(l)|Main.java:17";
 //   - a compact length-prefixed binary format for large generated traces.
 //
-// Both formats round-trip exactly (symbol names and order included), and a
-// streaming Scanner supports the online analysis mode the paper emphasizes
-// (§3.2, "Our algorithm works in a streaming fashion").
+// Both formats round-trip exactly (symbol names and order included), and
+// Stream decodes either one block by block for the online analysis mode
+// the paper emphasizes (§3.2, "Our algorithm works in a streaming
+// fashion").
 package traceio
 
 import (
@@ -211,54 +212,3 @@ func WriteText(w io.Writer, tr *trace.Trace) error {
 	}
 	return nil
 }
-
-// Scanner streams events from a text-format trace without materializing the
-// whole trace, for online analysis. Symbol interning is shared across the
-// scan via Symbols.
-type Scanner struct {
-	sc     *bufio.Scanner
-	syms   *event.Symbols
-	ev     event.Event
-	err    error
-	lineNo int
-}
-
-// NewScanner returns a Scanner reading text-format events from r.
-func NewScanner(r io.Reader) *Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &Scanner{sc: sc, syms: &event.Symbols{}}
-}
-
-// Symbols returns the symbol table populated by the scan so far.
-func (s *Scanner) Symbols() *event.Symbols { return s.syms }
-
-// Scan advances to the next event, reporting false at end of input or on
-// error (check Err).
-func (s *Scanner) Scan() bool {
-	if s.err != nil {
-		return false
-	}
-	for s.sc.Scan() {
-		s.lineNo++
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		ev, err := parseLine(line, s.syms)
-		if err != nil {
-			s.err = &ParseError{Line: s.lineNo, Text: line, Err: err}
-			return false
-		}
-		s.ev = ev
-		return true
-	}
-	s.err = s.sc.Err()
-	return false
-}
-
-// Event returns the event produced by the last successful Scan.
-func (s *Scanner) Event() event.Event { return s.ev }
-
-// Err returns the first error encountered, or nil at clean end of input.
-func (s *Scanner) Err() error { return s.err }

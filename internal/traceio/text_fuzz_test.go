@@ -4,15 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
+	"slices"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-// FuzzTextDecode throws arbitrary bytes at both text-format readers and
-// checks the ingestion-robustness contract: no input may panic, every
-// failure is a typed *ParseError (or the scanner's too-long-line error),
-// the streaming Scanner agrees with the batch reader on where the input
-// goes bad and stays inert — no panic, stable error — when driven past the
-// malformed line, and anything that parses cleanly round-trips exactly.
+// FuzzTextDecode throws arbitrary bytes at both text-format readers —
+// ReadText, and Stream's NextBlockSoA at block sizes that split the input
+// unevenly — and checks the ingestion-robustness contract: no input may
+// panic, every failure is a typed *ParseError (or the scanner's
+// too-long-line error), the stream agrees with the batch reader event by
+// event and on where the input goes bad, a stream driven past its end or
+// failure stays inert (no events, the same latched error), and anything
+// that parses cleanly round-trips exactly.
 func FuzzTextDecode(f *testing.F) {
 	f.Add([]byte("# events 2\n# symbols 2 1 1 1\nt1|acq(l0)|Main.java:17\nt1|rel(l0)\n"))
 	f.Add([]byte("t1|fork(t2)\nt2|w(x)|a.go:1\nt2|join(t1)\n"))
@@ -35,41 +41,31 @@ func FuzzTextDecode(f *testing.F) {
 			}
 		}
 
-		sc := NewScanner(bytes.NewReader(data))
-		scanned := 0
-		for sc.Scan() {
-			scanned++
-			if scanned > len(data)+1 {
-				t.Fatal("Scanner yields more events than input lines")
+		if !bytes.HasPrefix(data, []byte(binaryMagic)) { // else OpenStream decodes binary
+			for _, size := range []int{1, 3, 64} {
+				st, serr := OpenStream(bytes.NewReader(data))
+				if serr != nil {
+					t.Fatalf("OpenStream on text input: %v", serr)
+				}
+				events, end := drainStream(st, size)
+				for i := 0; i < 3; i++ {
+					if n, again := st.NextBlockSoA(trace.NewBlock(size)); n != 0 || again != end {
+						t.Fatalf("block %d: stream yielded %d events and %v after ending with %v", size, n, again, end)
+					}
+				}
+				if err != nil {
+					if end == io.EOF || end.Error() != err.Error() {
+						t.Fatalf("block %d: ReadText failed with %v, stream ended with %v", size, err, end)
+					}
+					continue
+				}
+				if end != io.EOF || !slices.Equal(events, tr.Events) || !sameTables(st.Symbols(), tr.Symbols) {
+					t.Fatalf("block %d: stream ended with %v after %d events; ReadText parsed %d", size, end, len(events), len(tr.Events))
+				}
 			}
-		}
-		scanErr := sc.Err()
-		if scanErr != nil {
-			var pe *ParseError
-			if !errors.As(scanErr, &pe) && !errors.Is(scanErr, bufio.ErrTooLong) {
-				t.Fatalf("Scanner error is not a *ParseError or too-long-line: %T %v", scanErr, scanErr)
-			}
-		}
-		// Driving the scanner past the failure is safe and changes nothing.
-		for i := 0; i < 3; i++ {
-			if sc.Scan() {
-				t.Fatal("Scan returned true after reporting end/error")
-			}
-		}
-		if !errors.Is(sc.Err(), scanErr) && (sc.Err() == nil) != (scanErr == nil) {
-			t.Fatalf("Scanner error changed after extra Scans: %v -> %v", scanErr, sc.Err())
-		}
-
-		// Batch and streaming readers must agree on whether the input is
-		// well-formed, and on the event count when it is.
-		if (err == nil) != (scanErr == nil) {
-			t.Fatalf("ReadText err=%v but Scanner err=%v", err, scanErr)
 		}
 		if err != nil {
 			return
-		}
-		if scanned != len(tr.Events) {
-			t.Fatalf("Scanner produced %d events, ReadText %d", scanned, len(tr.Events))
 		}
 
 		// Well-formed input round-trips exactly.

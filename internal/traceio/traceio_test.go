@@ -96,8 +96,8 @@ func TestReadTextErrors(t *testing.T) {
 // TestTextHeaderHintsCapped: the "# events N" and "# symbols T L V P"
 // comments are sizing hints from untrusted input. A huge count must not
 // size an allocation — unchecked, it panics with "makeslice: cap out of
-// range" inside ReadAuto, the one-shot /analyze decoder — and the trace
-// still parses through both the batch reader and the text Stream.
+// range" inside ReadAuto, the loaded-trace decoder — and the trace still
+// parses through both the batch reader and the text Stream.
 func TestTextHeaderHintsCapped(t *testing.T) {
 	const body = "t1|acq(l)|a.go:1\nt1|rel(l)\n"
 	for _, hdr := range []string{
@@ -113,8 +113,7 @@ func TestTextHeaderHintsCapped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenStream with %q: %v", hdr, err)
 		}
-		buf := make([]event.Event, 8)
-		if n, err := st.NextBlock(buf); n != 2 || err != nil {
+		if n, err := st.NextBlockSoA(trace.NewBlock(8)); n != 2 || err != nil {
 			t.Errorf("text Stream with %q: decoded %d events, err %v", hdr, n, err)
 		}
 	}
@@ -183,34 +182,6 @@ func TestBinaryRejectsOutOfRangeIndices(t *testing.T) {
 	data[len(data)-2] = 0x7f
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Error("expected out-of-range operand error")
-	}
-}
-
-func TestScanner(t *testing.T) {
-	sc := NewScanner(strings.NewReader(sampleText))
-	var kinds []event.Kind
-	for sc.Scan() {
-		kinds = append(kinds, sc.Event().Kind)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) != 6 {
-		t.Fatalf("scanned %d events", len(kinds))
-	}
-	if sc.Symbols().NumThreads() != 3 {
-		t.Errorf("scanner threads = %d", sc.Symbols().NumThreads())
-	}
-	// Errors surface through Err and stop the scan.
-	sc2 := NewScanner(strings.NewReader("t1|bogus(x)\n"))
-	if sc2.Scan() {
-		t.Error("scan of bad input should fail")
-	}
-	if sc2.Err() == nil {
-		t.Error("Err should be set")
-	}
-	if sc2.Scan() {
-		t.Error("scan after error should keep failing")
 	}
 }
 

@@ -30,9 +30,9 @@ func TestWindowSoAMatchesEvents(t *testing.T) {
 }
 
 // TestWindowedAnalysisOverSoABlocks runs the windowed WCP ablation over SoA
-// blocks: analyzing each fragment through its SoA view (the detectors'
-// block path) must flag exactly the races of the per-event legacy walk,
-// including on windows whose boundaries split critical sections.
+// blocks: analyzing each fragment through its whole SoA view must flag
+// exactly the races of feeding it as one-event blocks, including on
+// windows whose boundaries split critical sections.
 func TestWindowedAnalysisOverSoABlocks(t *testing.T) {
 	tr := gen.Random(gen.RandomConfig{Threads: 3, Locks: 2, Vars: 3, Events: 400, Seed: 23})
 	// Sizes chosen so boundaries fall inside critical sections (the
@@ -41,13 +41,13 @@ func TestWindowedAnalysisOverSoABlocks(t *testing.T) {
 		for wi, w := range window.Split(tr, size) {
 			soaRes := core.DetectOpts(w, core.Options{TrackPairs: true})
 			legacy := core.NewDetector(w.NumThreads(), w.NumLocks(), w.NumVars(), core.Options{TrackPairs: true})
-			for _, e := range w.Events {
-				legacy.Process(e)
+			for i := range w.Events {
+				legacy.ProcessBlock(trace.BlockOf(w.Events[i : i+1]))
 			}
 			lr := legacy.Result()
 			if soaRes.RacyEvents != lr.RacyEvents || soaRes.FirstRace != lr.FirstRace ||
 				soaRes.Report.Distinct() != lr.Report.Distinct() {
-				t.Fatalf("size %d window %d: SoA block analysis diverges from legacy walk (racy %d/%d)",
+				t.Fatalf("size %d window %d: whole-block analysis diverges from one-event blocks (racy %d/%d)",
 					size, wi, soaRes.RacyEvents, lr.RacyEvents)
 			}
 		}

@@ -52,8 +52,17 @@ type Trace = trace.Trace
 type Symbols = event.Symbols
 
 // TraceEvent is a single trace operation (§2.1's acquire/release,
-// read/write, fork/join), the unit streaming block readers decode into.
+// read/write, fork/join).
 type TraceEvent = event.Event
+
+// TraceBlock is a run of events in structure-of-arrays form: the unit
+// TraceStream.NextBlockSoA decodes into and the streaming detectors'
+// ProcessBlock consumes.
+type TraceBlock = trace.Block
+
+// NewTraceBlock returns an empty block with room for capacity events, the
+// reusable decode buffer of a streaming scan.
+func NewTraceBlock(capacity int) *TraceBlock { return trace.NewBlock(capacity) }
 
 // Builder constructs traces programmatically.
 type Builder = trace.Builder
@@ -73,7 +82,8 @@ type WCPResult = core.Result
 // WCPOptions configures the WCP detector.
 type WCPOptions = core.Options
 
-// WCPDetector is the streaming WCP detector; feed events with Process.
+// WCPDetector is the streaming WCP detector; feed it TraceBlocks with
+// ProcessBlock.
 type WCPDetector = core.Detector
 
 // HBResult is the outcome of the happens-before detectors.
@@ -230,9 +240,6 @@ func WriteTraceText(w io.Writer, tr *Trace) error { return traceio.WriteText(w, 
 
 // WriteTraceBinary writes the compact binary format.
 func WriteTraceBinary(w io.Writer, tr *Trace) error { return traceio.WriteBinary(w, tr) }
-
-// NewTraceScanner streams text-format events for online analysis.
-func NewTraceScanner(r io.Reader) *traceio.Scanner { return traceio.NewScanner(r) }
 
 // TraceStream decodes a trace incrementally, block by block, without ever
 // materializing the whole event sequence (binary headers carry the

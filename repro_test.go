@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -63,9 +64,25 @@ func TestFacadeStreamingMatchesBatch(t *testing.T) {
 	b, _ := BenchmarkByName("raytracer")
 	tr := b.Generate(0.5)
 	batch := DetectWCP(tr)
+	var bin bytes.Buffer
+	if err := WriteTraceBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
 	det := NewWCPDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), WCPOptions{TrackPairs: true})
-	for _, e := range tr.Events {
-		det.Process(e)
+	st, err := OpenTraceStream(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := NewTraceBlock(100)
+	for {
+		_, err := st.NextBlockSoA(block)
+		det.ProcessBlock(block)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	stream := det.Result()
 	if batch.Report.Distinct() != stream.Report.Distinct() {
@@ -102,13 +119,24 @@ func TestFacadeIO(t *testing.T) {
 			t.Error("race lost in round trip")
 		}
 	}
-	sc := NewTraceScanner(bytes.NewReader(text.Bytes()))
-	n := 0
-	for sc.Scan() {
-		n++
+	// Text traces stream block by block too.
+	st, err := OpenTraceStream(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sc.Err() != nil || n != tr.Len() {
-		t.Errorf("scanner: n=%d err=%v", n, sc.Err())
+	n, block := 0, NewTraceBlock(2)
+	for {
+		k, err := st.NextBlockSoA(block)
+		n += k
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n != tr.Len() {
+		t.Errorf("text stream: %d events, want %d", n, tr.Len())
 	}
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the raced daemon: build it, start it, stream a generated
 # trace in with examples/client, assert a deduplicated race report exists,
+# walk the README's curl session (offset-stamped chunks; a chunk without
+# its offset is a 400),
 # SIGKILL a daemon holding two open sessions under a 1-byte state budget
 # (one of them parked to its checkpoint file) and verify a restarted daemon
 # resumes both from their checkpoints with identical reports, and finally
@@ -36,10 +38,29 @@ grep -q "race:" "$OUT/client.log"
 # The dedup store holds at least one fingerprinted class.
 curl -fsS "http://$ADDR/reports" > "$OUT/reports.json"
 grep -q '"engine"' "$OUT/reports.json"
-# One-shot analysis over the same wire.
-go run ./cmd/tracegen -bench raytracer -scale 0.25 -format binary -o "$OUT/raytracer.bin"
-curl -fsS --data-binary @"$OUT/raytracer.bin" "http://$ADDR/analyze?engines=wcp" > "$OUT/analyze.json"
-grep -q '"racy_events"' "$OUT/analyze.json"
+
+# The README's curl walkthrough: the session API by hand. Each chunk is
+# sent with the X-Raced-Offset that examples/client -dump printed for it.
+go run ./examples/client -dump "$OUT/parts" -chunks 3 -events 20000 | tee "$OUT/dump.log"
+SID="$(curl -fsS --data-binary @"$OUT/parts/header.bin" "http://$ADDR/sessions?engines=wcp,hb" \
+  | grep -o '"id": "[^"]*"' | cut -d'"' -f4)"
+[ -n "$SID" ] || { echo "curl session create returned no id" >&2; exit 1; }
+for n in 1 2 3; do
+  OFF="$(sed -n "s/.*chunk$n\.bin (X-Raced-Offset: \([0-9]*\))$/\1/p" "$OUT/dump.log")"
+  [ -n "$OFF" ] || { echo "no offset printed for chunk$n" >&2; exit 1; }
+  curl -fsS -H "X-Raced-Offset: $OFF" --data-binary @"$OUT/parts/chunk$n.bin" \
+    "http://$ADDR/sessions/$SID/chunks" >/dev/null
+done
+# A chunk without its offset is refused, naming the header, and leaves the
+# session as it was.
+CODE="$(curl -sS -o "$OUT/no-offset.json" -w '%{http_code}' \
+  --data-binary @"$OUT/parts/chunk1.bin" "http://$ADDR/sessions/$SID/chunks")"
+[ "$CODE" = 400 ] || { echo "chunk without X-Raced-Offset: HTTP $CODE, want 400" >&2; exit 1; }
+grep -q 'X-Raced-Offset' "$OUT/no-offset.json"
+curl -fsS -X POST "http://$ADDR/sessions/$SID/finish" > "$OUT/finish.json"
+grep -q '"racy_events"' "$OUT/finish.json"
+EVENTS="$(sed -n 's/^generated trace: \([0-9]*\) events.*/\1/p' "$OUT/dump.log")"
+grep -q "\"events\": $EVENTS," "$OUT/finish.json"
 # Metrics moved.
 curl -fsS "http://$ADDR/metrics" > "$OUT/metrics.txt"
 grep "raced_events_ingested_total" "$OUT/metrics.txt" | grep -qv " 0$"
